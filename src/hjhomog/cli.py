@@ -109,6 +109,15 @@ def resolve_config(raw, seed_override=None):
                     **raw.get("ivp", {})),
         "tolerances": tolerances,
     }
+    lams = resolved["lambda_schedule"]
+    if len(lams) < 3 or any(b >= a for a, b in zip(lams, lams[1:])):
+        raise ConfigError("lambda_schedule must be strictly decreasing with "
+                          "at least 3 entries")
+    if resolved["window_cells"] <= 2 * lo.BUFFER_CELLS:
+        raise ConfigError(f"window_cells must exceed {2 * lo.BUFFER_CELLS}, "
+                          "the two edge buffers of the level-set window")
+    if resolved["mu_points"] < 1:
+        raise ConfigError("mu_points must be at least 1")
     return resolved
 
 

@@ -309,40 +309,56 @@ class HamiltonianField:
 
     def coercivity_radius(self, mu_max):
         """Smallest probed r such that min_x H(+-r, x) > mu_max."""
-        key = ("coer", round(float(mu_max), 12))
-        if key in self._cache:
-            return self._cache[key]
+        return self.coercivity_radii([mu_max])[0]
+
+    def coercivity_radii(self, mus):
+        """``coercivity_radius`` of each level in ``mus``.
+
+        Radii are cached per level rounded to 12 digits; the first level
+        with a given key decides its radius.  The levels share the probe
+        grid of each doubling radius and one vectorized bisection.
+        """
+        keys = [("coer", round(float(mu), 12)) for mu in mus]
+        todo = {}
+        for key, mu in zip(keys, mus):
+            if key not in self._cache:
+                # the threshold uses the caller's level, not the rounded key
+                todo.setdefault(key, mu + 1e-9 * (1.0 + abs(mu)))
+        if not todo:
+            return [self._cache[key] for key in keys]
+        thresholds = np.array(list(todo.values()))
         xs = self.probe_xs(512)
-        margin = 1e-9 * (1.0 + abs(mu_max))
 
         def g(rs):
-            rs = np.atleast_1d(rs)
             vplus = self.evaluate(rs[:, None], xs[None, :]).min(axis=1)
             vminus = self.evaluate(-rs[:, None], xs[None, :]).min(axis=1)
             return np.minimum(vplus, vminus)
 
+        brackets = {}
         R = 4.0
         for _ in range(40):
             rs = np.linspace(0.0, R, max(int(R / 0.02), 64) + 1)
-            ok = g(rs) > mu_max + margin
-            if ok[-1] and ok[-2]:
+            gr = g(rs)
+            for i, t in enumerate(thresholds):
+                ok = gr > t
+                if i not in brackets and ok[-1] and ok[-2]:
+                    bad = np.nonzero(~ok)[0]
+                    # when r = 0 already clears the level, the bracket
+                    # (0, 0) stays put through the bisection
+                    brackets[i] = (rs[bad[-1]], rs[bad[-1] + 1]) \
+                        if len(bad) else (0.0, 0.0)
+            if len(brackets) == len(thresholds):
                 break
             R *= 2.0
         else:
             raise ProfileError("field does not look coercive on probes")
-        bad = np.nonzero(~ok)[0]
-        if len(bad) == 0:
-            self._cache[key] = 0.0
-            return 0.0
-        lo, hi = rs[bad[-1]], rs[bad[-1] + 1]
+        lo, hi = np.array([brackets[i] for i in range(len(thresholds))]).T
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if g(mid)[0] > mu_max + margin:
-                hi = mid
-            else:
-                lo = mid
-        self._cache[key] = float(hi)
-        return float(hi)
+            above = g(mid) > thresholds
+            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        self._cache.update((key, float(r)) for key, r in zip(todo, hi))
+        return [self._cache[key] for key in keys]
 
     def modulus(self, p_lo, p_hi):
         """Continuity modulus rho_K over K = [p_lo, p_hi]: rho(r) = L * r.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,29 +49,25 @@ _INVPHI = 0.6180339887498949
 
 
 def _scan_roots(gfun, g, xs, mu, tol_touch):
-    """Crossings (bisection-refined against the process callable) and
-    tangential touches (golden-refined local extrema within tol of the
-    level).  High-accuracy locations matter: the corner rule at a
-    junction holds only up to the process slope times the location error.
+    """Crossings (bisection-refined against the process callable, all sign
+    flips at once) and tangential touches (golden-refined local extrema
+    within tol of the level).  High-accuracy locations matter: the corner
+    rule at a junction holds only up to the process slope times the
+    location error.
     """
     d = g - mu
     s = np.sign(d)
-    roots = []
     flips = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    for i in flips:
-        lo, hi = xs[i], xs[i + 1]
-        dlo = d[i]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            dm = gfun(mid) - mu
-            if dm == 0.0:
-                lo = hi = mid
-                break
-            if (dm > 0) == (dlo > 0):
-                lo = mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
+    lo, hi = xs[flips], xs[flips + 1]
+    up = d[flips] > 0
+    for _ in range(60 if len(flips) else 0):
+        mid = 0.5 * (lo + hi)
+        dm = gfun(mid) - mu
+        # an exact zero sets lo = hi = mid, which every later step keeps
+        zero = dm == 0.0
+        lo = np.where(zero | ((dm > 0) == up), mid, lo)
+        hi = np.where(zero | ((dm > 0) != up), mid, hi)
+    roots = list(0.5 * (lo + hi))
     interior = np.arange(1, len(xs) - 1)
     is_ext = ((d[interior] - d[interior - 1]) * (d[interior + 1] - d[interior])
               <= 0.0)
@@ -142,7 +139,7 @@ def admissible_decomposition(field, structure, mu, window, dx_root=None,
     roots = []
     for k, p_ext in enumerate(np.concatenate([pos_min, pos_max])):
         g = m_vals[k] if k < len(pos_min) else M_vals[k - len(pos_min)]
-        gfun = (lambda pe: lambda x: float(field.evaluate(pe, x)))(float(p_ext))
+        gfun = partial(field.evaluate, float(p_ext))
         roots.extend(_scan_roots(gfun, g, xs, mu, tol_touch))
     roots = np.sort(np.asarray(roots))
     roots = roots[(roots > x_lo + 1e-9 * W) & (roots < x_hi - 1e-9 * W)]
@@ -154,21 +151,20 @@ def admissible_decomposition(field, structure, mu, window, dx_root=None,
                 f"junctions at x={roots[k]:.6g} and x={roots[k + 1]:.6g} "
                 f"are closer than sep_min={sep_min:.3g} at level mu={mu:.6g}")
     edges = np.concatenate([[x_lo], roots, [x_hi]])
-    intervals = [(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])
-                 if b - a > 1e-12]
-    feasible = []
-    for a, b in intervals:
-        probes = np.linspace(a, b, 9)[1:-1]
-        ok = set()
-        for j in range(1, nb + 1):
-            _, feas = branch_inverse_grid(field, structure, j, probes, mu)
-            if feas.all():
-                ok.add(j)
-        if not ok:
+    keep = np.diff(edges) > 1e-12
+    a_s, b_s = edges[:-1][keep], edges[1:][keep]
+    intervals = [(float(a), float(b)) for a, b in zip(a_s, b_s)]
+    # the 7 interior probes of every interval, one inversion per branch
+    probes = np.linspace(a_s, b_s, 9, axis=1)[:, 1:-1]
+    ok = [branch_inverse_grid(field, structure, j, probes, mu)[1].all(axis=1)
+          for j in range(1, nb + 1)]
+    feasible = [{j for j in range(1, nb + 1) if ok[j - 1][i]}
+                for i in range(len(intervals))]
+    for (a, b), fs in zip(intervals, feasible):
+        if not fs:
             raise ClusterSuspected(
                 f"no branch feasible throughout ({a:.6g}, {b:.6g}) at "
                 f"mu={mu:.6g}: a junction was likely missed")
-        feasible.append(ok)
     return AdmissibleDecomposition(mu, window, roots, intervals, feasible)
 
 
@@ -895,9 +891,14 @@ def assemble_effective_curve(field, structure, mu_points=15, window_cells=100,
         return float(np.sum(psi[core] * wc)) if ok.all() else None
 
     # dense geometric level ladders keep the steep tails well sampled in p
-    neg_mus = []
+    neg_mus, tail_mus = [], []
     if mu_lo_cap > 0.02 * M_bar:
         neg_mus = np.geomspace(0.01 * max(M_bar, 1e-3), mu_lo_cap + 1.0, 100)
+    if mu_hi_cap > M_bar:
+        tail_mus = np.geomspace(M_bar * 1.01, mu_hi_cap + 1.0, 100)
+    # branch 1 is capped at the coercivity radius of |mu| + 1: find the
+    # radii of both ladders in one batch before walking them
+    field.coercivity_radii([abs(mu) + 1.0 for mu in (*neg_mus, *tail_mus)])
     ext = extreme_level(field, structure, window_cells=window_cells,
                         mu_neg=neg_mus)
     ps, vs, buds, srcs = [], [], [], []
@@ -919,14 +920,13 @@ def assemble_effective_curve(field, structure, mu_points=15, window_cells=100,
             buds.append(rec["ci"])
             srcs.append("level")
         intervals.append(rec)
-    if mu_hi_cap > M_bar:
-        for mu in np.geomspace(M_bar * 1.01, mu_hi_cap + 1.0, 100):
-            pm = mean_branch1(mu, "+")
-            if pm is not None:
-                ps.append(pm)
-                vs.append(float(mu))
-                buds.append(0.0)
-                srcs.append("level")
+    for mu in tail_mus:
+        pm = mean_branch1(mu, "+")
+        if pm is not None:
+            ps.append(pm)
+            vs.append(float(mu))
+            buds.append(0.0)
+            srcs.append("level")
     curve = EffectiveCurve(np.asarray(ps), np.asarray(vs), np.asarray(buds),
                            srcs, level_intervals=intervals,
                            flat=(ext["e_zl"], ext["q0"], 0.0))

@@ -77,6 +77,19 @@ def test_malformed_config_exit_2(tmp_path):
     assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("over", [
+    {"task": "largeosc", "window_cells": 10},
+    {"task": "largeosc", "window_cells": 0},
+    {"task": "largeosc", "mu_points": 0},
+    {"lambda_schedule": [0.01, 0.02, 0.04]},
+    {"lambda_schedule": [0.04, 0.02]},
+])
+def test_out_of_range_config_exit_2(tmp_path, over):
+    out = tmp_path / "out"
+    assert cli.run(_cfg(**over), str(out)) == 2
+    assert not (out / "report.json").exists()
+
+
 def test_xfree_effective_exact(tmp_path):
     envd = {"schema": "env/1", "kind": "periodic", "profile": "xfree",
             "params": {"base": "quadratic"}, "period": 1.0}

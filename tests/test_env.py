@@ -51,6 +51,60 @@ def test_coercivity_probe_random_x(quartic_2sin):
     assert vals.min() > mu - 1e-6
 
 
+def _coercivity_radius_reference(field, mu_max, cache):
+    """The per-level form of coercivity_radius: its own doubling search and
+    a scalar bisection."""
+    key = round(float(mu_max), 12)
+    if key in cache:
+        return cache[key]
+    xs = field.probe_xs(512)
+    margin = 1e-9 * (1.0 + abs(mu_max))
+
+    def g(rs):
+        rs = np.atleast_1d(rs)
+        vplus = field.evaluate(rs[:, None], xs[None, :]).min(axis=1)
+        vminus = field.evaluate(-rs[:, None], xs[None, :]).min(axis=1)
+        return np.minimum(vplus, vminus)
+
+    R = 4.0
+    while True:
+        rs = np.linspace(0.0, R, max(int(R / 0.02), 64) + 1)
+        ok = g(rs) > mu_max + margin
+        if ok[-1] and ok[-2]:
+            break
+        R *= 2.0
+    bad = np.nonzero(~ok)[0]
+    if len(bad) == 0:
+        cache[key] = 0.0
+        return 0.0
+    lo, hi = rs[bad[-1]], rs[bad[-1] + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if g(mid)[0] > mu_max + margin:
+            hi = mid
+        else:
+            lo = mid
+    cache[key] = float(hi)
+    return float(hi)
+
+
+def test_coercivity_radii_match_per_level_reference(quartic_2sin):
+    # 5 + 4e-13 and 5 share a rounded cache key and the first one decides;
+    # 2.0 is cached before the batch; 1000 needs a doubled radius and -5
+    # is below min H, so its radius is 0
+    levels = [5.0 + 4e-13, 0.3, 5.0, 2.0, 1000.0, -5.0, 0.3 + 1e-7]
+    cache = {}
+    _coercivity_radius_reference(quartic_2sin, 2.0, cache)
+    expected = [_coercivity_radius_reference(quartic_2sin, mu, cache)
+                for mu in levels]
+    fresh = env.sample(env.make_periodic("quartic_plus_sin", 1.0,
+                                         {"amplitude": 2.0}))
+    assert fresh.coercivity_radius(2.0) == cache[2.0]
+    assert fresh.coercivity_radii(levels) == expected
+    assert expected[4] > 4.0 and expected[5] == 0.0
+    assert [fresh.coercivity_radius(mu) for mu in levels] == expected
+
+
 def test_periodic_stationarity_exact(abs_sin):
     xs = np.arange(64) / 64.0  # dyadic probes: reduction mod 1 is bit-exact
     ps = np.array([-1.5, -0.25, 0.0, 0.7, 2.0])

@@ -88,6 +88,131 @@ def test_cluster_suspected(quartic):
         lo.admissible_decomposition(f, sn, 1.0 - 1e-7, WINDOW)
 
 
+def _scan_roots_reference(gfun, g, xs, mu, tol_touch):
+    """The per-flip form of lo._scan_roots: one scalar bisection per sign
+    flip, then the golden-section touches."""
+    d = g - mu
+    s = np.sign(d)
+    roots = []
+    for i in np.nonzero(s[:-1] * s[1:] < 0)[0]:
+        a, b = xs[i], xs[i + 1]
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            dm = gfun(mid) - mu
+            if dm == 0.0:
+                a = b = mid
+                break
+            if (dm > 0) == (d[i] > 0):
+                a = mid
+            else:
+                b = mid
+        roots.append(0.5 * (a + b))
+    interior = np.arange(1, len(xs) - 1)
+    is_ext = ((d[interior] - d[interior - 1]) * (d[interior + 1] - d[interior])
+              <= 0.0)
+    near = np.abs(d[interior]) <= tol_touch
+    no_cross = (s[interior - 1] * s[interior] >= 0) & \
+               (s[interior] * s[interior + 1] >= 0)
+    for i in interior[is_ext & near & no_cross]:
+        sign = 1.0 if d[i] >= d[i - 1] or d[i] >= d[i + 1] else -1.0
+        a, b = xs[i - 1], xs[i + 1]
+        cc = b - lo._INVPHI * (b - a)
+        dd_ = a + lo._INVPHI * (b - a)
+        fc, fd = -sign * gfun(cc), -sign * gfun(dd_)
+        for _ in range(80):
+            if fc < fd:
+                b, dd_, fd = dd_, cc, fc
+                cc = b - lo._INVPHI * (b - a)
+                fc = -sign * gfun(cc)
+            else:
+                a, cc, fc = cc, dd_, fd
+                dd_ = a + lo._INVPHI * (b - a)
+                fd = -sign * gfun(dd_)
+        x_star = 0.5 * (a + b)
+        if abs(gfun(x_star) - mu) <= tol_touch:
+            roots.append(float(x_star))
+    return roots
+
+
+def _decomposition_reference(f, sn, mu, window):
+    """The per-interval form of lo.admissible_decomposition inside the
+    intermediate band: scalar root bisections, then one branch inversion
+    per (interval, branch) on seven interior probes."""
+    x_lo, x_hi = window
+    W = x_hi - x_lo
+    xs = np.arange(x_lo, x_hi + 0.5 / 64.0, 1.0 / 64.0)
+    m_vals = f.evaluate(sn.positive_minima()[:, None], xs[None, :])
+    M_vals = f.evaluate(sn.positive_maxima()[:, None], xs[None, :])
+    span = float(max(M_vals.max() - m_vals.min(), 1.0))
+    tol_touch = 1e-6 * span + lo._max_step(m_vals, M_vals)
+    roots = []
+    pos = np.concatenate([sn.positive_minima(), sn.positive_maxima()])
+    for p_ext, g in zip(pos, np.concatenate([m_vals, M_vals])):
+        gfun = (lambda pe: lambda x: float(f.evaluate(pe, x)))(float(p_ext))
+        roots.extend(_scan_roots_reference(gfun, g, xs, mu, tol_touch))
+    roots = np.sort(np.asarray(roots))
+    roots = roots[(roots > x_lo + 1e-9 * W) & (roots < x_hi - 1e-9 * W)]
+    edges = np.concatenate([[x_lo], roots, [x_hi]])
+    intervals = [(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])
+                 if b - a > 1e-12]
+    nb = 2 * sn.index[1] + 1
+    feasible = []
+    for a, b in intervals:
+        probes = np.linspace(a, b, 9)[1:-1]
+        ok = {j for j in range(1, nb + 1)
+              if st.branch_inverse_grid(f, sn, j, probes, mu)[1].all()}
+        if not ok:
+            raise ClusterSuspected(
+                f"no branch feasible throughout ({a:.6g}, {b:.6g}) at "
+                f"mu={mu:.6g}: a junction was likely missed")
+        feasible.append(ok)
+    return roots, intervals, feasible
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.5, 0.9])
+def test_decomposition_matches_per_interval_reference(quartic, mu):
+    f, sn = quartic
+    window = (0.0, 20.0)
+    dec = lo.admissible_decomposition(f, sn, mu, window)
+    roots, intervals, feasible = _decomposition_reference(f, sn, mu, window)
+    assert dec.trivial_branch is None
+    assert np.array_equal(dec.junctions, roots)
+    assert dec.intervals == intervals
+    assert dec.feasible == feasible
+
+
+@pytest.mark.parametrize("mu", [-0.5, 0.0, 0.5])
+def test_scan_roots_matches_scalar_bisection(quartic, mu):
+    f, sn = quartic
+    xs = np.arange(0.0, 20.0 + 0.5 / 64.0, 1.0 / 64.0)
+    for p_ext in np.concatenate([sn.positive_minima(), sn.positive_maxima()]):
+        g = f.evaluate(p_ext, xs)
+        got = lo._scan_roots(lambda x: f.evaluate(float(p_ext), x),
+                             g, xs, mu, 1e-3)
+        ref = _scan_roots_reference(lambda x: float(f.evaluate(float(p_ext), x)),
+                                    g, xs, mu, 1e-3)
+        assert got == ref
+
+
+def test_scan_roots_exact_zero_freezes():
+    # the first flip's first midpoint is an exact root; the second is not
+    gfun = lambda x: (x - 0.5) * (x - 2.0)   # noqa: E731
+    xs = np.array([0.0, 1.0, 2.3])
+    got = lo._scan_roots(gfun, gfun(xs), xs, 0.0, -1.0)
+    assert got[0] == 0.5
+    assert got == _scan_roots_reference(gfun, gfun(xs), xs, 0.0, -1.0)
+
+
+def test_cluster_suspected_no_feasible_branch(quartic):
+    # below level 0 no positive branch reaches mu where sin(2 pi x) > 3/4
+    f, sn = quartic
+    with pytest.raises(ClusterSuspected, match="no branch feasible") as got:
+        lo.admissible_decomposition(f, sn, -0.5, (0.0, 20.0))
+    with pytest.raises(ClusterSuspected) as ref:
+        _decomposition_reference(f, sn, -0.5, (0.0, 20.0))
+    assert str(got.value) == str(ref.value)
+
+
 # -- junction compatibility -------------------------------------------------------
 
 
