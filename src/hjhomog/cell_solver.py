@@ -324,9 +324,8 @@ def default_grid_policy(field, p, lam, R=2.0, dx=None, pad_cells=10):
     plus slack.  Deterministic periodic fields solve one period exactly;
     random media get the window X = R / lam with a 10 dx pad.
     """
-    cell = field.period if field.period is not None else (field.cell_length or 1.0)
     if dx is None:
-        dx = min(1e-2, cell / 64.0)
+        dx = min(1e-2, field.cell / 64.0)
     m0 = field.sup_abs_on(p)
     r = field.coercivity_radius(m0 + 0.5)
     theta = field.lipschitz_on(r + 0.25)
@@ -382,7 +381,7 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
         fields = {s: sample(source, s) for s in seeds}
         if periodize_cells and source.kind == "checkerboard":
             if periodize_cells == "auto":
-                ell = source.cell_length or 1.0
+                ell = next(iter(fields.values())).cell
                 periodize_cells = int(np.ceil(2.0 * R / (lam_schedule[-1] * ell)))
             fields = {s: f.periodized(int(periodize_cells))
                       for s, f in fields.items()}

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``hjhomog run --config cfg.json --out DIR [--seed N] [--jobs N] [--strict]``
+* ``hjhomog run --config cfg.json --out DIR [--seed N] [--strict]``
 * ``hjhomog diff DIR_A DIR_B [--strict]``
 
 A run writes machine-readable artifacts (curves.csv, sweep.csv,
@@ -16,7 +16,6 @@ still written), 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -118,6 +117,13 @@ def resolve_config(raw, seed_override=None):
                           "the two edge buffers of the level-set window")
     if resolved["mu_points"] < 1:
         raise ConfigError("mu_points must be at least 1")
+    eps = np.asarray(resolved["epsilons"])
+    if not (len(eps) and np.all(np.isfinite(eps) & (eps > 0))
+            and np.all(np.diff(eps) < 0)):
+        raise ConfigError("epsilons must be a non-empty, finite, positive "
+                          "and strictly decreasing list")
+    if not resolved["p_grid"] or not np.all(np.isfinite(resolved["p_grid"])):
+        raise ConfigError("p_grid must be non-empty and finite")
     return resolved
 
 
@@ -125,29 +131,19 @@ def resolve_config(raw, seed_override=None):
 # tasks
 # ---------------------------------------------------------------------------
 
-def _estimate_sweep(cfg, jobs=1):
+def _estimate_sweep(cfg):
     spec = EnvironmentSpec.from_dict(cfg["env"])
     sol = cfg["solver"]
-
-    def one(p):
-        return cs.estimate_hbar(
-            spec if spec.kind != "periodic" else sample(spec, cfg["seeds"][0]),
-            float(p), lam_schedule=tuple(cfg["lambda_schedule"]),
-            seeds=tuple(cfg["seeds"]), dx=sol["dx"], R=sol["R"],
-            estimator=sol["estimator"],
-            periodize_cells=sol["periodize_cells"])
-
-    ps = cfg["p_grid"]
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-            ests = list(ex.map(one, ps))
-    else:
-        ests = [one(p) for p in ps]
-    return ests
+    return [cs.estimate_hbar(
+        spec if spec.kind != "periodic" else sample(spec, cfg["seeds"][0]),
+        float(p), lam_schedule=tuple(cfg["lambda_schedule"]),
+        seeds=tuple(cfg["seeds"]), dx=sol["dx"], R=sol["R"],
+        estimator=sol["estimator"], periodize_cells=sol["periodize_cells"])
+        for p in cfg["p_grid"]]
 
 
-def task_effective(cfg, out, jobs=1):
-    ests = _estimate_sweep(cfg, jobs)
+def task_effective(cfg, out):
+    ests = _estimate_sweep(cfg)
     write_csv(os.path.join(out, "curves.csv"),
               ["p", "Hbar", "error_budget", "route"],
               [(e.p, e.value, e.dispersion, "solver") for e in ests])
@@ -170,7 +166,7 @@ def _glue_curve(cfg):
     return tree, curve
 
 
-def task_glue(cfg, out, jobs=1):
+def task_glue(cfg, out):
     tree, curve = _glue_curve(cfg)
     with open(os.path.join(out, "tree.json"), "w") as fh:
         json.dump(tree.to_dict(), fh, indent=1, sort_keys=True,
@@ -196,7 +192,7 @@ def _largeosc_curve(cfg):
     return curve_n.transformed(p_shift, mu_shift)
 
 
-def task_largeosc(cfg, out, jobs=1):
+def task_largeosc(cfg, out):
     curve = _largeosc_curve(cfg)
     write_csv(os.path.join(out, "levelsets.csv"),
               ["mu", "p_lo", "p_hi", "ci"],
@@ -226,7 +222,7 @@ def _reference_curve(cfg):
                               [e.dispersion for e in ests]), "solver"
 
 
-def task_converge(cfg, out, jobs=1):
+def task_converge(cfg, out):
     spec = EnvironmentSpec.from_dict(cfg["env"])
     field = sample(spec, cfg["seeds"][0])
     curve, route = _reference_curve(cfg)
@@ -244,9 +240,9 @@ def task_converge(cfg, out, jobs=1):
             "monotone": {str(k): bool(v) for k, v in res.monotone.items()}}
 
 
-def task_validate(cfg, out, jobs=1):
+def task_validate(cfg, out):
     tol = cfg["tolerances"]
-    ests = _estimate_sweep(cfg, jobs)
+    ests = _estimate_sweep(cfg)
     solver_curve = EffectiveCurve([e.p for e in ests],
                                   [e.value for e in ests],
                                   [e.dispersion for e in ests])
@@ -285,7 +281,7 @@ TASKS = {"effective": task_effective, "glue": task_glue,
 # entry points
 # ---------------------------------------------------------------------------
 
-def run(config, out_dir, jobs=1, strict=False, seed_override=None):
+def run(config, out_dir, strict=False, seed_override=None):
     """Execute one configured task; returns the process exit code."""
     try:
         cfg = resolve_config(config, seed_override=seed_override)
@@ -297,7 +293,7 @@ def run(config, out_dir, jobs=1, strict=False, seed_override=None):
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
         try:
-            report = TASKS[cfg["task"]](cfg, out_dir, jobs=jobs)
+            report = TASKS[cfg["task"]](cfg, out_dir)
         except HJHomogError as exc:
             report = {"status": "failed", "error": str(exc)}
         captured = [f"{w.category.__name__}: {w.message}" for w in wlist]
@@ -366,7 +362,6 @@ def main(argv=None):
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=None,
                        help="master seed override (beats HJHOMOG_SEED)")
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--strict", action="store_true",
                        help="treat warnings as failures")
     p_diff = sub.add_parser("diff", help="compare two run directories")
@@ -386,8 +381,7 @@ def main(argv=None):
         seed = args.seed
         if seed is None and os.environ.get("HJHOMOG_SEED"):
             seed = int(os.environ["HJHOMOG_SEED"])
-        return run(config, args.out, jobs=args.jobs, strict=args.strict,
-                   seed_override=seed)
+        return run(config, args.out, strict=args.strict, seed_override=seed)
     try:
         report = diff_runs(args.dir_a, args.dir_b, extra_tol=args.tol)
     except (ConfigError, OSError) as exc:

@@ -31,6 +31,41 @@ ENV_SCHEMA = "env/1"
 
 DEFAULT_P_BOX = 2.0
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def bisect(right, lo, hi, steps):
+    """``steps`` vectorized halvings of the brackets [lo, hi]: lo moves to
+    the midpoint where ``right(mid)`` is True (the target lies to its
+    right), hi moves there elsewhere.  Returns the final (lo, hi)."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        move = right(mid)
+        lo, hi = np.where(move, mid, lo), np.where(move, hi, mid)
+    return lo, hi
+
+
+def golden_min(f, a, b, steps, rtol=0.0):
+    """Golden-section search for a minimum of the scalar function f on
+    [a, b]: at most ``steps`` shrinks, stopping early once
+    b - a < rtol * (1 + |a|) when rtol > 0.  Unbiased at kinks and smooth
+    extrema alike; returns the midpoint of the final bracket."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+        if rtol and b - a < rtol * (1.0 + abs(a)):
+            break
+    return 0.5 * (a + b)
+
 
 # ---------------------------------------------------------------------------
 # counter-based randomness
@@ -264,6 +299,13 @@ class HamiltonianField:
     def __init__(self):
         self._cache = {}
 
+    @property
+    def cell(self):
+        """Length of one period, else of one random cell (1.0 if unset)."""
+        if self.period is not None:
+            return self.period
+        return self.cell_length or 1.0
+
     # -- evaluation ---------------------------------------------------------
 
     def _eval(self, p, x):
@@ -287,9 +329,7 @@ class HamiltonianField:
         """Representative x probes: one period, or a 48-cell window."""
         if self.period is not None:
             return np.arange(n) * (self.period / n)
-        cells = 48
-        ell = self.cell_length or 1.0
-        return np.arange(n) * (cells * ell / n)
+        return np.arange(n) * (48 * self.cell / n)
 
     def lipschitz_on(self, r, n_p=601):
         key = ("lip", round(float(r), 12))
@@ -353,10 +393,8 @@ class HamiltonianField:
         else:
             raise ProfileError("field does not look coercive on probes")
         lo, hi = np.array([brackets[i] for i in range(len(thresholds))]).T
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            above = g(mid) > thresholds
-            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        # ~(g > t), not g <= t: a NaN probe value moves lo
+        _, hi = bisect(lambda r: ~(g(r) > thresholds), lo, hi, 60)
         self._cache.update((key, float(r)) for key, r in zip(todo, hi))
         return [self._cache[key] for key in keys]
 
@@ -369,7 +407,7 @@ class HamiltonianField:
         ps = np.linspace(p_lo, p_hi, 401)
         xs = self.probe_xs(256)
         hp = 1e-6 * (1.0 + abs(p_hi - p_lo))
-        hx = 1e-6 * (1.0 + float(self.period or self.cell_length or 1.0))
+        hx = 1e-6 * (1.0 + float(self.cell))
         base = self.evaluate(ps[:, None], xs[None, :])
         dp = np.max(np.abs(self.evaluate(ps[:, None] + hp, xs[None, :]) - base)) / hp
         dx = np.max(np.abs(self.evaluate(ps[:, None], xs[None, :] + hx) - base)) / hx
@@ -477,14 +515,22 @@ class CheckerboardField(HamiltonianField):
                                  self.wrap_cells)
 
 
-class ShiftedField(HamiltonianField):
-    def __init__(self, base, y):
+class DerivedField(HamiltonianField):
+    """A field computed from ``base``: it has the base's period, cell length
+    and seed dependence."""
+
+    def __init__(self, base):
         super().__init__()
         self.base = base
-        self.y = float(y)
         self.period = base.period
         self.cell_length = base.cell_length
         self.deterministic = base.deterministic
+
+
+class ShiftedField(DerivedField):
+    def __init__(self, base, y):
+        super().__init__(base)
+        self.y = float(y)
 
     def _eval(self, p, x):
         return np.asarray(self.base.evaluate(p, np.asarray(x) + self.y))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .curve import EffectiveCurve
-from .env import HamiltonianField
+from .env import DerivedField, HamiltonianField, bisect
 from .errors import NotApplicable, ReductionStalled
 from .structure import (ConstrainedStructure, classify_oscillation,
                         detect_branches, normalize)
@@ -29,18 +29,14 @@ from . import cell_solver as _cs
 # modified fields
 # ---------------------------------------------------------------------------
 
-class ConeAboveField(HamiltonianField):
+class ConeAboveField(DerivedField):
     """H below the splice, the slope-L cone above it:
     H1-type modification, kills all structure right of Q."""
 
     def __init__(self, base, Q, L):
-        super().__init__()
-        self.base = base
+        super().__init__(base)
         self.Q = float(Q)
         self.L = float(L)
-        self.period = base.period
-        self.cell_length = base.cell_length
-        self.deterministic = base.deterministic
 
     def _eval(self, p, x):
         p = np.asarray(p, dtype=np.float64)
@@ -49,17 +45,13 @@ class ConeAboveField(HamiltonianField):
         return np.where(p > self.Q, self.L * np.abs(p - self.Q) + base_at_q, inner)
 
 
-class ConeBelowField(HamiltonianField):
+class ConeBelowField(DerivedField):
     """H above the splice, the slope-L cone below it."""
 
     def __init__(self, base, q, L):
-        super().__init__()
-        self.base = base
+        super().__init__(base)
         self.q = float(q)
         self.L = float(L)
-        self.period = base.period
-        self.cell_length = base.cell_length
-        self.deterministic = base.deterministic
 
     def _eval(self, p, x):
         p = np.asarray(p, dtype=np.float64)
@@ -68,32 +60,26 @@ class ConeBelowField(HamiltonianField):
         return np.where(p < self.q, self.L * np.abs(p - self.q) + base_at_q, inner)
 
 
-class MaxField(HamiltonianField):
+class MaxField(DerivedField):
     def __init__(self, f1, f2):
-        super().__init__()
+        super().__init__(f1)
         self.f1, self.f2 = f1, f2
-        self.period = f1.period
-        self.cell_length = f1.cell_length
         self.deterministic = f1.deterministic and f2.deterministic
 
     def _eval(self, p, x):
         return np.maximum(self.f1.evaluate(p, x), self.f2.evaluate(p, x))
 
 
-class ReflectedCapField(HamiltonianField):
+class ReflectedCapField(DerivedField):
     """The right-steep-side middle modification: H on [0, P], slopes -L
     leaving both ends.  The raw display is not coercive, so the downslopes
     are capped at the probed minimum minus one and continue upward with
     slope +L; the cap only matters far outside [0, P]."""
 
     def __init__(self, base, P, L):
-        super().__init__()
-        self.base = base
+        super().__init__(base)
         self.P = float(P)
         self.L = float(L)
-        self.period = base.period
-        self.cell_length = base.cell_length
-        self.deterministic = base.deterministic
         xs = base.probe_xs(512)
         ps = np.linspace(0.0, P, 129)
         self._floor = float(base.evaluate(ps[:, None], xs[None, :]).min()) - 1.0
@@ -110,20 +96,16 @@ class ReflectedCapField(HamiltonianField):
         return np.where((p >= 0.0) & (p <= self.P), inner, capped)
 
 
-class TiltedField(HamiltonianField):
+class TiltedField(DerivedField):
     """Base minus the hat of height 1/n peaking at the tied well, zero at
     the neighboring maxima: breaks an M_lo == m_hi tie downward."""
 
     def __init__(self, base, a, b, c, n):
-        super().__init__()
+        super().__init__(base)
         if not (a < b < c):
             raise NotApplicable("tilt hat needs a < peak < c")
-        self.base = base
         self.a, self.b, self.c = float(a), float(b), float(c)
         self.n = int(n)
-        self.period = base.period
-        self.cell_length = base.cell_length
-        self.deterministic = base.deterministic
 
     def hat(self, p):
         p = np.asarray(p, dtype=np.float64)
@@ -136,15 +118,8 @@ class TiltedField(HamiltonianField):
         return np.asarray(self.base.evaluate(p, x)) - self.hat(p)
 
 
-class MirroredField(HamiltonianField):
+class MirroredField(DerivedField):
     """H(-p, x): maps index (L_tilde, 0) onto (0, L_tilde)."""
-
-    def __init__(self, base):
-        super().__init__()
-        self.base = base
-        self.period = base.period
-        self.cell_length = base.cell_length
-        self.deterministic = base.deterministic
 
     def _eval(self, p, x):
         return np.asarray(self.base.evaluate(-np.asarray(p), x))
@@ -351,26 +326,18 @@ def build_reduction_tree(field, structure=None, central=None, tilt_n=64,
         warnings.warn("max reduction depth reached: direct leaf", stacklevel=2)
         node.leaf_kind = "direct"
         return node
-    if _is_xfree(field_n):
-        node.leaf_kind = "xfree"
-        return node
-    Lt, L = structure_n.index
-    if Lt == 0 and L == 0:
-        node.leaf_kind = "quasi_convex"
-        return node
-    if Lt > 0 and L > 0:
-        node.kind = "split"
-        (plus, s_plus), (minus, s_minus) = split_min(field_n, structure_n)
-        node.children = [
-            _reduce_normalized(plus, s_plus, tilt_n, max_depth, _depth + 1),
-            _reduce_normalized(minus, s_minus, tilt_n, max_depth, _depth + 1)]
-        return node
-    return _one_sided(node, field_n, structure_n, tilt_n, max_depth, _depth)
+    return _reduce(node, tilt_n, max_depth, _depth)
 
 
 def _reduce_normalized(field, structure, tilt_n, max_depth, depth):
     """Recurse on an already-normalized child with known structure."""
-    node = ReductionNode(kind="leaf", field=field, structure=structure)
+    return _reduce(ReductionNode(kind="leaf", field=field, structure=structure),
+                   tilt_n, max_depth, depth)
+
+
+def _reduce(node, tilt_n, max_depth, depth):
+    """Turn a normalized node into a leaf or a rewrite with its children."""
+    field, structure = node.field, node.structure
     if _is_xfree(field):
         node.leaf_kind = "xfree"
         return node
@@ -385,11 +352,6 @@ def _reduce_normalized(field, structure, tilt_n, max_depth, depth):
             _reduce_normalized(plus, s_plus, tilt_n, max_depth, depth + 1),
             _reduce_normalized(minus, s_minus, tilt_n, max_depth, depth + 1)]
         return node
-    return _one_sided(node, field, structure, tilt_n, max_depth, depth)
-
-
-def _one_sided(node, field, structure, tilt_n, max_depth, depth):
-    Lt, L = structure.index
     if Lt > 0:
         # mirror (L_tilde, 0) onto (0, L_tilde)
         node.kind = "mirror"
@@ -553,8 +515,7 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0, n_mu=33,
         fields = [source]
     per_seed = []
     for f in fields:
-        cell = f.period if f.period is not None else (f.cell_length or 1.0)
-        xs = np.linspace(0.0, window_cells * cell,
+        xs = np.linspace(0.0, window_cells * f.cell,
                          window_cells * samples_per_cell, endpoint=False)
         pg = np.linspace(p_lo, p_hi, 513)
         vals = f.evaluate(pg[:, None], xs[None, :])
@@ -578,17 +539,10 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0, n_mu=33,
         hi = np.full(len(xs), p_hi)
         p_plus, p_minus = [], []
         for mu in mus:
-            a, b = arg.copy(), hi.copy()
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                below = f.evaluate(m, xs) < mu
-                a, b = np.where(below, m, a), np.where(below, b, m)
+            # H < mu right of the minimizer: the crossing is further right
+            a, b = bisect(lambda m: f.evaluate(m, xs) < mu, arg, hi, 60)
             p_plus.append(float(np.mean(0.5 * (a + b))))
-            a, b = lo.copy(), arg.copy()
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                below = f.evaluate(m, xs) < mu
-                a, b = np.where(below, a, m), np.where(below, m, b)
+            a, b = bisect(lambda m: ~(f.evaluate(m, xs) < mu), lo, arg, 60)
             p_minus.append(float(np.mean(0.5 * (a + b))))
         per_seed.append((mu0, mus, np.asarray(p_minus), np.asarray(p_plus)))
     mu0 = float(np.mean([r[0] for r in per_seed]))

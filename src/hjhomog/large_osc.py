@@ -22,11 +22,12 @@ from functools import partial
 import numpy as np
 
 from .curve import EffectiveCurve
-from .env import HamiltonianField
+# _INVPHI stays importable here for the reference root scan the tests keep
+from .env import _INVPHI, HamiltonianField, golden_min  # noqa: F401
 from .errors import (ClusterSuspected, LevelSetConflict, NonErgodicWarning,
                      NormalizationViolated, NotApplicable,
                      NotPointwiseExtremal)
-from .structure import TOL_INV, branch_inverse_grid
+from .structure import TOL_INV, branch_feasible, branch_inverse_grid
 
 BUFFER_CELLS = 5
 
@@ -43,9 +44,6 @@ class AdmissibleDecomposition:
     intervals: list                # [(a, b)] covering the window
     feasible: list                 # set of branch ids per interval
     trivial_branch: int | None = None
-
-
-_INVPHI = 0.6180339887498949
 
 
 def _scan_roots(gfun, g, xs, mu, tol_touch):
@@ -76,20 +74,8 @@ def _scan_roots(gfun, g, xs, mu, tol_touch):
                (s[interior] * s[interior + 1] >= 0)
     for i in interior[is_ext & near & no_cross]:
         sign = 1.0 if d[i] >= d[i - 1] or d[i] >= d[i + 1] else -1.0
-        a, b = xs[i - 1], xs[i + 1]
-        cc = b - _INVPHI * (b - a)
-        dd_ = a + _INVPHI * (b - a)
-        fc, fd = -sign * gfun(cc), -sign * gfun(dd_)
-        for _ in range(80):
-            if fc < fd:
-                b, dd_, fd = dd_, cc, fc
-                cc = b - _INVPHI * (b - a)
-                fc = -sign * gfun(cc)
-            else:
-                a, cc, fc = cc, dd_, fd
-                dd_ = a + _INVPHI * (b - a)
-                fd = -sign * gfun(dd_)
-        x_star = 0.5 * (a + b)
+        x_star = golden_min(lambda x: -sign * gfun(x), xs[i - 1], xs[i + 1],
+                            80)
         if abs(gfun(x_star) - mu) <= tol_touch:
             roots.append(float(x_star))
     return roots
@@ -112,9 +98,8 @@ def admissible_decomposition(field, structure, mu, window, dx_root=None,
         return AdmissibleDecomposition(mu, window, np.empty(0),
                                        [(x_lo, x_hi)], [{1}],
                                        trivial_branch=1)
-    cell = field.period if field.period is not None else (field.cell_length or 1.0)
     if dx_root is None:
-        dx_root = cell / 64.0
+        dx_root = field.cell / 64.0
     W = x_hi - x_lo
     if sep_min is None:
         sep_min = 1e-4 * W
@@ -156,7 +141,7 @@ def admissible_decomposition(field, structure, mu, window, dx_root=None,
     intervals = [(float(a), float(b)) for a, b in zip(a_s, b_s)]
     # the 7 interior probes of every interval, one inversion per branch
     probes = np.linspace(a_s, b_s, 9, axis=1)[:, 1:-1]
-    ok = [branch_inverse_grid(field, structure, j, probes, mu)[1].all(axis=1)
+    ok = [branch_feasible(field, structure, j, probes, mu).all(axis=1)
           for j in range(1, nb + 1)]
     feasible = [{j for j in range(1, nb + 1) if ok[j - 1][i]}
                 for i in range(len(intervals))]
@@ -182,20 +167,19 @@ def junction_compatible(field, structure, mu, a, k_left, k_right, tol=None,
     """Viscosity corner rule at x = a for the jump from branch k_left to
     k_right: upward jumps need H >= mu - tol on the gap, downward jumps
     H <= mu + tol, equal values are free."""
-    if tol is None:
-        tol = 1e-6 * (1.0 + abs(mu)) + 10.0 * TOL_INV
-    qm, fm = branch_inverse_grid(field, structure, k_left, np.array([a]), mu)
-    qp, fp = branch_inverse_grid(field, structure, k_right, np.array([a]), mu)
-    if not (fm[0] and fp[0]):
-        return False
-    q_minus, q_plus = float(qm[0]), float(qp[0])
-    if abs(q_plus - q_minus) <= 1e-10:
-        return True
-    gap = np.linspace(min(q_minus, q_plus), max(q_minus, q_plus), n_gap)
-    vals = field.evaluate(gap, a)
-    if q_plus > q_minus:
-        return bool(np.min(vals) >= mu - tol)
-    return bool(np.max(vals) <= mu + tol)
+    legal = _pair_legality(field, structure, mu, np.array([float(a)]),
+                           [k_left, k_right], tol=tol, n_gap=n_gap)
+    return bool(legal[(k_left, k_right)][0])
+
+
+def corner_gap(field, nodes, q_minus, q_plus, n_gap):
+    """(min, max) at each node x of H(q, x) over the n_gap gap points
+    q = q_minus + t (q_plus - q_minus), t in [0, 1]: the values the
+    viscosity corner rule tests across a gradient jump."""
+    ts = np.linspace(0.0, 1.0, n_gap)
+    gap = q_minus[None, :] + ts[:, None] * (q_plus - q_minus)[None, :]
+    vals = field.evaluate(gap, nodes[None, :])
+    return vals.min(axis=0), vals.max(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +212,7 @@ class AdmissibleFunction:
 def _window_grid(field, window, junctions=(), samples_per_cell=16):
     """Cell midpoints and widths over the window, with every junction
     snapped to a cell edge so branch integrals never straddle a switch."""
-    cell = field.period if field.period is not None else (field.cell_length or 1.0)
+    cell = field.cell
     x_lo, x_hi = window
     n = max(int(round((x_hi - x_lo) / cell)) * samples_per_cell, 64)
     edges = np.linspace(x_lo, x_hi, n + 1)
@@ -371,29 +355,10 @@ def _assert_pointwise_extremal(fn, psi, legal, decomp, sense, n_alt, rng):
 def viscosity_residual(field, fn, mu=None, n_gap=33):
     """Interior residual max |H(f(x), x) - mu| plus quantified corner
     violations at the junctions."""
-    mu = fn.mu if mu is None else mu
-    interior = float(np.max(np.abs(
-        field.evaluate(fn.slopes, fn.x_mid) - mu)))
-    corner = 0.0
-    decomp = fn.decomposition
-    for i, a in enumerate(decomp.junctions):
-        j_l, j_r = fn.branches[i], fn.branches[i + 1]
-        if j_l == j_r:
-            continue
-        qm, _ = branch_inverse_grid(field, fn.structure, j_l,
-                                    np.array([a]), mu)
-        qp, _ = branch_inverse_grid(field, fn.structure, j_r,
-                                    np.array([a]), mu)
-        q_minus, q_plus = float(qm[0]), float(qp[0])
-        if abs(q_plus - q_minus) <= 1e-10:
-            continue
-        gap = np.linspace(min(q_minus, q_plus), max(q_minus, q_plus), n_gap)
-        vals = field.evaluate(gap, float(a))
-        if q_plus > q_minus:
-            corner = max(corner, float(mu - np.min(vals)))
-        else:
-            corner = max(corner, float(np.max(vals) - mu))
-    return interior + max(corner, 0.0)
+    cell_branch = np.asarray(fn.branches, dtype=np.int64)[fn.interval_of]
+    return generic_viscosity_residual(
+        field, fn.x_mid, fn.slopes, fn.mu if mu is None else mu, fn.widths,
+        n_gap=n_gap, structure=fn.structure, cell_branch=cell_branch)
 
 
 # ---------------------------------------------------------------------------
@@ -457,30 +422,26 @@ def generic_viscosity_residual(field, x_mid, slopes, mu, widths=None,
     else:
         edges = x_mid + 0.5 * np.asarray(widths)
     jumps = np.nonzero(np.abs(np.diff(slopes)) > 1e-7)[0]
-    corner = 0.0
-    for k in jumps:
-        xj = float(edges[k])
-        q_minus, q_plus = float(slopes[k]), float(slopes[k + 1])
-        if structure is not None and cell_branch is not None and                 cell_branch[k] > 0 and cell_branch[k + 1] > 0:
-            if cell_branch[k] == cell_branch[k + 1]:
+    xj, q_minus, q_plus = edges[jumps], slopes[jumps], slopes[jumps + 1]
+    keep = np.ones(len(jumps), dtype=bool)
+    if structure is not None and cell_branch is not None:
+        for i, k in enumerate(jumps):
+            j_l, j_r = int(cell_branch[k]), int(cell_branch[k + 1])
+            if j_l <= 0 or j_r <= 0:
                 continue
-            qm, fm = branch_inverse_grid(field, structure,
-                                         int(cell_branch[k]),
-                                         np.array([xj]), mu)
-            qp, fp = branch_inverse_grid(field, structure,
-                                         int(cell_branch[k + 1]),
-                                         np.array([xj]), mu)
+            if j_l == j_r:
+                keep[i] = False
+                continue
+            at = xj[i:i + 1]
+            qm, fm = branch_inverse_grid(field, structure, j_l, at, mu)
+            qp, fp = branch_inverse_grid(field, structure, j_r, at, mu)
             if fm[0] and fp[0]:
-                q_minus, q_plus = float(qm[0]), float(qp[0])
-        if abs(q_plus - q_minus) <= 1e-10:
-            continue
-        gap = np.linspace(min(q_minus, q_plus), max(q_minus, q_plus), n_gap)
-        vals = field.evaluate(gap, xj)
-        if q_plus > q_minus:
-            corner = max(corner, float(mu - np.min(vals)))
-        else:
-            corner = max(corner, float(np.max(vals) - mu))
-    return interior + max(corner, 0.0)
+                q_minus[i], q_plus[i] = qm[0], qp[0]
+    keep &= np.abs(q_plus - q_minus) > 1e-10
+    xj, q_minus, q_plus = xj[keep], q_minus[keep], q_plus[keep]
+    h_min, h_max = corner_gap(field, xj, q_minus, q_plus, n_gap)
+    violation = np.where(q_plus > q_minus, mu - h_min, h_max - mu)
+    return interior + float(np.max(violation, initial=0.0))
 
 
 def _pair_legality(field, structure, mu, nodes, branches, tol=None,
@@ -495,24 +456,24 @@ def _pair_legality(field, structure, mu, nodes, branches, tol=None,
     """
     if tol is None:
         tol = 1e-6 * (1.0 + abs(mu)) + 10.0 * TOL_INV
-    inv = {}
-    for j in branches:
-        inv[j] = branch_inverse_grid(field, structure, j, nodes, mu)
+    inv = {j: branch_inverse_grid(field, structure, j, nodes, mu)
+           for j in branches}
     legal = {}
-    ts = np.linspace(0.0, 1.0, n_gap)
     for j in branches:
         qj, fj = inv[j]
         for j2 in branches:
+            if j == j2:
+                # no jump: legal wherever the branch reaches the level
+                legal[(j, j)] = fj.copy()
+                continue
             q2, f2 = inv[j2]
             ok = fj & f2
             same = ok & (np.abs(q2 - qj) <= 1e-10)
-            gap = qj[None, :] + ts[:, None] * (q2 - qj)[None, :]
-            vals = field.evaluate(gap, nodes[None, :])
-            if rule == "sub":
-                up = ok & (q2 > qj)
-            else:
-                up = ok & (q2 > qj) & (vals.min(axis=0) >= mu - tol)
-            down = ok & (q2 < qj) & (vals.max(axis=0) <= mu + tol)
+            h_min, h_max = corner_gap(field, nodes, qj, q2, n_gap)
+            up = ok & (q2 > qj)
+            if rule != "sub":
+                up &= h_min >= mu - tol
+            down = ok & (q2 < qj) & (h_max <= mu + tol)
             legal[(j, j2)] = same | up | down
     return legal
 
@@ -684,9 +645,7 @@ def level_sets(fields, structure, mu_grid, window_cells=100,
     LevelSetConflict."""
     if isinstance(fields, HamiltonianField):
         fields = [fields]
-    cell = fields[0].period if fields[0].period is not None \
-        else (fields[0].cell_length or 1.0)
-    window = (0.0, window_cells * cell)
+    window = (0.0, window_cells * fields[0].cell)
     out = []
     for mu in mu_grid:
         lows, highs = [], []
@@ -728,7 +687,7 @@ def level_piece_function(field, structure, mu, p, window_cells=100,
     """A stationary selection with prescribed core mean p inside I_mu,
     built by bisecting the homotopy parameter across the intervals where
     the two extremal selections differ."""
-    cell = field.period if field.period is not None else (field.cell_length or 1.0)
+    cell = field.cell
     window = (0.0, window_cells * cell)
     decomp = admissible_decomposition(field, structure, mu, window)
     f_lo = extremal_admissible(field, structure, mu, window, "inf",
@@ -747,8 +706,6 @@ def level_piece_function(field, structure, mu, p, window_cells=100,
                                 cell_branch=cb)
             return out, t_end
     runs = _unequal_runs(f_hi, f_lo, decomp)
-
-    cell = field.period if field.period is not None else (field.cell_length or 1.0)
     buf = BUFFER_CELLS * cell
     x_hi_w = window_cells * cell
 
@@ -826,8 +783,7 @@ def extreme_level(field, structure, window_cells=100, mu_neg=None,
                   tol_norm=1e-6):
     """Flat minimum piece [E z_l, E f_inf_0] and negative-side samples
     p_mu = E[Psi(mu)] with Psi the decreasing-branch inverse."""
-    cell = field.period if field.period is not None else (field.cell_length or 1.0)
-    window = (0.0, window_cells * cell)
+    window = (0.0, window_cells * field.cell)
     x_mid, widths, core = _window_grid(field, window)
     h0 = field.evaluate(0.0, x_mid)
     if np.max(h0) > tol_norm:
@@ -870,8 +826,7 @@ def assemble_effective_curve(field, structure, mu_points=15, window_cells=100,
     tagged "interp"; the result is checked for level-set convexity.
     """
     fields = seeds_fields or [field]
-    cell = field.period if field.period is not None else (field.cell_length or 1.0)
-    window = (0.0, window_cells * cell)
+    window = (0.0, window_cells * field.cell)
     x_probe, _, _ = _window_grid(field, window)
     pos_max = structure.positive_maxima()
     M_bar = float(field.evaluate(pos_max[:, None], x_probe[None, :]).max())

@@ -11,14 +11,13 @@ p = 0 and the probed esssup of H(0, x) is 0.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .env import HamiltonianField
+from .env import DerivedField, HamiltonianField, bisect, golden_min
 from .errors import (NotApplicable, NotConstrained, OutOfBranchRange,
                      ProfileError, UnstableStatistics)
 
@@ -176,24 +175,20 @@ class ExtremaProcesses:
 # field wrappers
 # ---------------------------------------------------------------------------
 
-class TransformedField(HamiltonianField):
+class TransformedField(DerivedField):
     """H'(p, x) = H(p + p_shift, x) - mu_shift."""
 
     def __init__(self, base, p_shift, mu_shift):
-        super().__init__()
-        self.base = base
+        super().__init__(base)
         self.p_shift = float(p_shift)
         self.mu_shift = float(mu_shift)
-        self.period = base.period
-        self.cell_length = base.cell_length
-        self.deterministic = base.deterministic
 
     def _eval(self, p, x):
         return np.asarray(self.base.evaluate(np.asarray(p) + self.p_shift, x)) \
             - self.mu_shift
 
 
-class PLConstrainedField(HamiltonianField):
+class PLConstrainedField(DerivedField):
     """Piecewise-linear-in-p constrained approximation of a base field.
 
     Nodes at -n + k/n carry the base values; each midpoint value is the max
@@ -203,14 +198,10 @@ class PLConstrainedField(HamiltonianField):
     """
 
     def __init__(self, base, n):
-        super().__init__()
+        super().__init__(base)
         if n < 1 or (n & (n - 1)) != 0:
             raise ProfileError("n must be a power of two")
-        self.base = base
         self.n = int(n)
-        self.period = base.period
-        self.cell_length = base.cell_length
-        self.deterministic = base.deterministic
 
     def _half_value(self, j, x):
         # value at half-grid point index j (0 .. 4n^2), even = node
@@ -254,7 +245,7 @@ class PLConstrainedField(HamiltonianField):
         return out.reshape(shape)
 
 
-class DeclutteredField(HamiltonianField):
+class DeclutteredField(DerivedField):
     """Base field plus the interpolated separation bump on coincident slices.
 
     For each slice p = i/n on [-n, n], local extrema of x -> H(i/n, x) over
@@ -267,12 +258,8 @@ class DeclutteredField(HamiltonianField):
     """
 
     def __init__(self, base, n, tol_cluster=None):
-        super().__init__()
-        self.base = base
+        super().__init__(base)
         self.n = int(n)
-        self.period = base.period
-        self.cell_length = base.cell_length
-        self.deterministic = base.deterministic
         xs = base.probe_xs(1024)
         idx = np.arange(-n * n, n * n + 1)
         slices = base.evaluate((idx / n)[:, None], xs[None, :])
@@ -342,30 +329,6 @@ def declutter(field, n, tol_cluster=None):
 # branch detection
 # ---------------------------------------------------------------------------
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _refine_extremum(field, x, a, b, kind):
-    # golden-section search; unbiased at kinks and smooth extrema alike
-    s = 1.0 if kind == 1 else -1.0
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = s * field.evaluate(c, x)
-    fd = s * field.evaluate(d, x)
-    for _ in range(90):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = s * field.evaluate(c, x)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = s * field.evaluate(d, x)
-        if b - a < 1e-13 * (1.0 + abs(a)):
-            break
-    return 0.5 * (a + b)
-
-
 def _breakpoints_one_probe(field, x, p_box, n_grid):
     ps = np.linspace(-p_box, p_box, n_grid)
     step = ps[1] - ps[0]
@@ -378,7 +341,9 @@ def _breakpoints_one_probe(field, x, p_box, n_grid):
             sign[i] = sign[i + 1]
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     kinds = [1 if sign[i] < 0 else -1 for i in flips]  # 1 = minimum
-    roots = [_refine_extremum(field, x, ps[i] - step, ps[i + 1] + step, k)
+    # a maximum (kind -1) is a minimum of -H
+    roots = [golden_min(lambda p, s=float(k): s * field.evaluate(p, x),
+                        ps[i] - step, ps[i + 1] + step, 90, rtol=1e-13)
              for i, k in zip(flips, kinds)]
     return np.asarray(roots), kinds
 
@@ -403,7 +368,7 @@ def detect_branches(field, p_box=None, n_probes=8, n_grid=2001,
     """Locate x-independent breakpoints by sign changes of dH/dp.
 
     Breakpoints are found per probe x on a fine p-grid, refined by
-    bisection, then required to agree across probes within tol_bp; larger
+    golden-section search, then required to agree across probes within tol_bp; larger
     drift raises NotConstrained naming the offending probe pair.
     Returns (ConstrainedStructure, ExtremaProcesses).
     """
@@ -415,8 +380,8 @@ def detect_branches(field, p_box=None, n_probes=8, n_grid=2001,
         xs = np.linspace(0.0, field.period, n_probes, endpoint=False) + \
             0.0371 * field.period
     else:
-        ell = field.cell_length or 1.0
-        xs = np.linspace(0.0, 24 * ell, n_probes, endpoint=False) + 0.37 * ell
+        xs = np.linspace(0.0, 24 * field.cell, n_probes, endpoint=False) + \
+            0.37 * field.cell
 
     all_roots, all_kinds = [], []
     for x in xs:
@@ -485,26 +450,29 @@ def branch_inverse(field, structure, j, x, mu, side="+"):
     return float(root)
 
 
+def _capped_range(field, structure, j, xs, mu, side):
+    """The capped p-interval of branch j and the mask of the x at which
+    level mu lies between its end values (within TOL_INV)."""
+    lo, hi = _capped_interval(field, structure, j, side, mu)
+    v_lo, v_hi = field.evaluate(lo, xs), field.evaluate(hi, xs)
+    return lo, hi, (np.minimum(v_lo, v_hi) - TOL_INV <= mu) & \
+        (mu <= np.maximum(v_lo, v_hi) + TOL_INV)
+
+
+def branch_feasible(field, structure, j, xs, mu, side="+"):
+    """Mask of the x at which branch j reaches level mu."""
+    return _capped_range(field, structure, j, xs, mu, side)[2]
+
+
 def branch_inverse_grid(field, structure, j, xs, mu, side="+"):
     """Vectorized branch inversion over x; returns (p, feasible_mask)."""
     xs = np.asarray(xs, dtype=np.float64)
-    lo0, hi0 = _capped_interval(field, structure, j, side, mu)
-    lo = np.full(xs.shape, lo0)
-    hi = np.full(xs.shape, hi0)
-    v_lo = field.evaluate(lo0, xs)
-    v_hi = field.evaluate(hi0, xs)
+    lo, hi, feasible = _capped_range(field, structure, j, xs, mu, side)
     increasing = structure.branch_increasing(j, side)
-    v_min = np.minimum(v_lo, v_hi)
-    v_max = np.maximum(v_lo, v_hi)
-    feasible = (v_min - TOL_INV <= mu) & (mu <= v_max + TOL_INV)
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        below = field.evaluate(mid, xs) < mu
-        take_lo = below if increasing else ~below
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    out = 0.5 * (lo + hi)
-    return np.where(feasible, out, np.nan), feasible
+    # below the level, the root lies right of p on an increasing branch
+    lo, hi = bisect(lambda p: (field.evaluate(p, xs) < mu) == increasing,
+                    np.full(xs.shape, lo), np.full(xs.shape, hi), 70)
+    return np.where(feasible, 0.5 * (lo + hi), np.nan), feasible
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +514,7 @@ def classify_oscillation(fields, structure, window_cells=100,
         raise NotApplicable("no positive-side wells to classify")
     rows = []
     for f in fields:
-        cell = f.period if f.period is not None else (f.cell_length or 1.0)
-        xs = np.linspace(0.0, window_cells * cell,
+        xs = np.linspace(0.0, window_cells * f.cell,
                          window_cells * samples_per_cell, endpoint=False)
         proc = ExtremaProcesses(f, structure)
         m_vals = proc.m(xs)
@@ -586,8 +553,7 @@ def classify_oscillation(fields, structure, window_cells=100,
 # ---------------------------------------------------------------------------
 
 def esssup_probe(field, p, window_cells=200, samples_per_cell=32):
-    cell = field.period if field.period is not None else (field.cell_length or 1.0)
-    xs = np.linspace(0.0, window_cells * cell,
+    xs = np.linspace(0.0, window_cells * field.cell,
                      window_cells * samples_per_cell, endpoint=False)
     return float(np.max(field.evaluate(p, xs)))
 

@@ -83,6 +83,13 @@ def test_malformed_config_exit_2(tmp_path):
     {"task": "largeosc", "mu_points": 0},
     {"lambda_schedule": [0.01, 0.02, 0.04]},
     {"lambda_schedule": [0.04, 0.02]},
+    {"task": "converge", "epsilons": [0.1, 0.2]},
+    {"task": "converge", "epsilons": [0.2, -0.1]},
+    {"task": "converge", "epsilons": []},
+    {"task": "converge", "epsilons": [0.2, float("nan")]},
+    {"p_grid": []},
+    {"p_grid": {"start": -1.0, "stop": 1.0, "n": 0}},
+    {"p_grid": [0.0, float("inf")]},
 ])
 def test_out_of_range_config_exit_2(tmp_path, over):
     out = tmp_path / "out"

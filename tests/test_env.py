@@ -219,3 +219,82 @@ def test_composite_environment():
     assert spec.to_dict()["profile"] == "base_plus_sin_plus_v"
     again = env.EnvironmentSpec.from_json(spec.to_json())
     assert np.array_equal(env.sample(again, 4).evaluate(0.0, xs), vals)
+
+
+# -- shared search helpers against copies of the loops they replaced ----------
+
+
+def test_bisect_matches_coercivity_loop():
+    # NaN probe values move lo in the old loop: the predicate must be
+    # ~(g > t), which differs from g <= t exactly there
+    def g(rs):
+        return np.where((rs > 0.9) & (rs < 1.1), np.nan, rs * rs)
+
+    t = np.array([0.25, 1.0, 2.0, 7.5, np.nan])
+    lo0, hi0 = np.zeros(5), np.full(5, 3.0)
+    lo, hi = lo0, hi0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = g(mid) > t
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    got = env.bisect(lambda r: ~(g(r) > t), lo0, hi0, 60)
+    assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi)
+    naive = env.bisect(lambda r: g(r) <= t, lo0, hi0, 60)
+    assert not np.array_equal(naive[1], hi)
+
+
+def test_bisect_matches_convex_oracle_loops(abs_sin):
+    xs = np.linspace(0.0, 3.0, 97, endpoint=False)
+    pg = np.linspace(-4.0, 4.0, 513)
+    arg = pg[np.argmin(abs_sin.evaluate(pg[:, None], xs[None, :]), axis=0)]
+    lo, hi = np.full(len(xs), -4.0), np.full(len(xs), 4.0)
+    for mu in (0.3, 1.7, 2.9):
+        a, b = arg.copy(), hi.copy()
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            below = abs_sin.evaluate(m, xs) < mu
+            a, b = np.where(below, m, a), np.where(below, b, m)
+        got = env.bisect(lambda m: abs_sin.evaluate(m, xs) < mu, arg, hi, 60)
+        assert np.array_equal(got[0], a) and np.array_equal(got[1], b)
+        a, b = lo.copy(), arg.copy()
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            below = abs_sin.evaluate(m, xs) < mu
+            a, b = np.where(below, a, m), np.where(below, m, b)
+        got = env.bisect(lambda m: ~(abs_sin.evaluate(m, xs) < mu),
+                         lo, arg, 60)
+        assert np.array_equal(got[0], a) and np.array_equal(got[1], b)
+
+
+def _golden_reference(f, a, b, steps, stop_rtol=None):
+    """The golden-section loops of branch detection (with its early stop)
+    and of the tangential-touch refinement (without)."""
+    c = b - env._INVPHI * (b - a)
+    d = a + env._INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - env._INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + env._INVPHI * (b - a)
+            fd = f(d)
+        if stop_rtol is not None and b - a < stop_rtol * (1.0 + abs(a)):
+            break
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_golden_min_matches_reference_loops(quartic_2sin, sign):
+    assert env._INVPHI == 0.6180339887498949
+    cases = [(lambda p: sign * quartic_2sin.evaluate(p, 0.37), -1.6, -0.4),
+             (lambda p: sign * quartic_2sin.evaluate(p, 0.81), -0.5, 0.6),
+             (lambda p: sign * abs(p - 0.3), 0.0, 1.0),
+             (lambda x: sign * math.sin(2.0 * math.pi * x), 0.17, 0.33)]
+    for f, a, b in cases:
+        assert env.golden_min(f, a, b, 90, rtol=1e-13) == \
+            _golden_reference(f, a, b, 90, stop_rtol=1e-13)
+        assert env.golden_min(f, np.float64(a), np.float64(b), 80) == \
+            _golden_reference(f, np.float64(a), np.float64(b), 80)

@@ -327,3 +327,70 @@ def test_evaluate_two_sided_split_with_mirror():
     assert np.max(np.abs(curve.evaluate(ps) - direct)) <= 0.07
     # the profile is even in p, so the curve should be almost symmetric
     assert abs(curve.evaluate(1.2) - curve.evaluate(-1.2)) < 0.05
+
+
+# -- derived-field metadata and the depth limit -----------------------------------
+
+
+def _bases():
+    board = env.make_checkerboard((-0.5, 0.0), 0.5, "quartic_plus_v")
+    return [env.sample(env.make_periodic("quartic_plus_sin", 1.0,
+                                         {"amplitude": 0.5})),
+            env.sample(board, seed=3).periodized(8),
+            env.sample(board, seed=3)]
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_derived_fields_carry_base_metadata(k):
+    base = _bases()[k]
+    periodic = _bases()[0]
+    wrappers = [st.TransformedField(base, 0.1, 0.2),
+                st.PLConstrainedField(base, 1), st.DeclutteredField(base, 1),
+                env.ShiftedField(base, 0.3),
+                gl.ConeAboveField(base, 0.5, 3.0),
+                gl.ConeBelowField(base, -0.5, 3.0), gl.MaxField(base, base),
+                gl.ReflectedCapField(base, 0.5, 3.0),
+                gl.TiltedField(base, 0.0, 0.5, 1.0, 4), gl.MirroredField(base)]
+    assert len({type(w) for w in wrappers}) == 10
+    for w in wrappers:
+        assert isinstance(w, env.DerivedField) and w.base is base
+        assert (w.period, w.cell_length, w.deterministic, w.cell) == \
+            (base.period, base.cell_length, base.deterministic, base.cell)
+    for f1, f2 in ((periodic, base), (base, periodic)):
+        both = gl.MaxField(f1, f2)
+        assert both.deterministic == (f1.deterministic and f2.deterministic)
+        assert (both.period, both.cell_length) == (f1.period, f1.cell_length)
+
+
+def test_bases_cover_each_cell_rule():
+    periodic, torus, board = _bases()
+    assert (periodic.cell, periodic.deterministic) == (1.0, True)
+    assert (torus.period, torus.cell_length, torus.cell) == (4.0, 0.5, 4.0)
+    assert (board.period, board.cell, board.deterministic) == (None, 0.5, False)
+
+
+def _shape(node):
+    return (node.kind, node.leaf_kind, tuple(_shape(c) for c in node.children))
+
+
+DIRECT = ("leaf", "direct", ())
+QC = ("leaf", "quasi_convex", ())
+TWO_SIDED = {"nodes": [-1.0, -0.5, 0.0, 0.5, 1.0],
+             "values": [0.3, 1.0, 0.0, 1.0, 0.3],
+             "cone_slope": 3.0, "amplitude": 0.1}
+
+
+@pytest.mark.parametrize("params,max_depth,shape", [
+    (LEFT_PARAMS, 0, DIRECT),
+    (LEFT_PARAMS, 1, ("steep_left", None, (DIRECT, DIRECT))),
+    (LEFT_PARAMS, 2, ("steep_left", None, (("steep_right", None, (QC, DIRECT)),
+                                           ("steep_right", None, (QC, DIRECT))))),
+    (TWO_SIDED, 1, ("split", None, (DIRECT, ("mirror", None, (DIRECT,))))),
+])
+def test_tree_depth_limit_makes_direct_leaves(params, max_depth, shape):
+    with pytest.warns(UserWarning, match="max reduction depth") as rec:
+        tree = gl.build_reduction_tree(_field(params), max_depth=max_depth)
+    assert _shape(tree) == shape
+    direct = [l for l in tree.leaves() if l.leaf_kind == "direct"]
+    limits = [w for w in rec if "max reduction depth" in str(w.message)]
+    assert len(limits) == len(direct)

@@ -228,6 +228,48 @@ def test_junction_rules(quartic):
     assert lo.junction_compatible(f, sn, 0.0, 0.25, 3, 1)
 
 
+def _pair_legality_reference(field, structure, mu, nodes, branches, tol=None,
+                             n_gap=17, rule="solution"):
+    """_pair_legality with the gap values inline for every pair."""
+    if tol is None:
+        tol = 1e-6 * (1.0 + abs(mu)) + 10.0 * st.TOL_INV
+    inv = {j: st.branch_inverse_grid(field, structure, j, nodes, mu)
+           for j in branches}
+    legal = {}
+    ts = np.linspace(0.0, 1.0, n_gap)
+    for j in branches:
+        qj, fj = inv[j]
+        for j2 in branches:
+            q2, f2 = inv[j2]
+            ok = fj & f2
+            same = ok & (np.abs(q2 - qj) <= 1e-10)
+            gap = qj[None, :] + ts[:, None] * (q2 - qj)[None, :]
+            vals = field.evaluate(gap, nodes[None, :])
+            if rule == "sub":
+                up = ok & (q2 > qj)
+            else:
+                up = ok & (q2 > qj) & (vals.min(axis=0) >= mu - tol)
+            down = ok & (q2 < qj) & (vals.max(axis=0) <= mu + tol)
+            legal[(j, j2)] = same | up | down
+    return legal
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("rule", ["solution", "sub"])
+def test_pair_legality_matches_reference(quartic, mu, rule):
+    f, sn = quartic
+    dec = lo.admissible_decomposition(f, sn, mu, (0.0, 4.0))
+    nodes = np.sort(np.concatenate([dec.junctions, np.linspace(0.0, 4.0, 129)]))
+    branches = list(range(1, 2 * sn.index[1] + 2))
+    got = lo._pair_legality(f, sn, mu, nodes, branches, rule=rule)
+    want = _pair_legality_reference(f, sn, mu, nodes, branches, rule=rule)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+    # both rules reject some jumps and accept others at these levels
+    assert any(want[k].any() and not want[k].all() for k in want)
+
+
 # -- extremal selections ------------------------------------------------------------
 
 

@@ -191,6 +191,39 @@ def test_branch_inverse_grid_matches_scalar(quartic_2):
     assert abs(quartic_2.evaluate(grid2[ok[0]], xs[ok[0]]) - 1.5) < 1e-9
 
 
+def _branch_inverse_grid_reference(field, structure, j, xs, mu, side="+"):
+    """branch_inverse_grid with its own 70-step bisection loop."""
+    xs = np.asarray(xs, dtype=np.float64)
+    lo0, hi0 = st._capped_interval(field, structure, j, side, mu)
+    lo, hi = np.full(xs.shape, lo0), np.full(xs.shape, hi0)
+    v_lo, v_hi = field.evaluate(lo0, xs), field.evaluate(hi0, xs)
+    increasing = structure.branch_increasing(j, side)
+    feasible = (np.minimum(v_lo, v_hi) - st.TOL_INV <= mu) & \
+        (mu <= np.maximum(v_lo, v_hi) + st.TOL_INV)
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        below = field.evaluate(mid, xs) < mu
+        take_lo = below if increasing else ~below
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    return np.where(feasible, 0.5 * (lo + hi), np.nan), feasible
+
+
+@pytest.mark.parametrize("mu", [-1.5, 0.0, 0.7, 2.5])
+def test_branch_inverse_grid_matches_loop_reference(quartic_2, mu):
+    s, _ = st.detect_branches(quartic_2)
+    xs = np.linspace(0.0, 2.0, 53).reshape(1, 53)
+    for side, n in (("+", 2 * s.index[1] + 1), ("-", 2 * s.index[0] + 1)):
+        for j in range(1, n + 1):
+            want, want_ok = _branch_inverse_grid_reference(
+                quartic_2, s, j, xs, mu, side)
+            got, ok = st.branch_inverse_grid(quartic_2, s, j, xs, mu, side)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(ok, want_ok)
+            assert np.array_equal(
+                st.branch_feasible(quartic_2, s, j, xs, mu, side), want_ok)
+
+
 # -- oscillation classification -------------------------------------------------
 
 
