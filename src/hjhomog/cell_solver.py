@@ -103,7 +103,7 @@ class DiscountedSolution:
         return -self.lam * float(np.mean(self.v))
 
 
-def _operator(field, p, lam, grid, xs, w):
+def _operator(h, p, lam, grid, w):
     # zero-slope ghost values at the window edges keep every row of the
     # discrete system strictly monotone (an upwind-copy ghost loses that
     # under boundary inflow and the iteration stalls on the edge rows);
@@ -121,7 +121,7 @@ def _operator(field, p, lam, grid, xs, w):
         qm[0] = 0.0
     c = 0.5 * (qm + qp)
     diss = 0.5 * grid.theta * (qp - qm)
-    return lam * w + field.evaluate(p + c, xs) - diss, c
+    return lam * w + h(p + c) - diss, c
 
 
 def _solve_cyclic_tridiag(dl, dd, du, cl, cu, b):
@@ -144,12 +144,11 @@ def _solve_cyclic_tridiag(dl, dd, du, cl, cu, b):
     return y - z * (vy / (1.0 + vz))
 
 
-def _newton_step(field, p, lam, grid, xs, w, res, c):
+def _newton_step(h, p, lam, grid, w, res, c):
     dx, theta = grid.dx, grid.theta
     eps = 1e-7 * (1.0 + np.max(np.abs(p + c)))
-    hp = (field.evaluate(p + c + eps, xs) - field.evaluate(p + c - eps, xs)) \
-        / (2.0 * eps)
-    dd = np.full(len(xs), lam + theta / dx)
+    hp = (h(p + c + eps) - h(p + c - eps)) / (2.0 * eps)
+    dd = np.full(len(w), lam + theta / dx)
     dl = -hp / (2.0 * dx) - theta / (2.0 * dx)
     du = hp / (2.0 * dx) - theta / (2.0 * dx)
     if grid.periodic:
@@ -161,7 +160,7 @@ def _newton_step(field, p, lam, grid, xs, w, res, c):
         du[0] = hp[0] / (2 * dx) - grid.theta / (2 * dx)
         dd[-1] = lam + grid.theta / (2 * dx) + hp[-1] / (2 * dx)
         dl[-1] = -hp[-1] / (2 * dx) - grid.theta / (2 * dx)
-        ab = np.zeros((3, len(xs)))
+        ab = np.zeros((3, len(w)))
         ab[0, 1:] = du[:-1]
         ab[1, :] = dd
         ab[2, :-1] = dl[1:]
@@ -169,15 +168,18 @@ def _newton_step(field, p, lam, grid, xs, w, res, c):
     return w - delta
 
 
-def explicit_step(field, p, lam, grid, xs, w):
-    """One monotone pseudo-time update w - dt * (lam w + Hhat)."""
-    res, _ = _operator(field, p, lam, grid, xs, w)
+def explicit_step(h, p, lam, grid, w):
+    """One monotone pseudo-time update w - dt * (lam w + Hhat), with ``h``
+    the field frozen at the grid nodes (``field.at(grid.nodes())``)."""
+    res, _ = _operator(h, p, lam, grid, w)
     return w - grid.dt * res
 
 
-def _red_black_sweep(field, p, lam, grid, xs, w):
+def _red_black_sweep(h, h_edges, p, lam, grid, w):
     # The LF pointwise equation is linear in w_i, so each half-sweep is an
     # exact nodal solve; this repairs kink configurations Newton thrashes on.
+    # h is frozen at all nodes, h_edges at the first and last (unused when
+    # periodic).
     dx, th = grid.dx, grid.theta
     w = w.copy()
     denom = lam + th / dx
@@ -186,29 +188,29 @@ def _red_black_sweep(field, p, lam, grid, xs, w):
         for par in (0, 1):
             wm, wp = np.roll(w, 1), np.roll(w, -1)
             new = (th * (wp + wm) / (2 * dx)
-                   - field.evaluate(p + (wp - wm) / (2 * dx), xs)) / denom
+                   - h(p + (wp - wm) / (2 * dx))) / denom
             idx = parity == par
             w[idx] = new[idx]
         # a constant shift moves the residual by exactly lam * shift: solve
         # the zero mode directly (the torus has no boundary to anchor it)
-        res, _ = _operator(field, p, lam, grid, xs, w)
+        res, _ = _operator(h, p, lam, grid, w)
         return w - float(np.mean(res)) / lam
     parity = np.arange(1, len(w) - 1) % 2
+    slope = np.zeros(len(w))
     for par in (0, 1):
         wm, wp = w[:-2], w[2:]
-        new = (th * (wp + wm) / (2 * dx)
-               - field.evaluate(p + (wp - wm) / (2 * dx), xs[1:-1])) / denom
+        slope[1:-1] = (wp - wm) / (2 * dx)
+        new = (th * (wp + wm) / (2 * dx) - h(p + slope)[1:-1]) / denom
         idx = parity == par
         w[1:-1][idx] = new[idx]
-    # edge rows (zero-slope ghost) are scalar-monotone: relaxed updates
+    # edge rows (zero-slope ghost) are scalar-monotone: relaxed updates; the
+    # two rows share no unknown, so both are updated at once
     tau = 1.0 / denom
     for _ in range(2):
-        q0 = (w[1] - w[0]) / dx
-        g0 = lam * w[0] + field.evaluate(p + 0.5 * q0, xs[0]) - 0.5 * th * q0
-        w[0] -= tau * g0
-        qn = (w[-1] - w[-2]) / dx
-        gn = lam * w[-1] + field.evaluate(p + 0.5 * qn, xs[-1]) + 0.5 * th * qn
-        w[-1] -= tau * gn
+        q0, qn = (w[1] - w[0]) / dx, (w[-1] - w[-2]) / dx
+        h0, hn = h_edges(np.array([p + 0.5 * q0, p + 0.5 * qn]))
+        w[0] -= tau * (lam * w[0] + h0 - 0.5 * th * q0)
+        w[-1] -= tau * (lam * w[-1] + hn + 0.5 * th * qn)
     return w
 
 
@@ -238,33 +240,35 @@ def solve_discounted(field, p, lam, grid, w0=None, max_iters=200,
         else:
             xs_c, w_c = sol_c.x_full, sol_c.w_full
         w0 = np.interp(xs, xs_c, w_c)
+    h = field.at(xs)
+    h_edges = None if grid.periodic else field.at(xs[[0, -1]])
     if w0 is None:
-        w = np.full(len(xs), -float(np.mean(field.evaluate(p, xs))) / lam)
+        w = np.full(len(xs), -float(np.mean(h(p))) / lam)
     else:
         w = np.asarray(w0, dtype=np.float64).copy()
         if len(w) != len(xs):
             raise ValueError("w0 does not match the grid")
     # float64 noise floor of the residual: differencing w of size |w| ~ H/lam
     # against theta/dx cannot do better than this
-    scale_h = float(np.max(np.abs(field.evaluate(p, xs))))
+    scale_h = float(np.max(np.abs(h(p))))
     eps64 = np.finfo(np.float64).eps
     floor = 64.0 * eps64 * (grid.theta / grid.dx * max(1.0, np.max(np.abs(w)))
                             + scale_h)
     tol = max(grid.tol_res, floor)
     trace = []
-    res, c = _operator(field, p, lam, grid, xs, w)
+    res, c = _operator(h, p, lam, grid, w)
     rnorm = float(np.max(np.abs(res)))
     iters = 0
     for outer in range(60):
         for _ in range(max_iters):
             if rnorm <= tol:
                 break
-            w_new = _newton_step(field, p, lam, grid, xs, w, res, c)
+            w_new = _newton_step(h, p, lam, grid, w, res, c)
             # damped acceptance: take the best candidate along the halvings
             step, best = 1.0, None
             for _ in range(12):
                 cand = w + step * (w_new - w)
-                res_c, c_c = _operator(field, p, lam, grid, xs, cand)
+                res_c, c_c = _operator(h, p, lam, grid, cand)
                 rc = float(np.max(np.abs(res_c)))
                 if best is None or rc < best[0]:
                     best = (rc, cand, res_c, c_c)
@@ -280,8 +284,8 @@ def solve_discounted(field, p, lam, grid, w0=None, max_iters=200,
             break
         # Newton stagnated on a kink configuration: exact nodal relaxation
         for _ in range(40):
-            w = _red_black_sweep(field, p, lam, grid, xs, w)
-        res, c = _operator(field, p, lam, grid, xs, w)
+            w = _red_black_sweep(h, h_edges, p, lam, grid, w)
+        res, c = _operator(h, p, lam, grid, w)
         rnorm = float(np.max(np.abs(res)))
         iters += 40
         trace.append(rnorm)
@@ -289,8 +293,8 @@ def solve_discounted(field, p, lam, grid, w0=None, max_iters=200,
         raise Diverged(f"residual {rnorm:.3g} > tol {tol:.3g} "
                        f"after {iters} iterations", trace)
     for _ in range(verify_steps):
-        w = explicit_step(field, p, lam, grid, xs, w)
-    res, _ = _operator(field, p, lam, grid, xs, w)
+        w = explicit_step(h, p, lam, grid, w)
+    res, _ = _operator(h, p, lam, grid, w)
     rnorm = float(np.max(np.abs(res)))
     if rnorm > 4.0 * tol:
         raise Diverged(
@@ -565,16 +569,16 @@ def gradient_control_check(field, solution, p0, P, hbar_p0, case=1, tol=1e-9):
 def monotone_update_check(field, p, lam, grid, w, rng, n_points=100):
     """Randomized monotone-scheme probe: raising any stencil value never
     lowers the explicit update."""
-    xs = grid.nodes()
-    base = explicit_step(field, p, lam, grid, xs, w)
-    n = len(xs)
+    h = field.at(grid.nodes())
+    base = explicit_step(h, p, lam, grid, w)
+    n = len(w)
     for _ in range(n_points):
         i = int(rng.integers(1, n - 1))
         j = i + int(rng.integers(-1, 2))
         eta = float(rng.uniform(1e-6, 1e-2))
         w2 = w.copy()
         w2[j] += eta
-        upd = explicit_step(field, p, lam, grid, xs, w2)
+        upd = explicit_step(h, p, lam, grid, w2)
         if upd[i] < base[i] - 1e-12:
             return CheckOutcome("failed", {"i": i, "j": j, "eta": eta,
                                            "drop": float(base[i] - upd[i])})

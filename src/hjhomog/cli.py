@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -124,7 +125,18 @@ def resolve_config(raw, seed_override=None):
                           "and strictly decreasing list")
     if not resolved["p_grid"] or not np.all(np.isfinite(resolved["p_grid"])):
         raise ConfigError("p_grid must be non-empty and finite")
+    if not seeds:
+        raise ConfigError("seeds must name at least one seed")
+    if not _finite_positive(resolved["ivp"]["T"]):
+        raise ConfigError("ivp.T must be finite and positive")
+    if solver["dx"] is not None and not _finite_positive(solver["dx"]):
+        raise ConfigError("solver.dx must be null or finite and positive")
     return resolved
+
+
+def _finite_positive(value):
+    value = float(value)
+    return math.isfinite(value) and value > 0
 
 
 # ---------------------------------------------------------------------------

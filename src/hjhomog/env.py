@@ -122,42 +122,46 @@ _BASES = {
 
 
 def _build_periodic_profile(name, params, period):
+    """(p_part, x_part) of a named periodic profile:
+    H(p, x) = p_part(p) + x_part(x)."""
     two_pi = 2.0 * math.pi / period
     if name == "abs_plus_sin":
         a = params.get("amplitude", 1.0)
-        return lambda p, x: np.abs(p) + a * np.sin(two_pi * x)
+        return np.abs, lambda x: a * np.sin(two_pi * x)
     if name == "quartic_plus_sin":
         a = params.get("amplitude", 1.0)
-        return lambda p, x: (np.asarray(p) ** 2 - 1.0) ** 2 + a * np.sin(two_pi * x)
+        return _BASES["double_well"], lambda x: a * np.sin(two_pi * x)
     if name == "base_plus_sin":
         a = params.get("amplitude", 1.0)
-        base = _BASES[params.get("base", "double_well")]
-        return lambda p, x: base(p) + a * np.sin(two_pi * x)
+        return (_BASES[params.get("base", "double_well")],
+                lambda x: a * np.sin(two_pi * x))
     if name == "xfree":
-        base = _BASES[params.get("base", "quadratic")]
-        return lambda p, x: base(p) + 0.0 * np.asarray(x)
+        return _BASES[params.get("base", "quadratic")], lambda x: 0.0 * x
     if name == "pwl_wells_plus_dip":
         nodes = np.asarray(params["nodes"], dtype=np.float64)
         values = np.asarray(params["values"], dtype=np.float64)
         slope = params.get("cone_slope", 2.0)
         a = params.get("amplitude", 0.1)
-        return lambda p, x: _pwl(p, nodes, values, slope) + a * (np.sin(two_pi * x) - 1.0)
+        return (lambda p: _pwl(p, nodes, values, slope),
+                lambda x: a * (np.sin(two_pi * x) - 1.0))
     raise ProfileError(f"unknown periodic profile {name!r}")
 
 
 def _build_template(name, params):
+    """(p_part, x_part) of a named checkerboard template:
+    H(p, x, v) = p_part(p) + x_part(x) + v, with no x_part term where
+    x_part is None."""
     if name == "abs_plus_v":
-        return lambda p, x, v: np.abs(p) + v
+        return np.abs, None
     if name == "quartic_plus_v":
-        return lambda p, x, v: (np.asarray(p) ** 2 - 1.0) ** 2 + v
+        return _BASES["double_well"], None
     if name == "base_plus_v":
-        base = _BASES[params.get("base", "abs")]
-        return lambda p, x, v: base(p) + v
+        return _BASES[params.get("base", "abs")], None
     if name == "base_plus_sin_plus_v":
-        base = _BASES[params.get("base", "double_well")]
         a = params.get("amplitude", 0.5)
         w = 2.0 * math.pi / params.get("inner_period", 1.0)
-        return lambda p, x, v: base(p) + a * np.sin(w * x) + v
+        return (_BASES[params.get("base", "double_well")],
+                lambda x: a * np.sin(w * x))
     raise ProfileError(f"unknown checkerboard template {name!r}")
 
 
@@ -182,12 +186,40 @@ class EnvironmentSpec:
     cell_length: float | None = None
     value_range: tuple | None = None
 
-    def profile_fn(self):
-        if callable(self.profile):
-            return self.profile
+    def profile_at(self):
+        """The profile as a frozen-x builder: ``at(x)`` for periodic
+        profiles, ``at(x, v)`` for checkerboard templates, computes the
+        x-only terms once and returns p -> H(p, x) as float64 values.
+        Named profiles add their terms in a fixed order, p part first."""
+        fn = self.profile
         if self.kind == "periodic":
-            return _build_periodic_profile(self.profile, self.params, self.period)
-        return _build_template(self.profile, self.params)
+            if callable(fn):
+                return lambda x: lambda p: np.asarray(
+                    fn(np.asarray(p, dtype=np.float64), x), dtype=np.float64)
+            p_part, x_part = _build_periodic_profile(fn, self.params,
+                                                     self.period)
+
+            def at(x):
+                xt = x_part(x)
+                return lambda p: p_part(np.asarray(p, dtype=np.float64)) + xt
+            return at
+        if callable(fn):
+            def at_raw(x, v):
+                def h(p):
+                    # raw templates see p, x and v broadcast to one shape
+                    return np.asarray(fn(*np.broadcast_arrays(
+                        np.asarray(p, dtype=np.float64), x, v)),
+                        dtype=np.float64)
+                return h
+            return at_raw
+        p_part, x_part = _build_template(fn, self.params)
+
+        def at_template(x, v):
+            if x_part is None:
+                return lambda p: p_part(np.asarray(p, dtype=np.float64)) + v
+            xt = x_part(x)
+            return lambda p: p_part(np.asarray(p, dtype=np.float64)) + xt + v
+        return at_template
 
     def to_dict(self):
         if callable(self.profile):
@@ -221,14 +253,15 @@ class EnvironmentSpec:
         return EnvironmentSpec.from_dict(json.loads(text))
 
 
-def _probe_profile(fn, takes_v, period_or_cell):
+def _probe_profile(spec, period_or_cell):
     ps = np.linspace(-3.0, 3.0, 41)
     xs = np.linspace(0.0, 2.0 * period_or_cell, 37)
+    at = spec.profile_at()
     with np.errstate(all="ignore"):
-        if takes_v:
-            vals = fn(ps[:, None], xs[None, :], 0.0)
+        if spec.kind == "checkerboard":
+            vals = at(xs[None, :], 0.0)(ps[:, None])
         else:
-            vals = fn(ps[:, None], xs[None, :])
+            vals = at(xs[None, :])(ps[:, None])
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(np.asarray(vals)))[0]
         raise ProfileError(
@@ -242,7 +275,7 @@ def make_periodic(profile, period, params=None):
         raise ProfileError("period must be positive")
     spec = EnvironmentSpec(kind="periodic", profile=profile,
                            params=dict(params or {}), period=float(period))
-    _probe_profile(spec.profile_fn(), takes_v=False, period_or_cell=period)
+    _probe_profile(spec, period)
     return spec
 
 
@@ -258,7 +291,7 @@ def make_checkerboard(value_range, cell_length, profile_template, params=None):
     spec = EnvironmentSpec(kind="checkerboard", profile=profile_template,
                            params=dict(params or {}), cell_length=float(cell_length),
                            value_range=(lo, hi))
-    _probe_profile(spec.profile_fn(), takes_v=True, period_or_cell=cell_length)
+    _probe_profile(spec, cell_length)
     return spec
 
 
@@ -308,13 +341,14 @@ class HamiltonianField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _eval(self, p, x):
+    def at(self, x):
+        """Frozen-x evaluator: h with h(p) == H(p, x), broadcast over p and
+        x.  Every x-only term is computed here, once; build h once where a
+        loop varies p at fixed x."""
         raise NotImplementedError
 
     def evaluate(self, p, x):
-        p = np.asarray(p, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        out = self._eval(p, x)
+        out = self.at(x)(p)
         return out if out.ndim else float(out)
 
     __call__ = evaluate
@@ -369,9 +403,11 @@ class HamiltonianField:
         thresholds = np.array(list(todo.values()))
         xs = self.probe_xs(512)
 
+        h = self.at(xs)
+
         def g(rs):
-            vplus = self.evaluate(rs[:, None], xs[None, :]).min(axis=1)
-            vminus = self.evaluate(-rs[:, None], xs[None, :]).min(axis=1)
+            vplus = h(rs[:, None]).min(axis=1)
+            vminus = h(-rs[:, None]).min(axis=1)
             return np.minimum(vplus, vminus)
 
         brackets = {}
@@ -434,12 +470,12 @@ class PeriodicField(HamiltonianField):
         super().__init__()
         self.spec = spec
         self.period = float(spec.period)
-        self._fn = spec.profile_fn()
+        self._at = spec.profile_at()
 
-    def _eval(self, p, x):
+    def at(self, x):
+        x = np.asarray(x, dtype=np.float64)
         T = self.period
-        xr = x - T * np.floor(x / T)
-        return np.asarray(self._fn(p, xr), dtype=np.float64)
+        return self._at(x - T * np.floor(x / T))
 
 
 def _smoothstep(u):
@@ -470,7 +506,7 @@ class CheckerboardField(HamiltonianField):
             self.period = self.wrap_cells * self.cell_length
         lo, hi = spec.value_range
         self._lo, self._span = float(lo), float(hi - lo)
-        self._fn = spec.profile_fn()
+        self._at = spec.profile_at()
 
     def _cell_value(self, idx):
         idx = np.asarray(idx) + self.cell_offset
@@ -503,10 +539,9 @@ class CheckerboardField(HamiltonianField):
             out[right] = v0[right] + (vnext - v0[right]) * s
         return out
 
-    def _eval(self, p, x):
-        p, x = np.broadcast_arrays(np.asarray(p, float), np.asarray(x, float))
-        v = self.cell_values(x.ravel()).reshape(x.shape)
-        return np.asarray(self._fn(p, x, v), dtype=np.float64)
+    def at(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        return self._at(x, self.cell_values(x.ravel()).reshape(x.shape))
 
     def shifted_cells(self, k):
         """Shift the cell-index stream by k cells; equals shifting x by
@@ -532,8 +567,8 @@ class ShiftedField(DerivedField):
         super().__init__(base)
         self.y = float(y)
 
-    def _eval(self, p, x):
-        return np.asarray(self.base.evaluate(p, np.asarray(x) + self.y))
+    def at(self, x):
+        return self.base.at(np.asarray(x, dtype=np.float64) + self.y)
 
 
 def sample(spec, seed=0):

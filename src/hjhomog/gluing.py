@@ -38,11 +38,18 @@ class ConeAboveField(DerivedField):
         self.Q = float(Q)
         self.L = float(L)
 
-    def _eval(self, p, x):
-        p = np.asarray(p, dtype=np.float64)
-        base_at_q = self.base.evaluate(self.Q, x)
-        inner = self.base.evaluate(np.minimum(p, self.Q), x)
-        return np.where(p > self.Q, self.L * np.abs(p - self.Q) + base_at_q, inner)
+    def at(self, x):
+        h = self.base.at(x)
+        Q, L = self.Q, self.L
+        h_q = h(Q)
+
+        def cone(p):
+            p = np.asarray(p, dtype=np.float64)
+            # the inner value first, so that no cone-term temporary stays
+            # alive through the base's own evaluation
+            inner = h(np.minimum(p, Q))
+            return np.where(p > Q, L * np.abs(p - Q) + h_q, inner)
+        return cone
 
 
 class ConeBelowField(DerivedField):
@@ -53,11 +60,16 @@ class ConeBelowField(DerivedField):
         self.q = float(q)
         self.L = float(L)
 
-    def _eval(self, p, x):
-        p = np.asarray(p, dtype=np.float64)
-        base_at_q = self.base.evaluate(self.q, x)
-        inner = self.base.evaluate(np.maximum(p, self.q), x)
-        return np.where(p < self.q, self.L * np.abs(p - self.q) + base_at_q, inner)
+    def at(self, x):
+        h = self.base.at(x)
+        q, L = self.q, self.L
+        h_q = h(q)
+
+        def cone(p):
+            p = np.asarray(p, dtype=np.float64)
+            inner = h(np.maximum(p, q))
+            return np.where(p < q, L * np.abs(p - q) + h_q, inner)
+        return cone
 
 
 class MaxField(DerivedField):
@@ -66,8 +78,9 @@ class MaxField(DerivedField):
         self.f1, self.f2 = f1, f2
         self.deterministic = f1.deterministic and f2.deterministic
 
-    def _eval(self, p, x):
-        return np.maximum(self.f1.evaluate(p, x), self.f2.evaluate(p, x))
+    def at(self, x):
+        h1, h2 = self.f1.at(x), self.f2.at(x)
+        return lambda p: np.maximum(h1(p), h2(p))
 
 
 class ReflectedCapField(DerivedField):
@@ -84,16 +97,21 @@ class ReflectedCapField(DerivedField):
         ps = np.linspace(0.0, P, 129)
         self._floor = float(base.evaluate(ps[:, None], xs[None, :]).min()) - 1.0
 
-    def _eval(self, p, x):
-        p = np.asarray(p, dtype=np.float64)
-        inner = self.base.evaluate(np.clip(p, 0.0, self.P), x)
-        down = np.where(p < 0.0, inner - self.L * np.abs(p),
-                        np.where(p > self.P, inner - self.L * (p - self.P), inner))
-        over = np.maximum(down, self._floor)
-        dist = np.where(p < 0.0, -p, np.where(p > self.P, p - self.P, 0.0))
-        reach = (inner - self._floor) / self.L
-        capped = np.where(dist > reach, self._floor + self.L * (dist - reach), over)
-        return np.where((p >= 0.0) & (p <= self.P), inner, capped)
+    def at(self, x):
+        h = self.base.at(x)
+        P, L, floor = self.P, self.L, self._floor
+
+        def capped_cone(p):
+            p = np.asarray(p, dtype=np.float64)
+            inner = h(np.clip(p, 0.0, P))
+            down = np.where(p < 0.0, inner - L * np.abs(p),
+                            np.where(p > P, inner - L * (p - P), inner))
+            over = np.maximum(down, floor)
+            dist = np.where(p < 0.0, -p, np.where(p > P, p - P, 0.0))
+            reach = (inner - floor) / L
+            capped = np.where(dist > reach, floor + L * (dist - reach), over)
+            return np.where((p >= 0.0) & (p <= P), inner, capped)
+        return capped_cone
 
 
 class TiltedField(DerivedField):
@@ -114,15 +132,19 @@ class TiltedField(DerivedField):
         out = np.where(p <= self.b, up, down)
         return np.where((p >= self.a) & (p <= self.c), out, 0.0)
 
-    def _eval(self, p, x):
-        return np.asarray(self.base.evaluate(p, x)) - self.hat(p)
+    def at(self, x):
+        h = self.base.at(x)
+        return lambda p: h(p) - self.hat(p)
 
 
 class MirroredField(DerivedField):
-    """H(-p, x): maps index (L_tilde, 0) onto (0, L_tilde)."""
+    """H(-p, -x): maps index (L_tilde, 0) onto (0, L_tilde).  Substituting
+    w(y) = v(-y) in the cell problem gives Hbar[H(-p, -x)](p) = Hbar(-p),
+    which the mirror node's combination rule relies on."""
 
-    def _eval(self, p, x):
-        return np.asarray(self.base.evaluate(-np.asarray(p), x))
+    def at(self, x):
+        h = self.base.at(-np.asarray(x, dtype=np.float64))
+        return lambda p: h(-np.asarray(p, dtype=np.float64))
 
 
 def _mirror_structure(structure):
@@ -518,7 +540,8 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0, n_mu=33,
         xs = np.linspace(0.0, window_cells * f.cell,
                          window_cells * samples_per_cell, endpoint=False)
         pg = np.linspace(p_lo, p_hi, 513)
-        vals = f.evaluate(pg[:, None], xs[None, :])
+        h = f.at(xs)
+        vals = h(pg[:, None])
         arg = pg[np.argmin(vals, axis=0)]
         # quasi-convexity probe: no interior rebound above tolerance
         vmin = vals.min(axis=0)
@@ -540,9 +563,9 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0, n_mu=33,
         p_plus, p_minus = [], []
         for mu in mus:
             # H < mu right of the minimizer: the crossing is further right
-            a, b = bisect(lambda m: f.evaluate(m, xs) < mu, arg, hi, 60)
+            a, b = bisect(lambda m: h(m) < mu, arg, hi, 60)
             p_plus.append(float(np.mean(0.5 * (a + b))))
-            a, b = bisect(lambda m: ~(f.evaluate(m, xs) < mu), lo, arg, 60)
+            a, b = bisect(lambda m: ~(h(m) < mu), lo, arg, 60)
             p_minus.append(float(np.mean(0.5 * (a + b))))
         per_seed.append((mu0, mus, np.asarray(p_minus), np.asarray(p_plus)))
     mu0 = float(np.mean([r[0] for r in per_seed]))

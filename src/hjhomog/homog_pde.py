@@ -43,9 +43,11 @@ def wedge_datum(height=5.0):
     return g
 
 
-def _march(hamiltonian, g, T, X, dx, theta, cfl):
+def _march(frozen, g, T, X, dx, theta, cfl):
+    # frozen(xs) is the Hamiltonian at the march nodes, a function of q only
     m = int(np.ceil(X / dx))
     xs = np.arange(-m, m + 1) * dx
+    h = frozen(xs)
     u = np.asarray(g(xs), dtype=np.float64)
     dt = cfl * dx / theta
     n_steps = int(np.ceil(T / dt))
@@ -59,7 +61,7 @@ def _march(hamiltonian, g, T, X, dx, theta, cfl):
         qm[0] = 0.0
         c = 0.5 * (qm + qp)
         diss = 0.5 * theta * (qp - qm)
-        u = u - dt * (hamiltonian(c, xs) - diss)
+        u = u - dt * (h(c) - diss)
     return xs, u
 
 
@@ -69,7 +71,7 @@ def solve_oscillatory(field, eps, setup):
     if dx > eps / 32.0 + 1e-15:
         raise ValueError(f"eps={eps} under-resolved: need dx <= {eps / 32:.3g}")
     X = setup.domain_half_width()
-    xs, u = _march(lambda q, x: field.evaluate(q, x / eps),
+    xs, u = _march(lambda x: field.at(x / eps),
                    setup.g, setup.T, X, dx, setup.theta, setup.cfl)
     core = np.abs(xs) <= setup.X_core + 1e-12
     return xs[core], u[core]
@@ -82,14 +84,15 @@ def solve_homogenized(curve, setup, dx=None):
     X = setup.domain_half_width()
     flagged = []
 
-    def hbar(q, x):
+    def hbar(q):
         if np.any(q < curve.p[0]) or np.any(q > curve.p[-1]):
             flagged.append(True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtrapolationUsed)
             return curve.evaluate(q)
 
-    xs, u = _march(hbar, setup.g, setup.T, X, dx, setup.theta, setup.cfl)
+    xs, u = _march(lambda x: hbar, setup.g, setup.T, X, dx, setup.theta,
+                   setup.cfl)
     if flagged:
         warnings.warn("gradient left the effective-curve support",
                       ExtrapolationUsed)

@@ -183,9 +183,10 @@ class TransformedField(DerivedField):
         self.p_shift = float(p_shift)
         self.mu_shift = float(mu_shift)
 
-    def _eval(self, p, x):
-        return np.asarray(self.base.evaluate(np.asarray(p) + self.p_shift, x)) \
-            - self.mu_shift
+    def at(self, x):
+        h = self.base.at(x)
+        p_shift, mu_shift = self.p_shift, self.mu_shift
+        return lambda p: h(np.asarray(p, dtype=np.float64) + p_shift) - mu_shift
 
 
 class PLConstrainedField(DerivedField):
@@ -222,27 +223,33 @@ class PLConstrainedField(DerivedField):
                                   self.base.evaluate(pr, xo)) + 1.0 / n
         return out
 
-    def _eval(self, p, x):
-        shape = np.broadcast(p, x).shape
-        p, x = np.broadcast_arrays(np.asarray(p, float), np.asarray(x, float))
-        p, x = np.atleast_1d(p).ravel(), np.atleast_1d(x).ravel()
+    def at(self, x):
+        # the p-cells select which x each base value is needed at, so the
+        # base is evaluated per call on those x only
+        x = np.asarray(x, dtype=np.float64)
         n = self.n
         h = 0.5 / n
-        out = np.empty(p.shape, dtype=np.float64)
-        lo, hi = p < -n, p > n
-        if np.any(lo):
-            out[lo] = np.abs(p[lo] + n) + self.base.evaluate(-n, x[lo])
-        if np.any(hi):
-            out[hi] = np.abs(p[hi] - n) + self.base.evaluate(n, x[hi])
-        mid = ~(lo | hi)
-        if np.any(mid):
-            u = (p[mid] + n) / h
-            k = np.clip(np.floor(u).astype(np.int64), 0, 4 * n * n - 1)
-            t = u - k
-            v0 = self._half_value(k, x[mid])
-            v1 = self._half_value(k + 1, x[mid])
-            out[mid] = (1.0 - t) * v0 + t * v1
-        return out.reshape(shape)
+
+        def pl(p):
+            p = np.asarray(p, dtype=np.float64)
+            shape = np.broadcast(p, x).shape
+            p, xb = (np.atleast_1d(a).ravel() for a in np.broadcast_arrays(p, x))
+            out = np.empty(p.shape, dtype=np.float64)
+            lo, hi = p < -n, p > n
+            if np.any(lo):
+                out[lo] = np.abs(p[lo] + n) + self.base.evaluate(-n, xb[lo])
+            if np.any(hi):
+                out[hi] = np.abs(p[hi] - n) + self.base.evaluate(n, xb[hi])
+            mid = ~(lo | hi)
+            if np.any(mid):
+                u = (p[mid] + n) / h
+                k = np.clip(np.floor(u).astype(np.int64), 0, 4 * n * n - 1)
+                t = u - k
+                v0 = self._half_value(k, xb[mid])
+                v1 = self._half_value(k + 1, xb[mid])
+                out[mid] = (1.0 - t) * v0 + t * v1
+            return out.reshape(shape)
+        return pl
 
 
 class DeclutteredField(DerivedField):
@@ -293,18 +300,21 @@ class DeclutteredField(DerivedField):
         ext = np.sort(ext)
         return bool(np.any(np.diff(ext) < self.tol_cluster))
 
-    def bump(self, p, x):
+    def at(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        h = self.base.at(x)
         if self._ref is None or not self.marks.any():
-            return np.zeros(np.broadcast(np.asarray(p), np.asarray(x)).shape)
+            return lambda p: h(p) + np.zeros(np.broadcast(np.asarray(p), x).shape)
         n = self.n
         grid = np.arange(-n * n, n * n + 1) / n
-        w = np.interp(np.asarray(p, dtype=np.float64), grid,
-                      self.marks.astype(np.float64))
-        ref = self.base.evaluate(self._ref_i / n, np.asarray(x, dtype=np.float64))
-        return (1.0 / n) * w * ref / self._ref_norm
+        marks = self.marks.astype(np.float64)
+        ref = h(self._ref_i / n)
+        norm = self._ref_norm
 
-    def _eval(self, p, x):
-        return np.asarray(self.base.evaluate(p, x)) + self.bump(p, x)
+        def decluttered(p):
+            p = np.asarray(p, dtype=np.float64)
+            return h(p) + (1.0 / n) * np.interp(p, grid, marks) * ref / norm
+        return decluttered
 
 
 def build_constrained_approx(field, n):

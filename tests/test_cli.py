@@ -90,6 +90,14 @@ def test_malformed_config_exit_2(tmp_path):
     {"p_grid": []},
     {"p_grid": {"start": -1.0, "stop": 1.0, "n": 0}},
     {"p_grid": [0.0, float("inf")]},
+    {"seeds": []},
+    {"seeds": {"master": 1, "count": 0}},
+    {"task": "converge", "ivp": {"T": 0}},
+    {"task": "converge", "ivp": {"T": -1.0}},
+    {"task": "converge", "ivp": {"T": float("nan")}},
+    {"solver": {"dx": 0}},
+    {"solver": {"dx": -0.016}},
+    {"solver": {"dx": float("inf")}},
 ])
 def test_out_of_range_config_exit_2(tmp_path, over):
     out = tmp_path / "out"
