@@ -13,7 +13,8 @@ with one-sided differences, zero-slope ghosts at the edges of a pad that
 is excluded from every reported quantity, and theta at least the
 p-Lipschitz bound of H over the reachable gradient range, which makes the
 explicit update w <- w - dt * (lam w + Hhat) monotone under the CFL
-condition dt * (theta/dx + lam) <= 1.
+condition dt * (theta/dx + lam) <= 1.  The stencil, ``_lf_terms``, is the
+one the PDE march in ``homog_pde`` uses too.
 
 The steady state of that monotone scheme is the unique solution of the
 discrete system; we reach it by a damped semismooth Newton iteration on
@@ -42,6 +43,7 @@ from .env import EnvironmentSpec, HamiltonianField, sample
 from .errors import Diverged, NoisyLimit
 
 LAMBDA_SCHEDULE = (0.04, 0.02, 0.01, 0.005)
+ESTIMATORS = ("auto", "center", "mean")
 
 
 @dataclass
@@ -103,24 +105,36 @@ class DiscountedSolution:
         return -self.lam * float(np.mean(self.v))
 
 
+def _one_sided(w, dx, periodic):
+    """Backward and forward differences (q-, q+) of w: wraparound on a
+    torus, zero-slope ghosts at the two ends otherwise."""
+    qp = np.empty_like(w)
+    qm = np.empty_like(w)
+    qp[:-1] = (w[1:] - w[:-1]) / dx
+    qm[1:] = qp[:-1]
+    if periodic:
+        qp[-1] = (w[0] - w[-1]) / dx
+        qm[0] = qp[-1]
+    else:
+        qp[-1] = 0.0
+        qm[0] = 0.0
+    return qm, qp
+
+
+def _lf_terms(w, dx, theta, periodic):
+    """Central slope c = (q- + q+)/2 and dissipation theta (q+ - q-)/2 of
+    the LF numerical Hamiltonian Hhat = H(p + c, x) - diss; the discounted
+    solver and the PDE march (homog_pde) share it."""
+    qm, qp = _one_sided(w, dx, periodic)
+    return 0.5 * (qm + qp), 0.5 * theta * (qp - qm)
+
+
 def _operator(h, p, lam, grid, w):
     # zero-slope ghost values at the window edges keep every row of the
     # discrete system strictly monotone (an upwind-copy ghost loses that
     # under boundary inflow and the iteration stalls on the edge rows);
     # the induced boundary layer dies inside the pad
-    dx = grid.dx
-    if grid.periodic:
-        qm = (w - np.roll(w, 1)) / dx
-        qp = (np.roll(w, -1) - w) / dx
-    else:
-        qp = np.empty_like(w)
-        qm = np.empty_like(w)
-        qp[:-1] = (w[1:] - w[:-1]) / dx
-        qm[1:] = qp[:-1]
-        qp[-1] = 0.0
-        qm[0] = 0.0
-    c = 0.5 * (qm + qp)
-    diss = 0.5 * grid.theta * (qp - qm)
+    c, diss = _lf_terms(w, grid.dx, grid.theta, grid.periodic)
     return lam * w + h(p + c) - diss, c
 
 
@@ -381,6 +395,9 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
     if len(lam_schedule) < 3 or any(
             b >= a for a, b in zip(lam_schedule, lam_schedule[1:])):
         raise ValueError("lam_schedule must be strictly decreasing, >= 3 entries")
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}; "
+                         f"expected one of {ESTIMATORS}")
     if isinstance(source, EnvironmentSpec):
         fields = {s: sample(source, s) for s in seeds}
         if periodize_cells and source.kind == "checkerboard":
@@ -518,14 +535,6 @@ def comparison_gap(u, v, M=None, C=None, field=None):
                 "R": float(R)})
 
 
-def essinf_probe(field, p, n=4096):
-    return float(np.min(field.evaluate(p, field.probe_xs(n))))
-
-
-def esssup_probe_p(field, p, n=4096):
-    return float(np.max(field.evaluate(p, field.probe_xs(n))))
-
-
 def gradient_control_check(field, solution, p0, P, hbar_p0, case=1, tol=1e-9):
     """Gradient localization check for the discounted solution.
 
@@ -534,8 +543,8 @@ def gradient_control_check(field, solution, p0, P, hbar_p0, case=1, tol=1e-9):
     mirrored bound; (3)/(4) the esssup variants.  When the hypothesis
     fails numerically the check is reported as skipped, not failed.
     """
-    Pl = essinf_probe(field, P)
-    Pu = esssup_probe_p(field, P)
+    h_P = field.evaluate(P, field.probe_xs(4096))
+    Pl, Pu = float(np.min(h_P)), float(np.max(h_P))
     hyp = {1: hbar_p0 < Pl and p0 < P,
            2: hbar_p0 < Pl and p0 > P,
            3: hbar_p0 > Pu and p0 < P,
@@ -546,8 +555,7 @@ def gradient_control_check(field, solution, p0, P, hbar_p0, case=1, tol=1e-9):
                                         "hbar_p0": hbar_p0})
     w, xs = solution.w_full, solution.x_full
     if solution.grid.periodic:
-        grads = np.concatenate([(w - np.roll(w, 1)), (np.roll(w, -1) - w)]) \
-            / solution.grid.dx
+        grads = np.concatenate(_one_sided(w, solution.grid.dx, True))
     else:
         core = np.abs(xs) <= solution.grid.X + 1e-12
         d = np.diff(w) / solution.grid.dx

@@ -28,7 +28,7 @@ from . import __version__, cell_solver as cs, gluing as gl, homog_pde as hp
 from . import large_osc as lo
 from .curve import EffectiveCurve
 from .env import EnvironmentSpec, sample, split_seed
-from .errors import ConfigError, HJHomogError, NotApplicable
+from .errors import ConfigError, HJHomogError, NotApplicable, ProfileError
 from .structure import detect_branches, normalize
 
 CONFIG_SCHEMA = "run/1"
@@ -129,8 +129,13 @@ def resolve_config(raw, seed_override=None):
         raise ConfigError("seeds must name at least one seed")
     if not _finite_positive(resolved["ivp"]["T"]):
         raise ConfigError("ivp.T must be finite and positive")
+    X_core = float(resolved["ivp"]["X_core"])
+    if not (math.isfinite(X_core) and X_core >= 0):
+        raise ConfigError("ivp.X_core must be finite and non-negative")
     if solver["dx"] is not None and not _finite_positive(solver["dx"]):
         raise ConfigError("solver.dx must be null or finite and positive")
+    if solver["estimator"] not in cs.ESTIMATORS:
+        raise ConfigError(f"solver.estimator must be one of {cs.ESTIMATORS}")
     return resolved
 
 
@@ -297,7 +302,8 @@ def run(config, out_dir, strict=False, seed_override=None):
     """Execute one configured task; returns the process exit code."""
     try:
         cfg = resolve_config(config, seed_override=seed_override)
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, ProfileError, KeyError, TypeError,
+            ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(out_dir, exist_ok=True)

@@ -240,13 +240,16 @@ class EnvironmentSpec:
 
     @staticmethod
     def from_dict(d):
+        """The spec of an env/1 dict, through the checks of
+        ``make_periodic`` or ``make_checkerboard``."""
         if d.get("schema") != ENV_SCHEMA:
             raise ProfileError(f"unsupported environment schema {d.get('schema')!r}")
-        vr = d.get("value_range")
-        return EnvironmentSpec(
-            kind=d["kind"], profile=d["profile"], params=dict(d.get("params", {})),
-            period=d.get("period"), cell_length=d.get("cell_length"),
-            value_range=tuple(vr) if vr is not None else None)
+        if d["kind"] == "periodic":
+            return make_periodic(d["profile"], d["period"], d.get("params"))
+        if d["kind"] == "checkerboard":
+            return make_checkerboard(d["value_range"], d["cell_length"],
+                                     d["profile"], d.get("params"))
+        raise ProfileError(f"unknown environment kind {d['kind']!r}")
 
     @staticmethod
     def from_json(text):

@@ -2,10 +2,12 @@
 problem u_t + H(Du, x/eps) = 0 against the homogenized ubar_t + Hbar(Dubar)
 = 0, with the sup-norm error on a core window at the final time.
 
-Both problems march forward Euler with the monotone Lax-Friedrichs flux.
-The domain carries a pad of width theta * T outside the reported core so
-that boundary information cannot reach it within the horizon (the scheme's
-numerical domain of dependence grows at speed dx/dt >= theta).
+Both problems march forward Euler with the monotone Lax-Friedrichs flux,
+built by ``cell_solver._lf_terms``, the stencil the discounted solver
+uses too, with zero-slope ghosts at the two ends.  The domain carries a
+pad of width theta * T outside the reported core so that boundary
+information cannot reach it within the horizon (the scheme's numerical
+domain of dependence grows at speed dx/dt >= theta).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cell_solver import _lf_terms
 from .errors import ExtrapolationUsed
 
 
@@ -53,14 +56,7 @@ def _march(frozen, g, T, X, dx, theta, cfl):
     n_steps = int(np.ceil(T / dt))
     dt = T / n_steps
     for _ in range(n_steps):
-        qp = np.empty_like(u)
-        qm = np.empty_like(u)
-        qp[:-1] = (u[1:] - u[:-1]) / dx
-        qm[1:] = qp[:-1]
-        qp[-1] = 0.0
-        qm[0] = 0.0
-        c = 0.5 * (qm + qp)
-        diss = 0.5 * theta * (qp - qm)
+        c, diss = _lf_terms(u, dx, theta, False)
         u = u - dt * (h(c) - diss)
     return xs, u
 

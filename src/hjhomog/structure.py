@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .env import DerivedField, HamiltonianField, bisect, golden_min
 from .errors import (NotApplicable, NotConstrained, OutOfBranchRange,
@@ -77,13 +76,6 @@ class ConstrainedStructure:
         """Positive hill locations q_j, outermost first."""
         pos = self.breakpoints[self.central_pos + 1:: 2]
         return pos[::-1]
-
-    def negative_minima(self):
-        """Negative well locations, outermost first (most negative)."""
-        return self.breakpoints[: self.central_pos: 2]
-
-    def negative_maxima(self):
-        return self.breakpoints[1: self.central_pos: 2]
 
     def branch_interval(self, j, side="+"):
         """p-interval of monotone branch j (outermost-first, 1-based).
@@ -160,15 +152,6 @@ class ExtremaProcesses:
         if len(self._maxima) == 0:
             raise NotApplicable("no interior maxima: M(x) undefined")
         return self.maxima_values(x).max(axis=0)
-
-    def m_positive(self, j, x):
-        """m_j(x) on the positive side, outermost-first numbering."""
-        pj = self.structure.positive_minima()[j - 1]
-        return self.field.evaluate(pj, np.asarray(x, dtype=np.float64))
-
-    def M_positive(self, j, x):
-        qj = self.structure.positive_maxima()[j - 1]
-        return self.field.evaluate(qj, np.asarray(x, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -442,24 +425,6 @@ def _capped_interval(field, structure, j, side, mu):
     return lo, hi
 
 
-def branch_inverse(field, structure, j, x, mu, side="+"):
-    """p with H(p, x) = mu on monotone branch j; |H(p,x) - mu| <= 1e-10."""
-    lo, hi = _capped_interval(field, structure, j, side, mu)
-    v_lo, v_hi = field.evaluate(lo, x), field.evaluate(hi, x)
-    v_min, v_max = min(v_lo, v_hi), max(v_lo, v_hi)
-    if not (v_min - TOL_INV <= mu <= v_max + TOL_INV):
-        raise OutOfBranchRange(
-            f"mu={mu:.6g} outside branch {side}{j} range "
-            f"[{v_min:.6g}, {v_max:.6g}] at x={x:.6g}")
-    if abs(v_lo - mu) <= TOL_INV:
-        return float(lo)
-    if abs(v_hi - mu) <= TOL_INV:
-        return float(hi)
-    root = brentq(lambda p: field.evaluate(p, x) - mu, lo, hi,
-                  xtol=1e-14, rtol=8.9e-16)
-    return float(root)
-
-
 def _capped_range(field, structure, j, xs, mu, side):
     """The capped p-interval of branch j and the mask of the x at which
     level mu lies between its end values (within TOL_INV)."""
@@ -483,6 +448,15 @@ def branch_inverse_grid(field, structure, j, xs, mu, side="+"):
     lo, hi = bisect(lambda p: (field.evaluate(p, xs) < mu) == increasing,
                     np.full(xs.shape, lo), np.full(xs.shape, hi), 70)
     return np.where(feasible, 0.5 * (lo + hi), np.nan), feasible
+
+
+def branch_inverse(field, structure, j, x, mu, side="+"):
+    """p with H(p, x) = mu on monotone branch j; |H(p,x) - mu| <= 1e-10."""
+    p, feasible = branch_inverse_grid(field, structure, j, [x], mu, side)
+    if not feasible[0]:
+        raise OutOfBranchRange(
+            f"mu={mu:.6g} outside branch {side}{j} range at x={x:.6g}")
+    return float(p[0])
 
 
 # ---------------------------------------------------------------------------

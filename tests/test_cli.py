@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +101,19 @@ def test_malformed_config_exit_2(tmp_path):
     {"solver": {"dx": 0}},
     {"solver": {"dx": -0.016}},
     {"solver": {"dx": float("inf")}},
+    {"solver": {"dx": 1 / 64, "estimator": "centre"}},
+    {"task": "converge", "ivp": {"X_core": -1}},
+    {"task": "converge", "ivp": {"X_core": float("inf")}},
+    {"env": dict(BASE_ENV, period=0)},
+    {"env": dict(BASE_ENV, kind="lattice")},
+    {"env": dict(BASE_ENV, profile="abs_plus_cos")},
+    {"env": dict(BASE_ENV, schema="env/0")},
+    {"env": {"schema": "env/1", "kind": "checkerboard",
+             "profile": "no_such_template", "cell_length": 1.0,
+             "value_range": [-1.0, 0.0]}},
+    {"env": {"schema": "env/1", "kind": "checkerboard",
+             "profile": "abs_plus_v", "cell_length": 0.0,
+             "value_range": [-1.0, 0.0]}},
 ])
 def test_out_of_range_config_exit_2(tmp_path, over):
     out = tmp_path / "out"
@@ -169,3 +185,13 @@ def test_glue_task(tmp_path):
     assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 0
     tree = json.loads((out / "tree.json").read_text())
     assert tree["kind"] in ("steep_left", "steep_right", "split", "leaf")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the package needs no root finder from scipy, and importing
+    # scipy.optimize adds start-up time and memory to every run
+    code = ("import sys, hjhomog.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hjhomog import env, structure as st
 from hjhomog.errors import NotConstrained, OutOfBranchRange, ProfileError
@@ -189,6 +190,38 @@ def test_branch_inverse_grid_matches_scalar(quartic_2):
     assert not feas2.all() and np.isnan(grid2[~feas2]).all()
     ok = feas2.nonzero()[0]
     assert abs(quartic_2.evaluate(grid2[ok[0]], xs[ok[0]]) - 1.5) < 1e-9
+
+
+def _branch_inverse_brentq(field, structure, j, x, mu, side="+"):
+    """Scalar branch inversion by Brent's method: an independent root
+    finder for the bisection that branch_inverse shares with the grid."""
+    lo, hi = st._capped_interval(field, structure, j, side, mu)
+    v_lo, v_hi = field.evaluate(lo, x), field.evaluate(hi, x)
+    if not (min(v_lo, v_hi) - st.TOL_INV <= mu <= max(v_lo, v_hi) + st.TOL_INV):
+        raise OutOfBranchRange(f"mu={mu} outside branch {side}{j}")
+    if abs(v_lo - mu) <= st.TOL_INV:
+        return float(lo)
+    if abs(v_hi - mu) <= st.TOL_INV:
+        return float(hi)
+    return float(brentq(lambda p: field.evaluate(p, x) - mu, lo, hi,
+                        xtol=1e-14, rtol=8.9e-16))
+
+
+@pytest.mark.parametrize("mu", [-1.5, 0.0, 0.7, 2.5])
+def test_branch_inverse_matches_brentq_reference(quartic_2, mu):
+    s, _ = st.detect_branches(quartic_2)
+    for side, n in (("+", 2 * s.index[1] + 1), ("-", 2 * s.index[0] + 1)):
+        for j in range(1, n + 1):
+            for x in np.linspace(0.0, 1.0, 9):
+                try:
+                    want = _branch_inverse_brentq(quartic_2, s, j, x, mu, side)
+                except OutOfBranchRange:
+                    with pytest.raises(OutOfBranchRange):
+                        st.branch_inverse(quartic_2, s, j, x, mu, side)
+                    continue
+                got = st.branch_inverse(quartic_2, s, j, x, mu, side)
+                assert abs(quartic_2.evaluate(got, x) - mu) <= st.TOL_INV
+                assert got == pytest.approx(want, abs=1e-9)
 
 
 def _branch_inverse_grid_reference(field, structure, j, xs, mu, side="+"):
