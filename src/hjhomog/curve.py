@@ -42,21 +42,20 @@ class EffectiveCurve:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, p, extrapolate="linear"):
+    def evaluate(self, p):
+        """Linear interpolation; outside the support the end segments are
+        extended linearly, with an ExtrapolationUsed warning."""
         p = np.asarray(p, dtype=np.float64)
         out = np.interp(p, self.p, self.values)
         below, above = p < self.p[0], p > self.p[-1]
         if np.any(below) or np.any(above):
-            if extrapolate == "raise":
-                raise ValueError("point outside curve support")
-            if extrapolate == "linear":
-                warnings.warn("evaluating effective curve outside its support",
-                              ExtrapolationUsed)
-                if len(self.p) >= 2:
-                    sl = (self.values[1] - self.values[0]) / (self.p[1] - self.p[0])
-                    sr = (self.values[-1] - self.values[-2]) / (self.p[-1] - self.p[-2])
-                    out = np.where(below, self.values[0] + sl * (p - self.p[0]), out)
-                    out = np.where(above, self.values[-1] + sr * (p - self.p[-1]), out)
+            warnings.warn("evaluating effective curve outside its support",
+                          ExtrapolationUsed)
+            if len(self.p) >= 2:
+                sl = (self.values[1] - self.values[0]) / (self.p[1] - self.p[0])
+                sr = (self.values[-1] - self.values[-2]) / (self.p[-1] - self.p[-2])
+                out = np.where(below, self.values[0] + sl * (p - self.p[0]), out)
+                out = np.where(above, self.values[-1] + sr * (p - self.p[-1]), out)
         return out if out.ndim else float(out)
 
     __call__ = evaluate
@@ -121,12 +120,10 @@ class EffectiveCurve:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def is_level_set_convex(self, levels=None, tol=1e-9):
-        """Check that each sampled sublevel set {p : Hbar(p) <= c} is a
-        single interval of grid points."""
-        if levels is None:
-            levels = np.unique(self.values)
-        for c in np.atleast_1d(levels):
+    def is_level_set_convex(self, tol=1e-9):
+        """Check that each sampled sublevel set {p : Hbar(p) <= c}, c a
+        sampled value, is a single interval of grid points."""
+        for c in np.unique(self.values):
             mask = self.values <= c + tol
             if not mask.any():
                 continue

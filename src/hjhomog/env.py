@@ -298,11 +298,10 @@ def make_checkerboard(value_range, cell_length, profile_template, params=None):
     return spec
 
 
-def make_separable(base, value_range, cell_length, params=None):
+def make_separable(base, value_range, cell_length):
     """H(p, x) = base(p) + V(x) with V an i.i.d. checkerboard process."""
-    prm = dict(params or {})
-    prm["base"] = base
-    return make_checkerboard(value_range, cell_length, "base_plus_v", prm)
+    return make_checkerboard(value_range, cell_length, "base_plus_v",
+                             {"base": base})
 
 
 def make_composite(base, amplitude, inner_period, value_range, cell_length):
@@ -368,10 +367,10 @@ class HamiltonianField:
             return np.arange(n) * (self.period / n)
         return np.arange(n) * (48 * self.cell / n)
 
-    def lipschitz_on(self, r, n_p=601):
+    def lipschitz_on(self, r):
         key = ("lip", round(float(r), 12))
         if key not in self._cache:
-            ps = np.linspace(-r, r, n_p)
+            ps = np.linspace(-r, r, 601)
             xs = self.probe_xs(256)
             h = 1e-6 * (1.0 + r)
             d = self.evaluate(ps[:, None] + h, xs[None, :]) - \
@@ -458,9 +457,9 @@ class HamiltonianField:
         rho.L = L
         return rho
 
-    def sup_abs_on(self, p, n=512):
+    def sup_abs_on(self, p):
         """Probed sup over x of |H(p, x)| for a fixed tilt p."""
-        xs = self.probe_xs(n)
+        xs = self.probe_xs(512)
         return float(np.max(np.abs(self.evaluate(p, xs))))
 
 

@@ -158,8 +158,8 @@ def _mirror_structure(structure):
 # the three constructions
 # ---------------------------------------------------------------------------
 
-def _require_normalized(field, structure, tol=1e-6):
-    if abs(structure.central) > tol:
+def _require_normalized(field, structure):
+    if abs(structure.central) > 1e-6:
         raise NotApplicable("field is not normalized: central minimum not at 0")
 
 
@@ -295,8 +295,9 @@ class ReductionNode:
     p_shift: float = 0.0          # child coords -> parent coords bookkeeping
     mu_shift: float = 0.0
     leaf_kind: str | None = None  # xfree | quasi_convex | large_osc | direct
-    children: list = dc_field(default_factory=list)
-    params: dict = dc_field(default_factory=dict)
+    # filled in by the reduction that turns the leaf into a rewrite
+    children: list = dc_field(default_factory=list, init=False)
+    params: dict = dc_field(default_factory=dict, init=False)
 
     def depth(self):
         if not self.children:
@@ -321,17 +322,17 @@ class ReductionNode:
         return d
 
 
-def _is_xfree(field, tol=1e-10):
+def _is_xfree(field):
     xs = field.probe_xs(64)
     for p in (-1.3, 0.0, 0.7, 2.1):
         vals = field.evaluate(p, xs)
-        if np.ptp(vals) > tol * (1.0 + np.max(np.abs(vals))):
+        if np.ptp(vals) > 1e-10 * (1.0 + np.max(np.abs(vals))):
             return False
     return True
 
 
-def build_reduction_tree(field, structure=None, central=None, tilt_n=64,
-                         max_depth=8, _depth=0):
+def build_reduction_tree(field, structure=None, tilt_n=64, max_depth=8,
+                         _depth=0):
     """Recursively reduce a constrained field to evaluable leaves.
 
     Stops at x-free, quasi-convex and large-oscillation leaves.  A
@@ -340,8 +341,7 @@ def build_reduction_tree(field, structure=None, central=None, tilt_n=64,
     """
     if structure is None:
         structure, _ = detect_branches(field)
-    field_n, structure_n, p_shift, mu_shift = normalize(
-        field, structure, central=central)
+    field_n, structure_n, p_shift, mu_shift = normalize(field, structure)
     node = ReductionNode(kind="leaf", field=field_n, structure=structure_n,
                          p_shift=p_shift, mu_shift=mu_shift)
     if _depth >= max_depth:
@@ -438,10 +438,9 @@ class LeafOptions:
     R: float = 2.0
     mu_points: int = 15
     window_cells: int = 100
-    ergodic_windows: tuple = (100, 200, 400)
 
 
-def default_leaf_evaluator(leaf, p_grid, opts):
+def evaluate_leaf(leaf, p_grid, opts):
     field, structure = leaf.field, leaf.structure
     kind = leaf.leaf_kind
     if kind == "xfree":
@@ -469,40 +468,39 @@ def default_leaf_evaluator(leaf, p_grid, opts):
                           source=["solver"] * len(p_grid))
 
 
-def evaluate_tree(node, p_grid, opts=None, leaf_evaluator=None):
-    """Combine leaf curves bottom-up through the recorded rules.
+def evaluate_tree(node, p_grid, opts=None):
+    """Combine leaf curves, each from ``evaluate_leaf``, bottom-up
+    through the recorded rules.
 
     The returned curve lives in the coordinates of ``node``'s parent
     frame, i.e. the original field's coordinates at the root.
     """
     opts = opts or LeafOptions()
-    leaf_eval = leaf_evaluator or default_leaf_evaluator
     p_grid = np.asarray(p_grid, dtype=np.float64)
-    inner = _evaluate_inner(node, p_grid - node.p_shift, opts, leaf_eval)
+    inner = _evaluate_inner(node, p_grid - node.p_shift, opts)
     return inner.transformed(node.p_shift, node.mu_shift)
 
 
-def _evaluate_inner(node, p_grid, opts, leaf_eval):
+def _evaluate_inner(node, p_grid, opts):
     if node.kind == "leaf":
-        return leaf_eval(node, p_grid, opts)
+        return evaluate_leaf(node, p_grid, opts)
     if node.kind == "mirror":
         child = node.children[0]
-        sub = _evaluate_inner(child, -p_grid[::-1] - child.p_shift, opts,
-                              leaf_eval).transformed(child.p_shift,
-                                                     child.mu_shift)
+        sub = _evaluate_inner(child, -p_grid[::-1] - child.p_shift, opts) \
+            .transformed(child.p_shift, child.mu_shift)
         vals = sub.evaluate(-p_grid)
         buds = sub.budget_at(-p_grid)
         return EffectiveCurve(p_grid, vals, buds)
     if node.kind == "tilt":
         child = node.children[0]
-        sub = _evaluate_inner(child, p_grid - child.p_shift, opts, leaf_eval) \
+        sub = _evaluate_inner(child, p_grid - child.p_shift, opts) \
             .transformed(child.p_shift, child.mu_shift)
         n = node.params["n"]
         return EffectiveCurve(p_grid, sub.evaluate(p_grid),
                               sub.budget_at(p_grid) + 1.0 / n)
     curves = []
     for child in node.children:
-        sub = _evaluate_inner(child, p_grid - child.p_shift, opts, leaf_eval) \
+        sub = _evaluate_inner(child, p_grid - child.p_shift, opts) \
             .transformed(child.p_shift, child.mu_shift)
         curves.append(sub)
     if node.kind == "split":
@@ -519,16 +517,15 @@ def _evaluate_inner(node, p_grid, opts, leaf_eval):
 # quasi-convex oracle and squeeze check
 # ---------------------------------------------------------------------------
 
-def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0, n_mu=33,
-                  window_cells=400, samples_per_cell=16):
+def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
     """Ground-truth effective Hamiltonian for quasi-convex fields by
     inverse-branch averaging.
 
-    For levels mu above the flat level (the window esssup of the pointwise
-    minimum of H), the two branch inverses are window-averaged:
-    Hbar(p -+ (mu)) = mu.  The flat piece spans the averaged inverses at
-    the flat level.  Multi-seed sources report the cross-seed spread as
-    the confidence interval.
+    For 33 levels mu above the flat level (the window esssup of the
+    pointwise minimum of H), the two branch inverses are averaged over a
+    400-cell window at 16 samples per cell: Hbar(p -+ (mu)) = mu.  The
+    flat piece spans the averaged inverses at the flat level.  Multi-seed
+    sources report the cross-seed spread as the confidence interval.
     """
     from .env import EnvironmentSpec, sample as env_sample
     if isinstance(source, EnvironmentSpec):
@@ -537,8 +534,7 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0, n_mu=33,
         fields = [source]
     per_seed = []
     for f in fields:
-        xs = np.linspace(0.0, window_cells * f.cell,
-                         window_cells * samples_per_cell, endpoint=False)
+        xs = np.linspace(0.0, 400 * f.cell, 6400, endpoint=False)
         pg = np.linspace(p_lo, p_hi, 513)
         h = f.at(xs)
         vals = h(pg[:, None])
@@ -557,7 +553,7 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0, n_mu=33,
         mu_hi = float(min(np.min(vals[0, :]), np.min(vals[-1, :])))
         if mu_hi <= mu0:
             raise NotApplicable("p-range too narrow for the requested levels")
-        mus = mu0 + (mu_hi - mu0) * np.linspace(1e-6, 1.0, n_mu) ** 1.5
+        mus = mu0 + (mu_hi - mu0) * np.linspace(1e-6, 1.0, 33) ** 1.5
         lo = np.full(len(xs), p_lo)
         hi = np.full(len(xs), p_hi)
         p_plus, p_minus = [], []
@@ -581,11 +577,11 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0, n_mu=33,
                           flat=(float(pm[0]), float(pp[0]), mu0))
 
 
-def squeeze_check(curve, q, tol_flat=0.05, tol_zero=0.02, n_grid=11):
+def squeeze_check(curve, q):
     """Flat-piece check: Hbar(q) = 0 with Hbar > 0 beyond q forces
-    Hbar = 0 on [0, q] (mirrored for q < 0); skipped when the hypothesis
-    fails numerically."""
-    if abs(curve.evaluate(q)) > tol_zero:
+    Hbar = 0 on [0, q] (mirrored for q < 0), to 0.05 on 11 points; skipped
+    when the hypothesis fails numerically (|Hbar(q)| above 0.02)."""
+    if abs(curve.evaluate(q)) > 0.02:
         return _cs.CheckOutcome("skipped", {"reason": "Hbar(q) != 0",
                                             "value": curve.evaluate(q)})
     if q > 0:
@@ -597,10 +593,10 @@ def squeeze_check(curve, q, tol_flat=0.05, tol_zero=0.02, n_grid=11):
     if np.any(curve.evaluate(beyond) <= 1e-6):
         return _cs.CheckOutcome("skipped",
                                 {"reason": "Hbar not positive beyond q"})
-    inner = np.linspace(0.0, q, n_grid)
+    inner = np.linspace(0.0, q, 11)
     vals = np.abs(curve.evaluate(inner))
     worst = int(np.argmax(vals))
-    ok = vals[worst] <= tol_flat
+    ok = vals[worst] <= 0.05
     return _cs.CheckOutcome("passed" if ok else "failed",
                             {"worst_p": float(inner[worst]),
                              "worst_value": float(vals[worst])})

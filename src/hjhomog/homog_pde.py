@@ -30,8 +30,8 @@ class IVPSetup:
     X_core: float
     theta: float                 # dissipation and speed bound
     dx: float | None = None      # oscillatory runs refine to eps/32 anyway
-    cfl: float = 0.45
     pad_factor: float = 1.1
+    cfl = 0.45                   # CFL number (a constant, not a field)
 
     def domain_half_width(self):
         return self.X_core + self.pad_factor * self.theta * self.T + 0.5
@@ -139,9 +139,11 @@ def convergence_experiment(source, curve, setup, eps_list=(0.4, 0.2, 0.1),
     return ConvergenceResult(rows=rows, monotone=monotone, ubar=(xs_bar, ubar))
 
 
-def default_theta(field, grad_bound=1.1):
-    """Speed/dissipation bound for wedge data: the p-Lipschitz constant of
-    H over the reachable gradient range, with coercivity margin."""
+def default_theta(field):
+    """Speed/dissipation bound for wedge data (slopes within 1.1): the
+    p-Lipschitz constant of H over the reachable gradient range, with
+    coercivity margin."""
+    grad_bound = 1.1
     m0 = max(field.sup_abs_on(0.0), field.sup_abs_on(grad_bound),
              field.sup_abs_on(-grad_bound))
     r = field.coercivity_radius(m0 + 0.5)

@@ -81,14 +81,14 @@ def _scan_roots(gfun, g, xs, mu, tol_touch):
     return roots
 
 
-def admissible_decomposition(field, structure, mu, window, dx_root=None,
-                             sep_min=None, tol_touch=None):
+def admissible_decomposition(field, structure, mu, window):
     """Junctions and per-interval feasible branch sets at level mu.
 
     Outside the intermediate band the decomposition is trivial: a single
     interval riding branch 1 (mu above the esssup of the max process) or
     branch 2L+1 (mu below the essinf of the min process when that is
-    nonnegative).
+    nonnegative).  The processes are scanned at 64 points per cell;
+    junctions closer than 1e-4 times the window raise ClusterSuspected.
     """
     if structure.index[0] != 0:
         raise NotApplicable("admissible machinery assumes index (0, L)")
@@ -98,11 +98,9 @@ def admissible_decomposition(field, structure, mu, window, dx_root=None,
         return AdmissibleDecomposition(mu, window, np.empty(0),
                                        [(x_lo, x_hi)], [{1}],
                                        trivial_branch=1)
-    if dx_root is None:
-        dx_root = field.cell / 64.0
+    dx_root = field.cell / 64.0
     W = x_hi - x_lo
-    if sep_min is None:
-        sep_min = 1e-4 * W
+    sep_min = 1e-4 * W
     xs = np.arange(x_lo, x_hi + dx_root * 0.5, dx_root)
     pos_min = structure.positive_minima()
     pos_max = structure.positive_maxima()
@@ -118,9 +116,8 @@ def admissible_decomposition(field, structure, mu, window, dx_root=None,
         return AdmissibleDecomposition(mu, window, np.empty(0),
                                        [(x_lo, x_hi)], [{nb}],
                                        trivial_branch=nb)
-    if tol_touch is None:
-        span = float(max(M_vals.max() - m_vals.min(), 1.0))
-        tol_touch = 1e-6 * span + _max_step(m_vals, M_vals)
+    span = float(max(M_vals.max() - m_vals.min(), 1.0))
+    tol_touch = 1e-6 * span + _max_step(m_vals, M_vals)
     roots = []
     for k, p_ext in enumerate(np.concatenate([pos_min, pos_max])):
         g = m_vals[k] if k < len(pos_min) else M_vals[k - len(pos_min)]
@@ -162,13 +159,13 @@ def _max_step(m_vals, M_vals):
 # junction calculus
 # ---------------------------------------------------------------------------
 
-def junction_compatible(field, structure, mu, a, k_left, k_right, tol=None,
-                        n_gap=33):
+def junction_compatible(field, structure, mu, a, k_left, k_right):
     """Viscosity corner rule at x = a for the jump from branch k_left to
-    k_right: upward jumps need H >= mu - tol on the gap, downward jumps
-    H <= mu + tol, equal values are free."""
+    k_right on 33 gap points: upward jumps need H >= mu - tol on the gap,
+    downward jumps H <= mu + tol (tol as in ``_pair_legality``), equal
+    values are free."""
     legal = _pair_legality(field, structure, mu, np.array([float(a)]),
-                           [k_left, k_right], tol=tol, n_gap=n_gap)
+                           [k_left, k_right], n_gap=33)
     return bool(legal[(k_left, k_right)][0])
 
 
@@ -256,11 +253,12 @@ def _legal_matrix(field, structure, mu, decomp):
 
 
 def extremal_admissible(field, structure, mu, window, sense="sup",
-                        decomposition=None, n_dominance=200, rng=None):
+                        decomposition=None, n_dominance=200):
     """The extremal admissible selection at level mu by DP over the
     junction chain, maximizing (sense="sup") or minimizing ("inf") the
     integral; the result is asserted pointwise-dominant against random
-    feasible alternatives, surfacing NotPointwiseExtremal on violation."""
+    feasible alternatives (drawn from a seed-0 generator), surfacing
+    NotPointwiseExtremal on violation."""
     decomp = decomposition or admissible_decomposition(field, structure, mu,
                                                        window)
     x_mid, widths, core = _window_grid(field, window, decomp.junctions)
@@ -312,13 +310,12 @@ def extremal_admissible(field, structure, mu, window, sense="sup",
     out = AdmissibleFunction(mu=mu, decomposition=decomp, branches=branches,
                             x_mid=x_mid, widths=widths, slopes=slopes,
                             core=core, interval_of=iv, structure=structure)
-    _assert_pointwise_extremal(out, psi, legal, decomp, sense,
-                               n_dominance, rng)
+    _assert_pointwise_extremal(out, psi, legal, decomp, sense, n_dominance)
     return out
 
 
-def _assert_pointwise_extremal(fn, psi, legal, decomp, sense, n_alt, rng):
-    rng = rng or np.random.default_rng(0)
+def _assert_pointwise_extremal(fn, psi, legal, decomp, sense, n_alt):
+    rng = np.random.default_rng(0)
     n_int = len(decomp.intervals)
     sign = 1.0 if sense == "sup" else -1.0
     tol = 1e-9 * (1.0 + np.nanmax(np.abs(psi)))
@@ -352,13 +349,13 @@ def _assert_pointwise_extremal(fn, psi, legal, decomp, sense, n_alt, rng):
 # viscosity residual
 # ---------------------------------------------------------------------------
 
-def viscosity_residual(field, fn, mu=None, n_gap=33):
-    """Interior residual max |H(f(x), x) - mu| plus quantified corner
-    violations at the junctions."""
+def viscosity_residual(field, fn):
+    """Interior residual max |H(f(x), x) - mu| at the level mu of ``fn``
+    plus quantified corner violations at the junctions (33 gap points)."""
     cell_branch = np.asarray(fn.branches, dtype=np.int64)[fn.interval_of]
     return generic_viscosity_residual(
-        field, fn.x_mid, fn.slopes, fn.mu if mu is None else mu, fn.widths,
-        n_gap=n_gap, structure=fn.structure, cell_branch=cell_branch)
+        field, fn.x_mid, fn.slopes, fn.mu, fn.widths, n_gap=33,
+        structure=fn.structure, cell_branch=cell_branch)
 
 
 # ---------------------------------------------------------------------------
@@ -444,18 +441,18 @@ def generic_viscosity_residual(field, x_mid, slopes, mu, widths=None,
     return interior + float(np.max(violation, initial=0.0))
 
 
-def _pair_legality(field, structure, mu, nodes, branches, tol=None,
-                   n_gap=17, rule="solution"):
+def _pair_legality(field, structure, mu, nodes, branches, n_gap=17,
+                   rule="solution"):
     """legal[(j, j2)][k]: the (j -> j2) jump at nodes[k] obeys the corner
-    rule; vectorized over the nodes.
+    rule up to tol = 1e-6 (1 + |mu|) + 10 TOL_INV; vectorized over the
+    nodes.
 
     rule "solution": upward jumps need H >= mu on the gap, downward jumps
     H <= mu.  rule "sub": viscosity subsolutions admit any upward jump
     (no test function touches a convex kink from above), downward jumps
     still need H <= mu.
     """
-    if tol is None:
-        tol = 1e-6 * (1.0 + abs(mu)) + 10.0 * TOL_INV
+    tol = 1e-6 * (1.0 + abs(mu)) + 10.0 * TOL_INV
     inv = {j: branch_inverse_grid(field, structure, j, nodes, mu)
            for j in branches}
     legal = {}
@@ -639,7 +636,7 @@ def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
 # ---------------------------------------------------------------------------
 
 def level_sets(fields, structure, mu_grid, window_cells=100,
-               n_dominance=60, isotonic_tol=None):
+               n_dominance=60):
     """I_mu = [mean(f_inf), mean(f_sup)] per level, with cross-seed CI and
     an isotonic cleanup inside the CI; overlaps beyond it raise
     LevelSetConflict."""
@@ -669,8 +666,7 @@ def level_sets(fields, structure, mu_grid, window_cells=100,
     out.sort(key=lambda r: r["mu"])
     # enforce ordering within the confidence intervals
     for prev, cur in zip(out, out[1:]):
-        tol = isotonic_tol if isotonic_tol is not None \
-            else prev["ci"] + cur["ci"] + 1e-9
+        tol = prev["ci"] + cur["ci"] + 1e-9
         if cur["p_lo"] < prev["p_hi"] - tol:
             raise LevelSetConflict(
                 f"I_mu at mu={cur['mu']:.6g} overlaps mu={prev['mu']:.6g} "
@@ -682,11 +678,11 @@ def level_sets(fields, structure, mu_grid, window_cells=100,
     return out
 
 
-def level_piece_function(field, structure, mu, p, window_cells=100,
-                         tol_mean=1e-4, max_bisect=50):
-    """A stationary selection with prescribed core mean p inside I_mu,
-    built by bisecting the homotopy parameter across the intervals where
-    the two extremal selections differ."""
+def level_piece_function(field, structure, mu, p, window_cells=100):
+    """A stationary selection with core mean within 1e-4 of p inside I_mu,
+    built by at most 50 bisections of the homotopy parameter across the
+    intervals where the two extremal selections differ."""
+    tol_mean = 1e-4
     cell = field.cell
     window = (0.0, window_cells * cell)
     decomp = admissible_decomposition(field, structure, mu, window)
@@ -742,7 +738,7 @@ def level_piece_function(field, structure, mu, p, window_cells=100,
                              core=core, cell_branch=cb)
 
     lo_t, hi_t = 0.0, 1.0
-    for _ in range(max_bisect):
+    for _ in range(50):
         t = 0.5 * (lo_t + hi_t)
         cand = assemble(t)
         m = cand.mean()
@@ -779,14 +775,14 @@ def _unequal_runs(f_hi, f_lo, decomp):
 # extreme level and the assembled curve
 # ---------------------------------------------------------------------------
 
-def extreme_level(field, structure, window_cells=100, mu_neg=None,
-                  tol_norm=1e-6):
+def extreme_level(field, structure, window_cells=100, mu_neg=None):
     """Flat minimum piece [E z_l, E f_inf_0] and negative-side samples
-    p_mu = E[Psi(mu)] with Psi the decreasing-branch inverse."""
+    p_mu = E[Psi(mu)] with Psi the decreasing-branch inverse; the field
+    must be normalized to 1e-6 (esssup H(0, x) <= 1e-6 on the window)."""
     window = (0.0, window_cells * field.cell)
     x_mid, widths, core = _window_grid(field, window)
     h0 = field.evaluate(0.0, x_mid)
-    if np.max(h0) > tol_norm:
+    if np.max(h0) > 1e-6:
         raise NormalizationViolated(
             f"esssup H(0, x) = {np.max(h0):.3g} > 0 on probes")
     z_l, feas = branch_inverse_grid(field, structure, 1, x_mid, 0.0, side="-")
@@ -817,21 +813,19 @@ def default_mu_grid(M_bar, n=15):
 
 
 def assemble_effective_curve(field, structure, mu_points=15, window_cells=100,
-                             p_lo=-4.0, p_hi=4.0, seeds_fields=None,
-                             n_dominance=60):
+                             p_lo=-4.0, p_hi=4.0, n_dominance=60):
     """Merge negative-side samples, the flat minimum piece, the level sets
     and the high-level branch-1 tail into one sampled curve.
 
     Gap regions between level intervals interpolate monotonically and are
     tagged "interp"; the result is checked for level-set convexity.
     """
-    fields = seeds_fields or [field]
     window = (0.0, window_cells * field.cell)
     x_probe, _, _ = _window_grid(field, window)
     pos_max = structure.positive_maxima()
     M_bar = float(field.evaluate(pos_max[:, None], x_probe[None, :]).max())
     mu_grid = default_mu_grid(M_bar, mu_points)
-    levels = level_sets(fields, structure, mu_grid[mu_grid > 0],
+    levels = level_sets(field, structure, mu_grid[mu_grid > 0],
                         window_cells=window_cells, n_dominance=n_dominance)
 
     mu_hi_cap = float(np.min(field.evaluate(p_hi, x_probe)))

@@ -240,22 +240,21 @@ class DeclutteredField(DerivedField):
 
     For each slice p = i/n on [-n, n], local extrema of x -> H(i/n, x) over
     the probe window are collected; a slice is coincident when its range is
-    below tol_cluster or two distinct extrema agree within tol_cluster.
+    below tol_cluster (1e-8 times the range of all slices, at least 1e-8)
+    or two distinct extrema agree within tol_cluster.
     Coincident slices receive (1/n) * ref(x) / (max|ref| + 1), with ref the
     clean slice of smallest |i|; the bump interpolates linearly between
     slices and is constant outside [-n, n], so the sup distance to the base
     is below 1/n.
     """
 
-    def __init__(self, base, n, tol_cluster=None):
+    def __init__(self, base, n):
         super().__init__(base)
         self.n = int(n)
         xs = base.probe_xs(1024)
         idx = np.arange(-n * n, n * n + 1)
         slices = base.evaluate((idx / n)[:, None], xs[None, :])
-        rng_all = slices.max() - slices.min()
-        self.tol_cluster = (1e-8 * max(rng_all, 1.0)
-                            if tol_cluster is None else float(tol_cluster))
+        self.tol_cluster = 1e-8 * max(slices.max() - slices.min(), 1.0)
         marks = np.zeros(len(idx), dtype=bool)
         for r, s in enumerate(slices):
             marks[r] = self._coincident(s)
@@ -314,16 +313,16 @@ def build_constrained_approx(field, n):
     return approx, structure
 
 
-def declutter(field, n, tol_cluster=None):
-    return DeclutteredField(field, n, tol_cluster)
+def declutter(field, n):
+    return DeclutteredField(field, n)
 
 
 # ---------------------------------------------------------------------------
 # branch detection
 # ---------------------------------------------------------------------------
 
-def _breakpoints_one_probe(field, x, p_box, n_grid):
-    ps = np.linspace(-p_box, p_box, n_grid)
+def _breakpoints_one_probe(field, x, p_box):
+    ps = np.linspace(-p_box, p_box, 2001)
     step = ps[1] - ps[0]
     h = 0.25 * step
     g = field.evaluate(ps + h, x) - field.evaluate(ps - h, x)
@@ -346,39 +345,37 @@ def default_p_box(field):
     return max(3.0, field.coercivity_radius(m0 + 1.0) + 0.5)
 
 
-def _tie_break(minima, tol=None):
-    """Central-well tie-break: smallest |p| within tolerance, then smallest p."""
+def _tie_break(minima):
+    """Central-well tie-break: smallest |p| within 1e-6 (1 + max |p|), then
+    smallest p."""
     minima = np.asarray(minima, dtype=np.float64)
-    if tol is None:
-        tol = 1e-6 * (1.0 + np.max(np.abs(minima)))
+    tol = 1e-6 * (1.0 + np.max(np.abs(minima)))
     a_min = np.min(np.abs(minima))
     eligible = np.nonzero(np.abs(minima) <= a_min + tol)[0]
     return int(eligible[np.argmin(minima[eligible])])
 
 
-def detect_branches(field, p_box=None, n_probes=8, n_grid=2001,
-                    tol_bp=None, central=None):
+def detect_branches(field, p_box=None):
     """Locate x-independent breakpoints by sign changes of dH/dp.
 
-    Breakpoints are found per probe x on a fine p-grid, refined by
-    golden-section search, then required to agree across probes within tol_bp; larger
-    drift raises NotConstrained naming the offending probe pair.
+    Breakpoints are found at each of 8 probe x on a 2001-point p-grid,
+    refined by golden-section search, then required to agree across probes
+    within 2e-4 p_box; larger drift raises NotConstrained naming the
+    offending probe pair.  The central well is the ``_tie_break`` choice.
     Returns (ConstrainedStructure, ExtremaProcesses).
     """
     if p_box is None:
         p_box = default_p_box(field)
-    if tol_bp is None:
-        tol_bp = 1e-4 * 2 * p_box
     if field.period is not None:
-        xs = np.linspace(0.0, field.period, n_probes, endpoint=False) + \
+        xs = np.linspace(0.0, field.period, 8, endpoint=False) + \
             0.0371 * field.period
     else:
-        xs = np.linspace(0.0, 24 * field.cell, n_probes, endpoint=False) + \
+        xs = np.linspace(0.0, 24 * field.cell, 8, endpoint=False) + \
             0.37 * field.cell
 
     all_roots, all_kinds = [], []
     for x in xs:
-        r, k = _breakpoints_one_probe(field, float(x), p_box, n_grid)
+        r, k = _breakpoints_one_probe(field, float(x), p_box)
         all_roots.append(r)
         all_kinds.append(k)
     counts = {len(r) for r in all_roots}
@@ -387,7 +384,7 @@ def detect_branches(field, p_box=None, n_probes=8, n_grid=2001,
             f"breakpoint count varies across x probes: {sorted(counts)}")
     roots = np.stack(all_roots)
     drift = roots.max(axis=0) - roots.min(axis=0) if roots.shape[1] else np.zeros(0)
-    if roots.shape[1] and drift.max() > tol_bp:
+    if roots.shape[1] and drift.max() > 1e-4 * 2 * p_box:
         j = int(np.argmax(drift))
         i_lo, i_hi = int(np.argmin(roots[:, j])), int(np.argmax(roots[:, j]))
         raise NotConstrained(
@@ -401,13 +398,8 @@ def detect_branches(field, p_box=None, n_probes=8, n_grid=2001,
             kinds[i] == kinds[i + 1] for i in range(len(kinds) - 1)):
         raise NotConstrained("breakpoints do not alternate min/max")
 
-    minima = bps[0::2]
-    if central is not None:
-        c_idx = int(np.argmin(np.abs(minima - central)))
-    else:
-        c_idx = _tie_break(minima)
     structure = ConstrainedStructure(
-        breakpoints=bps, central_pos=2 * c_idx,
+        breakpoints=bps, central_pos=2 * _tie_break(bps[0::2]),
         lipschitz=field.lipschitz_on(p_box), p_box=float(p_box))
     return structure, ExtremaProcesses(field, structure)
 
@@ -481,9 +473,9 @@ class OscillationStats:
     per_seed: list = dc_field(default_factory=list)
 
 
-def classify_oscillation(fields, structure, window_cells=100,
-                         samples_per_cell=16):
-    """Small vs large oscillation from window extrema of m(x) and M(x).
+def classify_oscillation(fields, structure):
+    """Small vs large oscillation from extrema of m(x) and M(x) over a
+    100-cell window, 16 samples per cell.
 
     ``fields`` is one realization or a list (one per seed); statistics are
     averaged across them and the spread reported as dispersion.  The
@@ -498,8 +490,7 @@ def classify_oscillation(fields, structure, window_cells=100,
         raise NotApplicable("no positive-side wells to classify")
     rows = []
     for f in fields:
-        xs = np.linspace(0.0, window_cells * f.cell,
-                         window_cells * samples_per_cell, endpoint=False)
+        xs = np.linspace(0.0, 100 * f.cell, 1600, endpoint=False)
         proc = ExtremaProcesses(f, structure)
         m_vals = proc.m(xs)
         M_vals = proc.M(xs)
@@ -536,9 +527,9 @@ def classify_oscillation(fields, structure, window_cells=100,
 # normalization
 # ---------------------------------------------------------------------------
 
-def esssup_probe(field, p, window_cells=200, samples_per_cell=32):
-    xs = np.linspace(0.0, window_cells * field.cell,
-                     window_cells * samples_per_cell, endpoint=False)
+def esssup_probe(field, p):
+    """Probed esssup of H(p, x): 32 samples per cell over 200 cells."""
+    xs = np.linspace(0.0, 200 * field.cell, 6400, endpoint=False)
     return float(np.max(field.evaluate(p, xs)))
 
 

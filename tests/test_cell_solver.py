@@ -61,12 +61,6 @@ def test_bad_lambda_and_schedule(abs_sin):
         cs.estimate_hbar(abs_sin, 0.0, lam_schedule=(0.02, 0.01))
 
 
-def test_unknown_estimator_rejected(abs_sin):
-    # a typo must not fall back to the mean estimator
-    with pytest.raises(ValueError, match="centre"):
-        cs.estimate_hbar(abs_sin, 0.0, estimator="centre")
-
-
 def test_estimate_hbar_convex_oracle(abs_sin):
     for p, expect in [(2.0, 2.0), (0.5, 1.0), (-1.0, 1.0)]:
         est = cs.estimate_hbar(abs_sin, p, dx=1 / 128)

@@ -114,6 +114,27 @@ def test_malformed_config_exit_2(tmp_path):
     {"env": {"schema": "env/1", "kind": "checkerboard",
              "profile": "abs_plus_v", "cell_length": 0.0,
              "value_range": [-1.0, 0.0]}},
+    {"task": "converge", "ivp": {"T": "0.5"}},
+    {"solver": {"dx": 1 / 64, "R": 0}},
+    {"solver": {"dx": 1 / 64, "R": -1}},
+    {"solver": {"dx": 1 / 64, "R": "2"}},
+    {"solver": {"dx": 1 / 64, "R": float("inf")}},
+    {"solver": {"dx": "0.015625"}},
+    {"task": "converge", "ivp": {"datum_height": "x"}},
+    {"task": "validate", "tolerances": {"dual_route": "a"}},
+    {"task": "validate", "tolerances": {"dual_route": -0.1}},
+    {"task": "validate", "tolerances": {"level_set_convexity": float("nan")}},
+    {"solver": {"dx": 1 / 64, "periodize_cells": 0}},
+    {"solver": {"dx": 1 / 64, "periodize_cells": -5}},
+    {"solver": {"dx": 1 / 64, "periodize_cells": 2.5}},
+    {"solver": {"dx": 1 / 64, "periodize_cells": "all"}},
+    {"periodize_cells": 50},
+    {"solver": {"dx": 1 / 64, "periodise_cells": 50}},
+    {"task": "converge", "ivp": {"t": 0.5}},
+    {"task": "validate", "tolerances": {"dual": 0.1}},
+    {"seeds": {"master": 1, "cuont": 2}},
+    {"p_grid": {"start": -1.0, "stop": 1.0, "num": 5}},
+    {"task": "converge", "ivp": {"T": 10 ** 400}},
 ])
 def test_out_of_range_config_exit_2(tmp_path, over):
     out = tmp_path / "out"
@@ -195,3 +216,30 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_validate_without_independent_route_sweeps_once(monkeypatch,
+                                                        tmp_path):
+    # small oscillation: the oracle needs quasi-convexity and the
+    # large-oscillation route fails, so the solver is the only route left
+    envd = {"schema": "env/1", "kind": "periodic",
+            "profile": "quartic_plus_sin", "params": {"amplitude": 0.1},
+            "period": 1.0}
+    calls = []
+    estimate = cli.cs.estimate_hbar
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cli.cs, "estimate_hbar", counted)
+    cfg = _cfg(task="validate", env=envd, p_grid=[1.0, 1.5, 2.0])
+    assert cli.run(cfg, str(tmp_path)) == 0
+    assert calls == [1.0, 1.5, 2.0]
+    report = json.loads((tmp_path / "report.json").read_text())
+    dual = report["checks"]["dual_route"]
+    assert dual["skipped"] and dual["route"] == "solver"
+    assert "passed" not in dual
+    assert [f["route"] for f in report["failed_routes"]] == \
+        ["oracle", "largeosc"]
+    assert all(f["error"] for f in report["failed_routes"])

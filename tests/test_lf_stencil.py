@@ -1,7 +1,8 @@
-"""The shared LF stencil against verbatim copies of the two kernels it
+"""The shared LF stencils against verbatim copies of the kernels they
 replaced: the discounted solver's operator (wraparound by ``np.roll`` and
-zero-slope ghosts) and the PDE march.  Results must agree bit for bit,
-signed zeros included."""
+zero-slope ghosts), the PDE march and the red-black sweep (``np.roll`` on
+a torus, slices between ghosts).  Results must agree bit for bit, signed
+zeros included."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as hs
@@ -48,6 +49,37 @@ def _march_reference(frozen, g, T, X, dx, theta, cfl):
         diss = 0.5 * theta * (qp - qm)
         u = u - dt * (h(c) - diss)
     return xs, u
+
+
+def _red_black_reference(h, h_edges, p, lam, grid, w):
+    dx, th = grid.dx, grid.theta
+    w = w.copy()
+    denom = lam + th / dx
+    if grid.periodic:
+        parity = np.arange(len(w)) % 2
+        for par in (0, 1):
+            wm, wp = np.roll(w, 1), np.roll(w, -1)
+            new = (th * (wp + wm) / (2 * dx)
+                   - h(p + (wp - wm) / (2 * dx))) / denom
+            idx = parity == par
+            w[idx] = new[idx]
+        res, _ = cs._operator(h, p, lam, grid, w)
+        return w - float(np.mean(res)) / lam
+    parity = np.arange(1, len(w) - 1) % 2
+    slope = np.zeros(len(w))
+    for par in (0, 1):
+        wm, wp = w[:-2], w[2:]
+        slope[1:-1] = (wp - wm) / (2 * dx)
+        new = (th * (wp + wm) / (2 * dx) - h(p + slope)[1:-1]) / denom
+        idx = parity == par
+        w[1:-1][idx] = new[idx]
+    tau = 1.0 / denom
+    for _ in range(2):
+        q0, qn = (w[1] - w[0]) / dx, (w[-1] - w[-2]) / dx
+        h0, hn = h_edges(np.array([p + 0.5 * q0, p + 0.5 * qn]))
+        w[0] -= tau * (lam * w[0] + h0 - 0.5 * th * q0)
+        w[-1] -= tau * (lam * w[-1] + hn + 0.5 * th * qn)
+    return w
 
 
 def _same_bits(a, b):
@@ -102,3 +134,21 @@ def test_march_matches_reference(w, dx, X, T, eps):
     xs_ref, u_ref = _march_reference(frozen, g, T, X, dx, 1.7, 0.45)
     assert _same_bits(xs, xs_ref)
     assert _same_bits(u, u_ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=_w.filter(lambda w: len(w) >= 3), periodic=hs.booleans(), dx=_dx,
+       theta=hs.floats(0.5, 40.0), lam=hs.floats(0.001, 1.0),
+       p=hs.floats(-2.0, 2.0), name=hs.sampled_from(sorted(FIELDS)))
+def test_red_black_sweep_matches_reference(w, periodic, dx, theta, lam, p,
+                                           name):
+    n = len(w)
+    grid = cs.SolverGrid(X=n * dx / 2, dx=dx, theta=theta, dt=0.0,
+                         tol_res=1e-9, periodic=periodic, period=n * dx)
+    xs = np.arange(n) * dx
+    h, h_edges = FIELDS[name].at(xs), FIELDS[name].at(xs[[0, -1]])
+    # steep drawn edges can overflow the ghost-row updates, on both sides
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = cs._red_black_sweep(h, h_edges, p, lam, grid, w)
+        want = _red_black_reference(h, h_edges, p, lam, grid, w)
+    assert _same_bits(got, want)
