@@ -18,7 +18,8 @@ one the PDE march in ``homog_pde`` uses too.
 
 The steady state of that monotone scheme is the unique solution of the
 discrete system; we reach it by a damped semismooth Newton iteration on
-the same discrete equations (tridiagonal Jacobian, banded solve), with
+the same discrete equations (tridiagonal Jacobian, one LAPACK ?gtsv call
+per step; on a torus both Sherman-Morrison columns go into that call), with
 red-black exact nodal relaxation when Newton stalls on a kink
 configuration and explicit monotone steps as the final verification.
 Pure marching contracts only at rate lam * dt per step, which is far too
@@ -37,7 +38,7 @@ import warnings
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .env import EnvironmentSpec, HamiltonianField, sample
 from .errors import Diverged, NoisyLimit
@@ -90,6 +91,7 @@ class DiscountedSolution:
     grad_range: tuple
     grid: SolverGrid
     iterations: int
+    w_newton: np.ndarray   # the Newton iterate, before the verification steps
 
     @property
     def minus_lambda_v0(self):
@@ -137,21 +139,34 @@ def _operator(h, p, lam, grid, w):
     return lam * w + h(p + c) - diss, c
 
 
+_DGTSV, = get_lapack_funcs(("gtsv",), (np.zeros(1),))
+
+
+def _gtsv(dl, d, du, b):
+    """Solve the tridiagonal system with sub-, main and super-diagonals
+    dl, d, du for the right-hand side(s) b: one LAPACK ?gtsv call, the
+    one ``scipy.linalg.solve_banded((1, 1), ...)`` makes, with its
+    non-finite (ValueError) and singular (LinAlgError) checks."""
+    for a in (dl, d, du, b):
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = _DGTSV(dl, d, du, b)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
+
+
 def _solve_cyclic_tridiag(dl, dd, du, cl, cu, b):
-    # Sherman-Morrison on top of two banded solves
+    # Sherman-Morrison: both right-hand sides, b and u, in one solve
     n = len(dd)
     gamma = -dd[0]
     dd2 = dd.copy()
     dd2[0] -= gamma
     dd2[-1] -= cl * cu / gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = du[:-1]
-    ab[1, :] = dd2
-    ab[2, :-1] = dl[1:]
-    u = np.zeros(n)
-    u[0], u[-1] = gamma, cu
-    y = solve_banded((1, 1), ab, b)
-    z = solve_banded((1, 1), ab, u)
+    rhs = np.zeros((n, 2), order="F")
+    rhs[:, 0] = b
+    rhs[0, 1], rhs[-1, 1] = gamma, cu
+    y, z = _gtsv(dl[1:], dd2, du[:-1], rhs).T
     vy = y[0] + cl / gamma * y[-1]
     vz = z[0] + cl / gamma * z[-1]
     return y - z * (vy / (1.0 + vz))
@@ -168,16 +183,11 @@ def _newton_step(h, p, lam, grid, w, res, c):
         delta = _solve_cyclic_tridiag(dl, dd, du, dl[0], du[-1], res)
     else:
         # edge rows from the zero-slope ghosts: still M-rows
-        dd = dd.copy()
         dd[0] = lam + grid.theta / (2 * dx) - hp[0] / (2 * dx)
         du[0] = hp[0] / (2 * dx) - grid.theta / (2 * dx)
         dd[-1] = lam + grid.theta / (2 * dx) + hp[-1] / (2 * dx)
         dl[-1] = -hp[-1] / (2 * dx) - grid.theta / (2 * dx)
-        ab = np.zeros((3, len(w)))
-        ab[0, 1:] = du[:-1]
-        ab[1, :] = dd
-        ab[2, :-1] = dl[1:]
-        delta = solve_banded((1, 1), ab, res)
+        delta = _gtsv(dl[1:], dd, du[:-1], res)
     return w - delta
 
 
@@ -223,6 +233,15 @@ def _red_black_sweep(h, h_edges, p, lam, grid, w):
     return w
 
 
+def _coarse(grid, lam):
+    """The grid of the nested coarse level of a cold solve on ``grid``
+    (dx doubled), or None when ``grid`` has too few nodes to nest."""
+    if len(grid.nodes()) <= 128:
+        return None
+    return replace(grid, dx=grid.dx * 2,
+                   dt=0.9 / (grid.theta / (grid.dx * 2) + lam))
+
+
 def solve_discounted(field, p, lam, grid, w0=None, max_iters=200,
                      verify_steps=12, nested=True):
     """Steady state of the discounted LF scheme; Diverged on failure.
@@ -238,17 +257,11 @@ def solve_discounted(field, p, lam, grid, w0=None, max_iters=200,
         raise ValueError("lam must be positive")
     grid.check_cfl(lam)
     xs = grid.nodes()
-    if w0 is None and nested and len(xs) > 128:
-        coarse = replace(grid, dx=grid.dx * 2,
-                         dt=0.9 / (grid.theta / (grid.dx * 2) + lam))
+    coarse = _coarse(grid, lam) if w0 is None and nested else None
+    if coarse is not None:
         sol_c = solve_discounted(field, p, lam, coarse, max_iters=max_iters,
                                  verify_steps=0, nested=True)
-        if grid.periodic:
-            xs_c = np.concatenate([sol_c.x_full, [grid.period]])
-            w_c = np.concatenate([sol_c.w_full, [sol_c.w_full[0]]])
-        else:
-            xs_c, w_c = sol_c.x_full, sol_c.w_full
-        w0 = np.interp(xs, xs_c, w_c)
+        w0 = prolong(sol_c.x_full, sol_c.w_full, grid)
     h = field.at(xs)
     h_edges = None if grid.periodic else field.at(xs[[0, -1]])
     if w0 is None:
@@ -301,6 +314,7 @@ def solve_discounted(field, p, lam, grid, w0=None, max_iters=200,
     if rnorm > tol:
         raise Diverged(f"residual {rnorm:.3g} > tol {tol:.3g} "
                        f"after {iters} iterations", trace)
+    w_newton = w
     for _ in range(verify_steps):
         w = explicit_step(h, p, lam, grid, w)
     res, _ = _operator(h, p, lam, grid, w)
@@ -321,7 +335,17 @@ def solve_discounted(field, p, lam, grid, w0=None, max_iters=200,
         gmin, gmax = float(dgrad[inner].min()), float(dgrad[inner].max())
     return DiscountedSolution(
         x=xs[core], v=w[core], x_full=xs, w_full=w, p=float(p), lam=float(lam),
-        residual=rnorm, grad_range=(gmin, gmax), grid=grid, iterations=iters)
+        residual=rnorm, grad_range=(gmin, gmax), grid=grid, iterations=iters,
+        w_newton=w_newton)
+
+
+def prolong(xs_c, w_c, grid):
+    """Linear interpolation of the values w_c at the nodes xs_c onto the
+    nodes of ``grid``, wrapping around the period on a torus."""
+    if grid.periodic:
+        xs_c = np.concatenate([xs_c, [grid.period]])
+        w_c = np.concatenate([w_c, w_c[:1]])
+    return np.interp(grid.nodes(), xs_c, w_c)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +407,12 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
     cells (representative volume) before solving; "auto" sizes the torus
     to the window 2 R / lam_min.  Removes window-boundary error entirely;
     cross-seed spread then reflects pure finite-volume fluctuation.
+
+    The discretization term comes from a dx/2 solve of the first seed's
+    lam_min problem.  Its nested coarse level is that seed's lam_min grid,
+    so when that solve was cold it starts from the prolonged Newton
+    iterate (``w_newton``) instead of solving the coarse level again; the
+    result is the same to the bit.
     """
     lam_schedule = tuple(lam_schedule)
     if len(lam_schedule) < 3 or any(
@@ -406,6 +436,7 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
     center = first.deterministic
     per_seed = {}
     rows = []
+    cold_min = None  # the first seed's lam_min solution, when solved cold
     for seed, f in fields.items():
         vals = []
         w_prev, xs_prev = None, None
@@ -425,13 +456,16 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
             except Diverged:
                 if w0 is None:
                     raise
-                sol = solve_discounted(f, p, lam, grid, w0=None)
+                w0 = None
+                sol = solve_discounted(f, p, lam, grid, w0=w0)
             val = sol.minus_lambda_v0 if center else sol.minus_lambda_v_mean
             vals.append((lam, val))
             rows.append((p, lam, seed, sol.minus_lambda_v0, sol.residual,
                          sol.grad_range[0], sol.grad_range[1]))
             w_prev, xs_prev = sol.w_full, sol.x_full
         per_seed[seed] = vals
+        if f is first and w0 is None:
+            cold_min = sol
     lams = np.asarray(lam_schedule)
     intercepts, resids, slopes = {}, [], []
     for seed, vals in per_seed.items():
@@ -451,7 +485,12 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
     grid_f = default_grid_policy(f0, p, lam_min, R=R, dx=dx)
     grid_h = replace(grid_f, dx=grid_f.dx * 0.5,
                      dt=0.9 / (grid_f.theta / (grid_f.dx * 0.5) + lam_min))
-    sol_h = solve_discounted(f0, p, lam_min, grid_h)
+    w0 = None
+    if cold_min is not None and cold_min.grid == _coarse(grid_h, lam_min):
+        # the dx/2 solve's nested coarse level is that cold lam_min solve:
+        # start from its Newton iterate instead of solving it again
+        w0 = prolong(cold_min.x_full, cold_min.w_newton, grid_h)
+    sol_h = solve_discounted(f0, p, lam_min, grid_h, w0=w0)
     val_h = sol_h.minus_lambda_v0 if center else sol_h.minus_lambda_v_mean
     fine_tail = per_seed[next(iter(per_seed))][-1][1]
     discretization = 2.0 * abs(fine_tail - val_h)

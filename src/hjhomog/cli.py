@@ -68,12 +68,16 @@ def write_csv(path, header, rows):
 
 
 def _parse_grid(spec, default):
+    """The p grid as floats: a list of numbers or {start, stop, n}."""
     if spec is None:
-        return np.asarray(default, dtype=np.float64)
+        return [float(p) for p in default]
     if isinstance(spec, dict):
         _known_keys("p_grid", spec, ("start", "stop", "n"))
-        return np.linspace(spec["start"], spec["stop"], int(spec["n"]))
-    return np.asarray(spec, dtype=np.float64)
+        return [float(p) for p in np.linspace(
+            _number("p_grid.start", spec["start"], ""),
+            _number("p_grid.stop", spec["stop"], ""),
+            _integer("p_grid.n", spec["n"]))]
+    return [_number("p_grid", p, "") for p in spec]
 
 
 def _known_keys(name, section, keys):
@@ -95,11 +99,19 @@ def _number(name, value, bound):
     return float(value)
 
 
+def _integer(name, value):
+    """``value``; ConfigError unless it is a JSON integer."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def resolve_config(raw, seed_override=None):
     """Validate and fill defaults; every tolerance is echoed explicitly.
 
-    Numbers are stored converted; a key this function does not read, at
-    the top level or in a section, is a ConfigError."""
+    Numbers must be JSON numbers (counts and seeds JSON integers) and are
+    stored converted; a key this function does not read, at the top level
+    or in a section, is a ConfigError."""
     if raw.get("schema") == MANIFEST_SCHEMA:
         raw = raw["config"]
     if raw.get("schema") != CONFIG_SCHEMA:
@@ -114,13 +126,13 @@ def resolve_config(raw, seed_override=None):
     seeds_cfg = raw.get("seeds", [0])
     if isinstance(seeds_cfg, dict):
         _known_keys("seeds", seeds_cfg, ("master", "count"))
-        master = seeds_cfg.get("master", 0)
+        master = _integer("seeds.master", seeds_cfg.get("master", 0))
         if seed_override is not None:
             master = seed_override
-        count = int(seeds_cfg.get("count", 1))
+        count = _integer("seeds.count", seeds_cfg.get("count", 1))
         seeds = [split_seed(master, k) for k in range(count)]
     else:
-        seeds = [int(s) for s in seeds_cfg]
+        seeds = [_integer("seeds", s) for s in seeds_cfg]
         if seed_override is not None:
             seeds = [split_seed(seed_override, k) for k in range(len(seeds))]
     sections = {name: dict(keys, **_known_keys(name, raw.get(name, {}), keys))
@@ -129,14 +141,14 @@ def resolve_config(raw, seed_override=None):
         "schema": CONFIG_SCHEMA,
         "task": task,
         "env": env_spec.to_dict(),
-        "p_grid": [float(p) for p in _parse_grid(
-            raw.get("p_grid"), np.linspace(-2, 2, 9))],
-        "mu_points": int(raw.get("mu_points", 15)),
-        "lambda_schedule": [float(x) for x in raw.get(
-            "lambda_schedule", cs.LAMBDA_SCHEDULE)],
-        "epsilons": [float(e) for e in raw.get("epsilons", (0.4, 0.2, 0.1))],
+        "p_grid": _parse_grid(raw.get("p_grid"), np.linspace(-2, 2, 9)),
+        "mu_points": _integer("mu_points", raw.get("mu_points", 15)),
+        "lambda_schedule": [_number("lambda_schedule", x, "> 0") for x in
+                            raw.get("lambda_schedule", cs.LAMBDA_SCHEDULE)],
+        "epsilons": [_number("epsilons", e, "> 0")
+                     for e in raw.get("epsilons", (0.4, 0.2, 0.1))],
         "seeds": seeds,
-        "window_cells": int(raw.get("window_cells", 100)),
+        "window_cells": _integer("window_cells", raw.get("window_cells", 100)),
         **sections,
     }
     lams = resolved["lambda_schedule"]
@@ -148,13 +160,12 @@ def resolve_config(raw, seed_override=None):
                           "the two edge buffers of the level-set window")
     if resolved["mu_points"] < 1:
         raise ConfigError("mu_points must be at least 1")
-    eps = np.asarray(resolved["epsilons"])
-    if not (len(eps) and np.all(np.isfinite(eps) & (eps > 0))
-            and np.all(np.diff(eps) < 0)):
-        raise ConfigError("epsilons must be a non-empty, finite, positive "
-                          "and strictly decreasing list")
-    if not resolved["p_grid"] or not np.all(np.isfinite(resolved["p_grid"])):
-        raise ConfigError("p_grid must be non-empty and finite")
+    eps = resolved["epsilons"]
+    if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ConfigError("epsilons must be a non-empty and strictly "
+                          "decreasing list")
+    if not resolved["p_grid"]:
+        raise ConfigError("p_grid must be non-empty")
     if not seeds:
         raise ConfigError("seeds must name at least one seed")
     for name, bound in BOUNDS.items():

@@ -121,6 +121,29 @@ _BASES = {
 }
 
 
+# the params each named periodic profile and checkerboard template reads,
+# and the keys each env/1 kind uses: ``EnvironmentSpec.from_dict`` rejects
+# any other
+PROFILE_PARAMS = {
+    "periodic": {
+        "abs_plus_sin": ("amplitude",),
+        "quartic_plus_sin": ("amplitude",),
+        "base_plus_sin": ("amplitude", "base"),
+        "xfree": ("base",),
+        "pwl_wells_plus_dip": ("nodes", "values", "cone_slope", "amplitude"),
+    },
+    "checkerboard": {
+        "abs_plus_v": (),
+        "quartic_plus_v": (),
+        "base_plus_v": ("base",),
+        "base_plus_sin_plus_v": ("amplitude", "inner_period", "base"),
+    },
+}
+ENV_KEYS = {"periodic": ("schema", "kind", "profile", "params", "period"),
+            "checkerboard": ("schema", "kind", "profile", "params",
+                             "cell_length", "value_range")}
+
+
 def _build_periodic_profile(name, params, period):
     """(p_part, x_part) of a named periodic profile:
     H(p, x) = p_part(p) + x_part(x)."""
@@ -215,10 +238,18 @@ class EnvironmentSpec:
         p_part, x_part = _build_template(fn, self.params)
 
         def at_template(x, v):
+            # templates see p broadcast against x, as in the per-call
+            # evaluation: a 0-d p would take numpy's scalar power, which
+            # can round an ulp away from the array power
+            vector = np.ndim(v) > 0
+
+            def as_p(p):
+                p = np.asarray(p, dtype=np.float64)
+                return p.reshape(1) if vector and p.ndim == 0 else p
             if x_part is None:
-                return lambda p: p_part(np.asarray(p, dtype=np.float64)) + v
+                return lambda p: p_part(as_p(p)) + v
             xt = x_part(x)
-            return lambda p: p_part(np.asarray(p, dtype=np.float64)) + xt + v
+            return lambda p: p_part(as_p(p)) + xt + v
         return at_template
 
     def to_dict(self):
@@ -241,19 +272,34 @@ class EnvironmentSpec:
     @staticmethod
     def from_dict(d):
         """The spec of an env/1 dict, through the checks of
-        ``make_periodic`` or ``make_checkerboard``."""
+        ``make_periodic`` or ``make_checkerboard``.  A key the kind does
+        not use (``ENV_KEYS``) or a param the named profile does not read
+        (``PROFILE_PARAMS``) is a ProfileError."""
         if d.get("schema") != ENV_SCHEMA:
             raise ProfileError(f"unsupported environment schema {d.get('schema')!r}")
-        if d["kind"] == "periodic":
-            return make_periodic(d["profile"], d["period"], d.get("params"))
-        if d["kind"] == "checkerboard":
-            return make_checkerboard(d["value_range"], d["cell_length"],
+        kind = d.get("kind")
+        if kind not in ENV_KEYS:
+            raise ProfileError(f"unknown environment kind {kind!r}")
+        _only_keys(f"the {kind} env", d, ENV_KEYS[kind])
+        if kind == "periodic":
+            spec = make_periodic(d["profile"], d["period"], d.get("params"))
+        else:
+            spec = make_checkerboard(d["value_range"], d["cell_length"],
                                      d["profile"], d.get("params"))
-        raise ProfileError(f"unknown environment kind {d['kind']!r}")
+        _only_keys(f"the params of {spec.profile!r}", spec.params,
+                   PROFILE_PARAMS[kind][spec.profile])
+        return spec
 
     @staticmethod
     def from_json(text):
         return EnvironmentSpec.from_dict(json.loads(text))
+
+
+def _only_keys(name, d, keys):
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ProfileError(f"unknown key(s) {unknown} in {name}; "
+                           f"expected some of {sorted(keys)}")
 
 
 def _probe_profile(spec, period_or_cell):

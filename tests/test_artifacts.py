@@ -18,6 +18,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     ("converge_quartic_small", None, ("convergence.csv",)),
     ("effective_checkerboard", 0, ("curves.csv", "sweep.csv")),
     ("largeosc_quartic", None, ("curves.csv", "levelsets.csv")),
+    ("effective_checkerboard", 1, ("curves.csv", "sweep.csv")),
 ])
 def test_benchmark_artifacts_bit_identical(tmp_path, workload, master,
                                            artifacts):

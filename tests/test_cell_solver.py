@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
+from scipy.linalg import LinAlgError, solve_banded
 
 from hjhomog import env, cell_solver as cs
 from hjhomog.errors import Diverged
@@ -190,3 +194,140 @@ def test_diverged_raises(board_spec):
         cs.solve_discounted(f, 0.0, 0.02, grid, max_iters=0, nested=False,
                             verify_steps=0)
     assert len(exc.value.residual_trace) >= 0
+
+
+# ---------------------------------------------------------------------------
+# the tridiagonal kernel against verbatim copies of the solves it replaced
+# ---------------------------------------------------------------------------
+
+def _solve_cyclic_tridiag_reference(dl, dd, du, cl, cu, b):
+    # Sherman-Morrison on top of two banded solves
+    n = len(dd)
+    gamma = -dd[0]
+    dd2 = dd.copy()
+    dd2[0] -= gamma
+    dd2[-1] -= cl * cu / gamma
+    ab = np.zeros((3, n))
+    ab[0, 1:] = du[:-1]
+    ab[1, :] = dd2
+    ab[2, :-1] = dl[1:]
+    u = np.zeros(n)
+    u[0], u[-1] = gamma, cu
+    y = solve_banded((1, 1), ab, b)
+    z = solve_banded((1, 1), ab, u)
+    vy = y[0] + cl / gamma * y[-1]
+    vz = z[0] + cl / gamma * z[-1]
+    return y - z * (vy / (1.0 + vz))
+
+
+def _newton_step_reference(h, p, lam, grid, w, res, c):
+    dx, theta = grid.dx, grid.theta
+    eps = 1e-7 * (1.0 + np.max(np.abs(p + c)))
+    hp = (h(p + c + eps) - h(p + c - eps)) / (2.0 * eps)
+    dd = np.full(len(w), lam + theta / dx)
+    dl = -hp / (2.0 * dx) - theta / (2.0 * dx)
+    du = hp / (2.0 * dx) - theta / (2.0 * dx)
+    if grid.periodic:
+        delta = _solve_cyclic_tridiag_reference(dl, dd, du, dl[0], du[-1], res)
+    else:
+        # edge rows from the zero-slope ghosts: still M-rows
+        dd = dd.copy()
+        dd[0] = lam + grid.theta / (2 * dx) - hp[0] / (2 * dx)
+        du[0] = hp[0] / (2 * dx) - grid.theta / (2 * dx)
+        dd[-1] = lam + grid.theta / (2 * dx) + hp[-1] / (2 * dx)
+        dl[-1] = -hp[-1] / (2 * dx) - grid.theta / (2 * dx)
+        ab = np.zeros((3, len(w)))
+        ab[0, 1:] = du[:-1]
+        ab[1, :] = dd
+        ab[2, :-1] = dl[1:]
+        delta = solve_banded((1, 1), ab, res)
+    return w - delta
+
+
+def _outcome(step, *args):
+    """The bytes of the step's result, or the type of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return step(*args).tobytes()
+    except (ValueError, LinAlgError) as exc:
+        return type(exc)
+
+
+_NEWTON_FIELDS = {name: env.sample(env.make_periodic(name, 1.0,
+                                                     {"amplitude": 0.7}))
+                  for name in ("abs_plus_sin", "quartic_plus_sin")}
+_grid_values = hs.lists(hs.floats(-4.0, 4.0, allow_nan=False), min_size=3,
+                        max_size=60).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=_grid_values, periodic=hs.booleans(),
+       dx=hs.sampled_from([1 / 64, 1 / 100, 0.03]),
+       theta=hs.floats(0.5, 40.0), lam=hs.floats(0.001, 1.0),
+       p=hs.floats(-2.0, 2.0), name=hs.sampled_from(sorted(_NEWTON_FIELDS)))
+def test_newton_step_matches_reference(w, periodic, dx, theta, lam, p, name):
+    n = len(w)
+    grid = cs.SolverGrid(X=n * dx / 2, dx=dx, theta=theta, dt=0.0,
+                         tol_res=1e-9, periodic=periodic, period=n * dx)
+    h = _NEWTON_FIELDS[name].at(np.arange(n) * dx)
+    res, c = cs._operator(h, p, lam, grid, w)
+    assert _outcome(cs._newton_step, h, p, lam, grid, w, res, c) \
+        == _outcome(_newton_step_reference, h, p, lam, grid, w, res, c)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_newton_step_rejects_nonfinite(abs_sin, periodic):
+    n, dx = 32, 1 / 32
+    grid = cs.SolverGrid(X=0.5, dx=dx, theta=2.0, dt=0.0, tol_res=1e-9,
+                         periodic=periodic, period=1.0)
+    h = abs_sin.at(np.arange(n) * dx)
+    w = np.sin(np.arange(n) * dx)
+    res, c = cs._operator(h, 0.3, 0.02, grid, w)
+    res[5] = np.nan
+    with pytest.raises(ValueError):
+        cs._newton_step(h, 0.3, 0.02, grid, w, res, c)
+
+
+def test_gtsv_singular():
+    # rows 0 and 1 of [[1, 1, 0], [1, 1, 0], [0, 0, 1]] are equal
+    dl, d, du = np.array([1.0, 0.0]), np.ones(3), np.array([1.0, 0.0])
+    for b in (np.ones(3), np.ones((3, 2), order="F")):
+        with pytest.raises(LinAlgError):
+            cs._gtsv(dl, d, du, b)
+
+
+@pytest.mark.parametrize("case", ["torus", "window"])
+def test_prolonged_newton_iterate_is_the_nested_start(board_spec, abs_sin,
+                                                      case):
+    # a cold solve on grid_h first solves grid_f, its nested coarse level,
+    # without verification steps: starting from the prolonged Newton
+    # iterate of a cold grid_f solve is the same computation
+    f, p, lam, dx = ((abs_sin, 0.3, 0.01, 1 / 256) if case == "torus"
+                     else (env.sample(board_spec, 3), 1.0, 0.04, 1 / 32))
+    grid_f = cs.default_grid_policy(f, p, lam, dx=dx)
+    grid_h = replace(grid_f, dx=grid_f.dx * 0.5,
+                     dt=0.9 / (grid_f.theta / (grid_f.dx * 0.5) + lam))
+    assert cs._coarse(grid_h, lam) == grid_f
+    sol = cs.solve_discounted(f, p, lam, grid_f)
+    cold = cs.solve_discounted(f, p, lam, grid_h)
+    warm = cs.solve_discounted(
+        f, p, lam, grid_h, w0=cs.prolong(sol.x_full, sol.w_newton, grid_h))
+    assert cold.w_full.tobytes() == warm.w_full.tobytes()
+    assert cold.residual == warm.residual
+
+
+def test_half_dx_solve_reuses_lambda_min_iterate(board_spec, monkeypatch):
+    calls = []
+    solve = cs.solve_discounted
+
+    def counted(field, p, lam, grid, *args, **kwargs):
+        calls.append((lam, grid.dx))
+        return solve(field, p, lam, grid, *args, **kwargs)
+
+    monkeypatch.setattr(cs, "solve_discounted", counted)
+    cs.estimate_hbar(board_spec, 2.0, lam_schedule=(0.04, 0.02, 0.01),
+                     seeds=(1, 2), dx=1 / 64, periodize_cells=50)
+    first_half = calls.index((0.01, 1 / 128))
+    # the dx/2 solve and its nested levels below dx/2: none at dx
+    assert all(dx != 1 / 64 for _, dx in calls[first_half:])
+    assert sum(call == (0.01, 1 / 64) for call in calls) == 2

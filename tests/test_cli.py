@@ -135,6 +135,30 @@ def test_malformed_config_exit_2(tmp_path):
     {"seeds": {"master": 1, "cuont": 2}},
     {"p_grid": {"start": -1.0, "stop": 1.0, "num": 5}},
     {"task": "converge", "ivp": {"T": 10 ** 400}},
+    {"task": "largeosc", "mu_points": "15"},
+    {"task": "largeosc", "mu_points": 15.0},
+    {"lambda_schedule": ["0.04", "0.02", "0.01"]},
+    {"lambda_schedule": [0.04, 0.02, -0.01]},
+    {"task": "largeosc", "window_cells": 20.9},
+    {"seeds": {"master": 1, "count": 2.7}},
+    {"seeds": {"master": "1", "count": 1}},
+    {"seeds": [0, 1.5]},
+    {"seeds": ["3"]},
+    {"seeds": [True]},
+    {"p_grid": {"start": -1.0, "stop": 1.0, "n": 3.9}},
+    {"p_grid": {"start": "-1", "stop": 1.0, "n": 3}},
+    {"p_grid": {"start": -1.0, "stop": float("nan"), "n": 3}},
+    {"p_grid": [0.0, "1.0"]},
+    {"task": "converge", "epsilons": [0.4, "0.2"]},
+    {"env": dict(BASE_ENV, periods=2)},
+    {"env": dict(BASE_ENV, cell_length=1.0)},
+    {"env": dict(BASE_ENV, params={"amplitud": 0.3})},
+    {"env": {"schema": "env/1", "kind": "checkerboard",
+             "profile": "abs_plus_v", "params": {"base": "abs"},
+             "cell_length": 1.0, "value_range": [-1.0, 0.0], "period": 1.0}},
+    {"env": {"schema": "env/1", "kind": "checkerboard",
+             "profile": "abs_plus_v", "params": {"base": "abs"},
+             "cell_length": 1.0, "value_range": [-1.0, 0.0]}},
 ])
 def test_out_of_range_config_exit_2(tmp_path, over):
     out = tmp_path / "out"

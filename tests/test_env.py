@@ -195,6 +195,60 @@ def test_spec_roundtrip_json():
     assert d["schema"] == "env/1"
 
 
+# a value for every param a registry profile reads
+PARAM_VALUES = {"amplitude": 0.5, "base": "quadratic", "nodes": [0, 1, 2],
+                "values": [0.0, 1.0, 0.0], "cone_slope": 2.0,
+                "inner_period": 0.5}
+
+
+def _registry_dicts():
+    for kind, profiles in env.PROFILE_PARAMS.items():
+        for name, keys in profiles.items():
+            params = {k: PARAM_VALUES[k] for k in keys}
+            if kind == "periodic":
+                spec = env.make_periodic(name, 1.0, params)
+            else:
+                spec = env.make_checkerboard((-1.0, 0.0), 1.0, name, params)
+            yield kind, name, spec.to_dict()
+
+
+@pytest.mark.parametrize("kind,name,d", list(_registry_dicts()))
+def test_registry_profile_roundtrip(kind, name, d):
+    # every dict to_dict writes loads back: manifests rerun
+    back = env.EnvironmentSpec.from_dict(d)
+    assert back.to_dict() == d
+    assert env.EnvironmentSpec.from_json(back.to_json()) == back
+    with pytest.raises(ProfileError):
+        env.EnvironmentSpec.from_dict(dict(d, params=dict(d["params"],
+                                                          amplitud=0.3)))
+    with pytest.raises(ProfileError):
+        env.EnvironmentSpec.from_dict(dict(d, periods=2))
+
+
+class _ReadRecorder(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("kind,name,d", list(_registry_dicts()))
+def test_profile_params_table_is_what_builders_read(kind, name, d):
+    params = _ReadRecorder(d["params"])
+    if kind == "periodic":
+        env._build_periodic_profile(name, params, 1.0)
+    else:
+        env._build_template(name, params)
+    assert params.read == set(env.PROFILE_PARAMS[kind][name])
+
+
 def test_callable_profile_not_serializable():
     spec = env.make_periodic(lambda p, x: np.abs(p) + 0 * x, 1.0)
     with pytest.raises(ProfileError):

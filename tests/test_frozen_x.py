@@ -348,3 +348,11 @@ def test_evaluate_returns_float_for_scalars():
               FIELDS["board>nested"]):
         assert type(f.evaluate(0.3, 0.2)) is float
         assert isinstance(f.evaluate([0.3], 0.2), np.ndarray)
+
+
+@pytest.mark.parametrize("name, p", [("board:1", -3.731429700965119 + 0.1),
+                                     ("board>transformed", -3.731429700965119)])
+def test_scalar_p_with_x_vector_on_checkerboard(name, p):
+    # on a 0-d p numpy's scalar power rounds an ulp away from the array
+    # power at this p; the per-call evaluation broadcast p against x
+    _assert_same(FIELDS[name], p, np.array([0.0]))
