@@ -227,8 +227,7 @@ def _glue_curve(cfg):
 def task_glue(cfg, out):
     tree, curve = _glue_curve(cfg)
     with open(os.path.join(out, "tree.json"), "w") as fh:
-        json.dump(tree.to_dict(), fh, indent=1, sort_keys=True,
-                  default=lambda o: repr(type(o).__name__))
+        json.dump(tree.to_dict(), fh, indent=1, sort_keys=True)
     write_csv(os.path.join(out, "curves.csv"),
               ["p", "Hbar", "error_budget", "route"],
               [(p, v, b, "glue") for p, v, b, _ in curve.rows()])
@@ -316,9 +315,14 @@ def task_validate(cfg, out):
         dual = {"skipped": True, "route": route,
                 "reason": "no independent route applies"}
     else:
+        # the report pairs each number with the p where diff/allowed peaks
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(diffs > 0, diffs / budgets, 0.0)
+        k = int(np.argmax(ratio))
         dual = {"passed": bool(np.all(diffs <= budgets)),
-                "max_diff": float(diffs.max()),
-                "allowed": float(budgets.min()), "route": route}
+                "worst_p": float(ps[k]), "ratio": float(ratio[k]),
+                "max_diff": float(diffs[k]), "allowed": float(budgets[k]),
+                "route": route}
     checks = {
         "dual_route": dual,
         "level_set_convexity": {

@@ -57,10 +57,6 @@ class UnstableStatistics(UserWarning):
     """Cross-seed dispersion too large relative to the oscillation span."""
 
 
-class NonErgodicWarning(UserWarning):
-    """Window averages are not converging as the window grows."""
-
-
 class NoisyLimit(UserWarning):
     """The discounted limit trend is not monotone within tolerance."""
 

@@ -298,6 +298,8 @@ class ReductionNode:
     # filled in by the reduction that turns the leaf into a rewrite
     children: list = dc_field(default_factory=list, init=False)
     params: dict = dc_field(default_factory=dict, init=False)
+    # the steep-side rewrite that combines the two children's curves
+    family: SteepSideFamily | None = dc_field(default=None, init=False)
 
     def depth(self):
         if not self.children:
@@ -422,7 +424,7 @@ def _reduce(node, tilt_n, max_depth, depth):
                                       _depth=depth + 1)
         children.append(ch)
     node.children = children
-    node.params["family"] = fam
+    node.family = fam
     return node
 
 
@@ -508,8 +510,7 @@ def _evaluate_inner(node, p_grid, opts):
         pieces = [(lambda p: p >= 0.0, plus), (lambda p: p < 0.0, minus)]
         return EffectiveCurve.piecewise(pieces, p_grid)
     if node.kind in ("steep_left", "steep_right"):
-        fam = node.params["family"]
-        return fam.combine(curves[0], curves[1], p_grid)
+        return node.family.combine(curves[0], curves[1], p_grid)
     raise ValueError(f"unknown node kind {node.kind}")
 
 

@@ -15,7 +15,6 @@ from the inverse of the single decreasing branch.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -24,7 +23,7 @@ import numpy as np
 from .curve import EffectiveCurve
 # _INVPHI stays importable here for the reference root scan the tests keep
 from .env import _INVPHI, HamiltonianField, golden_min  # noqa: F401
-from .errors import (ClusterSuspected, LevelSetConflict, NonErgodicWarning,
+from .errors import (ClusterSuspected, LevelSetConflict,
                      NormalizationViolated, NotApplicable,
                      NotPointwiseExtremal)
 from .structure import TOL_INV, branch_feasible, branch_inverse_grid
@@ -184,26 +183,32 @@ def corner_gap(field, nodes, q_minus, q_plus, n_gap):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AdmissibleFunction:
-    """Branch selection per decomposition interval with sampled slopes."""
+class SlopeFunction:
+    """A sampled gradient selection (not necessarily single-branch)."""
 
     mu: float
-    decomposition: AdmissibleDecomposition
-    branches: list                 # branch id per interval
-    x_mid: np.ndarray              # cell midpoints across the window
-    widths: np.ndarray             # cell widths (junction-snapped grid)
-    slopes: np.ndarray             # psi_{branch}(mu) at the midpoints
-    core: np.ndarray               # midpoints outside the edge buffers
-    interval_of: np.ndarray        # interval index per midpoint
-    structure: object = None
+    x_mid: np.ndarray              # cell midpoints
+    widths: np.ndarray             # cell widths
+    slopes: np.ndarray             # the gradient at the midpoints
+    core: np.ndarray               # midpoints the mean averages over
+    cell_branch: np.ndarray        # branch id per cell, -1 where unknown
 
     def mean(self):
         c = self.core
         return float(np.sum(self.slopes[c] * self.widths[c])
                      / np.sum(self.widths[c]))
 
-    def integral(self):
-        return float(np.sum(self.slopes * self.widths))
+
+@dataclass
+class AdmissibleFunction(SlopeFunction):
+    """Branch selection per decomposition interval on the junction-snapped
+    window grid, with slopes psi_{branch}(mu) and the core outside the edge
+    buffers."""
+
+    decomposition: AdmissibleDecomposition
+    branches: list                 # branch id per interval
+    interval_of: np.ndarray        # interval index per midpoint
+    structure: object
 
 
 def _window_grid(field, window, junctions=(), samples_per_cell=16):
@@ -253,12 +258,12 @@ def _legal_matrix(field, structure, mu, decomp):
 
 
 def extremal_admissible(field, structure, mu, window, sense="sup",
-                        decomposition=None, n_dominance=200):
+                        decomposition=None):
     """The extremal admissible selection at level mu by DP over the
     junction chain, maximizing (sense="sup") or minimizing ("inf") the
-    integral; the result is asserted pointwise-dominant against random
-    feasible alternatives (drawn from a seed-0 generator), surfacing
-    NotPointwiseExtremal on violation."""
+    integral; the result is checked against every branch on a complete
+    legal junction chain, surfacing NotPointwiseExtremal where one beats
+    it."""
     decomp = decomposition or admissible_decomposition(field, structure, mu,
                                                        window)
     x_mid, widths, core = _window_grid(field, window, decomp.junctions)
@@ -307,38 +312,35 @@ def extremal_admissible(field, structure, mu, window, sense="sup",
     for i, j in enumerate(branches):
         mask = iv == i
         slopes[mask] = psi[j, mask]
-    out = AdmissibleFunction(mu=mu, decomposition=decomp, branches=branches,
-                            x_mid=x_mid, widths=widths, slopes=slopes,
-                            core=core, interval_of=iv, structure=structure)
-    _assert_pointwise_extremal(out, psi, legal, decomp, sense, n_dominance)
+    out = AdmissibleFunction(
+        mu=mu, x_mid=x_mid, widths=widths, slopes=slopes, core=core,
+        cell_branch=np.asarray(branches, dtype=np.int64)[iv],
+        decomposition=decomp, branches=branches, interval_of=iv,
+        structure=structure)
+    _assert_pointwise_extremal(out, psi, legal, decomp, sense)
     return out
 
 
-def _assert_pointwise_extremal(fn, psi, legal, decomp, sense, n_alt):
-    rng = np.random.default_rng(0)
-    n_int = len(decomp.intervals)
+def _chain_branches(feasible, legal):
+    """Per interval, the set of branches that lie on some complete legal
+    junction chain: a forward pass from feasible[0] through legal, then a
+    backward pass from the last interval."""
+    on_chain = [set(feasible[0])]
+    for i in range(1, len(feasible)):
+        on_chain.append({j2 for j2 in feasible[i] if any(
+            legal[i - 1].get((j, j2), False) for j in on_chain[-1])})
+    for i in range(len(feasible) - 2, -1, -1):
+        on_chain[i] = {j for j in on_chain[i] if any(
+            legal[i].get((j, j2), False) for j2 in on_chain[i + 1])}
+    return on_chain
+
+
+def _assert_pointwise_extremal(fn, psi, legal, decomp, sense):
     sign = 1.0 if sense == "sup" else -1.0
     tol = 1e-9 * (1.0 + np.nanmax(np.abs(psi)))
-    tried = 0
-    for _ in range(4 * n_alt):
-        if tried >= n_alt:
-            break
-        path = [int(rng.choice(sorted(decomp.feasible[0])))]
-        dead = False
-        for i in range(1, n_int):
-            opts = [j2 for j2 in decomp.feasible[i]
-                    if legal[i - 1].get((path[-1], j2), False)]
-            if not opts:
-                dead = True
-                break
-            path.append(int(rng.choice(opts)))
-        if dead:
-            continue
-        tried += 1
-        for i, j in enumerate(path):
-            mask = fn.interval_of == i
-            if not mask.any():
-                continue
+    for i, on_chain in enumerate(_chain_branches(decomp.feasible, legal)):
+        mask = fn.interval_of == i
+        for j in sorted(on_chain):
             if np.any(sign * (psi[j, mask] - fn.slopes[mask]) > tol):
                 raise NotPointwiseExtremal(
                     f"alternative branch {j} beats the {sense}-extremal "
@@ -352,56 +354,14 @@ def _assert_pointwise_extremal(fn, psi, legal, decomp, sense, n_alt):
 def viscosity_residual(field, fn):
     """Interior residual max |H(f(x), x) - mu| at the level mu of ``fn``
     plus quantified corner violations at the junctions (33 gap points)."""
-    cell_branch = np.asarray(fn.branches, dtype=np.int64)[fn.interval_of]
     return generic_viscosity_residual(
         field, fn.x_mid, fn.slopes, fn.mu, fn.widths, n_gap=33,
-        structure=fn.structure, cell_branch=cell_branch)
-
-
-# ---------------------------------------------------------------------------
-# ergodic averaging
-# ---------------------------------------------------------------------------
-
-def ergodic_mean(builder, windows=(100, 200, 400), seeds=(0,)):
-    """Spatial averages of builder(seed, window_cells) across growing
-    windows and seeds: (mean, ci, trend); warns when the spread does not
-    shrink with the window."""
-    per_window = {}
-    for w in windows:
-        vals = [builder(s, w) for s in seeds]
-        per_window[w] = vals
-    all_vals = [v for vals in per_window.values() for v in vals]
-    mean = float(np.mean(all_vals))
-    ci = float(max(abs(v - mean) for v in all_vals))
-    spreads = [float(np.ptp(per_window[w])) if len(per_window[w]) > 1 else 0.0
-               for w in sorted(per_window)]
-    if len(spreads) >= 2 and len(seeds) > 1 and \
-            spreads[-1] > max(spreads[0], 1e-12) * 1.5:
-        warnings.warn("window averages are not tightening as the window "
-                      "grows", NonErgodicWarning)
-    return mean, ci, spreads
+        structure=fn.structure, cell_branch=fn.cell_branch)
 
 
 # ---------------------------------------------------------------------------
 # homotopy between admissible functions
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SlopeFunction:
-    """A sampled gradient selection (not necessarily single-branch)."""
-
-    mu: float
-    x_mid: np.ndarray
-    widths: np.ndarray
-    slopes: np.ndarray
-    core: np.ndarray
-    cell_branch: np.ndarray = None   # branch id per cell when known
-
-    def mean(self):
-        c = self.core
-        return float(np.sum(self.slopes[c] * self.widths[c])
-                     / np.sum(self.widths[c]))
-
 
 def generic_viscosity_residual(field, x_mid, slopes, mu, widths=None,
                                n_gap=17, structure=None, cell_branch=None):
@@ -501,26 +461,20 @@ def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
         raise ValueError(f"target c={c:.6g} outside [{u2[-1]:.6g}, {u1[-1]:.6g}]")
     c = float(np.clip(c, u2[-1], u1[-1]))
     scale = 1.0 + abs(u1[-1]) + abs(u2[-1])
-    iv1_all = f1.interval_of[sel]
     if abs(c - u1[-1]) <= 1e-12 * scale or abs(c - u2[-1]) <= 1e-12 * scale:
         src_fn = f1 if abs(c - u1[-1]) <= 1e-12 * scale else f2
-        cb = np.asarray([src_fn.branches[i] for i in iv1_all], dtype=np.int64)
         return SlopeFunction(mu=mu, x_mid=x_mid, widths=wid,
                              slopes=src_fn.slopes[sel].copy(),
                              core=np.ones(len(x_mid), dtype=bool),
-                             cell_branch=cb)
+                             cell_branch=src_fn.cell_branch[sel])
     u_star = np.minimum(u1, u2 - u2[-1] + c)
     u_low = np.maximum(u2, u1 - u1[-1] + c)
     nodes = np.concatenate([[a], x_mid[:-1] + 0.5 * wid[:-1], [b]])
 
-    iv1 = f1.interval_of[sel]
-    b1 = np.asarray([f1.branches[i] for i in iv1])
+    b1 = f1.cell_branch[sel]
     # rides may pass through branches neither endpoint selection uses
     branch_ids = list(range(1, 2 * structure.index[1] + 2))
-    psi = {}
-    feas = {}
-    for j in branch_ids:
-        psi[j], feas[j] = branch_inverse_grid(field, structure, j, x_mid, mu)
+    psi, feas = _branch_tables(field, structure, mu, x_mid)
     legal = _pair_legality(field, structure, mu, nodes, branch_ids,
                            rule="sub")
     if incoming_branch is None:
@@ -542,9 +496,9 @@ def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
         for j2 in branch_ids:
             best = NEG
             for j in branch_ids:
-                if A[j][k] <= NEG / 2 or not feas[j][k]:
+                if A[j][k] <= NEG / 2 or not feas[j, k]:
                     continue
-                ridden = A[j][k] + psi[j][k] * wid[k]
+                ridden = A[j][k] + psi[j, k] * wid[k]
                 if j == j2 or legal[(j, j2)][k + 1]:
                     best = max(best, ridden)
             A[j2][k + 1] = min(best, u_star[k + 1])
@@ -554,7 +508,7 @@ def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
             D[j][n] = u_star[n]
     for k in range(n - 1, -1, -1):
         for j in branch_ids:
-            if not feas[j][k]:
+            if not feas[j, k]:
                 continue
             best = NEG
             for j2 in branch_ids:
@@ -563,7 +517,7 @@ def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
                 if j == j2 or legal[(j, j2)][k + 1]:
                     best = max(best, D[j2][k + 1])
             if best > NEG / 2:
-                D[j][k] = min(u_star[k], best - psi[j][k] * wid[k])
+                D[j][k] = min(u_star[k], best - psi[j, k] * wid[k])
     w = u_low.copy()
     for j in branch_ids:
         w = np.maximum(w, np.minimum(A[j], D[j]))
@@ -583,7 +537,7 @@ def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
             cell_branch[k - 1] != cell_branch[k + 1]
         if blended:
             jl, jr = int(cell_branch[k - 1]), int(cell_branch[k + 1])
-            sl, sr = psi[jl][k], psi[jr][k]
+            sl, sr = psi[jl, k], psi[jr, k]
             if abs(sl - sr) > 1e-12:
                 x_edge_l = x_mid[k] - 0.5 * wid[k]
                 v1v, v2v, w1 = float(sl), float(sr), None
@@ -635,8 +589,18 @@ def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
 # level sets and level pieces
 # ---------------------------------------------------------------------------
 
-def level_sets(fields, structure, mu_grid, window_cells=100,
-               n_dominance=60):
+def _extremal_pair(field, structure, mu, window):
+    """(decomposition, f_inf, f_sup) at level mu: both extremal selections
+    over one decomposition."""
+    decomp = admissible_decomposition(field, structure, mu, window)
+    f_lo = extremal_admissible(field, structure, mu, window, "inf",
+                               decomposition=decomp)
+    f_hi = extremal_admissible(field, structure, mu, window, "sup",
+                               decomposition=decomp)
+    return decomp, f_lo, f_hi
+
+
+def level_sets(fields, structure, mu_grid, window_cells=100):
     """I_mu = [mean(f_inf), mean(f_sup)] per level, with cross-seed CI and
     an isotonic cleanup inside the CI; overlaps beyond it raise
     LevelSetConflict."""
@@ -647,13 +611,7 @@ def level_sets(fields, structure, mu_grid, window_cells=100,
     for mu in mu_grid:
         lows, highs = [], []
         for f in fields:
-            decomp = admissible_decomposition(f, structure, mu, window)
-            f_lo = extremal_admissible(f, structure, mu, window, "inf",
-                                       decomposition=decomp,
-                                       n_dominance=n_dominance)
-            f_hi = extremal_admissible(f, structure, mu, window, "sup",
-                                       decomposition=decomp,
-                                       n_dominance=n_dominance)
+            _, f_lo, f_hi = _extremal_pair(f, structure, mu, window)
             if np.any(f_hi.slopes < f_lo.slopes - 1e-9):
                 raise NotPointwiseExtremal(
                     f"sup-extremal below inf-extremal at mu={mu:.6g}")
@@ -685,28 +643,19 @@ def level_piece_function(field, structure, mu, p, window_cells=100):
     tol_mean = 1e-4
     cell = field.cell
     window = (0.0, window_cells * cell)
-    decomp = admissible_decomposition(field, structure, mu, window)
-    f_lo = extremal_admissible(field, structure, mu, window, "inf",
-                               decomposition=decomp, n_dominance=40)
-    f_hi = extremal_admissible(field, structure, mu, window, "sup",
-                               decomposition=decomp, n_dominance=40)
+    decomp, f_lo, f_hi = _extremal_pair(field, structure, mu, window)
     if not (f_lo.mean() - tol_mean <= p <= f_hi.mean() + tol_mean):
         raise ValueError(f"p={p:.6g} outside I_mu=[{f_lo.mean():.6g}, "
                          f"{f_hi.mean():.6g}]")
     for fn, t_end in ((f_hi, 1.0), (f_lo, 0.0)):
         if abs(p - fn.mean()) <= tol_mean:
-            cb = np.asarray([fn.branches[i] for i in fn.interval_of],
-                            dtype=np.int64)
             out = SlopeFunction(mu=mu, x_mid=fn.x_mid, widths=fn.widths,
                                 slopes=fn.slopes.copy(), core=fn.core,
-                                cell_branch=cb)
+                                cell_branch=fn.cell_branch)
             return out, t_end
     runs = _unequal_runs(f_hi, f_lo, decomp)
     buf = BUFFER_CELLS * cell
     x_hi_w = window_cells * cell
-
-    hi_branch = np.asarray([f_hi.branches[i] for i in f_hi.interval_of],
-                           dtype=np.int64)
 
     def assemble(t):
         # stitch homotopy pieces (whose refinement may add cells) between
@@ -716,7 +665,7 @@ def level_piece_function(field, structure, mu, p, window_cells=100):
         for (a, b, i0, i1) in runs:
             keep = (f_hi.x_mid > cursor) & (f_hi.x_mid < a)
             segs.append((f_hi.x_mid[keep], f_hi.widths[keep],
-                         f_hi.slopes[keep], hi_branch[keep]))
+                         f_hi.slopes[keep], f_hi.cell_branch[keep]))
             sel = (f_hi.x_mid >= a - 1e-12) & (f_hi.x_mid <= b + 1e-12)
             d_hi = float(np.sum(f_hi.slopes[sel] * f_hi.widths[sel]))
             d_lo = float(np.sum(f_lo.slopes[sel] * f_lo.widths[sel]))
@@ -728,7 +677,7 @@ def level_piece_function(field, structure, mu, p, window_cells=100):
             cursor = b
         keep = f_hi.x_mid > cursor
         segs.append((f_hi.x_mid[keep], f_hi.widths[keep], f_hi.slopes[keep],
-                     hi_branch[keep]))
+                     f_hi.cell_branch[keep]))
         xs = np.concatenate([s[0] for s in segs])
         wd = np.concatenate([s[1] for s in segs])
         sl = np.concatenate([s[2] for s in segs])
@@ -780,27 +729,35 @@ def extreme_level(field, structure, window_cells=100, mu_neg=None):
     p_mu = E[Psi(mu)] with Psi the decreasing-branch inverse; the field
     must be normalized to 1e-6 (esssup H(0, x) <= 1e-6 on the window)."""
     window = (0.0, window_cells * field.cell)
-    x_mid, widths, core = _window_grid(field, window)
-    h0 = field.evaluate(0.0, x_mid)
+    grid = _window_grid(field, window)
+    h0 = field.evaluate(0.0, grid[0])
     if np.max(h0) > 1e-6:
         raise NormalizationViolated(
             f"esssup H(0, x) = {np.max(h0):.3g} > 0 on probes")
-    z_l, feas = branch_inverse_grid(field, structure, 1, x_mid, 0.0, side="-")
-    if not feas.all():
+    e_zl = _branch1_mean(field, structure, grid, 0.0, "-")
+    if e_zl is None:
         raise NormalizationViolated("negative branch does not reach level 0")
-    wc = widths[core] / np.sum(widths[core])
-    e_zl = float(np.sum(z_l[core] * wc))
-    f_lo = extremal_admissible(field, structure, 0.0, window, "inf",
-                               n_dominance=40)
+    f_lo = extremal_admissible(field, structure, 0.0, window, "inf")
     q0 = f_lo.mean()
     neg = []
     if mu_neg is not None:
         for mu in mu_neg:
-            psi, ok = branch_inverse_grid(field, structure, 1, x_mid, mu,
-                                          side="-")
-            if ok.all():
-                neg.append((float(np.sum(psi[core] * wc)), float(mu)))
+            p_mu = _branch1_mean(field, structure, grid, mu, "-")
+            if p_mu is not None:
+                neg.append((p_mu, float(mu)))
     return {"e_zl": e_zl, "q0": q0, "negative": neg, "f_inf_0": f_lo}
+
+
+def _branch1_mean(field, structure, grid, mu, side):
+    """Core-weighted mean over the grid (x_mid, widths, core) of the
+    branch-1 inverse at level mu on ``side``; None where branch 1 misses
+    the level somewhere on the grid."""
+    x_mid, widths, core = grid
+    psi, ok = branch_inverse_grid(field, structure, 1, x_mid, float(mu),
+                                  side=side)
+    if not ok.all():
+        return None
+    return float(np.sum(psi[core] * (widths[core] / np.sum(widths[core]))))
 
 
 def default_mu_grid(M_bar, n=15):
@@ -813,7 +770,7 @@ def default_mu_grid(M_bar, n=15):
 
 
 def assemble_effective_curve(field, structure, mu_points=15, window_cells=100,
-                             p_lo=-4.0, p_hi=4.0, n_dominance=60):
+                             p_lo=-4.0, p_hi=4.0):
     """Merge negative-side samples, the flat minimum piece, the level sets
     and the high-level branch-1 tail into one sampled curve.
 
@@ -826,18 +783,12 @@ def assemble_effective_curve(field, structure, mu_points=15, window_cells=100,
     M_bar = float(field.evaluate(pos_max[:, None], x_probe[None, :]).max())
     mu_grid = default_mu_grid(M_bar, mu_points)
     levels = level_sets(field, structure, mu_grid[mu_grid > 0],
-                        window_cells=window_cells, n_dominance=n_dominance)
+                        window_cells=window_cells)
 
     mu_hi_cap = float(np.min(field.evaluate(p_hi, x_probe)))
     mu_lo_cap = float(np.min(field.evaluate(p_lo, x_probe)))
 
-    x_mid, widths, core = _window_grid(field, window, samples_per_cell=8)
-    wc = widths[core] / np.sum(widths[core])
-
-    def mean_branch1(mu, side):
-        psi, ok = branch_inverse_grid(field, structure, 1, x_mid, float(mu),
-                                      side=side)
-        return float(np.sum(psi[core] * wc)) if ok.all() else None
+    tail_grid = _window_grid(field, window, samples_per_cell=8)
 
     # dense geometric level ladders keep the steep tails well sampled in p
     neg_mus, tail_mus = [], []
@@ -870,7 +821,7 @@ def assemble_effective_curve(field, structure, mu_points=15, window_cells=100,
             srcs.append("level")
         intervals.append(rec)
     for mu in tail_mus:
-        pm = mean_branch1(mu, "+")
+        pm = _branch1_mean(field, structure, tail_grid, mu, "+")
         if pm is not None:
             ps.append(pm)
             vs.append(float(mu))

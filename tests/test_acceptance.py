@@ -233,8 +233,7 @@ def test_criterion_10_admissible_machinery(pwl_large):
     rho = f.modulus(-1.0, 4.0)
 
     mu_grid = lo.default_mu_grid(M_bar, 15)
-    recs = lo.level_sets(f, s, mu_grid[mu_grid > 0], window_cells=60,
-                         n_dominance=20)
+    recs = lo.level_sets(f, s, mu_grid[mu_grid > 0], window_cells=60)
     ordered = all(c["p_lo"] >= p["p_hi"] - 1e-9
                   for p, c in zip(recs, recs[1:]))
 
@@ -242,9 +241,9 @@ def test_criterion_10_admissible_machinery(pwl_large):
     for mu in (0.9 * M_bar, 0.5 * stats.m_hi):
         dec = lo.admissible_decomposition(f, s, mu, window)
         f_lo_ = lo.extremal_admissible(f, s, mu, window, "inf",
-                                       decomposition=dec, n_dominance=200)
+                                       decomposition=dec)
         f_hi_ = lo.extremal_admissible(f, s, mu, window, "sup",
-                                       decomposition=dec, n_dominance=200)
+                                       decomposition=dec)
         dom_ok &= bool(np.all(f_hi_.slopes >= f_lo_.slopes - 1e-9))
         tol = st.TOL_INV + rho(float(np.max(f_hi_.widths)))
         resid_ok &= lo.viscosity_residual(f, f_lo_) <= tol
@@ -252,7 +251,7 @@ def test_criterion_10_admissible_machinery(pwl_large):
 
     # branch forcing: Lemma-8.5 side at 0.9 M_bar, Lemma-8.6 side at m_hi/2
     mu_hi = 0.9 * M_bar
-    f_hi_ = lo.extremal_admissible(f, s, mu_hi, window, "sup", n_dominance=20)
+    f_hi_ = lo.extremal_admissible(f, s, mu_hi, window, "sup")
     sel = np.asarray([f_hi_.branches[i] for i in f_hi_.interval_of])
     forced_hi = proc.M(f_hi_.x_mid) < mu_hi
     force1 = bool(np.all(sel[forced_hi] == 1))
@@ -261,8 +260,7 @@ def test_criterion_10_admissible_machinery(pwl_large):
 
     mu_lo_ = 0.5 * stats.m_hi
     nb = 2 * s.index[1] + 1
-    f_lo2 = lo.extremal_admissible(f, s, mu_lo_, window, "inf",
-                                   n_dominance=20)
+    f_lo2 = lo.extremal_admissible(f, s, mu_lo_, window, "inf")
     sel2 = np.asarray([f_lo2.branches[i] for i in f_lo2.interval_of])
     forced_lo = proc.m(f_lo2.x_mid) > mu_lo_
     force2 = bool(np.all(sel2[forced_lo] == nb))
@@ -282,9 +280,9 @@ def test_criterion_11_homotopy_endpoints(quartic2_normalized):
     window = (0.0, 100.0)
     dec = lo.admissible_decomposition(fn, sn, 0.0, window)
     f_lo_ = lo.extremal_admissible(fn, sn, 0.0, window, "inf",
-                                   decomposition=dec, n_dominance=20)
+                                   decomposition=dec)
     f_hi_ = lo.extremal_admissible(fn, sn, 0.0, window, "sup",
-                                   decomposition=dec, n_dominance=20)
+                                   decomposition=dec)
     runs = lo._unequal_runs(f_hi_, f_lo_, dec)
     rng = np.random.default_rng(11)
     rho = fn.modulus(-1.0, 4.0)

@@ -208,6 +208,24 @@ def test_validate_task(tmp_path):
     assert report["checks"]["level_set_convexity"]["passed"]
 
 
+def test_validate_reports_numbers_of_one_p(tmp_path):
+    # max_diff and allowed come from the p with the largest diff/allowed,
+    # the same row of curves.csv
+    cfg_path = _write(tmp_path, "cfg.json", _cfg(task="validate"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    dual = json.loads((out / "report.json").read_text())["checks"][
+        "dual_route"]
+    lines = (out / "curves.csv").read_text().splitlines()
+    assert lines[0] == "p,Hbar_solver,Hbar_reference,diff,allowed"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    worst = [r for r in rows if r[0] == dual["worst_p"]]
+    assert len(worst) == 1
+    assert dual["max_diff"] == worst[0][3]
+    assert dual["allowed"] == worst[0][4]
+    assert dual["ratio"] == max(r[3] / r[4] for r in rows)
+
+
 def test_converge_task(tmp_path):
     cfg = _cfg(task="converge", epsilons=[0.4, 0.2],
                ivp={"T": 0.5, "X_core": 0.5})

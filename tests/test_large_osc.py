@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 from scipy.integrate import quad
 
 from hjhomog import env, structure as st, large_osc as lo
 from hjhomog.errors import (ClusterSuspected, NormalizationViolated,
-                            NotApplicable)
+                            NotApplicable, NotPointwiseExtremal)
 
 WINDOW = (0.0, 100.0)
 
@@ -27,9 +30,9 @@ def quartic_extremals(quartic):
     f, sn = quartic
     dec = lo.admissible_decomposition(f, sn, 0.0, WINDOW)
     f_lo = lo.extremal_admissible(f, sn, 0.0, WINDOW, "inf",
-                                  decomposition=dec, n_dominance=30)
+                                  decomposition=dec)
     f_hi = lo.extremal_admissible(f, sn, 0.0, WINDOW, "sup",
-                                  decomposition=dec, n_dominance=30)
+                                  decomposition=dec)
     return dec, f_lo, f_hi
 
 
@@ -302,7 +305,7 @@ def test_branch_forcing_above(quartic, quartic_extremals):
     f, sn = quartic
     dec = lo.admissible_decomposition(f, sn, 0.5, WINDOW)
     f_hi = lo.extremal_admissible(f, sn, 0.5, WINDOW, "sup",
-                                  decomposition=dec, n_dominance=20)
+                                  decomposition=dec)
     proc = st.ExtremaProcesses(f, sn)
     forced = proc.M(f_hi.x_mid) < 0.5
     on_branch1 = np.asarray([f_hi.branches[i] for i in f_hi.interval_of]) == 1
@@ -315,7 +318,7 @@ def test_branch_forcing_below(pwl):
     mu = 0.5 * stats.m_hi
     dec = lo.admissible_decomposition(f, s, mu, WINDOW)
     f_hi = lo.extremal_admissible(f, s, mu, WINDOW, "sup",
-                                  decomposition=dec, n_dominance=20)
+                                  decomposition=dec)
     proc = st.ExtremaProcesses(f, s)
     forced = proc.m(f_hi.x_mid) > mu
     assert forced.mean() > 0.1     # the forcing set is substantial
@@ -329,40 +332,80 @@ def test_branch_forcing_below(pwl):
 
 def test_trivial_selection_single_interval(quartic):
     f, sn = quartic
-    f_hi = lo.extremal_admissible(f, sn, 5.0, WINDOW, "sup", n_dominance=5)
+    f_hi = lo.extremal_admissible(f, sn, 5.0, WINDOW, "sup")
     assert set(f_hi.branches) == {1}
 
 
 def test_extremal_stationarity_periodic(quartic):
     # a shifted window reproduces the shifted selection on the overlap
     f, sn = quartic
-    a = lo.extremal_admissible(f, sn, 0.3, (0.0, 50.0), "inf", n_dominance=5)
-    b = lo.extremal_admissible(f, sn, 0.3, (1.0, 51.0), "inf", n_dominance=5)
+    a = lo.extremal_admissible(f, sn, 0.3, (0.0, 50.0), "inf")
+    b = lo.extremal_admissible(f, sn, 0.3, (1.0, 51.0), "inf")
     probes = np.linspace(10.07, 40.07, 101)
     va = np.interp(probes, a.x_mid, a.slopes)
     vb = np.interp(probes, b.x_mid, b.slopes)
     assert np.allclose(va, vb, atol=1e-6)
 
 
-# -- ergodic means ---------------------------------------------------------------
+# -- the pointwise-extremality check ------------------------------------------
 
 
-def test_ergodic_mean_periodic_exact(quartic):
+def test_pointwise_check_rejects_inf_selection_as_sup(quartic,
+                                                      quartic_extremals):
+    # negative control: at level 0 the inf-extremal selection differs from
+    # the sup-extremal one, so some chain branch beats it from above
     f, sn = quartic
+    dec, f_lo, f_hi = quartic_extremals
+    assert f_lo.branches != f_hi.branches
+    psi, _ = lo._branch_tables(f, sn, 0.0, f_lo.x_mid)
+    legal = lo._legal_matrix(f, sn, 0.0, dec)
+    lo._assert_pointwise_extremal(f_lo, psi, legal, dec, "inf")
+    lo._assert_pointwise_extremal(f_hi, psi, legal, dec, "sup")
+    with pytest.raises(NotPointwiseExtremal):
+        lo._assert_pointwise_extremal(f_lo, psi, legal, dec, "sup")
 
-    def builder(seed, window_cells):
-        fn = lo.extremal_admissible(f, sn, 0.3, (0.0, float(window_cells)),
-                                    "sup", n_dominance=5)
-        return fn.mean()
 
-    mean, ci, _ = lo.ergodic_mean(builder, windows=(20, 40), seeds=(0,))
-    assert ci < 1e-6
+def _chain_union(feasible, legal):
+    """Per interval, the branches of every complete legal chain, by
+    enumerating all chains."""
+    union = [set() for _ in feasible]
+    for chain in itertools.product(*[sorted(fs) for fs in feasible]):
+        if all(legal[i].get((chain[i], chain[i + 1]), False)
+               for i in range(len(chain) - 1)):
+            for i, j in enumerate(chain):
+                union[i].add(j)
+    return union
 
 
-def test_ergodic_mean_constant():
-    mean, ci, _ = lo.ergodic_mean(lambda s, w: 1.7, windows=(10, 20),
-                                  seeds=(0, 1))
-    assert mean == 1.7 and ci == 0.0
+@hs.composite
+def _junction_tables(draw):
+    n_int = draw(hs.integers(1, 5))
+    branches = hs.sets(hs.integers(1, 4), min_size=1, max_size=4)
+    feasible = [draw(branches) for _ in range(n_int)]
+    legal = [{(j, j2): draw(hs.booleans())
+              for j in feasible[i] for j2 in feasible[i + 1]}
+             for i in range(n_int - 1)]
+    return feasible, legal
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables=_junction_tables())
+def test_chain_branches_equal_union_of_complete_chains(tables):
+    feasible, legal = tables
+    assert lo._chain_branches(feasible, legal) == \
+        _chain_union(feasible, legal)
+
+
+def test_chain_branches_drop_dead_ends():
+    # branch 2 is feasible on the first interval but no legal jump leaves it
+    feasible = [{1, 2}, {1, 3}, {1}]
+    legal = [{(1, 1): True, (1, 3): True, (2, 1): False, (2, 3): False},
+             {(1, 1): True, (3, 1): False}]
+    assert lo._chain_branches(feasible, legal) == [{1}, {1}, {1}]
+    assert _chain_union(feasible, legal) == [{1}, {1}, {1}]
+
+
+# -- ergodic means ---------------------------------------------------------------
 
 
 def test_checkerboard_extremal_means_agree():
@@ -373,8 +416,7 @@ def test_checkerboard_extremal_means_agree():
     means = []
     for s, fr in realizations.items():
         fn, sn, _, _ = st.normalize(fr, s0, central=-1.0)
-        f_hi = lo.extremal_admissible(fn, sn, 0.5, (0.0, 60.0), "sup",
-                                      n_dominance=10)
+        f_hi = lo.extremal_admissible(fn, sn, 0.5, (0.0, 60.0), "sup")
         means.append(f_hi.mean())
     assert abs(means[0] - means[1]) < 0.1
 
@@ -386,7 +428,7 @@ def test_level_sets_quartic_degenerate(quartic):
     # positive levels have point level-sets here; they stay ordered
     f, sn = quartic
     mu_grid = [0.2, 0.5, 0.8]
-    recs = lo.level_sets(f, sn, mu_grid, window_cells=60, n_dominance=10)
+    recs = lo.level_sets(f, sn, mu_grid, window_cells=60)
     for rec in recs:
         assert rec["p_hi"] - rec["p_lo"] <= 2e-3
     ps = [rec["p_lo"] for rec in recs]
@@ -396,7 +438,7 @@ def test_level_sets_quartic_degenerate(quartic):
 def test_level_sets_pwl_disjoint_ordered(pwl):
     f, s, stats = pwl
     mu_grid = lo.default_mu_grid(stats.M_hi, 8)[1:]
-    recs = lo.level_sets(f, s, mu_grid, window_cells=60, n_dominance=10)
+    recs = lo.level_sets(f, s, mu_grid, window_cells=60)
     for prev, cur in zip(recs, recs[1:]):
         assert cur["p_lo"] >= prev["p_hi"] - 1e-9
     for rec in recs:
@@ -542,7 +584,7 @@ def test_extreme_level_normalization_violated():
 def test_assemble_quartic(quartic):
     f, sn = quartic
     curve = lo.assemble_effective_curve(f, sn, mu_points=9, window_cells=50,
-                                        p_lo=-1.0, p_hi=4.0, n_dominance=10)
+                                        p_lo=-1.0, p_hi=4.0)
     assert curve.is_level_set_convex()
     lo_, hi_, level = curve.flat
     assert level == 0.0
@@ -555,7 +597,7 @@ def test_assemble_quartic(quartic):
 def test_assemble_flat_only(quartic):
     f, sn = quartic
     curve = lo.assemble_effective_curve(f, sn, mu_points=1, window_cells=50,
-                                        p_lo=-0.6, p_hi=2.0, n_dominance=5)
+                                        p_lo=-0.6, p_hi=2.0)
     assert curve.flat is not None
     assert set(curve.source) <= {"negative", "flat", "level"}
 
