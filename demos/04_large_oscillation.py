@@ -27,8 +27,7 @@ print(f"normalization: central well p = {p_shift:.0f}, level shift "
       f"{mu_shift:.0f}; index {sn.index}")
 
 window = (0.0, 100.0)
-f_lo = large_osc.extremal_admissible(fn, sn, 0.0, window, "inf")
-f_hi = large_osc.extremal_admissible(fn, sn, 0.0, window, "sup")
+_, f_lo, f_hi = large_osc.extremal_pair(fn, sn, 0.0, window)
 print(f"level 0 selections: f_inf rides branches "
       f"{sorted(set(f_lo.branches))}, f_sup rides {sorted(set(f_hi.branches))}")
 print(f"I_0 = [{f_lo.mean():.4f}, {f_hi.mean():.4f}]")

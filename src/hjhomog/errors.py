@@ -41,10 +41,6 @@ class LevelSetConflict(HJHomogError):
     """Level intervals overlap beyond their confidence intervals."""
 
 
-class ReductionStalled(HJHomogError):
-    """A reduction step failed to decrease the well count."""
-
-
 class NormalizationViolated(HJHomogError):
     """Field does not satisfy the normalization esssup H(0, x) = 0."""
 
@@ -53,8 +49,8 @@ class ConfigError(HJHomogError):
     """Malformed run configuration."""
 
 
-class UnstableStatistics(UserWarning):
-    """Cross-seed dispersion too large relative to the oscillation span."""
+class ReductionStalled(UserWarning):
+    """A reduction step failed to decrease the well count."""
 
 
 class NoisyLimit(UserWarning):

@@ -409,9 +409,9 @@ def _reduce(node, tilt_n, max_depth, depth):
     children = []
     for child_field, child_struct in ((fam.H1, fam.s1), (fam.H3, fam.s3)):
         if child_struct.wells >= wells:
-            warnings.warn(ReductionStalled(
+            warnings.warn(
                 f"steep-side child keeps {child_struct.wells} wells "
-                f"(parent {wells}): direct-solver leaf").args[0],
+                f"(parent {wells}): direct-solver leaf", ReductionStalled,
                 stacklevel=2)
             ch = ReductionNode(kind="leaf", field=child_field,
                                structure=child_struct, leaf_kind="direct")

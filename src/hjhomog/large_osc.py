@@ -22,7 +22,7 @@ import numpy as np
 
 from .curve import EffectiveCurve
 # _INVPHI stays importable here for the reference root scan the tests keep
-from .env import _INVPHI, HamiltonianField, golden_min  # noqa: F401
+from .env import _INVPHI, golden_min  # noqa: F401
 from .errors import (ClusterSuspected, LevelSetConflict,
                      NormalizationViolated, NotApplicable,
                      NotPointwiseExtremal)
@@ -240,21 +240,55 @@ def _branch_tables(field, structure, mu, x_mid):
     return psi, feas
 
 
-def _legal_matrix(field, structure, mu, decomp):
-    """legal[i][(j, j2)]: admissible jump j -> j2 at junction i."""
-    if len(decomp.junctions) == 0:
-        return []
-    branches = sorted(set().union(*decomp.feasible))
-    nodes = np.asarray(decomp.junctions, dtype=np.float64)
-    tables = _pair_legality(field, structure, mu, nodes, branches)
-    out = []
-    for i in range(len(nodes)):
-        table = {}
+@dataclass
+class _LevelTables:
+    """What both extremal selections at one level read: the junction-snapped
+    window grid, every branch's inverse on it, the legality of each
+    junction, each interval's cells as a slice (``interval_of`` is sorted),
+    the per-interval leaf weights and the branches on complete legal
+    chains."""
+
+    decomposition: AdmissibleDecomposition
+    x_mid: np.ndarray
+    widths: np.ndarray
+    core: np.ndarray
+    psi: np.ndarray
+    legal: list
+    interval_of: np.ndarray
+    cells: list
+    weights: np.ndarray
+    okleaf: np.ndarray
+    on_chain: list
+
+
+def _level_tables(field, structure, mu, window, decomp):
+    x_mid, widths, core = _window_grid(field, window, decomp.junctions)
+    psi, feas = _branch_tables(field, structure, mu, x_mid)
+    # legal[i][(j, j2)]: the jump j -> j2 at junction i is admissible
+    legal, fs = [], decomp.feasible
+    if len(decomp.junctions):
+        pair = _pair_legality(field, structure, mu,
+                              np.asarray(decomp.junctions, dtype=np.float64),
+                              sorted(set().union(*fs)))
+        legal = [{(j, j2): j == j2 or bool(pair[(j, j2)][i])
+                  for j in fs[i] for j2 in fs[i + 1]}
+                 for i in range(len(decomp.junctions))]
+    n_int = len(decomp.intervals)
+    iv = np.searchsorted(
+        [b for _, b in decomp.intervals[:-1]], x_mid, side="right")
+    starts = np.searchsorted(iv, np.arange(n_int + 1))
+    cells = [slice(s, e) for s, e in zip(starts[:-1], starts[1:])]
+    weights = np.zeros((n_int, psi.shape[0]))
+    okleaf = np.zeros((n_int, psi.shape[0]), dtype=bool)
+    for i, c in enumerate(cells):
         for j in decomp.feasible[i]:
-            for j2 in decomp.feasible[i + 1]:
-                table[(j, j2)] = (j == j2) or bool(tables[(j, j2)][i])
-        out.append(table)
-    return out
+            # an interval without cells takes any branch at weight 0
+            okleaf[i, j] = feas[j, c].all()
+            if okleaf[i, j]:
+                weights[i, j] = float(np.sum(psi[j, c] * widths[c]))
+    return _LevelTables(decomp, x_mid, widths, core, psi, legal, iv, cells,
+                        weights, okleaf,
+                        _chain_branches(decomp.feasible, legal))
 
 
 def extremal_admissible(field, structure, mu, window, sense="sup",
@@ -266,38 +300,42 @@ def extremal_admissible(field, structure, mu, window, sense="sup",
     it."""
     decomp = decomposition or admissible_decomposition(field, structure, mu,
                                                        window)
-    x_mid, widths, core = _window_grid(field, window, decomp.junctions)
-    psi, feas = _branch_tables(field, structure, mu, x_mid)
-    iv = np.searchsorted(
-        [b for _, b in decomp.intervals[:-1]], x_mid, side="right")
-    n_int = len(decomp.intervals)
-    weights = np.zeros((n_int, psi.shape[0]))
-    okleaf = np.zeros((n_int, psi.shape[0]), dtype=bool)
-    for i in range(n_int):
-        mask = iv == i
-        for j in decomp.feasible[i]:
-            ok = feas[j, mask].all() and mask.any()
-            okleaf[i, j] = ok or not mask.any()
-            if mask.any() and ok:
-                weights[i, j] = float(np.sum(psi[j, mask] * widths[mask]))
-    legal = _legal_matrix(field, structure, mu, decomp)
+    return _extremal_dp(
+        _level_tables(field, structure, mu, window, decomp), structure, mu,
+        sense)
+
+
+def extremal_pair(field, structure, mu, window):
+    """(decomposition, f_inf, f_sup) at level mu: one decomposition and one
+    set of level tables, read by the DP once per sense, so each selection
+    equals ``extremal_admissible``'s for its sense with half the branch
+    inversions."""
+    decomp = admissible_decomposition(field, structure, mu, window)
+    tables = _level_tables(field, structure, mu, window, decomp)
+    return (decomp, _extremal_dp(tables, structure, mu, "inf"),
+            _extremal_dp(tables, structure, mu, "sup"))
+
+
+def _extremal_dp(t, structure, mu, sense):
+    decomp = t.decomposition
     sign = 1.0 if sense == "sup" else -1.0
     NEG = -1e30
-    score = {j: (sign * weights[0, j] if okleaf[0, j] else NEG)
+    score = {j: (sign * t.weights[0, j] if t.okleaf[0, j] else NEG)
              for j in decomp.feasible[0]}
     back = []
-    for i in range(1, n_int):
+    for i in range(1, len(decomp.intervals)):
         nxt, arg = {}, {}
         for j2 in decomp.feasible[i]:
             best, bj = NEG, None
             for j, s in score.items():
-                if s <= NEG / 2 or not legal[i - 1].get((j, j2), False):
+                if s <= NEG / 2 or not t.legal[i - 1].get((j, j2), False):
                     continue
                 if s > best:
                     best, bj = s, j
-            if not okleaf[i, j2]:
+            if not t.okleaf[i, j2]:
                 best = NEG
-            nxt[j2] = (best + sign * weights[i, j2]) if bj is not None else NEG
+            nxt[j2] = (best + sign * t.weights[i, j2]) if bj is not None \
+                else NEG
             arg[j2] = bj
         back.append(arg)
         score = nxt
@@ -308,16 +346,13 @@ def extremal_admissible(field, structure, mu, window, sense="sup",
     for arg in reversed(back):
         branches.append(arg[branches[-1]])
     branches.reverse()
-    slopes = np.empty(len(x_mid))
-    for i, j in enumerate(branches):
-        mask = iv == i
-        slopes[mask] = psi[j, mask]
+    cell_branch = np.asarray(branches, dtype=np.int64)[t.interval_of]
     out = AdmissibleFunction(
-        mu=mu, x_mid=x_mid, widths=widths, slopes=slopes, core=core,
-        cell_branch=np.asarray(branches, dtype=np.int64)[iv],
-        decomposition=decomp, branches=branches, interval_of=iv,
-        structure=structure)
-    _assert_pointwise_extremal(out, psi, legal, decomp, sense)
+        mu=mu, x_mid=t.x_mid, widths=t.widths,
+        slopes=t.psi[cell_branch, np.arange(len(t.x_mid))], core=t.core,
+        cell_branch=cell_branch, decomposition=decomp, branches=branches,
+        interval_of=t.interval_of, structure=structure)
+    _assert_pointwise_extremal(out, t, sense)
     return out
 
 
@@ -335,13 +370,12 @@ def _chain_branches(feasible, legal):
     return on_chain
 
 
-def _assert_pointwise_extremal(fn, psi, legal, decomp, sense):
+def _assert_pointwise_extremal(fn, t, sense):
     sign = 1.0 if sense == "sup" else -1.0
-    tol = 1e-9 * (1.0 + np.nanmax(np.abs(psi)))
-    for i, on_chain in enumerate(_chain_branches(decomp.feasible, legal)):
-        mask = fn.interval_of == i
+    tol = 1e-9 * (1.0 + np.nanmax(np.abs(t.psi)))
+    for i, (c, on_chain) in enumerate(zip(t.cells, t.on_chain)):
         for j in sorted(on_chain):
-            if np.any(sign * (psi[j, mask] - fn.slopes[mask]) > tol):
+            if np.any(sign * (t.psi[j, c] - fn.slopes[c]) > tol):
                 raise NotPointwiseExtremal(
                     f"alternative branch {j} beats the {sense}-extremal "
                     f"selection on interval {i} at mu={fn.mu:.6g}")
@@ -437,19 +471,41 @@ def _pair_legality(field, structure, mu, nodes, branches, n_gap=17,
 
 def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
                          incoming_branch=None):
-    """Perron interpolant between admissible selections on one interval.
+    """Perron interpolant between admissible selections of one realization
+    on one interval.
 
     Given f1 >= f2 on I = (a, b) with primitives u1, u2 (u_i(a) = 0) and a
     target c in [u2(b), u1(b)], the maximal subsolution pinched between
     the barriers max(u2, u1 - u1(b) + c) and min(u1, u2 - u2(b) + c) is
     built by dynamic programming over branch rides with corner-legal
     switches; its endpoint values are exact and its slopes satisfy the
-    level equation up to the corner tolerances.
+    level equation up to the corner tolerances.  The branch and legality
+    tables do not depend on c: ``level_piece_function`` builds them once
+    per interval and reruns only the DP for each target.
     """
+    tables = _homotopy_tables(field, structure, mu, f1, interval)
+    return _perron(field, structure, mu, tables, f1, f2, c, incoming_branch)
+
+
+def _homotopy_tables(field, structure, mu, f1, interval):
+    """(sel, psi, feasible, legal) on the cells of f1's grid inside the
+    interval: every branch's inverse at the midpoints and its subsolution
+    legality at the cell edges, since rides may pass through branches
+    neither endpoint selection uses."""
     a, b = interval
     sel = (f1.x_mid >= a - 1e-12) & (f1.x_mid <= b + 1e-12)
     if not sel.any():
         raise ValueError("interval contains no grid cells")
+    x_mid, wid = f1.x_mid[sel], f1.widths[sel]
+    nodes = np.concatenate([[a], x_mid[:-1] + 0.5 * wid[:-1], [b]])
+    psi, feas = _branch_tables(field, structure, mu, x_mid)
+    legal = _pair_legality(field, structure, mu, nodes,
+                           list(range(1, len(psi))), rule="sub")
+    return sel, psi, feas, legal
+
+
+def _perron(field, structure, mu, tables, f1, f2, c, incoming_branch):
+    sel, psi, feas, legal = tables
     x_mid = f1.x_mid[sel]
     wid = f1.widths[sel]
     s1, s2 = f1.slopes[sel], f2.slopes[sel]
@@ -469,14 +525,9 @@ def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
                              cell_branch=src_fn.cell_branch[sel])
     u_star = np.minimum(u1, u2 - u2[-1] + c)
     u_low = np.maximum(u2, u1 - u1[-1] + c)
-    nodes = np.concatenate([[a], x_mid[:-1] + 0.5 * wid[:-1], [b]])
 
     b1 = f1.cell_branch[sel]
-    # rides may pass through branches neither endpoint selection uses
-    branch_ids = list(range(1, 2 * structure.index[1] + 2))
-    psi, feas = _branch_tables(field, structure, mu, x_mid)
-    legal = _pair_legality(field, structure, mu, nodes, branch_ids,
-                           rule="sub")
+    branch_ids = list(range(1, len(psi)))
     if incoming_branch is None:
         incoming_branch = int(b1[0])
     out_branch = int(b1[-1])
@@ -589,46 +640,26 @@ def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
 # level sets and level pieces
 # ---------------------------------------------------------------------------
 
-def _extremal_pair(field, structure, mu, window):
-    """(decomposition, f_inf, f_sup) at level mu: both extremal selections
-    over one decomposition."""
-    decomp = admissible_decomposition(field, structure, mu, window)
-    f_lo = extremal_admissible(field, structure, mu, window, "inf",
-                               decomposition=decomp)
-    f_hi = extremal_admissible(field, structure, mu, window, "sup",
-                               decomposition=decomp)
-    return decomp, f_lo, f_hi
-
-
-def level_sets(fields, structure, mu_grid, window_cells=100):
-    """I_mu = [mean(f_inf), mean(f_sup)] per level, with cross-seed CI and
-    an isotonic cleanup inside the CI; overlaps beyond it raise
-    LevelSetConflict."""
-    if isinstance(fields, HamiltonianField):
-        fields = [fields]
-    window = (0.0, window_cells * fields[0].cell)
+def level_sets(field, structure, mu_grid, window_cells=100):
+    """I_mu = [mean(f_inf), mean(f_sup)] per level of one realization,
+    sorted by mu; an overlap of neighbouring levels up to 1e-9 is split at
+    its midpoint and a larger one raises LevelSetConflict.  Each record
+    carries "ci": 0.0, as one realization has no cross-seed spread."""
+    window = (0.0, window_cells * field.cell)
     out = []
     for mu in mu_grid:
-        lows, highs = [], []
-        for f in fields:
-            _, f_lo, f_hi = _extremal_pair(f, structure, mu, window)
-            if np.any(f_hi.slopes < f_lo.slopes - 1e-9):
-                raise NotPointwiseExtremal(
-                    f"sup-extremal below inf-extremal at mu={mu:.6g}")
-            lows.append(f_lo.mean())
-            highs.append(f_hi.mean())
-        ci = max(np.ptp(lows) if len(lows) > 1 else 0.0,
-                 np.ptp(highs) if len(highs) > 1 else 0.0)
-        out.append({"mu": float(mu), "p_lo": float(np.mean(lows)),
-                    "p_hi": float(np.mean(highs)), "ci": float(ci)})
+        _, f_lo, f_hi = extremal_pair(field, structure, mu, window)
+        if np.any(f_hi.slopes < f_lo.slopes - 1e-9):
+            raise NotPointwiseExtremal(
+                f"sup-extremal below inf-extremal at mu={mu:.6g}")
+        out.append({"mu": float(mu), "p_lo": f_lo.mean(),
+                    "p_hi": f_hi.mean(), "ci": 0.0})
     out.sort(key=lambda r: r["mu"])
-    # enforce ordering within the confidence intervals
     for prev, cur in zip(out, out[1:]):
-        tol = prev["ci"] + cur["ci"] + 1e-9
-        if cur["p_lo"] < prev["p_hi"] - tol:
+        if cur["p_lo"] < prev["p_hi"] - 1e-9:
             raise LevelSetConflict(
                 f"I_mu at mu={cur['mu']:.6g} overlaps mu={prev['mu']:.6g} "
-                f"beyond the confidence interval")
+                f"by more than 1e-9")
         if cur["p_lo"] < prev["p_hi"]:
             mid = 0.5 * (cur["p_lo"] + prev["p_hi"])
             prev["p_hi"] = min(prev["p_hi"], mid)
@@ -643,7 +674,7 @@ def level_piece_function(field, structure, mu, p, window_cells=100):
     tol_mean = 1e-4
     cell = field.cell
     window = (0.0, window_cells * cell)
-    decomp, f_lo, f_hi = _extremal_pair(field, structure, mu, window)
+    decomp, f_lo, f_hi = extremal_pair(field, structure, mu, window)
     if not (f_lo.mean() - tol_mean <= p <= f_hi.mean() + tol_mean):
         raise ValueError(f"p={p:.6g} outside I_mu=[{f_lo.mean():.6g}, "
                          f"{f_hi.mean():.6g}]")
@@ -653,7 +684,15 @@ def level_piece_function(field, structure, mu, p, window_cells=100):
                                 slopes=fn.slopes.copy(), core=fn.core,
                                 cell_branch=fn.cell_branch)
             return out, t_end
-    runs = _unequal_runs(f_hi, f_lo, decomp)
+    # each run's tables are built once; only the Perron DP sees t
+    runs = []
+    for a, b, i0, _ in _unequal_runs(f_hi, f_lo, decomp):
+        tables = _homotopy_tables(field, structure, mu, f_hi, (a, b))
+        sel = tables[0]
+        runs.append((a, b, f_hi.branches[i0 - 1] if i0 > 0 else None,
+                     float(np.sum(f_hi.slopes[sel] * f_hi.widths[sel])),
+                     float(np.sum(f_lo.slopes[sel] * f_lo.widths[sel])),
+                     tables))
     buf = BUFFER_CELLS * cell
     x_hi_w = window_cells * cell
 
@@ -662,17 +701,12 @@ def level_piece_function(field, structure, mu, p, window_cells=100):
         # the unchanged segments
         segs = []
         cursor = 0.0
-        for (a, b, i0, i1) in runs:
+        for a, b, inc, d_hi, d_lo, tables in runs:
             keep = (f_hi.x_mid > cursor) & (f_hi.x_mid < a)
             segs.append((f_hi.x_mid[keep], f_hi.widths[keep],
                          f_hi.slopes[keep], f_hi.cell_branch[keep]))
-            sel = (f_hi.x_mid >= a - 1e-12) & (f_hi.x_mid <= b + 1e-12)
-            d_hi = float(np.sum(f_hi.slopes[sel] * f_hi.widths[sel]))
-            d_lo = float(np.sum(f_lo.slopes[sel] * f_lo.widths[sel]))
-            c = t * d_hi + (1.0 - t) * d_lo
-            inc = f_hi.branches[i0 - 1] if i0 > 0 else None
-            w = homotopy_interpolant(field, structure, mu, f_hi, f_lo,
-                                     (a, b), c, incoming_branch=inc)
+            w = _perron(field, structure, mu, tables, f_hi, f_lo,
+                        t * d_hi + (1.0 - t) * d_lo, inc)
             segs.append((w.x_mid, w.widths, w.slopes, w.cell_branch))
             cursor = b
         keep = f_hi.x_mid > cursor
@@ -801,35 +835,30 @@ def assemble_effective_curve(field, structure, mu_points=15, window_cells=100,
     field.coercivity_radii([abs(mu) + 1.0 for mu in (*neg_mus, *tail_mus)])
     ext = extreme_level(field, structure, window_cells=window_cells,
                         mu_neg=neg_mus)
-    ps, vs, buds, srcs = [], [], [], []
-    intervals = []
+    ps, vs, srcs = [], [], []
     for p_mu, mu in sorted(ext["negative"]):
         ps.append(p_mu)
         vs.append(mu)
-        buds.append(0.0)
         srcs.append("negative")
     for p in (ext["e_zl"], ext["q0"]):
         ps.append(p)
         vs.append(0.0)
-        buds.append(0.0)
         srcs.append("flat")
     for rec in levels:
         for key in ("p_lo", "p_hi"):
             ps.append(rec[key])
             vs.append(rec["mu"])
-            buds.append(rec["ci"])
             srcs.append("level")
-        intervals.append(rec)
     for mu in tail_mus:
         pm = _branch1_mean(field, structure, tail_grid, mu, "+")
         if pm is not None:
             ps.append(pm)
             vs.append(float(mu))
-            buds.append(0.0)
             srcs.append("level")
-    curve = EffectiveCurve(np.asarray(ps), np.asarray(vs), np.asarray(buds),
-                           srcs, level_intervals=intervals,
+    # one realization has no cross-seed spread: the budgets stay zero
+    curve = EffectiveCurve(np.asarray(ps), np.asarray(vs), source=srcs,
+                           level_intervals=levels,
                            flat=(ext["e_zl"], ext["q0"], 0.0))
-    if not curve.is_level_set_convex(tol=1e-7 + 2 * max(buds, default=0.0)):
+    if not curve.is_level_set_convex(tol=1e-7):
         raise LevelSetConflict("assembled curve is not level-set convex")
     return curve

@@ -11,14 +11,13 @@ p = 0 and the probed esssup of H(0, x) is 0.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .env import DerivedField, HamiltonianField, bisect, golden_min
+from .env import DerivedField, bisect, golden_min
 from .errors import (NotApplicable, NotConstrained, OutOfBranchRange,
-                     ProfileError, UnstableStatistics)
+                     ProfileError)
 
 TOL_INV = 1e-10
 
@@ -469,58 +468,33 @@ class OscillationStats:
     P: float             # p_{k_hi}
     Q: float             # q_{k_lo}
     q_k_hi: float        # q_{k_hi}
-    dispersion: float
-    per_seed: list = dc_field(default_factory=list)
 
 
-def classify_oscillation(fields, structure):
-    """Small vs large oscillation from extrema of m(x) and M(x) over a
-    100-cell window, 16 samples per cell.
+def classify_oscillation(field, structure):
+    """Small vs large oscillation of one realization from extrema of m(x)
+    and M(x) over a 100-cell window, 16 samples per cell.
 
-    ``fields`` is one realization or a list (one per seed); statistics are
-    averaged across them and the spread reported as dispersion.  The
-    arg-branches are taken on the positive side, as required by the
+    The arg-branches are taken on the positive side, as required by the
     one-sided gluing constructions.
     """
-    if isinstance(fields, HamiltonianField):
-        fields = [fields]
     pos_min = structure.positive_minima()
     pos_max = structure.positive_maxima()
     if len(pos_min) == 0:
         raise NotApplicable("no positive-side wells to classify")
-    rows = []
-    for f in fields:
-        xs = np.linspace(0.0, 100 * f.cell, 1600, endpoint=False)
-        proc = ExtremaProcesses(f, structure)
-        m_vals = proc.m(xs)
-        M_vals = proc.M(xs)
-        per_max = f.evaluate(pos_max[:, None], xs[None, :])
-        per_min = f.evaluate(pos_min[:, None], xs[None, :])
-        rows.append({
-            "M_lo": float(M_vals.min()), "m_hi": float(m_vals.max()),
-            "M_hi": float(M_vals.max()), "m_lo": float(m_vals.min()),
-            "essinf_Mj": per_max.min(axis=1), "esssup_mj": per_min.max(axis=1)})
-    M_lo = float(np.mean([r["M_lo"] for r in rows]))
-    m_hi = float(np.mean([r["m_hi"] for r in rows]))
-    M_hi = float(np.mean([r["M_hi"] for r in rows]))
-    m_lo = float(np.mean([r["m_lo"] for r in rows]))
-    spread = max(
-        np.ptp([r["M_lo"] for r in rows]), np.ptp([r["m_hi"] for r in rows]))
-    span = max(M_hi - m_lo, 1e-30)
-    if spread > 0.1 * span:
-        warnings.warn(
-            f"cross-seed dispersion {spread:.3g} exceeds 10% of the "
-            f"oscillation span {span:.3g}", UnstableStatistics)
-    essinf_Mj = np.mean([r["essinf_Mj"] for r in rows], axis=0)
-    esssup_mj = np.mean([r["esssup_mj"] for r in rows], axis=0)
+    xs = np.linspace(0.0, 100 * field.cell, 1600, endpoint=False)
+    proc = ExtremaProcesses(field, structure)
+    m_vals = proc.m(xs)
+    M_vals = proc.M(xs)
+    essinf_Mj = field.evaluate(pos_max[:, None], xs[None, :]).min(axis=1)
+    esssup_mj = field.evaluate(pos_min[:, None], xs[None, :]).max(axis=1)
+    M_lo, m_hi = float(M_vals.min()), float(m_vals.max())
     k_lo = int(np.argmax(essinf_Mj)) + 1
     k_hi = int(np.argmin(esssup_mj)) + 1
     return OscillationStats(
-        small=M_lo >= m_hi, M_lo=M_lo, m_hi=m_hi, M_hi=M_hi, m_lo=m_lo,
-        k_lo=k_lo, k_hi=k_hi,
+        small=M_lo >= m_hi, M_lo=M_lo, m_hi=m_hi, M_hi=float(M_vals.max()),
+        m_lo=float(m_vals.min()), k_lo=k_lo, k_hi=k_hi,
         P=float(pos_min[k_hi - 1]), Q=float(pos_max[k_lo - 1]),
-        q_k_hi=float(pos_max[k_hi - 1]),
-        dispersion=float(spread), per_seed=rows)
+        q_k_hi=float(pos_max[k_hi - 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -239,11 +239,7 @@ def test_criterion_10_admissible_machinery(pwl_large):
 
     resid_ok, dom_ok = True, True
     for mu in (0.9 * M_bar, 0.5 * stats.m_hi):
-        dec = lo.admissible_decomposition(f, s, mu, window)
-        f_lo_ = lo.extremal_admissible(f, s, mu, window, "inf",
-                                       decomposition=dec)
-        f_hi_ = lo.extremal_admissible(f, s, mu, window, "sup",
-                                       decomposition=dec)
+        _, f_lo_, f_hi_ = lo.extremal_pair(f, s, mu, window)
         dom_ok &= bool(np.all(f_hi_.slopes >= f_lo_.slopes - 1e-9))
         tol = st.TOL_INV + rho(float(np.max(f_hi_.widths)))
         resid_ok &= lo.viscosity_residual(f, f_lo_) <= tol
@@ -252,7 +248,7 @@ def test_criterion_10_admissible_machinery(pwl_large):
     # branch forcing: Lemma-8.5 side at 0.9 M_bar, Lemma-8.6 side at m_hi/2
     mu_hi = 0.9 * M_bar
     f_hi_ = lo.extremal_admissible(f, s, mu_hi, window, "sup")
-    sel = np.asarray([f_hi_.branches[i] for i in f_hi_.interval_of])
+    sel = f_hi_.cell_branch
     forced_hi = proc.M(f_hi_.x_mid) < mu_hi
     force1 = bool(np.all(sel[forced_hi] == 1))
     frac1 = np.sum(f_hi_.widths[sel == 1]) / np.sum(f_hi_.widths)
@@ -261,7 +257,7 @@ def test_criterion_10_admissible_machinery(pwl_large):
     mu_lo_ = 0.5 * stats.m_hi
     nb = 2 * s.index[1] + 1
     f_lo2 = lo.extremal_admissible(f, s, mu_lo_, window, "inf")
-    sel2 = np.asarray([f_lo2.branches[i] for i in f_lo2.interval_of])
+    sel2 = f_lo2.cell_branch
     forced_lo = proc.m(f_lo2.x_mid) > mu_lo_
     force2 = bool(np.all(sel2[forced_lo] == nb))
     fracN = np.sum(f_lo2.widths[sel2 == nb]) / np.sum(f_lo2.widths)
@@ -278,11 +274,7 @@ def test_criterion_10_admissible_machinery(pwl_large):
 def test_criterion_11_homotopy_endpoints(quartic2_normalized):
     fn, sn, _, _ = quartic2_normalized
     window = (0.0, 100.0)
-    dec = lo.admissible_decomposition(fn, sn, 0.0, window)
-    f_lo_ = lo.extremal_admissible(fn, sn, 0.0, window, "inf",
-                                   decomposition=dec)
-    f_hi_ = lo.extremal_admissible(fn, sn, 0.0, window, "sup",
-                                   decomposition=dec)
+    dec, f_lo_, f_hi_ = lo.extremal_pair(fn, sn, 0.0, window)
     runs = lo._unequal_runs(f_hi_, f_lo_, dec)
     rng = np.random.default_rng(11)
     rho = fn.modulus(-1.0, 4.0)

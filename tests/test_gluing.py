@@ -1,9 +1,12 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from hjhomog import env, structure as st, gluing as gl, cell_solver as cs
 from hjhomog.curve import EffectiveCurve
-from hjhomog.errors import NotApplicable
+from hjhomog.errors import NotApplicable, ReductionStalled
 
 
 LEFT_PARAMS = {"nodes": [0.0, 0.5, 1.0, 1.5, 2.0],
@@ -215,6 +218,26 @@ def test_tree_quartic_large_oscillation_leaf():
     q2 = env.sample(env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 2.0}))
     tree = gl.build_reduction_tree(q2)
     assert tree.kind == "leaf" and tree.leaf_kind == "large_osc"
+
+
+def test_stalled_steep_side_child_warns_reduction_stalled(monkeypatch):
+    # a steep-side family whose first child keeps the parent's wells
+    real = gl.steep_side_family
+
+    def stalled(field, structure, stats):
+        return dataclasses.replace(real(field, structure, stats),
+                                   H1=field, s1=structure)
+
+    monkeypatch.setattr(gl, "steep_side_family", stalled)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tree = gl.build_reduction_tree(_field(LEFT_PARAMS))
+    stalls = [w for w in caught if w.category is ReductionStalled]
+    assert stalls
+    assert all("steep-side child keeps" in str(w.message) for w in stalls)
+    assert issubclass(ReductionStalled, UserWarning)
+    assert tree.kind == "steep_left"
+    assert tree.children[0].leaf_kind == "direct"
 
 
 def test_tree_two_sided_splits():

@@ -28,12 +28,7 @@ def quartic():
 @pytest.fixture(scope="module")
 def quartic_extremals(quartic):
     f, sn = quartic
-    dec = lo.admissible_decomposition(f, sn, 0.0, WINDOW)
-    f_lo = lo.extremal_admissible(f, sn, 0.0, WINDOW, "inf",
-                                  decomposition=dec)
-    f_hi = lo.extremal_admissible(f, sn, 0.0, WINDOW, "sup",
-                                  decomposition=dec)
-    return dec, f_lo, f_hi
+    return lo.extremal_pair(f, sn, 0.0, WINDOW)
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +303,7 @@ def test_branch_forcing_above(quartic, quartic_extremals):
                                   decomposition=dec)
     proc = st.ExtremaProcesses(f, sn)
     forced = proc.M(f_hi.x_mid) < 0.5
-    on_branch1 = np.asarray([f_hi.branches[i] for i in f_hi.interval_of]) == 1
+    on_branch1 = f_hi.cell_branch == 1
     assert np.all(on_branch1[forced])
 
 
@@ -323,7 +318,7 @@ def test_branch_forcing_below(pwl):
     forced = proc.m(f_hi.x_mid) > mu
     assert forced.mean() > 0.1     # the forcing set is substantial
     nb = 2 * s.index[1] + 1
-    sel = np.asarray([f_hi.branches[i] for i in f_hi.interval_of])
+    sel = f_hi.cell_branch
     assert np.all(sel[forced] == nb)
     frac_low = np.sum(f_hi.widths[sel == nb]) / np.sum(f_hi.widths)
     frac_forced = np.sum(f_hi.widths[forced]) / np.sum(f_hi.widths)
@@ -357,12 +352,11 @@ def test_pointwise_check_rejects_inf_selection_as_sup(quartic,
     f, sn = quartic
     dec, f_lo, f_hi = quartic_extremals
     assert f_lo.branches != f_hi.branches
-    psi, _ = lo._branch_tables(f, sn, 0.0, f_lo.x_mid)
-    legal = lo._legal_matrix(f, sn, 0.0, dec)
-    lo._assert_pointwise_extremal(f_lo, psi, legal, dec, "inf")
-    lo._assert_pointwise_extremal(f_hi, psi, legal, dec, "sup")
+    tables = lo._level_tables(f, sn, 0.0, WINDOW, dec)
+    lo._assert_pointwise_extremal(f_lo, tables, "inf")
+    lo._assert_pointwise_extremal(f_hi, tables, "sup")
     with pytest.raises(NotPointwiseExtremal):
-        lo._assert_pointwise_extremal(f_lo, psi, legal, dec, "sup")
+        lo._assert_pointwise_extremal(f_lo, tables, "sup")
 
 
 def _chain_union(feasible, legal):
@@ -403,6 +397,72 @@ def test_chain_branches_drop_dead_ends():
              {(1, 1): True, (3, 1): False}]
     assert lo._chain_branches(feasible, legal) == [{1}, {1}, {1}]
     assert _chain_union(feasible, legal) == [{1}, {1}, {1}]
+
+
+# -- one table build per level ----------------------------------------------------
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each named module-level function of large_osc with a counter."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(lo, name, counting(name, getattr(lo, name)))
+    return counts
+
+
+def _levels(case, quartic, pwl):
+    if case == "quartic":
+        f, sn = quartic
+        return f, sn, (5.0, 0.0, 0.3, 0.5)
+    f, s, stats = pwl
+    return f, s, (stats.M_hi + 1.0, 0.5 * stats.m_hi, 0.5 * stats.M_hi)
+
+
+@pytest.mark.parametrize("case", ["quartic", "pwl"])
+def test_extremal_pair_builds_one_set_of_tables(case, quartic, pwl,
+                                                monkeypatch):
+    f, sn, levels = _levels(case, quartic, pwl)
+    window = (0.0, 20.0)
+    names = ("branch_inverse_grid", "_pair_legality")
+    for mu in levels:
+        dec = lo.admissible_decomposition(f, sn, mu, window)
+        counts = _count_calls(monkeypatch, names)
+        singles = {sense: lo.extremal_admissible(f, sn, mu, window, sense,
+                                                 decomposition=dec)
+                   for sense in ("inf", "sup")}
+        per_single = {k: v / 2 for k, v in counts.items()}
+        monkeypatch.undo()
+        counts = _count_calls(monkeypatch, names)
+        _, f_lo, f_hi = lo.extremal_pair(f, sn, mu, window)
+        assert counts == per_single
+        monkeypatch.undo()
+        for sense, fn in (("inf", f_lo), ("sup", f_hi)):
+            single = singles[sense]
+            for key in ("slopes", "cell_branch", "x_mid"):
+                np.testing.assert_array_equal(getattr(fn, key),
+                                              getattr(single, key))
+            assert fn.branches == single.branches
+    assert counts["branch_inverse_grid"] > 0
+
+
+def test_level_piece_builds_run_tables_before_bisecting(quartic,
+                                                        monkeypatch):
+    f, sn = quartic
+    dec, f_lo, f_hi = lo.extremal_pair(f, sn, 0.0, (0.0, 20.0))
+    n_runs = len(lo._unequal_runs(f_hi, f_lo, dec))
+    target = 0.5 * (f_lo.mean() + f_hi.mean())
+    counts = _count_calls(monkeypatch, ("_pair_legality",))
+    fn, t = lo.level_piece_function(f, sn, 0.0, target, window_cells=20)
+    assert 0.0 < t < 1.0 and abs(fn.mean() - target) <= 1e-4
+    assert n_runs > 0
+    assert counts["_pair_legality"] == 1 + n_runs
 
 
 # -- ergodic means ---------------------------------------------------------------

@@ -271,7 +271,6 @@ def test_oscillation_small(quartic_01):
     assert stats.small
     assert stats.m_hi == pytest.approx(0.0, abs=1e-6)   # after mu-shift by 0.1
     assert stats.M_lo == pytest.approx(0.8, abs=1e-6)   # 0.9 - 0.1
-    assert stats.dispersion == pytest.approx(0.0, abs=1e-12)
 
 
 def test_oscillation_large(quartic_2):
