@@ -34,14 +34,15 @@ wraparound stencils is solved instead of a window.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
 from .env import EnvironmentSpec, HamiltonianField, sample
-from .errors import Diverged, NoisyLimit
+from .errors import Diverged, NoisyLimit, WarmStartRetried
 
 LAMBDA_SCHEDULE = (0.04, 0.02, 0.01, 0.005)
 
@@ -139,7 +140,13 @@ def _operator(h, p, lam, grid, w):
     return lam * w + h(p + c) - diss, c
 
 
-_DGTSV, = get_lapack_funcs(("gtsv",), (np.zeros(1),))
+@functools.cache
+def _dgtsv():
+    # scipy is imported at the first solve, not with the package: the
+    # routes that solve no discounted problem skip its start-up time and
+    # memory
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("gtsv",), (np.zeros(1),))[0]
 
 
 def _gtsv(dl, d, du, b):
@@ -150,7 +157,7 @@ def _gtsv(dl, d, du, b):
     for a in (dl, d, du, b):
         if not np.isfinite(a).all():
             raise ValueError("array must not contain infs or NaNs")
-    _, _, _, x, info = _DGTSV(dl, d, du, b)
+    _, _, _, x, info = _dgtsv()(dl, d, du, b)
     if info > 0:
         raise LinAlgError("singular matrix")
     return x
@@ -453,9 +460,12 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
                 w0 = w_prev - val_prev * (1.0 / lam - 1.0 / lam_prev)
             try:
                 sol = solve_discounted(f, p, lam, grid, w0=w0)
-            except Diverged:
+            except Diverged as exc:
                 if w0 is None:
                     raise
+                warnings.warn(f"warm-started solve diverged at p={p:.4g}, "
+                              f"lam={lam:.4g}, seed={seed} ({exc}); "
+                              f"solved again cold", WarmStartRetried)
                 w0 = None
                 sol = solve_discounted(f, p, lam, grid, w0=w0)
             val = sol.minus_lambda_v0 if center else sol.minus_lambda_v_mean

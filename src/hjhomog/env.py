@@ -395,6 +395,12 @@ class HamiltonianField:
         loop varies p at fixed x."""
         raise NotImplementedError
 
+    def period_key(self, x):
+        """The reduced x that ``at(x)`` depends on, or None when ``at``
+        reads x itself: points with equal keys have equal values
+        ``at(x)(p)``, bit for bit."""
+        return None
+
     def evaluate(self, p, x):
         out = self.at(x)(p)
         return out if out.ndim else float(out)
@@ -520,10 +526,13 @@ class PeriodicField(HamiltonianField):
         self.period = float(spec.period)
         self._at = spec.profile_at()
 
-    def at(self, x):
+    def period_key(self, x):
         x = np.asarray(x, dtype=np.float64)
         T = self.period
-        return self._at(x - T * np.floor(x / T))
+        return x - T * np.floor(x / T)
+
+    def at(self, x):
+        return self._at(self.period_key(x))
 
 
 def _smoothstep(u):
@@ -609,11 +618,19 @@ class DerivedField(HamiltonianField):
         self.cell_length = base.cell_length
         self.deterministic = base.deterministic
 
+    def period_key(self, x):
+        # at(x) hands x to the base unchanged; a subclass that moves x or
+        # reads a second field returns None
+        return self.base.period_key(x)
+
 
 class ShiftedField(DerivedField):
     def __init__(self, base, y):
         super().__init__(base)
         self.y = float(y)
+
+    def period_key(self, x):
+        return None
 
     def at(self, x):
         return self.base.at(np.asarray(x, dtype=np.float64) + self.y)

@@ -57,5 +57,9 @@ class NoisyLimit(UserWarning):
     """The discounted limit trend is not monotone within tolerance."""
 
 
+class WarmStartRetried(UserWarning):
+    """A warm-started discounted solve diverged and was solved again cold."""
+
+
 class ExtrapolationUsed(UserWarning):
     """A sampled effective curve was evaluated outside its support."""

@@ -78,6 +78,9 @@ class MaxField(DerivedField):
         self.f1, self.f2 = f1, f2
         self.deterministic = f1.deterministic and f2.deterministic
 
+    def period_key(self, x):
+        return None
+
     def at(self, x):
         h1, h2 = self.f1.at(x), self.f2.at(x)
         return lambda p: np.maximum(h1(p), h2(p))
@@ -141,6 +144,9 @@ class MirroredField(DerivedField):
     """H(-p, -x): maps index (L_tilde, 0) onto (0, L_tilde).  Substituting
     w(y) = v(-y) in the cell problem gives Hbar[H(-p, -x)](p) = Hbar(-p),
     which the mirror node's combination rule relies on."""
+
+    def period_key(self, x):
+        return None
 
     def at(self, x):
         h = self.base.at(-np.asarray(x, dtype=np.float64))
@@ -527,6 +533,13 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
     400-cell window at 16 samples per cell: Hbar(p -+ (mu)) = mu.  The
     flat piece spans the averaged inverses at the flat level.  Multi-seed
     sources report the cross-seed spread as the confidence interval.
+
+    A field with a period key (``HamiltonianField.period_key``) repeats
+    the same values on every window point of equal key, so the 513-level
+    table and the bisections run on one period: on the first window point
+    of each distinct key.  Each level's crossings and the quasi-convexity
+    probe columns are read back through the inverse index, so the window
+    means, and the curve, are the same to the bit as on the whole window.
     """
     from .env import EnvironmentSpec, sample as env_sample
     if isinstance(source, EnvironmentSpec):
@@ -536,6 +549,13 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
     per_seed = []
     for f in fields:
         xs = np.linspace(0.0, 400 * f.cell, 6400, endpoint=False)
+        key = f.period_key(xs)
+        if key is None:
+            inv = np.arange(len(xs))
+        else:
+            _, first, inv = np.unique(key, return_index=True,
+                                      return_inverse=True)
+            xs = xs[first]
         pg = np.linspace(p_lo, p_hi, 513)
         h = f.at(xs)
         vals = h(pg[:, None])
@@ -543,8 +563,8 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
         # quasi-convexity probe: no interior rebound above tolerance
         vmin = vals.min(axis=0)
         tol = 1e-8 * (np.max(vals) - np.min(vals) + 1.0)
-        for j in (0, len(xs) // 3, 2 * len(xs) // 3):
-            col = vals[:, j]
+        for j in (0, len(inv) // 3, 2 * len(inv) // 3):
+            col = vals[:, inv[j]]
             k = int(np.argmin(col))
             if np.any(np.diff(col[:k + 1]) > tol) or \
                     np.any(np.diff(col[k:]) < -tol):
@@ -561,9 +581,9 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
         for mu in mus:
             # H < mu right of the minimizer: the crossing is further right
             a, b = bisect(lambda m: h(m) < mu, arg, hi, 60)
-            p_plus.append(float(np.mean(0.5 * (a + b))))
+            p_plus.append(float(np.mean((0.5 * (a + b))[inv])))
             a, b = bisect(lambda m: ~(h(m) < mu), lo, arg, 60)
-            p_minus.append(float(np.mean(0.5 * (a + b))))
+            p_minus.append(float(np.mean((0.5 * (a + b))[inv])))
         per_seed.append((mu0, mus, np.asarray(p_minus), np.asarray(p_plus)))
     mu0 = float(np.mean([r[0] for r in per_seed]))
     mus = per_seed[0][1]

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +9,7 @@ from hypothesis import given, settings, strategies as hs
 from scipy.linalg import LinAlgError, solve_banded
 
 from hjhomog import env, cell_solver as cs
-from hjhomog.errors import Diverged
+from hjhomog.errors import Diverged, WarmStartRetried
 
 
 @pytest.fixture
@@ -294,6 +297,64 @@ def test_gtsv_singular():
     for b in (np.ones(3), np.ones((3, 2), order="F")):
         with pytest.raises(LinAlgError):
             cs._gtsv(dl, d, du, b)
+
+
+_FIRST_GTSV = """
+import sys
+import numpy as np
+from hjhomog import cell_solver as cs
+assert not any(m.startswith("scipy") for m in sys.modules)
+dl, d, du = np.array([1.0, 0.0]), np.ones(3), np.array([1.0, 0.0])
+b = np.ones(3)
+if sys.argv[1] == "nan":
+    b[1] = np.nan
+try:
+    cs._gtsv(dl, d, du, b)
+except Exception as exc:
+    print(type(exc).__module__, type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("case, raised", [
+    ("singular", "numpy.linalg LinAlgError"), ("nan", "builtins ValueError")])
+def test_first_gtsv_call_keeps_its_checks(case, raised):
+    # scipy's LAPACK binding is fetched at the first solve: that first
+    # call must still reject singular systems and non-finite input
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cs.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _FIRST_GTSV, case],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == raised.split()
+    assert LinAlgError is np.linalg.LinAlgError
+
+
+def test_warm_start_divergence_warns_and_solves_cold(abs_sin, monkeypatch):
+    # a warm start that diverges is solved again cold, and says so
+    solve, dx = cs.solve_discounted, 1 / 64
+
+    def warm_diverges(field, p, lam, grid, w0=None, **kwargs):
+        # only the schedule's warm starts: the dx/2 solve keeps its start
+        if w0 is not None and grid.dx == dx:
+            raise Diverged("forced")
+        return solve(field, p, lam, grid, w0=w0, **kwargs)
+
+    def always_cold(field, p, lam, grid, w0=None, **kwargs):
+        if grid.dx == dx:
+            w0 = None
+        return solve(field, p, lam, grid, w0=w0, **kwargs)
+
+    monkeypatch.setattr(cs, "solve_discounted", always_cold)
+    cold = cs.estimate_hbar(abs_sin, 0.5, dx=dx, seeds=(3,))
+    monkeypatch.setattr(cs, "solve_discounted", warm_diverges)
+    with pytest.warns(WarmStartRetried) as record:
+        est = cs.estimate_hbar(abs_sin, 0.5, dx=dx, seeds=(3,))
+    lams = cs.LAMBDA_SCHEDULE[1:]
+    assert len(record) == len(lams)
+    for w, lam in zip(record, lams):
+        assert f"p=0.5, lam={lam:.4g}, seed=3" in str(w.message)
+    assert est.value == cold.value
+    assert est.dispersion == cold.dispersion
 
 
 @pytest.mark.parametrize("case", ["torus", "window"])

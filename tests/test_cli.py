@@ -260,6 +260,19 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded by the discounted solver at its first solve; the
+    # oracle, glue and largeosc routes never need it
+    code = ("import sys, hjhomog.cli; "
+            "sys.exit(sorted(m for m in sys.modules if m.startswith('scipy')) "
+            "or None)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_validate_without_independent_route_sweeps_once(monkeypatch,
                                                         tmp_path):
     # small oscillation: the oracle needs quasi-convexity and the

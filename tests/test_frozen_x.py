@@ -356,3 +356,107 @@ def test_scalar_p_with_x_vector_on_checkerboard(name, p):
     # on a 0-d p numpy's scalar power rounds an ulp away from the array
     # power at this p; the per-call evaluation broadcast p against x
     _assert_same(FIELDS[name], p, np.array([0.0]))
+
+
+# -- the period key: x reduced to what ``at(x)`` consumes ----------------------
+
+def _pk_periodic(T):
+    return env.sample(env.make_periodic("pwl_wells_plus_dip", T, PWL))
+
+
+def _pk_fields(T):
+    """One field of each class that has a period key, over a period-T base."""
+    base = _pk_periodic(T)
+    half_flat = env.sample(env.make_periodic(_half_flat, T))
+    return {env.PeriodicField: base,
+            st.TransformedField: st.TransformedField(base, 0.1, 0.2),
+            st.PLConstrainedField: st.PLConstrainedField(base, 2),
+            st.DeclutteredField: st.DeclutteredField(half_flat, 2),
+            gl.ConeAboveField: gl.ConeAboveField(base, 0.5, 3.0),
+            gl.ConeBelowField: gl.ConeBelowField(base, -0.5, 3.0),
+            gl.ReflectedCapField: gl.ReflectedCapField(base, 0.5, 3.0),
+            gl.TiltedField: gl.TiltedField(base, 0.0, 0.5, 1.0, 4)}
+
+
+def _no_key_fields(T):
+    base = _pk_periodic(T)
+    board = FIELDS["board:1"]
+    return {env.ShiftedField: [base.shifted(0.3), base.shifted(T)],
+            gl.MirroredField: [gl.MirroredField(base)],
+            gl.MaxField: [gl.MaxField(base, st.TransformedField(base, 0.4,
+                                                                -0.1))],
+            env.CheckerboardField: [board, board.periodized(6),
+                                    board.shifted_cells(2)]}
+
+
+# every HamiltonianField subclass: True when it has a period key, False when
+# it has none, None when it cannot be built (no ``at``)
+PERIOD_KEYS = {env.PeriodicField: True, env.DerivedField: None,
+               st.TransformedField: True, st.PLConstrainedField: True,
+               st.DeclutteredField: True, gl.ConeAboveField: True,
+               gl.ConeBelowField: True, gl.ReflectedCapField: True,
+               gl.TiltedField: True, env.ShiftedField: False,
+               gl.MirroredField: False, gl.MaxField: False,
+               env.CheckerboardField: False}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_period_key_table_lists_every_field_class():
+    # a new field that reads x itself must not inherit a key unnoticed:
+    # list it here, and give it a key only after the contract test below
+    import hjhomog.cli  # noqa: F401  (imports every module of the package)
+    assert set(_subclasses(env.HamiltonianField)) == set(PERIOD_KEYS)
+    assert set(_pk_fields(1.0)) == {c for c, k in PERIOD_KEYS.items() if k}
+    assert set(_no_key_fields(1.0)) == \
+        {c for c, k in PERIOD_KEYS.items() if k is False}
+
+
+@pytest.mark.parametrize("T", [1.0, 0.7])
+def test_fields_without_a_period_key(T):
+    for cls, fields in _no_key_fields(T).items():
+        for f in fields:
+            assert type(f) is cls
+            assert f.period_key(np.linspace(-3.0, 3.0, 17)) is None
+    # a chain that passes x unchanged keeps its base's answer
+    shifted = _pk_periodic(T).shifted(0.3)
+    assert gl.ConeAboveField(st.TransformedField(shifted, 0.1, 0.2), 0.5,
+                             3.0).period_key(np.zeros(3)) is None
+
+
+_PK_FIELDS = {T: _pk_fields(T) for T in (1.0, 0.7)}
+
+
+@pytest.mark.parametrize("T", [1.0, 0.7])
+@pytest.mark.parametrize("cls", sorted(_PK_FIELDS[1.0],
+                                       key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+@settings(max_examples=30, deadline=None)
+@given(x1=hs.floats(-30.0, 30.0, allow_nan=False),
+       near=hs.booleans(), j=hs.integers(-5, 5),
+       e=hs.sampled_from([0.0, 1e-17, -1e-17, 1e-300, -1e-300, 2.2e-16,
+                          -2.2e-16, 1e-12, -1e-12]),
+       ks=hs.lists(hs.integers(-40, 40), min_size=1, max_size=6),
+       ps=hs.lists(hs.one_of(_P, _SPLICES), min_size=1, max_size=4))
+def test_equal_period_keys_give_equal_values(T, cls, x1, near, j, e, ks, ps):
+    f = _PK_FIELDS[T][cls]
+    assert type(f) is cls
+    if near:
+        # x next to a multiple of T: x - T floor(x / T) can round to T
+        x1 = j * T + e
+    xs = np.concatenate([[x1], x1 + np.asarray(ks) * T,
+                         np.asarray(ks[:2]) * T - 1e-17])
+    keys = f.period_key(xs)
+    assert keys.shape == xs.shape
+    p = np.asarray(ps)[:, None]
+    table = f.at(xs)(p)
+    for i in range(len(xs)):
+        same = keys == keys[i]
+        # the vectorized table and each point on its own
+        assert _bits(table[:, same]) == _bits(
+            np.repeat(table[:, [i]], same.sum(), axis=1))
+        assert _bits(f.at(xs[i])(p)) == _bits(f.at(xs[same][-1])(p))

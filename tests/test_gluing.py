@@ -1,11 +1,15 @@
 import dataclasses
+import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from hjhomog import env, structure as st, gluing as gl, cell_solver as cs
+from hjhomog import cli
 from hjhomog.curve import EffectiveCurve
+from hjhomog.env import EnvironmentSpec, bisect
 from hjhomog.errors import NotApplicable, ReductionStalled
 
 
@@ -66,6 +70,130 @@ def test_oracle_rejects_nonconvex():
     f = env.sample(env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 0.1}))
     with pytest.raises(NotApplicable):
         gl.convex_oracle(f)
+
+
+def _convex_oracle_reference(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
+    # the oracle as it was before it evaluated periodic fields on one
+    # period: every one of the 6,400 window points is evaluated and bisected
+    if isinstance(source, EnvironmentSpec):
+        fields = [env.sample(source, s) for s in seeds]
+    else:
+        fields = [source]
+    per_seed = []
+    for f in fields:
+        xs = np.linspace(0.0, 400 * f.cell, 6400, endpoint=False)
+        pg = np.linspace(p_lo, p_hi, 513)
+        h = f.at(xs)
+        vals = h(pg[:, None])
+        arg = pg[np.argmin(vals, axis=0)]
+        # quasi-convexity probe: no interior rebound above tolerance
+        vmin = vals.min(axis=0)
+        tol = 1e-8 * (np.max(vals) - np.min(vals) + 1.0)
+        for j in (0, len(xs) // 3, 2 * len(xs) // 3):
+            col = vals[:, j]
+            k = int(np.argmin(col))
+            if np.any(np.diff(col[:k + 1]) > tol) or \
+                    np.any(np.diff(col[k:]) < -tol):
+                raise NotApplicable("field is not quasi-convex in p")
+        mu0 = float(vmin.max())
+        # cap levels so both crossings stay inside [p_lo, p_hi] for every x
+        mu_hi = float(min(np.min(vals[0, :]), np.min(vals[-1, :])))
+        if mu_hi <= mu0:
+            raise NotApplicable("p-range too narrow for the requested levels")
+        mus = mu0 + (mu_hi - mu0) * np.linspace(1e-6, 1.0, 33) ** 1.5
+        lo = np.full(len(xs), p_lo)
+        hi = np.full(len(xs), p_hi)
+        p_plus, p_minus = [], []
+        for mu in mus:
+            # H < mu right of the minimizer: the crossing is further right
+            a, b = bisect(lambda m: h(m) < mu, arg, hi, 60)
+            p_plus.append(float(np.mean(0.5 * (a + b))))
+            a, b = bisect(lambda m: ~(h(m) < mu), lo, arg, 60)
+            p_minus.append(float(np.mean(0.5 * (a + b))))
+        per_seed.append((mu0, mus, np.asarray(p_minus), np.asarray(p_plus)))
+    mu0 = float(np.mean([r[0] for r in per_seed]))
+    mus = per_seed[0][1]
+    pm = np.mean([r[2] for r in per_seed], axis=0)
+    pp = np.mean([r[3] for r in per_seed], axis=0)
+    ci_m = np.ptp([r[2] for r in per_seed], axis=0) if len(per_seed) > 1 else 0 * pm
+    ci_p = np.ptp([r[3] for r in per_seed], axis=0) if len(per_seed) > 1 else 0 * pp
+    ps = np.concatenate([pm[::-1], pp])
+    vs = np.concatenate([mus[::-1], mus])
+    cis = np.concatenate([ci_m[::-1], ci_p])
+    return EffectiveCurve(ps, vs, cis, source=["oracle"] * len(ps),
+                          flat=(float(pm[0]), float(pp[0]), mu0))
+
+
+def _assert_same_curve(got, want):
+    for name in ("p", "values", "budget"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert np.asarray(got.flat).tobytes() == np.asarray(want.flat).tobytes()
+    assert got.source == want.source
+
+
+def _glue_steep_leaf_calls():
+    # the oracle calls of the glue_steep benchmark run: its tree leaves
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "configs", "glue_steep.json")
+    with open(path) as fh:
+        cfg = cli.resolve_config(json.load(fh))
+    calls, oracle = [], gl.convex_oracle
+
+    def recorded(field, **kwargs):
+        calls.append((field, kwargs))
+        return oracle(field, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gl, "convex_oracle", recorded)
+        cli._glue_curve(cfg)
+    return calls
+
+
+def test_oracle_on_one_period_matches_reference_on_glue_steep():
+    calls = _glue_steep_leaf_calls()
+    assert len(calls) == 4
+    for field, kwargs in calls:
+        assert field.period_key(np.zeros(1)) is not None
+        _assert_same_curve(gl.convex_oracle(field, **kwargs),
+                           _convex_oracle_reference(field, **kwargs))
+
+
+def _oracle_cases():
+    abs_sin = env.sample(env.make_periodic("abs_plus_sin", 1.0))
+    # 0.7 does not divide the 400-cell window into 16 exact samples per
+    # period, so the keys are more than 16 distinct values
+    odd = env.sample(env.make_periodic("base_plus_sin", 0.7,
+                                       {"base": "quadratic",
+                                        "amplitude": 0.4}))
+    return {"abs_sin": (abs_sin, {"p_lo": -4.5, "p_hi": 4.5}),
+            "period_0.7": (odd, {"p_lo": -3.0, "p_hi": 3.5}),
+            "shifted": (abs_sin.shifted(0.3), {"p_lo": -4.0, "p_hi": 4.5}),
+            "mirrored": (gl.MirroredField(odd), {"p_lo": -3.5, "p_hi": 3.0}),
+            "board_seeds": (env.make_separable("abs", (-1.0, 0.0), 1.0),
+                            {"seeds": (0, 1), "p_lo": -3.5, "p_hi": 3.5})}
+
+
+@pytest.mark.parametrize("case", sorted(_oracle_cases()))
+def test_oracle_matches_reference(case):
+    source, kwargs = _oracle_cases()[case]
+    if case == "period_0.7":
+        xs = np.linspace(0.0, 400 * source.cell, 6400, endpoint=False)
+        assert len(np.unique(source.period_key(xs))) > 16
+    _assert_same_curve(gl.convex_oracle(source, **kwargs),
+                       _convex_oracle_reference(source, **kwargs))
+
+
+@pytest.mark.parametrize("field, kwargs, message", [
+    (_field(LEFT_PARAMS), {}, "field is not quasi-convex in p"),
+    (env.sample(env.make_periodic("abs_plus_sin", 1.0)),
+     {"p_lo": -0.5, "p_hi": 0.5},
+     "p-range too narrow for the requested levels")],
+    ids=["not_quasi_convex", "narrow"])
+def test_oracle_not_applicable_messages(field, kwargs, message):
+    for oracle in (gl.convex_oracle, _convex_oracle_reference):
+        with pytest.raises(NotApplicable) as info:
+            oracle(field, **kwargs)
+        assert str(info.value) == message
 
 
 # -- split at the minimum ----------------------------------------------------
