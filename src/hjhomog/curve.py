@@ -81,12 +81,21 @@ class EffectiveCurve:
     @staticmethod
     def minimum(curves, p_grid=None):
         """Pointwise min of curves on the union grid (or a given grid);
-        the budget at each point is the active curve's budget."""
+        the budget at each point is the active curve's budget.  A curve
+        read outside its support warns (ExtrapolationUsed) only where its
+        extrapolated value is the minimum."""
         if p_grid is None:
             p_grid = np.unique(np.concatenate([c.p for c in curves]))
-        vals = np.stack([c.evaluate(p_grid) for c in curves])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationUsed)
+            vals = np.stack([c.evaluate(p_grid) for c in curves])
         buds = np.stack([c.budget_at(p_grid) for c in curves])
         k = np.argmin(vals, axis=0)
+        lo = np.array([c.p[0] for c in curves])[k]
+        hi = np.array([c.p[-1] for c in curves])[k]
+        if np.any((p_grid < lo) | (p_grid > hi)):
+            warnings.warn("evaluating effective curve outside its support",
+                          ExtrapolationUsed)
         idx = np.arange(len(p_grid))
         return EffectiveCurve(p_grid, vals[k, idx], buds[k, idx],
                               ["min"] * len(p_grid))

@@ -644,26 +644,31 @@ def level_sets(field, structure, mu_grid, window_cells=100):
     """I_mu = [mean(f_inf), mean(f_sup)] per level of one realization,
     sorted by mu; an overlap of neighbouring levels up to 1e-9 is split at
     its midpoint and a larger one raises LevelSetConflict.  Each record
-    carries "ci": 0.0, as one realization has no cross-seed spread."""
+    carries "ci": 0.0, as one realization has no cross-seed spread.
+
+    The levels are built in ascending mu and each is checked against the
+    one below as soon as it is built, so the first failure in ascending
+    mu is the one reported and no level above it is built."""
     window = (0.0, window_cells * field.cell)
     out = []
-    for mu in mu_grid:
+    for mu in sorted(mu_grid):
         _, f_lo, f_hi = extremal_pair(field, structure, mu, window)
         if np.any(f_hi.slopes < f_lo.slopes - 1e-9):
             raise NotPointwiseExtremal(
                 f"sup-extremal below inf-extremal at mu={mu:.6g}")
-        out.append({"mu": float(mu), "p_lo": f_lo.mean(),
-                    "p_hi": f_hi.mean(), "ci": 0.0})
-    out.sort(key=lambda r: r["mu"])
-    for prev, cur in zip(out, out[1:]):
-        if cur["p_lo"] < prev["p_hi"] - 1e-9:
-            raise LevelSetConflict(
-                f"I_mu at mu={cur['mu']:.6g} overlaps mu={prev['mu']:.6g} "
-                f"by more than 1e-9")
-        if cur["p_lo"] < prev["p_hi"]:
-            mid = 0.5 * (cur["p_lo"] + prev["p_hi"])
-            prev["p_hi"] = min(prev["p_hi"], mid)
-            cur["p_lo"] = max(cur["p_lo"], mid)
+        cur = {"mu": float(mu), "p_lo": f_lo.mean(), "p_hi": f_hi.mean(),
+               "ci": 0.0}
+        if out:
+            prev = out[-1]
+            if cur["p_lo"] < prev["p_hi"] - 1e-9:
+                raise LevelSetConflict(
+                    f"I_mu at mu={cur['mu']:.6g} overlaps "
+                    f"mu={prev['mu']:.6g} by more than 1e-9")
+            if cur["p_lo"] < prev["p_hi"]:
+                mid = 0.5 * (cur["p_lo"] + prev["p_hi"])
+                prev["p_hi"] = min(prev["p_hi"], mid)
+                cur["p_lo"] = max(cur["p_lo"], mid)
+        out.append(cur)
     return out
 
 

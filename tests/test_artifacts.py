@@ -1,6 +1,7 @@
 """The benchmark's configs rerun through ``cli.run``: every CSV artifact
 must match its stored reference in ``perfbench/reference/`` byte for byte,
-so bit drift fails here before it reaches the benchmark."""
+so bit drift fails here before it reaches the benchmark, and no run may
+report an ``ExtrapolationUsed`` warning."""
 
 import json
 import os
@@ -31,3 +32,7 @@ def test_benchmark_artifacts_bit_identical(tmp_path, workload, master,
         with open(os.path.join(PERFBENCH, "reference", workload, tag, name),
                   "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
+    # no run uses an effective-curve value read past that curve's support
+    with open(tmp_path / "report.json") as fh:
+        warned = json.load(fh)["warnings"]
+    assert not [w for w in warned if w.startswith("ExtrapolationUsed")]

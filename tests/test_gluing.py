@@ -10,7 +10,7 @@ from hjhomog import env, structure as st, gluing as gl, cell_solver as cs
 from hjhomog import cli
 from hjhomog.curve import EffectiveCurve
 from hjhomog.env import EnvironmentSpec, bisect
-from hjhomog.errors import NotApplicable, ReductionStalled
+from hjhomog.errors import ExtrapolationUsed, NotApplicable, ReductionStalled
 
 
 LEFT_PARAMS = {"nodes": [0.0, 0.5, 1.0, 1.5, 2.0],
@@ -405,6 +405,23 @@ def test_minimum_of_identical_curves():
     c = EffectiveCurve(np.linspace(0, 1, 5), np.arange(5.0))
     m = EffectiveCurve.minimum([c, c])
     assert np.array_equal(m.values, c.values)
+
+
+def test_minimum_warns_only_where_extrapolation_wins():
+    # a reads past its support on [1, 2] and b on [0, 1], each with a
+    # linear extension; the minimum takes a's extension only if it wins
+    ps = np.linspace(0.0, 2.0, 9)
+    a = EffectiveCurve([0.0, 1.0], [0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ExtrapolationUsed)
+        m = EffectiveCurve.minimum(
+            [a, EffectiveCurve([1.0, 2.0], [1.0, 1.5])], ps)
+        # below 1 b's extension is above a, above 1 a's is above b
+        assert np.allclose(m.values, np.minimum(ps, (1.0 + ps) / 2))
+    with pytest.warns(ExtrapolationUsed):
+        # here a's extension stays below b on (1, 2]
+        EffectiveCurve.minimum([a, EffectiveCurve([1.0, 2.0], [2.0, 3.0])],
+                               ps)
 
 
 def test_evaluate_tree_dual_route_quartic():

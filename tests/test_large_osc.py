@@ -1,15 +1,20 @@
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 from scipy.integrate import quad
 
-from hjhomog import env, structure as st, large_osc as lo
-from hjhomog.errors import (ClusterSuspected, NormalizationViolated,
-                            NotApplicable, NotPointwiseExtremal)
+from hjhomog import cli, env, structure as st, large_osc as lo
+from hjhomog.errors import (ClusterSuspected, LevelSetConflict,
+                            NormalizationViolated, NotApplicable,
+                            NotPointwiseExtremal)
 
 WINDOW = (0.0, 100.0)
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 # the pwl field with two positive wells, m_hi = 0.4 > 0, large oscillation
 PWL_LARGE = {"nodes": [0.0, 0.5, 1.0, 1.5, 2.0],
@@ -503,6 +508,85 @@ def test_level_sets_pwl_disjoint_ordered(pwl):
         assert cur["p_lo"] >= prev["p_hi"] - 1e-9
     for rec in recs:
         assert rec["p_hi"] >= rec["p_lo"] - 1e-12
+
+
+def _level_sets_reference(field, structure, mu_grid, window_cells):
+    # the collect-sort-check loop that level_sets replaced, verbatim
+    window = (0.0, window_cells * field.cell)
+    out = []
+    for mu in mu_grid:
+        _, f_lo, f_hi = lo.extremal_pair(field, structure, mu, window)
+        if np.any(f_hi.slopes < f_lo.slopes - 1e-9):
+            raise NotPointwiseExtremal(
+                f"sup-extremal below inf-extremal at mu={mu:.6g}")
+        out.append({"mu": float(mu), "p_lo": f_lo.mean(),
+                    "p_hi": f_hi.mean(), "ci": 0.0})
+    out.sort(key=lambda r: r["mu"])
+    for prev, cur in zip(out, out[1:]):
+        if cur["p_lo"] < prev["p_hi"] - 1e-9:
+            raise LevelSetConflict(
+                f"I_mu at mu={cur['mu']:.6g} overlaps mu={prev['mu']:.6g} "
+                f"by more than 1e-9")
+        if cur["p_lo"] < prev["p_hi"]:
+            mid = 0.5 * (cur["p_lo"] + prev["p_hi"])
+            prev["p_hi"] = min(prev["p_hi"], mid)
+            cur["p_lo"] = max(cur["p_lo"], mid)
+    return out
+
+
+def test_level_sets_shuffled_grid_matches_reference(pwl, quartic):
+    f, s, stats = pwl
+    cases = [(f, s, lo.default_mu_grid(stats.M_hi, 8)[1:]),
+             (*quartic, np.array([0.2, 0.5, 0.8]))]
+    for f, s, mu_grid in cases:
+        shuffled = np.random.default_rng(3).permutation(mu_grid)
+        assert not np.array_equal(shuffled, mu_grid)
+        assert lo.level_sets(f, s, shuffled, window_cells=60) == \
+            _level_sets_reference(f, s, shuffled, 60)
+
+
+def test_level_sets_split_overlaps_like_reference(monkeypatch, quartic):
+    # neighbouring levels overlapping by up to 1e-9 are split at the
+    # midpoint, whatever order the grid comes in
+    class Extremal:
+        def __init__(self, p):
+            self.p, self.slopes = p, np.zeros(1)
+
+        def mean(self):
+            return self.p
+
+    def fake_pair(field, structure, mu, window):
+        # I_mu = [mu, mu + 0.1 + 5e-10] overlaps the level 0.1 above it
+        return None, Extremal(mu), Extremal(mu + 0.1 + 5e-10)
+
+    monkeypatch.setattr(lo, "extremal_pair", fake_pair)
+    f, sn = quartic
+    mu_grid = np.random.default_rng(5).permutation(np.arange(1, 9) / 10)
+    got = lo.level_sets(f, sn, mu_grid, window_cells=1)
+    assert got == _level_sets_reference(f, sn, mu_grid, 1)
+    assert all(a["p_hi"] == b["p_lo"] for a, b in zip(got, got[1:]))
+
+
+def test_level_sets_fail_at_first_conflict(monkeypatch):
+    """The first failure in ascending mu is the one reported, and no level
+    above it is built: on the converge benchmark's field the lowest two
+    levels overlap, so two of the fourteen levels are built."""
+    with open(os.path.join(PERFBENCH, "configs",
+                           "converge_quartic_small.json")) as fh:
+        cfg = cli.resolve_config(json.load(fh))
+    calls = []
+    pair = lo.extremal_pair
+
+    def counted(*args):
+        calls.append(args[2])
+        return pair(*args)
+
+    monkeypatch.setattr(lo, "extremal_pair", counted)
+    with pytest.raises(LevelSetConflict) as err:
+        cli._largeosc_curve(cfg)
+    assert str(err.value) == ("I_mu at mu=0.0625893 overlaps mu=0.0499039 "
+                              "by more than 1e-9")
+    assert len(calls) == 2 and calls == sorted(calls)
 
 
 # -- homotopy -----------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """The shared LF stencils against verbatim copies of the kernels they
 replaced: the discounted solver's operator (wraparound by ``np.roll`` and
-zero-slope ghosts), the PDE march and the red-black sweep (``np.roll`` on
-a torus, slices between ghosts).  Results must agree bit for bit, signed
+zero-slope ghosts), the PDE march (whole grid, against the light-cone
+march's core) and the red-black sweep (``np.roll`` on a torus, slices
+between ghosts).  Results must agree bit for bit, signed
 zeros included."""
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings, strategies as hs
 
 from hjhomog import cell_solver as cs, env, homog_pde as hp
+from hjhomog.curve import EffectiveCurve
+from hjhomog.errors import ExtrapolationUsed
 
 FIELDS = {name: env.sample(env.make_periodic(name, 1.0, {"amplitude": 0.7}))
           for name in ("abs_plus_sin", "quartic_plus_sin")}
@@ -117,23 +122,51 @@ def test_operator_matches_reference(w, periodic, dx, theta, lam, p, name):
         assert _same_bits(np.concatenate(cs._one_sided(w, dx, True)), grads)
 
 
-@settings(max_examples=40, deadline=None)
-@given(w=_w, dx=_dx, X=hs.floats(0.05, 0.4), T=hs.floats(0.01, 0.08),
-       eps=hs.sampled_from([1.0, 0.25]))
-def test_march_matches_reference(w, dx, X, T, eps):
+# a curve Hbar, read past its support on steep drawn data
+CURVE_P = np.linspace(-1.5, 1.5, 13)
+CURVE = EffectiveCurve(CURVE_P, np.abs(CURVE_P) + 0.3 * np.cos(CURVE_P))
+
+
+# short horizons keep the march window at the core plus a few nodes; long
+# ones run part of the march on the whole grid before the window shrinks
+@settings(max_examples=60, deadline=None)
+@given(w=_w, dx=_dx, X=hs.floats(0.05, 0.4), X_core=hs.floats(0.0, 0.6),
+       T=hs.one_of(hs.floats(0.01, 0.08), hs.floats(0.2, 1.0)),
+       eps=hs.sampled_from([1.0, 0.25]), hbar=hs.booleans())
+def test_march_matches_reference(w, dx, X, X_core, T, eps, hbar):
+    # the march returns only the core, computed on the nodes that can
+    # still reach it; the reference marches the whole grid
     field = FIELDS["abs_plus_sin"]
 
     def frozen(x):
-        return field.at(x / eps)
+        return CURVE.evaluate if hbar else field.at(x / eps)
 
     def g(xs):
         # the drawn runs, repeated to fill the march grid
         return np.resize(w, xs.shape)
 
-    xs, u = hp._march(frozen, g, T, X, dx, 1.7, 0.45)
-    xs_ref, u_ref = _march_reference(frozen, g, T, X, dx, 1.7, 0.45)
-    assert _same_bits(xs, xs_ref)
-    assert _same_bits(u, u_ref)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationUsed)
+        xs, u = hp._march(frozen, g, T, X, dx, 1.7, 0.45, X_core)
+        xs_ref, u_ref = _march_reference(frozen, g, T, X, dx, 1.7, 0.45)
+    core = np.abs(xs_ref) <= X_core + 1e-12
+    assert _same_bits(xs, xs_ref[core])
+    assert _same_bits(u, u_ref[core])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=hs.integers(1, 300), data=hs.data(), dx=_dx,
+       eps=hs.sampled_from([0.4, 0.1]), name=hs.sampled_from(sorted(FIELDS)),
+       p=hs.lists(_values, min_size=1, max_size=300))
+def test_frozen_window_matches_whole_grid(n, data, dx, eps, name, p):
+    # the march freezes H on a window of the grid: a slice of the nodes
+    # must give the slice of the whole grid's values, bit for bit
+    lo = data.draw(hs.integers(0, n - 1))
+    hi = data.draw(hs.integers(lo + 1, n))
+    xs = np.arange(-(n // 2), n - n // 2) * dx / eps
+    q = np.resize(np.array(p), n)
+    field = FIELDS[name]
+    assert _same_bits(field.at(xs[lo:hi])(q[lo:hi]), field.at(xs)(q)[lo:hi])
 
 
 @settings(max_examples=200, deadline=None)
