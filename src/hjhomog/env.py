@@ -45,26 +45,51 @@ def bisect(right, lo, hi, steps):
     return lo, hi
 
 
+def _pick(cond, x, y):
+    """Scalar np.where."""
+    return x if cond else y
+
+
 def golden_min(f, a, b, steps, rtol=0.0):
-    """Golden-section search for a minimum of the scalar function f on
-    [a, b]: at most ``steps`` shrinks, stopping early once
-    b - a < rtol * (1 + |a|) when rtol > 0.  Unbiased at kinks and smooth
-    extrema alike; returns the midpoint of the final bracket."""
+    """Golden-section search for a minimum of f on [a, b]: at most
+    ``steps`` shrinks, stopping early once b - a < rtol * (1 + |a|) when
+    rtol > 0.  Unbiased at kinks and smooth extrema alike; returns the
+    midpoint of the final bracket.
+
+    Array brackets run one search per element, with f called once per
+    step on the array of that step's points.  Each element takes the same
+    operations in the same order as a scalar search on its own bracket,
+    and the midpoint of an element that meets the rtol stop is kept from
+    that step on, so each result is the scalar result bit for bit.  Scalar
+    brackets keep scalar calls of f."""
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    pick = _pick if scalar else np.where
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
+    # per element: stopped by rtol, and the midpoint it stopped at
+    done, out = np.zeros(np.shape(c), dtype=bool), np.zeros(np.shape(c))
     for _ in range(steps):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        if rtol and b - a < rtol * (1.0 + abs(a)):
-            break
-    return 0.5 * (a + b)
+        # a left step drops (d, b] and probes anew left of c; a right
+        # step drops [a, c) and probes anew right of d
+        left = fc < fd
+        a, b = pick(left, a, c), pick(left, d, b)
+        t = _INVPHI * (b - a)
+        x = pick(left, b - t, a + t)
+        fx = f(x)
+        c, d, fc, fd = (pick(left, x, d), pick(left, c, x),
+                        pick(left, fx, fd), pick(left, fc, fx))
+        if rtol:
+            stop = b - a < rtol * (1.0 + abs(a))
+            if scalar:
+                if stop:
+                    break
+            elif (stop & ~done).any():
+                out = np.where(stop & ~done, 0.5 * (a + b), out)
+                done = done | stop
+                if done.all():
+                    break
+    return 0.5 * (a + b) if scalar else np.where(done, out, 0.5 * (a + b))
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,11 @@ class AdmissibleDecomposition:
 
 def _scan_roots(gfun, g, xs, mu, tol_touch):
     """Crossings (bisection-refined against the process callable, all sign
-    flips at once) and tangential touches (golden-refined local extrema
-    within tol of the level).  High-accuracy locations matter: the corner
-    rule at a junction holds only up to the process slope times the
-    location error.
+    flips at once) and tangential touches (local extrema within tol of the
+    level, all refined in one array ``golden_min`` and kept where the
+    refined value is still within tol).  High-accuracy locations matter:
+    the corner rule at a junction holds only up to the process slope times
+    the location error.  ``gfun`` must accept an array of x.
     """
     d = g - mu
     s = np.sign(d)
@@ -71,12 +72,13 @@ def _scan_roots(gfun, g, xs, mu, tol_touch):
     near = np.abs(d[interior]) <= tol_touch
     no_cross = (s[interior - 1] * s[interior] >= 0) & \
                (s[interior] * s[interior + 1] >= 0)
-    for i in interior[is_ext & near & no_cross]:
-        sign = 1.0 if d[i] >= d[i - 1] or d[i] >= d[i + 1] else -1.0
+    i = interior[is_ext & near & no_cross]
+    if len(i):
+        # +1 refines a local maximum of the process, -1 a minimum
+        sign = np.where((d[i] >= d[i - 1]) | (d[i] >= d[i + 1]), 1.0, -1.0)
         x_star = golden_min(lambda x: -sign * gfun(x), xs[i - 1], xs[i + 1],
                             80)
-        if abs(gfun(x_star) - mu) <= tol_touch:
-            roots.append(float(x_star))
+        roots.extend(x_star[np.abs(gfun(x_star) - mu) <= tol_touch].tolist())
     return roots
 
 

@@ -416,29 +416,49 @@ def _capped_interval(field, structure, j, side, mu):
     return lo, hi
 
 
-def _capped_range(field, structure, j, xs, mu, side):
-    """The capped p-interval of branch j and the mask of the x at which
-    level mu lies between its end values (within TOL_INV)."""
+def _capped_range(h, field, structure, j, mu, side):
+    """The capped p-interval of branch j and the mask of the x frozen in
+    ``h = field.at(x)`` at which level mu lies between its end values
+    (within TOL_INV)."""
     lo, hi = _capped_interval(field, structure, j, side, mu)
-    v_lo, v_hi = field.evaluate(lo, xs), field.evaluate(hi, xs)
+    v_lo, v_hi = h(lo), h(hi)
     return lo, hi, (np.minimum(v_lo, v_hi) - TOL_INV <= mu) & \
         (mu <= np.maximum(v_lo, v_hi) + TOL_INV)
 
 
 def branch_feasible(field, structure, j, xs, mu, side="+"):
     """Mask of the x at which branch j reaches level mu."""
-    return _capped_range(field, structure, j, xs, mu, side)[2]
+    return _capped_range(field.at(xs), field, structure, j, mu, side)[2]
 
 
 def branch_inverse_grid(field, structure, j, xs, mu, side="+"):
-    """Vectorized branch inversion over x; returns (p, feasible_mask)."""
+    """Vectorized branch inversion over x of any shape; returns
+    (p, feasible_mask), with p NaN where branch j misses level mu.
+
+    A field with a period key (``HamiltonianField.period_key``) has the
+    same branch inverse at every x of equal key, so the end values and the
+    70-step bisection run once per distinct key, on the first x of each,
+    and are read back through the inverse index: the same roots, to the
+    bit, as inverting at every x.  Fields without a key invert every x.
+    """
     xs = np.asarray(xs, dtype=np.float64)
-    lo, hi, feasible = _capped_range(field, structure, j, xs, mu, side)
+    key = field.period_key(xs)
+    if key is None:
+        pts = xs
+    else:
+        _, first, inv = np.unique(key.ravel(), return_index=True,
+                                  return_inverse=True)
+        pts = xs.ravel()[first]
+    h = field.at(pts)
+    lo, hi, feasible = _capped_range(h, field, structure, j, mu, side)
     increasing = structure.branch_increasing(j, side)
     # below the level, the root lies right of p on an increasing branch
-    lo, hi = bisect(lambda p: (field.evaluate(p, xs) < mu) == increasing,
-                    np.full(xs.shape, lo), np.full(xs.shape, hi), 70)
-    return np.where(feasible, 0.5 * (lo + hi), np.nan), feasible
+    lo, hi = bisect(lambda p: (h(p) < mu) == increasing,
+                    np.full(pts.shape, lo), np.full(pts.shape, hi), 70)
+    p = np.where(feasible, 0.5 * (lo + hi), np.nan)
+    if key is None:
+        return p, feasible
+    return p[inv].reshape(xs.shape), feasible[inv].reshape(xs.shape)
 
 
 def branch_inverse(field, structure, j, x, mu, side="+"):

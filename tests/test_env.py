@@ -352,3 +352,26 @@ def test_golden_min_matches_reference_loops(quartic_2sin, sign):
             _golden_reference(f, a, b, 90, stop_rtol=1e-13)
         assert env.golden_min(f, np.float64(a), np.float64(b), 80) == \
             _golden_reference(f, np.float64(a), np.float64(b), 80)
+
+
+@pytest.mark.parametrize("rtol", [0.0, 1e-13])
+def test_golden_min_array_brackets_match_scalar_loops(quartic_2sin, rtol):
+    # brackets 2 wide down to 1e-3 wide meet the rtol stop at different
+    # steps; each element must end where its own scalar search ends
+    a = np.array([-1.6, -0.5, -1.2, 0.9, -1.0005, 0.999, 0.0])
+    b = np.array([-0.4, 0.6, -0.8, 1.4, -0.9995, 1.001, 1.0])
+    sign = np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
+    got = env.golden_min(lambda p: sign * quartic_2sin.evaluate(p, 0.37),
+                         a, b, 90, rtol=rtol)
+    assert got.shape == a.shape
+    steps = []
+    for i in range(len(a)):
+        calls = []
+
+        def f(p, s=sign[i]):
+            calls.append(p)
+            return s * quartic_2sin.evaluate(p, 0.37)
+        want = _golden_reference(f, a[i], b[i], 90, stop_rtol=rtol or None)
+        assert got[i].tobytes() == np.float64(want).tobytes()
+        steps.append(len(calls) - 2)
+    assert len(set(steps)) > 1 if rtol else set(steps) == {90}

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import os
@@ -91,9 +92,10 @@ def test_cluster_suspected(quartic):
         lo.admissible_decomposition(f, sn, 1.0 - 1e-7, WINDOW)
 
 
-def _scan_roots_reference(gfun, g, xs, mu, tol_touch):
+def _scan_roots_reference(gfun, g, xs, mu, tol_touch, touches=None):
     """The per-flip form of lo._scan_roots: one scalar bisection per sign
-    flip, then the golden-section touches."""
+    flip, then one scalar golden-section search per touch candidate.
+    ``touches``, when given, collects (sign, kept) of every candidate."""
     d = g - mu
     s = np.sign(d)
     roots = []
@@ -132,12 +134,15 @@ def _scan_roots_reference(gfun, g, xs, mu, tol_touch):
                 dd_ = a + lo._INVPHI * (b - a)
                 fd = -sign * gfun(dd_)
         x_star = 0.5 * (a + b)
-        if abs(gfun(x_star) - mu) <= tol_touch:
+        kept = bool(abs(gfun(x_star) - mu) <= tol_touch)
+        if touches is not None:
+            touches.append((sign, kept))
+        if kept:
             roots.append(float(x_star))
     return roots
 
 
-def _decomposition_reference(f, sn, mu, window):
+def _decomposition_reference(f, sn, mu, window, touches=None):
     """The per-interval form of lo.admissible_decomposition inside the
     intermediate band: scalar root bisections, then one branch inversion
     per (interval, branch) on seven interior probes."""
@@ -152,7 +157,8 @@ def _decomposition_reference(f, sn, mu, window):
     pos = np.concatenate([sn.positive_minima(), sn.positive_maxima()])
     for p_ext, g in zip(pos, np.concatenate([m_vals, M_vals])):
         gfun = (lambda pe: lambda x: float(f.evaluate(pe, x)))(float(p_ext))
-        roots.extend(_scan_roots_reference(gfun, g, xs, mu, tol_touch))
+        roots.extend(_scan_roots_reference(gfun, g, xs, mu, tol_touch,
+                                           touches))
     roots = np.sort(np.asarray(roots))
     roots = roots[(roots > x_lo + 1e-9 * W) & (roots < x_hi - 1e-9 * W)]
     edges = np.concatenate([[x_lo], roots, [x_hi]])
@@ -182,6 +188,78 @@ def test_decomposition_matches_per_interval_reference(quartic, mu):
     assert np.array_equal(dec.junctions, roots)
     assert dec.intervals == intervals
     assert dec.feasible == feasible
+
+
+def _benchmark_window_levels(f, sn):
+    """The window and mu grid of the largeosc_quartic benchmark, as
+    assemble_effective_curve builds them for the quartic fixture."""
+    with open(os.path.join(PERFBENCH, "configs",
+                           "largeosc_quartic.json")) as fh:
+        cfg = json.load(fh)
+    window = (0.0, cfg["window_cells"] * f.cell)
+    x_probe, _, _ = lo._window_grid(f, window)
+    M_bar = float(f.evaluate(sn.positive_maxima()[:, None],
+                             x_probe[None, :]).max())
+    return window, lo.default_mu_grid(M_bar, cfg["mu_points"])
+
+
+@pytest.mark.parametrize("level, kept", [(1, 50), (7, 0), (14, 50)])
+def test_decomposition_matches_reference_on_benchmark_window(quartic, level,
+                                                             kept):
+    # levels 1 and 14 (mu 0.048, 0.913) touch the maxima of m (0) and of M
+    # (1) once per cell; level 7 (mu 0.187) only crosses
+    f, sn = quartic
+    window, mu_grid = _benchmark_window_levels(f, sn)
+    touches = []
+    dec = lo.admissible_decomposition(f, sn, mu_grid[level], window)
+    roots, intervals, feasible = _decomposition_reference(
+        f, sn, mu_grid[level], window, touches)
+    assert np.array_equal(dec.junctions, roots)
+    assert dec.intervals == intervals
+    assert dec.feasible == feasible
+    assert touches == [(1.0, True)] * kept
+
+
+@pytest.mark.parametrize("mu, kept", [(0.853, True), (0.8525, False)])
+def test_decomposition_filters_touches_like_reference(quartic, mu, kept):
+    # on a window shifted 0.3/64 off the sample grid of the period, each
+    # sampled maximum of M is 8.7e-4 below the refined one, 1; tol_touch
+    # there is 0.14718, so at mu = 0.8525 the sampled maxima lie within it
+    # of the level and the refined ones do not
+    f, sn = quartic
+    off = 0.3 / 64.0
+    window = (off, 20.0 + off)
+    touches = []
+    dec = lo.admissible_decomposition(f, sn, mu, window)
+    roots, intervals, feasible = _decomposition_reference(f, sn, mu, window,
+                                                          touches)
+    assert np.array_equal(dec.junctions, roots)
+    assert dec.intervals == intervals
+    assert dec.feasible == feasible
+    assert touches == [(1.0, kept)] * 20
+    assert len(roots) == 40 + 20 * kept
+
+
+def test_scan_roots_touches_of_both_signs(quartic):
+    # off the sample grid of the period's extrema each sampled extremum is
+    # 8.7e-4 short of the refined one.  At mu = -1.5 the maxima of m (0)
+    # and the minima of M (-3) touch within tol; the minima of m (-4) and
+    # the maxima of M (1), sampled 2.4991 from the level, pass the sampled
+    # test and fail the refined one
+    f, sn = quartic
+    xs = np.arange(0.0, 20.0 + 0.5 / 64.0, 1.0 / 64.0) + 0.3 / 64.0
+    mu, tol = -1.5, 2.4995
+    touches = []
+    for p_ext in np.concatenate([sn.positive_minima(), sn.positive_maxima()]):
+        g = f.evaluate(p_ext, xs)
+        got = lo._scan_roots(lambda x: f.evaluate(float(p_ext), x),
+                             g, xs, mu, tol)
+        ref = _scan_roots_reference(
+            lambda x: float(f.evaluate(float(p_ext), x)), g, xs, mu, tol,
+            touches)
+        assert got == ref
+    assert collections.Counter(touches) == {
+        (1.0, True): 20, (-1.0, True): 20, (1.0, False): 20, (-1.0, False): 20}
 
 
 @pytest.mark.parametrize("mu", [-0.5, 0.0, 0.5])

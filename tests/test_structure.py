@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 from scipy.optimize import brentq
 
-from hjhomog import env, structure as st
+from hjhomog import env, gluing as gl, structure as st
 from hjhomog.errors import NotConstrained, OutOfBranchRange, ProfileError
 
 
@@ -255,6 +256,155 @@ def test_branch_inverse_grid_matches_loop_reference(quartic_2, mu):
             assert np.array_equal(ok, want_ok)
             assert np.array_equal(
                 st.branch_feasible(quartic_2, s, j, xs, mu, side), want_ok)
+
+
+def _capped_range_before_keys(field, structure, j, xs, mu, side):
+    """structure._capped_range as it was before inversion by period key."""
+    lo, hi = st._capped_interval(field, structure, j, side, mu)
+    v_lo, v_hi = field.evaluate(lo, xs), field.evaluate(hi, xs)
+    return lo, hi, (np.minimum(v_lo, v_hi) - st.TOL_INV <= mu) & \
+        (mu <= np.maximum(v_lo, v_hi) + st.TOL_INV)
+
+
+def _branch_inverse_grid_before_keys(field, structure, j, xs, mu, side="+"):
+    """structure.branch_inverse_grid as it was before inversion by period
+    key: every x is inverted, with field.evaluate in each bisection step."""
+    xs = np.asarray(xs, dtype=np.float64)
+    lo, hi, feasible = _capped_range_before_keys(field, structure, j, xs, mu,
+                                                 side)
+    increasing = structure.branch_increasing(j, side)
+    # below the level, the root lies right of p on an increasing branch
+    lo, hi = env.bisect(lambda p: (field.evaluate(p, xs) < mu) == increasing,
+                        np.full(xs.shape, lo), np.full(xs.shape, hi), 70)
+    return np.where(feasible, 0.5 * (lo + hi), np.nan), feasible
+
+
+T_07 = 0.7
+Q_07 = env.sample(env.make_periodic("quartic_plus_sin", T_07,
+                                    {"amplitude": 2.0}))
+Q_07_S, _ = st.detect_branches(Q_07)
+
+
+def _keyless_fields():
+    """Fields whose ``at`` reads x itself: their period key is None."""
+    board = env.sample(env.make_checkerboard((-2.0, 0.0), 0.5,
+                                             "quartic_plus_v"), seed=5)
+    out = {"shifted": env.ShiftedField(Q_07, 0.3),
+           "mirrored": gl.MirroredField(Q_07),
+           "max": gl.MaxField(Q_07, st.TransformedField(Q_07, 0.05, -0.1)),
+           "board": board}
+    return {name: (f, st.detect_branches(f)[0]) for name, f in out.items()}
+
+
+KEYLESS = _keyless_fields()
+
+
+def _partner(x, how, k):
+    """A second point for x that shares its key, or nearly does: x itself,
+    np.mod(x, T), x shifted by k periods, or on or next to k T."""
+    kT = k * T_07
+    return {"same": x, "mod": float(np.mod(x, T_07)), "shift": x + kT,
+            "multiple": kT, "below": float(np.nextafter(kT, -np.inf)),
+            "above": float(np.nextafter(kT, np.inf))}[how]
+
+
+_PAIRS = hs.lists(hs.tuples(
+    hs.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False),
+    hs.sampled_from(["same", "mod", "shift", "multiple", "below", "above"]),
+    hs.integers(-8, 8)), min_size=1, max_size=24)
+
+
+def _xs_of(pairs, two_d):
+    # each pair is a column: x above its partner
+    xs = np.array([[x for x, _, _ in pairs],
+                   [_partner(*pair) for pair in pairs]])
+    return xs if two_d else xs.ravel()
+
+
+def _branches(structure):
+    return [(side, j) for side, n in (("+", 2 * structure.index[1] + 1),
+                                      ("-", 2 * structure.index[0] + 1))
+            for j in range(1, n + 1)]
+
+
+def _assert_same_inversion(field, structure, side, j, xs, mu):
+    want, want_ok = _branch_inverse_grid_before_keys(field, structure, j, xs,
+                                                     mu, side)
+    got, ok = st.branch_inverse_grid(field, structure, j, xs, mu, side)
+    assert got.shape == want.shape == xs.shape
+    # byte comparison: roots, NaN positions and signed zeros alike
+    assert got.tobytes() == want.tobytes()
+    assert ok.shape == want_ok.shape and ok.tobytes() == want_ok.tobytes()
+    assert np.array_equal(np.isnan(got), ~ok)
+    return ok
+
+
+_LEVELS = hs.one_of(hs.sampled_from([-3.5, -1.5, -0.5, 0.0, 0.7, 1.5, 2.5]),
+                    hs.floats(-4.0, 5.0, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=_PAIRS, two_d=hs.booleans(),
+       branch=hs.sampled_from(_branches(Q_07_S)), mu=_LEVELS)
+# np.mod(5.3, T) is 0.40000000000000013, a point whose key is itself, while
+# the key of 5.3 is 0.40000000000000036: the two roots differ in the last bit
+@example(pairs=[(5.3, "mod", 0)], two_d=True, branch=("+", 1), mu=2.5)
+def test_keyed_inversion_matches_inversion_at_every_x(pairs, two_d, branch,
+                                                      mu):
+    side, j = branch
+    _assert_same_inversion(Q_07, Q_07_S, side, j, _xs_of(pairs, two_d), mu)
+
+
+@pytest.mark.parametrize("mu", [-1.5, 0.7])
+def test_keyed_inversion_has_infeasible_points(mu):
+    # branch 1 sits above the well value 2 sin(2 pi x / T) - 1: at these
+    # levels it is feasible at some x and not at others
+    xs = np.linspace(-2.0 * T_07, 3.0 * T_07, 60).reshape(3, 20)
+    ok = _assert_same_inversion(Q_07, Q_07_S, "+", 1, xs, mu)
+    assert ok.any() and not ok.all()
+    for x in xs.ravel()[::7]:
+        _assert_same_inversion(Q_07, Q_07_S, "+", 1, x, mu)   # 0-d xs
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs=_PAIRS, two_d=hs.booleans(), name=hs.sampled_from(sorted(KEYLESS)),
+       mu=_LEVELS, pick=hs.integers(0, 10))
+def test_keyless_fields_invert_every_x(pairs, two_d, name, mu, pick):
+    field, structure = KEYLESS[name]
+    assert field.period_key(np.zeros(3)) is None
+    branches = _branches(structure)
+    side, j = branches[pick % len(branches)]
+    _assert_same_inversion(field, structure, side, j, _xs_of(pairs, two_d), mu)
+
+
+def _bisect_sizes(monkeypatch):
+    sizes, bisect = [], st.bisect
+
+    def spy(right, lo, hi, steps):
+        sizes.append(np.size(lo))
+        return bisect(right, lo, hi, steps)
+    monkeypatch.setattr(st, "bisect", spy)
+    return sizes
+
+
+def test_periodic_inversion_bisects_once_per_key(monkeypatch):
+    sizes = _bisect_sizes(monkeypatch)
+    base = np.linspace(0.0, T_07, 40, endpoint=False)
+    xs = np.tile(base, 3).reshape(3, 40)
+    n_keys = len(np.unique(Q_07.period_key(xs)))
+    assert n_keys == 40
+    st.branch_inverse_grid(Q_07, Q_07_S, 1, xs, 1.5)
+    st.branch_inverse_grid(Q_07, Q_07_S, 1, xs[0, 7], 1.5)
+    assert sizes == [n_keys, 1]
+
+
+def test_keyless_inversion_bisects_every_x(monkeypatch):
+    sizes = _bisect_sizes(monkeypatch)
+    field, structure = KEYLESS["shifted"]
+    base = np.linspace(0.0, T_07, 40, endpoint=False)
+    xs = np.concatenate([base, base])
+    st.branch_inverse_grid(field, structure, 1, xs, 1.5)
+    assert sizes == [80]
 
 
 # -- oscillation classification -------------------------------------------------
