@@ -411,9 +411,9 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
     Each solve uses the ``default_grid_policy`` grid.
 
     ``periodize_cells``: wrap random realizations on a torus of that many
-    cells (representative volume) before solving; "auto" sizes the torus
-    to the window 2 R / lam_min.  Removes window-boundary error entirely;
-    cross-seed spread then reflects pure finite-volume fluctuation.
+    cells (representative volume) before solving.  Removes window-boundary
+    error entirely; cross-seed spread then reflects pure finite-volume
+    fluctuation.
 
     The discretization term comes from a dx/2 solve of the first seed's
     lam_min problem.  Its nested coarse level is that seed's lam_min grid,
@@ -428,9 +428,6 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
     if isinstance(source, EnvironmentSpec):
         fields = {s: sample(source, s) for s in seeds}
         if periodize_cells and source.kind == "checkerboard":
-            if periodize_cells == "auto":
-                ell = next(iter(fields.values())).cell
-                periodize_cells = int(np.ceil(2.0 * R / (lam_schedule[-1] * ell)))
             fields = {s: f.periodized(int(periodize_cells))
                       for s, f in fields.items()}
     elif isinstance(source, HamiltonianField):

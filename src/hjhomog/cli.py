@@ -174,9 +174,9 @@ def resolve_config(raw, seed_override=None):
         if value is not None or key != "dx":  # a null dx: the default grid
             sections[section][key] = _number(name, value, bound)
     cells = sections["solver"]["periodize_cells"]
-    if cells not in (None, "auto") and (type(cells) is not int or cells < 1):
-        raise ConfigError("solver.periodize_cells must be null, \"auto\" or "
-                          f"an integer >= 1, not {cells!r}")
+    if cells is not None and (type(cells) is not int or cells < 1):
+        raise ConfigError("solver.periodize_cells must be null or an "
+                          f"integer >= 1, not {cells!r}")
     return resolved
 
 
@@ -184,12 +184,20 @@ def resolve_config(raw, seed_override=None):
 # tasks
 # ---------------------------------------------------------------------------
 
-def _estimate_sweep(cfg):
+def _realize(cfg):
+    """(field, source) of a task, from one parse of ``cfg["env"]``: the
+    first seed's realization, and what the multi-seed routes read, which
+    is that field when the env is periodic (every seed realizes it) and
+    else the spec, sampled inside the route once per seed."""
     spec = EnvironmentSpec.from_dict(cfg["env"])
+    field = sample(spec, cfg["seeds"][0])
+    return field, field if spec.kind == "periodic" else spec
+
+
+def _estimate_sweep(cfg, source):
     sol = cfg["solver"]
     return [cs.estimate_hbar(
-        spec if spec.kind != "periodic" else sample(spec, cfg["seeds"][0]),
-        float(p), lam_schedule=tuple(cfg["lambda_schedule"]),
+        source, float(p), lam_schedule=tuple(cfg["lambda_schedule"]),
         seeds=tuple(cfg["seeds"]), dx=sol["dx"], R=sol["R"],
         periodize_cells=sol["periodize_cells"])
         for p in cfg["p_grid"]]
@@ -201,7 +209,7 @@ def _sweep_curve(ests):
 
 
 def task_effective(cfg, out):
-    ests = _estimate_sweep(cfg)
+    ests = _estimate_sweep(cfg, _realize(cfg)[1])
     write_csv(os.path.join(out, "curves.csv"),
               ["p", "Hbar", "error_budget", "route"],
               [(e.p, e.value, e.dispersion, "solver") for e in ests])
@@ -213,9 +221,7 @@ def task_effective(cfg, out):
 
 
 def _glue_curve(cfg):
-    spec = EnvironmentSpec.from_dict(cfg["env"])
-    field = sample(spec, cfg["seeds"][0])
-    tree = gl.build_reduction_tree(field)
+    tree = gl.build_reduction_tree(_realize(cfg)[0])
     opts = gl.LeafOptions(lam_schedule=tuple(cfg["lambda_schedule"]),
                           dx=cfg["solver"]["dx"], seeds=tuple(cfg["seeds"]),
                           R=cfg["solver"]["R"], mu_points=cfg["mu_points"],
@@ -235,9 +241,7 @@ def task_glue(cfg, out):
             "leaves": [l.leaf_kind for l in tree.leaves()]}
 
 
-def _largeosc_curve(cfg):
-    spec = EnvironmentSpec.from_dict(cfg["env"])
-    field = sample(spec, cfg["seeds"][0])
+def _largeosc_curve(cfg, field):
     s, _ = detect_branches(field)
     fn, sn, p_shift, mu_shift = normalize(field, s)
     ps = np.asarray(cfg["p_grid"])
@@ -250,7 +254,7 @@ def _largeosc_curve(cfg):
 
 
 def task_largeosc(cfg, out):
-    curve = _largeosc_curve(cfg)
+    curve = _largeosc_curve(cfg, _realize(cfg)[0])
     write_csv(os.path.join(out, "levelsets.csv"),
               ["mu", "p_lo", "p_hi", "ci"],
               [(r["mu"], r["p_lo"], r["p_hi"], r["ci"])
@@ -262,40 +266,35 @@ def task_largeosc(cfg, out):
             "level_set_convex": bool(curve.is_level_set_convex())}
 
 
-def _reference_curve(cfg, solver_curve=None):
+def _reference_curve(cfg, field, source, solver_curve=None):
     """(curve, route, failed): the convex oracle's curve, else the
     large-oscillation route's, else the solver sweep (``solver_curve``
-    when given); ``failed`` names each route tried before and its error."""
-    spec = EnvironmentSpec.from_dict(cfg["env"])
-    field = sample(spec, cfg["seeds"][0])
+    when given); ``failed`` names each route tried before and its error.
+    ``field`` and ``source`` are the task's ``_realize`` pair."""
     failed = []
     try:
-        return gl.convex_oracle(field if spec.kind == "periodic" else spec,
-                                seeds=tuple(cfg["seeds"]),
+        return gl.convex_oracle(source, seeds=tuple(cfg["seeds"]),
                                 p_lo=-3.5, p_hi=3.5), "oracle", failed
     except NotApplicable as exc:
         failed.append({"route": "oracle", "error": repr(exc)})
     try:
-        return _largeosc_curve(cfg), "largeosc", failed
+        return _largeosc_curve(cfg, field), "largeosc", failed
     except HJHomogError as exc:
         failed.append({"route": "largeosc", "error": repr(exc)})
     if solver_curve is None:
-        solver_curve = _sweep_curve(_estimate_sweep(cfg))
+        solver_curve = _sweep_curve(_estimate_sweep(cfg, source))
     return solver_curve, "solver", failed
 
 
 def task_converge(cfg, out):
-    spec = EnvironmentSpec.from_dict(cfg["env"])
-    field = sample(spec, cfg["seeds"][0])
-    curve, route, failed = _reference_curve(cfg)
-    theta = hp.default_theta(field)
+    field, source = _realize(cfg)
+    curve, route, failed = _reference_curve(cfg, field, source)
     ivp = cfg["ivp"]
     setup = hp.IVPSetup(g=hp.wedge_datum(ivp["datum_height"]), T=ivp["T"],
-                        X_core=ivp["X_core"], theta=theta)
+                        X_core=ivp["X_core"], theta=hp.default_theta(field))
     res = hp.convergence_experiment(
-        spec if spec.kind != "periodic" else field, curve, setup,
-        eps_list=tuple(cfg["epsilons"]), seeds=tuple(cfg["seeds"]),
-        hbar_dx=1 / 128)
+        source, curve, setup, eps_list=tuple(cfg["epsilons"]),
+        seeds=tuple(cfg["seeds"]), hbar_dx=1 / 128)
     write_csv(os.path.join(out, "convergence.csv"),
               ["epsilon", "seed", "err_sup_core", "dx", "dt"], res.rows)
     return {"status": "ok", "curve_route": route, "failed_routes": failed,
@@ -304,8 +303,9 @@ def task_converge(cfg, out):
 
 def task_validate(cfg, out):
     tol = cfg["tolerances"]
-    solver_curve = _sweep_curve(_estimate_sweep(cfg))
-    curve, route, failed = _reference_curve(cfg, solver_curve)
+    field, source = _realize(cfg)
+    solver_curve = _sweep_curve(_estimate_sweep(cfg, source))
+    curve, route, failed = _reference_curve(cfg, field, source, solver_curve)
     ps = np.asarray(cfg["p_grid"])
     diffs = np.abs(solver_curve.evaluate(ps) - curve.evaluate(ps))
     budgets = solver_curve.budget_at(ps) + curve.budget_at(ps) \

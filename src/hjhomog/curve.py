@@ -102,26 +102,18 @@ class EffectiveCurve:
 
     @staticmethod
     def piecewise(pieces, p_grid):
-        """Assemble from (mask_fn, curve_like) pairs evaluated on p_grid.
-
-        ``curve_like`` is an EffectiveCurve or a (value, budget) constant
-        pair; the first piece whose mask holds wins at each point.
-        """
+        """Assemble from (mask_fn, curve) pairs evaluated on p_grid; the
+        first piece whose mask holds wins at each point."""
         p_grid = np.asarray(p_grid, dtype=np.float64)
         vals = np.empty_like(p_grid)
         buds = np.empty_like(p_grid)
         done = np.zeros(len(p_grid), dtype=bool)
-        for mask_fn, obj in pieces:
+        for mask_fn, curve in pieces:
             m = mask_fn(p_grid) & ~done
             if not np.any(m):
                 continue
-            if isinstance(obj, EffectiveCurve):
-                vals[m] = obj.evaluate(p_grid[m])
-                buds[m] = obj.budget_at(p_grid[m])
-            else:
-                v, b = obj
-                vals[m] = v
-                buds[m] = b
+            vals[m] = curve.evaluate(p_grid[m])
+            buds[m] = curve.budget_at(p_grid[m])
             done |= m
         if not np.all(done):
             raise ValueError("piecewise masks do not cover the grid")

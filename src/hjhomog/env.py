@@ -388,11 +388,12 @@ def make_composite(base, amplitude, inner_period, value_range, cell_length):
 class HamiltonianField:
     """One realization of H(p, x), evaluable anywhere, immutable after build.
 
-    Structural metadata is probed lazily and cached: ``lipschitz_on(r)``
-    bounds |dH/dp| over [-r, r], ``coercivity_radius(mu)`` returns the
-    smallest probed r with H(+-r, x) > mu for all probe x, and
-    ``modulus(p_lo, p_hi)`` returns the continuity-modulus callable over a
-    compact p-set.
+    Structural metadata is probed lazily and cached per exact argument,
+    so no probe's value depends on what the field was asked before:
+    ``lipschitz_on(r)`` bounds |dH/dp| over [-r, r],
+    ``coercivity_radius(mu)`` returns the smallest probed r with
+    H(+-r, x) > mu for all probe x, and ``modulus(p_lo, p_hi)`` returns
+    the continuity-modulus callable over a compact p-set.
     """
 
     #: spatial period of the realization, or None for random media
@@ -426,6 +427,18 @@ class HamiltonianField:
         ``at(x)(p)``, bit for bit."""
         return None
 
+    def key_points(self, xs):
+        """(pts, inv): the first x of each distinct ``period_key`` among
+        ``xs``, and the index of each x of ``xs.ravel()`` into pts, so
+        that a pointwise result on pts read back as ``[inv]`` is the
+        result on every x, bit for bit.  Without a key, pts is every x."""
+        xs = np.asarray(xs, dtype=np.float64).ravel()
+        key = self.period_key(xs)
+        if key is None:
+            return xs, np.arange(len(xs))
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        return xs[first], inv
+
     def evaluate(self, p, x):
         out = self.at(x)(p)
         return out if out.ndim else float(out)
@@ -445,7 +458,7 @@ class HamiltonianField:
         return np.arange(n) * (48 * self.cell / n)
 
     def lipschitz_on(self, r):
-        key = ("lip", round(float(r), 12))
+        key = ("lip", float(r))
         if key not in self._cache:
             ps = np.linspace(-r, r, 601)
             xs = self.probe_xs(256)
@@ -467,15 +480,13 @@ class HamiltonianField:
     def coercivity_radii(self, mus):
         """``coercivity_radius`` of each level in ``mus``.
 
-        Radii are cached per level rounded to 12 digits; the first level
-        with a given key decides its radius.  The levels share the probe
-        grid of each doubling radius and one vectorized bisection.
+        Radii are cached per level.  The levels share the probe grid of
+        each doubling radius and one vectorized bisection.
         """
-        keys = [("coer", round(float(mu), 12)) for mu in mus]
+        keys = [("coer", float(mu)) for mu in mus]
         todo = {}
         for key, mu in zip(keys, mus):
             if key not in self._cache:
-                # the threshold uses the caller's level, not the rounded key
                 todo.setdefault(key, mu + 1e-9 * (1.0 + abs(mu)))
         if not todo:
             return [self._cache[key] for key in keys]

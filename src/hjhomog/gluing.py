@@ -292,15 +292,21 @@ def tilt(field, structure, stats, n):
 # reduction tree
 # ---------------------------------------------------------------------------
 
+#: the tilt hat's height is 1/TILT_N
+TILT_N = 64
+
+
 @dataclass
 class ReductionNode:
     kind: str                     # split | steep_left | steep_right | tilt
     #                             # | mirror | leaf
     field: HamiltonianField
     structure: ConstrainedStructure | None
-    p_shift: float = 0.0          # child coords -> parent coords bookkeeping
-    mu_shift: float = 0.0
     leaf_kind: str | None = None  # xfree | quasi_convex | large_osc | direct
+    # child coords -> parent coords bookkeeping, set by the normalization
+    # in build_reduction_tree
+    p_shift: float = dc_field(default=0.0, init=False)
+    mu_shift: float = dc_field(default=0.0, init=False)
     # filled in by the reduction that turns the leaf into a rewrite
     children: list = dc_field(default_factory=list, init=False)
     params: dict = dc_field(default_factory=dict, init=False)
@@ -339,8 +345,7 @@ def _is_xfree(field):
     return True
 
 
-def build_reduction_tree(field, structure=None, tilt_n=64, max_depth=8,
-                         _depth=0):
+def build_reduction_tree(field, structure=None, max_depth=8, _depth=0):
     """Recursively reduce a constrained field to evaluable leaves.
 
     Stops at x-free, quasi-convex and large-oscillation leaves.  A
@@ -350,24 +355,20 @@ def build_reduction_tree(field, structure=None, tilt_n=64, max_depth=8,
     if structure is None:
         structure, _ = detect_branches(field)
     field_n, structure_n, p_shift, mu_shift = normalize(field, structure)
-    node = ReductionNode(kind="leaf", field=field_n, structure=structure_n,
-                         p_shift=p_shift, mu_shift=mu_shift)
     if _depth >= max_depth:
         warnings.warn("max reduction depth reached: direct leaf", stacklevel=2)
-        node.leaf_kind = "direct"
-        return node
-    return _reduce(node, tilt_n, max_depth, _depth)
+        node = ReductionNode(kind="leaf", field=field_n, structure=structure_n,
+                             leaf_kind="direct")
+    else:
+        node = _reduce(field_n, structure_n, max_depth, _depth)
+    node.p_shift, node.mu_shift = p_shift, mu_shift
+    return node
 
 
-def _reduce_normalized(field, structure, tilt_n, max_depth, depth):
-    """Recurse on an already-normalized child with known structure."""
-    return _reduce(ReductionNode(kind="leaf", field=field, structure=structure),
-                   tilt_n, max_depth, depth)
-
-
-def _reduce(node, tilt_n, max_depth, depth):
-    """Turn a normalized node into a leaf or a rewrite with its children."""
-    field, structure = node.field, node.structure
+def _reduce(field, structure, max_depth, depth):
+    """The node of a normalized field: a leaf or a rewrite with its
+    children."""
+    node = ReductionNode(kind="leaf", field=field, structure=structure)
     if _is_xfree(field):
         node.leaf_kind = "xfree"
         return node
@@ -378,17 +379,15 @@ def _reduce(node, tilt_n, max_depth, depth):
     if Lt > 0 and L > 0:
         node.kind = "split"
         (plus, s_plus), (minus, s_minus) = split_min(field, structure)
-        node.children = [
-            _reduce_normalized(plus, s_plus, tilt_n, max_depth, depth + 1),
-            _reduce_normalized(minus, s_minus, tilt_n, max_depth, depth + 1)]
+        node.children = [_reduce(plus, s_plus, max_depth, depth + 1),
+                         _reduce(minus, s_minus, max_depth, depth + 1)]
         return node
     if Lt > 0:
         # mirror (L_tilde, 0) onto (0, L_tilde)
         node.kind = "mirror"
-        child_field = MirroredField(field)
-        child_struct = _mirror_structure(structure)
-        node.children = [_reduce_normalized(child_field, child_struct,
-                                            tilt_n, max_depth, depth + 1)]
+        node.children = [_reduce(MirroredField(field),
+                                 _mirror_structure(structure), max_depth,
+                                 depth + 1)]
         return node
     if depth >= max_depth:
         warnings.warn("max reduction depth reached: direct leaf", stacklevel=2)
@@ -403,10 +402,9 @@ def _reduce(node, tilt_n, max_depth, depth):
     span = abs(stats.M_hi - stats.m_lo) + 1.0
     if stats.M_lo - stats.m_hi <= 1e-6 * span:
         node.kind = "tilt"
-        node.params["n"] = tilt_n
-        tilted = tilt(field, structure, stats, tilt_n)
-        node.children = [_reduce_normalized(tilted, structure, tilt_n,
-                                            max_depth, depth + 1)]
+        node.params["n"] = TILT_N
+        node.children = [_reduce(tilt(field, structure, stats, TILT_N),
+                                 structure, max_depth, depth + 1)]
         return node
     fam = steep_side_family(field, structure, stats)
     node.kind = "steep_left" if fam.case == "left" else "steep_right"
@@ -422,12 +420,10 @@ def _reduce(node, tilt_n, max_depth, depth):
             ch = ReductionNode(kind="leaf", field=child_field,
                                structure=child_struct, leaf_kind="direct")
         elif child_struct.normalized:
-            ch = _reduce_normalized(child_field, child_struct, tilt_n,
-                                    max_depth, depth + 1)
+            ch = _reduce(child_field, child_struct, max_depth, depth + 1)
         else:
             ch = build_reduction_tree(child_field, structure=child_struct,
-                                      tilt_n=tilt_n, max_depth=max_depth,
-                                      _depth=depth + 1)
+                                      max_depth=max_depth, _depth=depth + 1)
         children.append(ch)
     node.children = children
     node.family = fam
@@ -493,24 +489,14 @@ def _evaluate_inner(node, p_grid, opts):
     if node.kind == "leaf":
         return evaluate_leaf(node, p_grid, opts)
     if node.kind == "mirror":
-        child = node.children[0]
-        sub = _evaluate_inner(child, -p_grid[::-1] - child.p_shift, opts) \
-            .transformed(child.p_shift, child.mu_shift)
-        vals = sub.evaluate(-p_grid)
-        buds = sub.budget_at(-p_grid)
-        return EffectiveCurve(p_grid, vals, buds)
+        sub = evaluate_tree(node.children[0], -p_grid[::-1], opts)
+        return EffectiveCurve(p_grid, sub.evaluate(-p_grid),
+                              sub.budget_at(-p_grid))
     if node.kind == "tilt":
-        child = node.children[0]
-        sub = _evaluate_inner(child, p_grid - child.p_shift, opts) \
-            .transformed(child.p_shift, child.mu_shift)
-        n = node.params["n"]
+        sub = evaluate_tree(node.children[0], p_grid, opts)
         return EffectiveCurve(p_grid, sub.evaluate(p_grid),
-                              sub.budget_at(p_grid) + 1.0 / n)
-    curves = []
-    for child in node.children:
-        sub = _evaluate_inner(child, p_grid - child.p_shift, opts) \
-            .transformed(child.p_shift, child.mu_shift)
-        curves.append(sub)
+                              sub.budget_at(p_grid) + 1.0 / node.params["n"])
+    curves = [evaluate_tree(child, p_grid, opts) for child in node.children]
     if node.kind == "split":
         plus, minus = curves
         pieces = [(lambda p: p >= 0.0, plus), (lambda p: p < 0.0, minus)]
@@ -537,9 +523,10 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
     A field with a period key (``HamiltonianField.period_key``) repeats
     the same values on every window point of equal key, so the 513-level
     table and the bisections run on one period: on the first window point
-    of each distinct key.  Each level's crossings and the quasi-convexity
-    probe columns are read back through the inverse index, so the window
-    means, and the curve, are the same to the bit as on the whole window.
+    of each distinct key (``HamiltonianField.key_points``).  Each level's
+    crossings and the quasi-convexity probe columns are read back through
+    the inverse index, so the window means, and the curve, are the same
+    to the bit as on the whole window.
     """
     from .env import EnvironmentSpec, sample as env_sample
     if isinstance(source, EnvironmentSpec):
@@ -548,14 +535,8 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
         fields = [source]
     per_seed = []
     for f in fields:
-        xs = np.linspace(0.0, 400 * f.cell, 6400, endpoint=False)
-        key = f.period_key(xs)
-        if key is None:
-            inv = np.arange(len(xs))
-        else:
-            _, first, inv = np.unique(key, return_index=True,
-                                      return_inverse=True)
-            xs = xs[first]
+        xs, inv = f.key_points(
+            np.linspace(0.0, 400 * f.cell, 6400, endpoint=False))
         pg = np.linspace(p_lo, p_hi, 513)
         h = f.at(xs)
         vals = h(pg[:, None])

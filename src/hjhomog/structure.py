@@ -437,18 +437,13 @@ def branch_inverse_grid(field, structure, j, xs, mu, side="+"):
 
     A field with a period key (``HamiltonianField.period_key``) has the
     same branch inverse at every x of equal key, so the end values and the
-    70-step bisection run once per distinct key, on the first x of each,
-    and are read back through the inverse index: the same roots, to the
-    bit, as inverting at every x.  Fields without a key invert every x.
+    70-step bisection run once per distinct key, on the first x of each
+    (``HamiltonianField.key_points``), and are read back through the
+    inverse index: the same roots, to the bit, as inverting at every x.
+    Fields without a key invert every x.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    key = field.period_key(xs)
-    if key is None:
-        pts = xs
-    else:
-        _, first, inv = np.unique(key.ravel(), return_index=True,
-                                  return_inverse=True)
-        pts = xs.ravel()[first]
+    pts, inv = field.key_points(xs)
     h = field.at(pts)
     lo, hi, feasible = _capped_range(h, field, structure, j, mu, side)
     increasing = structure.branch_increasing(j, side)
@@ -456,8 +451,6 @@ def branch_inverse_grid(field, structure, j, xs, mu, side="+"):
     lo, hi = bisect(lambda p: (h(p) < mu) == increasing,
                     np.full(pts.shape, lo), np.full(pts.shape, hi), 70)
     p = np.where(feasible, 0.5 * (lo + hi), np.nan)
-    if key is None:
-        return p, feasible
     return p[inv].reshape(xs.shape), feasible[inv].reshape(xs.shape)
 
 

@@ -190,13 +190,32 @@ def test_estimate_deterministic_reproducible(board_spec):
     assert a.rows == b.rows
 
 
+def test_estimate_does_not_depend_on_earlier_p():
+    # two grid points of linspace(-1.8, 1.8, 25) on the converge benchmark's
+    # field: their probe arguments differ only in the last bits, so a
+    # probe cache keyed by rounded arguments would let solving -0.6 first
+    # move the estimate at 0.6
+    spec = env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 0.1})
+    p_plus, p_minus = 0.5999999999999999, -0.6000000000000001
+    fresh = cs.estimate_hbar(env.sample(spec), p_plus, dx=1 / 512)
+    shared = env.sample(spec)
+    cs.estimate_hbar(shared, p_minus, dx=1 / 512)
+    again = cs.estimate_hbar(shared, p_plus, dx=1 / 512)
+    assert again.value == fresh.value
+    assert again.rows == fresh.rows
+
+
 def test_diverged_raises(board_spec):
     f = env.sample(board_spec, 1)
     grid = cs.default_grid_policy(f, 0.0, 0.02, dx=1 / 32)
     with pytest.raises(Diverged) as exc:
         cs.solve_discounted(f, 0.0, 0.02, grid, max_iters=0, nested=False,
                             verify_steps=0)
-    assert len(exc.value.residual_trace) >= 0
+    # no Newton step: each of the 60 red-black passes logs one residual,
+    # and the last one is the residual the message reports
+    trace = exc.value.residual_trace
+    assert len(trace) == 60
+    assert str(exc.value).startswith(f"residual {trace[-1]:.3g} > tol ")
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,7 @@ def test_malformed_config_exit_2(tmp_path):
     {"solver": {"dx": 1 / 64, "periodize_cells": -5}},
     {"solver": {"dx": 1 / 64, "periodize_cells": 2.5}},
     {"solver": {"dx": 1 / 64, "periodize_cells": "all"}},
+    {"solver": {"dx": 1 / 64, "periodize_cells": "auto"}},
     {"periodize_cells": 50},
     {"solver": {"dx": 1 / 64, "periodise_cells": 50}},
     {"task": "converge", "ivp": {"t": 0.5}},
@@ -271,6 +272,34 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("over", [
+    {"task": "converge", "epsilons": [0.4, 0.2],
+     "ivp": {"T": 0.5, "X_core": 0.5}},
+    {"task": "validate"},
+])
+def test_task_parses_and_samples_its_env_once(monkeypatch, tmp_path, over):
+    # every route of the task reads one realization; the routes that read
+    # every seed sample the spec themselves, outside cli
+    parsed, sampled = [], []
+    from_dict, sample = cli.EnvironmentSpec.from_dict, cli.sample
+
+    def counted_parse(d):
+        parsed.append(d)
+        return from_dict(d)
+
+    def counted_sample(*args):
+        sampled.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(cli.EnvironmentSpec, "from_dict",
+                        staticmethod(counted_parse))
+    monkeypatch.setattr(cli, "sample", counted_sample)
+    assert cli.run(_cfg(**over), str(tmp_path)) == 0
+    # resolve_config's validation, then the task's own parse
+    assert len(parsed) == 2
+    assert len(sampled) == 1
 
 
 def test_validate_without_independent_route_sweeps_once(monkeypatch,

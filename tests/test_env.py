@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from hjhomog import env
 from hjhomog.errors import ProfileError
@@ -54,7 +55,7 @@ def test_coercivity_probe_random_x(quartic_2sin):
 def _coercivity_radius_reference(field, mu_max, cache):
     """The per-level form of coercivity_radius: its own doubling search and
     a scalar bisection."""
-    key = round(float(mu_max), 12)
+    key = float(mu_max)
     if key in cache:
         return cache[key]
     xs = field.probe_xs(512)
@@ -89,8 +90,8 @@ def _coercivity_radius_reference(field, mu_max, cache):
 
 
 def test_coercivity_radii_match_per_level_reference(quartic_2sin):
-    # 5 + 4e-13 and 5 share a rounded cache key and the first one decides;
-    # 2.0 is cached before the batch; 1000 needs a doubled radius and -5
+    # 5 + 4e-13 and 5 are two levels with radii of their own; 2.0 is
+    # cached before the batch; 1000 needs a doubled radius and -5
     # is below min H, so its radius is 0
     levels = [5.0 + 4e-13, 0.3, 5.0, 2.0, 1000.0, -5.0, 0.3 + 1e-7]
     cache = {}
@@ -103,6 +104,29 @@ def test_coercivity_radii_match_per_level_reference(quartic_2sin):
     assert fresh.coercivity_radii(levels) == expected
     assert expected[4] > 4.0 and expected[5] == 0.0
     assert [fresh.coercivity_radius(mu) for mu in levels] == expected
+
+
+_QUARTIC = env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 2.0})
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=hs.sampled_from([0.3, 2.0, 5.0]),
+       calls=hs.lists(hs.tuples(hs.sampled_from(["coercivity_radius",
+                                                 "lipschitz_on"]),
+                                hs.integers(-600, 600)),
+                      min_size=2, max_size=6))
+def test_probes_do_not_depend_on_history(base, calls):
+    # levels a few ulps apart, asked of one field in the drawn order, get
+    # the values a fresh field gives each of them: levels within 600 ulps
+    # of base share 12-digit rounded keys, so a cache keyed by rounded
+    # levels would let the first level decide the others' values
+    shared = env.sample(_QUARTIC)
+    levels = [base + k * math.ulp(base) for _, k in calls]
+    for (name, _), level in zip(calls, levels):
+        fresh = getattr(env.sample(_QUARTIC), name)(level)
+        assert getattr(shared, name)(level) == fresh
+    assert shared.coercivity_radii(levels[::-1]) == [
+        env.sample(_QUARTIC).coercivity_radius(mu) for mu in levels[::-1]]
 
 
 def test_periodic_stationarity_exact(abs_sin):

@@ -661,7 +661,7 @@ def test_level_sets_fail_at_first_conflict(monkeypatch):
 
     monkeypatch.setattr(lo, "extremal_pair", counted)
     with pytest.raises(LevelSetConflict) as err:
-        cli._largeosc_curve(cfg)
+        cli._largeosc_curve(cfg, cli._realize(cfg)[0])
     assert str(err.value) == ("I_mu at mu=0.0625893 overlaps mu=0.0499039 "
                               "by more than 1e-9")
     assert len(calls) == 2 and calls == sorted(calls)
