@@ -41,7 +41,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .env import EnvironmentSpec, HamiltonianField, sample
+from .env import HamiltonianField
 from .errors import Diverged, NoisyLimit, WarmStartRetried
 
 LAMBDA_SCHEDULE = (0.04, 0.02, 0.01, 0.005)
@@ -394,14 +394,18 @@ class HbarEstimate:
     rows: list = dc_field(default_factory=list)  # CSV rows per (lam, seed)
 
 
-def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
-                  R=2.0, dx=None, periodize_cells=None):
+def _by_seed(fields):
+    """``fields`` as a {seed: field} map; a lone field is seed 0."""
+    return {0: fields} if isinstance(fields, HamiltonianField) else fields
+
+
+def estimate_hbar(fields, p, lam_schedule=LAMBDA_SCHEDULE, R=2.0, dx=None):
     """Estimate Hbar(p) = lim -lam v_lam(0) along a decreasing lam schedule.
 
-    ``source`` is an EnvironmentSpec (sampled per seed) or a field
-    realization.  Per seed, per-lam values are fitted linearly in lam and
-    the intercept extrapolated; the dispersion combines the cross-seed
-    spread, the fit residual, and the first-order truncation lam_min*|b|/2.
+    ``fields`` maps each seed to its realization; a lone field is seed 0.
+    Per seed, per-lam values are fitted linearly in lam and the intercept
+    extrapolated; the dispersion combines the cross-seed spread, the fit
+    residual, and the first-order truncation lam_min*|b|/2.
     A non-monotone trend beyond tolerance raises the NoisyLimit warning
     but the estimate is still returned.
 
@@ -409,11 +413,6 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
     core-window average of -lam v, which has the same limit (the definition
     gives uniform convergence on |x| <= R/lam) and much smaller variance.
     Each solve uses the ``default_grid_policy`` grid.
-
-    ``periodize_cells``: wrap random realizations on a torus of that many
-    cells (representative volume) before solving.  Removes window-boundary
-    error entirely; cross-seed spread then reflects pure finite-volume
-    fluctuation.
 
     The discretization term comes from a dx/2 solve of the first seed's
     lam_min problem.  Its nested coarse level is that seed's lam_min grid,
@@ -425,18 +424,8 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
     if len(lam_schedule) < 3 or any(
             b >= a for a, b in zip(lam_schedule, lam_schedule[1:])):
         raise ValueError("lam_schedule must be strictly decreasing, >= 3 entries")
-    if isinstance(source, EnvironmentSpec):
-        fields = {s: sample(source, s) for s in seeds}
-        if periodize_cells and source.kind == "checkerboard":
-            fields = {s: f.periodized(int(periodize_cells))
-                      for s, f in fields.items()}
-    elif isinstance(source, HamiltonianField):
-        fields = {seeds[0] if seeds else 0: source}
-    else:
-        raise TypeError("source must be an EnvironmentSpec or a field")
+    fields = _by_seed(fields)
     first = next(iter(fields.values()))
-    if first.deterministic:
-        fields = {next(iter(fields)): first}
     center = first.deterministic
     per_seed = {}
     rows = []
@@ -487,9 +476,8 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
     truncation = 0.5 * max(slopes) * lams[-1]
     # discretization uncertainty: first-order Richardson from a dx/2 solve
     # of the smallest-lam problem, first seed: bias(dx) ~ 2 |val - val_half|
-    f0 = next(iter(fields.values()))
     lam_min = lam_schedule[-1]
-    grid_f = default_grid_policy(f0, p, lam_min, R=R, dx=dx)
+    grid_f = default_grid_policy(first, p, lam_min, R=R, dx=dx)
     grid_h = replace(grid_f, dx=grid_f.dx * 0.5,
                      dt=0.9 / (grid_f.theta / (grid_f.dx * 0.5) + lam_min))
     w0 = None
@@ -497,7 +485,7 @@ def estimate_hbar(source, p, lam_schedule=LAMBDA_SCHEDULE, seeds=(0,),
         # the dx/2 solve's nested coarse level is that cold lam_min solve:
         # start from its Newton iterate instead of solving it again
         w0 = prolong(cold_min.x_full, cold_min.w_newton, grid_h)
-    sol_h = solve_discounted(f0, p, lam_min, grid_h, w0=w0)
+    sol_h = solve_discounted(first, p, lam_min, grid_h, w0=w0)
     val_h = sol_h.minus_lambda_v0 if center else sol_h.minus_lambda_v_mean
     fine_tail = per_seed[next(iter(per_seed))][-1][1]
     discretization = 2.0 * abs(fine_tail - val_h)

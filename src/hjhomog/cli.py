@@ -177,6 +177,9 @@ def resolve_config(raw, seed_override=None):
     if cells is not None and (type(cells) is not int or cells < 1):
         raise ConfigError("solver.periodize_cells must be null or an "
                           f"integer >= 1, not {cells!r}")
+    if cells is not None and env_spec.kind == "periodic":
+        raise ConfigError("solver.periodize_cells applies to checkerboard "
+                          "envs; a periodic env is already periodic")
     return resolved
 
 
@@ -185,21 +188,28 @@ def resolve_config(raw, seed_override=None):
 # ---------------------------------------------------------------------------
 
 def _realize(cfg):
-    """(field, source) of a task, from one parse of ``cfg["env"]``: the
-    first seed's realization, and what the multi-seed routes read, which
-    is that field when the env is periodic (every seed realizes it) and
-    else the spec, sampled inside the route once per seed."""
+    """The task's realizations as a {seed: field} map, from one parse of
+    ``cfg["env"]``: one field per seed of a checkerboard env, and the one
+    field of a periodic env, which every seed realizes, under the first
+    seed.  Every route of the task reads these fields; the single-field
+    routes read the first."""
     spec = EnvironmentSpec.from_dict(cfg["env"])
-    field = sample(spec, cfg["seeds"][0])
-    return field, field if spec.kind == "periodic" else spec
+    seeds = cfg["seeds"][:1] if spec.kind == "periodic" else cfg["seeds"]
+    return {s: sample(spec, s) for s in seeds}
 
 
-def _estimate_sweep(cfg, source):
+def _first(fields):
+    return next(iter(fields.values()))
+
+
+def _estimate_sweep(cfg, fields):
     sol = cfg["solver"]
+    if sol["periodize_cells"]:
+        fields = {s: f.periodized(sol["periodize_cells"])
+                  for s, f in fields.items()}
     return [cs.estimate_hbar(
-        source, float(p), lam_schedule=tuple(cfg["lambda_schedule"]),
-        seeds=tuple(cfg["seeds"]), dx=sol["dx"], R=sol["R"],
-        periodize_cells=sol["periodize_cells"])
+        fields, float(p), lam_schedule=tuple(cfg["lambda_schedule"]),
+        dx=sol["dx"], R=sol["R"])
         for p in cfg["p_grid"]]
 
 
@@ -209,7 +219,7 @@ def _sweep_curve(ests):
 
 
 def task_effective(cfg, out):
-    ests = _estimate_sweep(cfg, _realize(cfg)[1])
+    ests = _estimate_sweep(cfg, _realize(cfg))
     write_csv(os.path.join(out, "curves.csv"),
               ["p", "Hbar", "error_budget", "route"],
               [(e.p, e.value, e.dispersion, "solver") for e in ests])
@@ -221,10 +231,10 @@ def task_effective(cfg, out):
 
 
 def _glue_curve(cfg):
-    tree = gl.build_reduction_tree(_realize(cfg)[0])
+    tree = gl.build_reduction_tree(_first(_realize(cfg)))
     opts = gl.LeafOptions(lam_schedule=tuple(cfg["lambda_schedule"]),
-                          dx=cfg["solver"]["dx"], seeds=tuple(cfg["seeds"]),
-                          R=cfg["solver"]["R"], mu_points=cfg["mu_points"],
+                          dx=cfg["solver"]["dx"], R=cfg["solver"]["R"],
+                          mu_points=cfg["mu_points"],
                           window_cells=cfg["window_cells"])
     curve = gl.evaluate_tree(tree, np.asarray(cfg["p_grid"]), opts)
     return tree, curve
@@ -254,7 +264,7 @@ def _largeosc_curve(cfg, field):
 
 
 def task_largeosc(cfg, out):
-    curve = _largeosc_curve(cfg, _realize(cfg)[0])
+    curve = _largeosc_curve(cfg, _first(_realize(cfg)))
     write_csv(os.path.join(out, "levelsets.csv"),
               ["mu", "p_lo", "p_hi", "ci"],
               [(r["mu"], r["p_lo"], r["p_hi"], r["ci"])
@@ -266,35 +276,35 @@ def task_largeosc(cfg, out):
             "level_set_convex": bool(curve.is_level_set_convex())}
 
 
-def _reference_curve(cfg, field, source, solver_curve=None):
+def _reference_curve(cfg, fields, solver_curve=None):
     """(curve, route, failed): the convex oracle's curve, else the
     large-oscillation route's, else the solver sweep (``solver_curve``
     when given); ``failed`` names each route tried before and its error.
-    ``field`` and ``source`` are the task's ``_realize`` pair."""
+    ``fields`` are the task's realizations (``_realize``)."""
     failed = []
     try:
-        return gl.convex_oracle(source, seeds=tuple(cfg["seeds"]),
-                                p_lo=-3.5, p_hi=3.5), "oracle", failed
+        return gl.convex_oracle(fields, p_lo=-3.5, p_hi=3.5), "oracle", failed
     except NotApplicable as exc:
         failed.append({"route": "oracle", "error": repr(exc)})
     try:
-        return _largeosc_curve(cfg, field), "largeosc", failed
+        return _largeosc_curve(cfg, _first(fields)), "largeosc", failed
     except HJHomogError as exc:
         failed.append({"route": "largeosc", "error": repr(exc)})
     if solver_curve is None:
-        solver_curve = _sweep_curve(_estimate_sweep(cfg, source))
+        solver_curve = _sweep_curve(_estimate_sweep(cfg, fields))
     return solver_curve, "solver", failed
 
 
 def task_converge(cfg, out):
-    field, source = _realize(cfg)
-    curve, route, failed = _reference_curve(cfg, field, source)
+    fields = _realize(cfg)
+    curve, route, failed = _reference_curve(cfg, fields)
     ivp = cfg["ivp"]
     setup = hp.IVPSetup(g=hp.wedge_datum(ivp["datum_height"]), T=ivp["T"],
-                        X_core=ivp["X_core"], theta=hp.default_theta(field))
-    res = hp.convergence_experiment(
-        source, curve, setup, eps_list=tuple(cfg["epsilons"]),
-        seeds=tuple(cfg["seeds"]), hbar_dx=1 / 128)
+                        X_core=ivp["X_core"],
+                        theta=hp.default_theta(_first(fields)))
+    res = hp.convergence_experiment(fields, curve, setup,
+                                    eps_list=tuple(cfg["epsilons"]),
+                                    hbar_dx=1 / 128)
     write_csv(os.path.join(out, "convergence.csv"),
               ["epsilon", "seed", "err_sup_core", "dx", "dt"], res.rows)
     return {"status": "ok", "curve_route": route, "failed_routes": failed,
@@ -303,9 +313,9 @@ def task_converge(cfg, out):
 
 def task_validate(cfg, out):
     tol = cfg["tolerances"]
-    field, source = _realize(cfg)
-    solver_curve = _sweep_curve(_estimate_sweep(cfg, source))
-    curve, route, failed = _reference_curve(cfg, field, source, solver_curve)
+    fields = _realize(cfg)
+    solver_curve = _sweep_curve(_estimate_sweep(cfg, fields))
+    curve, route, failed = _reference_curve(cfg, fields, solver_curve)
     ps = np.asarray(cfg["p_grid"])
     diffs = np.abs(solver_curve.evaluate(ps) - curve.evaluate(ps))
     budgets = solver_curve.budget_at(ps) + curve.budget_at(ps) \
@@ -449,7 +459,11 @@ def main(argv=None):
             return 2
         seed = args.seed
         if seed is None and os.environ.get("HJHOMOG_SEED"):
-            seed = int(os.environ["HJHOMOG_SEED"])
+            try:
+                seed = int(os.environ["HJHOMOG_SEED"])
+            except ValueError as exc:
+                print(f"config error: HJHOMOG_SEED: {exc}", file=sys.stderr)
+                return 2
         return run(config, args.out, strict=args.strict, seed_override=seed)
     try:
         report = diff_runs(args.dir_a, args.dir_b, extra_tol=args.tol)

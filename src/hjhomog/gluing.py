@@ -438,7 +438,6 @@ def _reduce(field, structure, max_depth, depth):
 class LeafOptions:
     lam_schedule: tuple = _cs.LAMBDA_SCHEDULE
     dx: float | None = None
-    seeds: tuple = (0,)
     R: float = 2.0
     mu_points: int = 15
     window_cells: int = 100
@@ -465,7 +464,7 @@ def evaluate_leaf(leaf, p_grid, opts):
             p_hi=float(np.max(p_grid)) + 0.5,
             p_lo=float(np.min(p_grid)) - 0.5)
     ests = [_cs.estimate_hbar(field, float(p), lam_schedule=opts.lam_schedule,
-                              seeds=opts.seeds, R=opts.R, dx=opts.dx)
+                              R=opts.R, dx=opts.dx)
             for p in np.asarray(p_grid, float)]
     return EffectiveCurve(p_grid, [e.value for e in ests],
                           [e.dispersion for e in ests],
@@ -510,15 +509,16 @@ def _evaluate_inner(node, p_grid, opts):
 # quasi-convex oracle and squeeze check
 # ---------------------------------------------------------------------------
 
-def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
+def convex_oracle(fields, p_lo=-4.0, p_hi=4.0):
     """Ground-truth effective Hamiltonian for quasi-convex fields by
     inverse-branch averaging.
 
     For 33 levels mu above the flat level (the window esssup of the
     pointwise minimum of H), the two branch inverses are averaged over a
     400-cell window at 16 samples per cell: Hbar(p -+ (mu)) = mu.  The
-    flat piece spans the averaged inverses at the flat level.  Multi-seed
-    sources report the cross-seed spread as the confidence interval.
+    flat piece spans the averaged inverses at the flat level.  ``fields``
+    maps each seed to its realization (a lone field is seed 0); several
+    seeds report the cross-seed spread as the confidence interval.
 
     A field with a period key (``HamiltonianField.period_key``) repeats
     the same values on every window point of equal key, so the 513-level
@@ -528,13 +528,8 @@ def convex_oracle(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
     the inverse index, so the window means, and the curve, are the same
     to the bit as on the whole window.
     """
-    from .env import EnvironmentSpec, sample as env_sample
-    if isinstance(source, EnvironmentSpec):
-        fields = [env_sample(source, s) for s in seeds]
-    else:
-        fields = [source]
     per_seed = []
-    for f in fields:
+    for f in _cs._by_seed(fields).values():
         xs, inv = f.key_points(
             np.linspace(0.0, 400 * f.cell, 6400, endpoint=False))
         pg = np.linspace(p_lo, p_hi, 513)

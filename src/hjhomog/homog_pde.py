@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_solver import _lf_terms
+from .cell_solver import _by_seed, _lf_terms
 from .errors import ExtrapolationUsed
 
 
@@ -110,7 +110,8 @@ def solve_homogenized(curve, setup, dx=None):
     def hbar(q):
         if np.any(q < curve.p[0]) or np.any(q > curve.p[-1]):
             flagged.append(True)
-        return curve.evaluate(q)
+            return curve.evaluate(q)
+        return np.interp(q, curve.p, curve.values)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtrapolationUsed)
@@ -132,26 +133,22 @@ class ConvergenceResult:
         return [(e, err) for e, s, err, _, _ in self.rows if s == seed]
 
 
-def convergence_experiment(source, curve, setup, eps_list=(0.4, 0.2, 0.1),
-                           seeds=(0,), hbar_dx=None):
-    """err(eps) = sup over the core at t = T of |u_eps - ubar|, per seed.
+def convergence_experiment(fields, curve, setup, eps_list=(0.4, 0.2, 0.1),
+                           hbar_dx=None):
+    """err(eps) = sup over the core at t = T of |u_eps - ubar|, per seed of
+    ``fields``, a {seed: field} map (a lone field is seed 0).
 
     The property form of the homogenization theorem: errors decrease along
     the eps schedule (no rate is asserted).  Non-monotone sequences are
     reported, not raised.
     """
-    from .env import EnvironmentSpec, sample as env_sample
     eps_list = tuple(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     xs_bar, ubar = solve_homogenized(curve, setup, dx=hbar_dx)
     rows = []
     monotone = {}
-    for seed in seeds:
-        if isinstance(source, EnvironmentSpec):
-            field = env_sample(source, seed)
-        else:
-            field = source
+    for seed, field in _by_seed(fields).items():
         errs = []
         for eps in eps_list:
             dx = eps / 32.0

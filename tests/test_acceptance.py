@@ -328,12 +328,12 @@ def test_criterion_12_convergence(abs_sin):
                             theta=theta)
         res = hp.convergence_experiment(f, curve, setup,
                                         eps_list=(0.4, 0.2, 0.1),
-                                        seeds=(0, 1), hbar_dx=1 / 512)
+                                        hbar_dx=1 / 512)
         all_monotone &= all(res.monotone.values())
         bad = EffectiveCurve(curve.p, curve.values + 0.3, curve.budget)
         res_bad = hp.convergence_experiment(f, bad, setup,
                                             eps_list=(0.4, 0.2, 0.1),
-                                            seeds=(0,), hbar_dx=1 / 512)
+                                            hbar_dx=1 / 512)
         # the control's stagnation level is its smallest-eps error
         stagnation = min(stagnation, res_bad.rows[-1][2])
     ok = all_monotone and stagnation >= 0.2
@@ -346,9 +346,9 @@ def test_criterion_13_self_averaging():
     spec = env.make_separable("abs", (-1.0, 0.0), 1.0)
     worst = 0.0
     for p in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        vals = [cs.estimate_hbar(spec, p, lam_schedule=(0.04, 0.02, 0.01),
-                                 seeds=(s,), dx=1 / 64,
-                                 periodize_cells=400).value
+        vals = [cs.estimate_hbar({s: env.sample(spec, s).periodized(400)}, p,
+                                 lam_schedule=(0.04, 0.02, 0.01),
+                                 dx=1 / 64).value
                 for s in (101, 202)]
         worst = max(worst, abs(vals[0] - vals[1]))
     _report(13, "self-averaging", worst <= 0.1,

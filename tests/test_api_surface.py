@@ -1,13 +1,18 @@
-"""Every defaulted parameter of the package is set by some caller.
+"""Every defaulted parameter of the package is set by some caller, and
+every keyword a caller passes names a parameter.
 
 A parameter with a default that no call in ``src/``, ``tests/``, ``demos/``
 or ``perfbench/`` passes, by keyword or by position, is a constant in
-disguise: it carries a branch nobody runs and a knob nobody turns.  The
+disguise: it carries a branch nobody runs and a knob nobody turns.  A
+keyword that no definition of the called name accepts is a stale call,
+which fails only when it runs (the demos are only byte-compiled).  The
 scan reads the sources with ``ast`` only; nothing is imported or run.
 
 Calls are matched by name: ``f(...)`` and ``obj.f(...)`` reach every
 function or method named ``f``, and ``Cls(...)`` reaches the ``__init__``
-(or the dataclass fields, less those with ``init=False``) of ``Cls``.  A
+(or the dataclass fields, inherited ones first, less those with
+``init=False``) of ``Cls``.  A call through a name imported from outside
+the package (``np.mean``, ``subprocess.run``) reaches none of them.  A
 positional argument at an index where another definition of the same name
 has a required parameter is taken to fill that one, so a call that could
 mean either never counts as setting a default.
@@ -53,8 +58,9 @@ def _init_field(stmt):
 
 
 def _function_params(fn, method):
-    """(names, defaulted) of the parameters a call can fill; a method's
-    first parameter is bound by the call and left out."""
+    """(names, defaulted, keywords) of the parameters a call can fill;
+    a method's first parameter is bound by the call and left out, and
+    ``keywords`` is None when a ``**`` parameter takes any keyword."""
     args = fn.args
     positional = args.posonlyargs + args.args
     static = any(getattr(d, "id", None) == "staticmethod"
@@ -64,12 +70,23 @@ def _function_params(fn, method):
     defaulted = {a.arg for a in positional[len(positional) - n_def:]}
     defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
                   if d is not None}
-    return [a.arg for a in positional[skip:]], defaulted
+    keywords = None if args.kwarg else {
+        a.arg for a in args.args[skip:] + args.kwonlyargs}
+    return [a.arg for a in positional[skip:]], defaulted, keywords
 
 
 def definitions():
-    """name -> [(owner label, positional names, defaulted names)]."""
+    """name -> [(owner label, positional names, defaulted names,
+    keyword names or None for any)]."""
     defs = defaultdict(list)
+    fields_of = {}                    # dataclass name -> its init fields
+
+    def dataclass_fields(cls):
+        own = [s for s in cls.body if _init_field(s)]
+        inherited = [f for base in cls.bases
+                     for f in fields_of.get(getattr(base, "id", None), [])]
+        return inherited + own
+
     for path in _py_files(PACKAGE):
         module = os.path.splitext(os.path.basename(path))[0]
 
@@ -77,51 +94,79 @@ def definitions():
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.ClassDef):
                     if _is_dataclass(child):
-                        fields = [s for s in child.body if _init_field(s)]
+                        fields = fields_of[child.name] = \
+                            dataclass_fields(child)
+                        names = [s.target.id for s in fields]
                         defs[child.name].append((
-                            f"{module}.{child.name}",
-                            [s.target.id for s in fields],
+                            f"{module}.{child.name}", names,
                             {s.target.id for s in fields
-                             if s.value is not None}))
+                             if s.value is not None}, set(names)))
                     visit(child, f"{owner}{child.name}.", True)
                 elif isinstance(child, (ast.FunctionDef,
                                         ast.AsyncFunctionDef)):
-                    names, defaulted = _function_params(child, in_class)
                     label = f"{module}.{owner}{child.name}"
                     key = owner.rstrip(".").split(".")[-1] \
                         if child.name == "__init__" else child.name
-                    defs[key].append((label, names, defaulted))
+                    defs[key].append((label,
+                                      *_function_params(child, in_class)))
                     visit(child, f"{owner}{child.name}.", False)
 
         visit(_parse(path), "", False)
     return defs
 
 
+def _foreign_names(tree):
+    """Names a module binds by importing from outside the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names
+                      if a.name.split(".")[0] != "hjhomog"}
+        elif isinstance(node, ast.ImportFrom) and not node.level \
+                and (node.module or "").split(".")[0] != "hjhomog":
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def calls(defs):
+    """(path, call node, definitions it reaches) for every call in the
+    caller directories that reaches some package definition."""
+    for top in CALLER_DIRS:
+        for path in _py_files(os.path.join(ROOT, top)):
+            tree = _parse(path)
+            foreign = _foreign_names(tree)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                through = func.value if isinstance(func, ast.Attribute) \
+                    else func
+                if getattr(through, "id", None) in foreign:
+                    continue
+                targets = defs.get(getattr(func, "id", getattr(
+                    func, "attr", None)))
+                if targets:
+                    yield path, node, targets
+
+
 def passed_arguments(defs):
     """The set of (owner label, parameter) that some call fills."""
     passed = set()
-    for top in CALLER_DIRS:
-        for path in _py_files(os.path.join(ROOT, top)):
-            for node in ast.walk(_parse(path)):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = getattr(node.func, "id", getattr(node.func, "attr",
-                                                        None))
-                targets = defs.get(name, ())
-                keywords = {k.arg for k in node.keywords if k.arg}
-                n_pos = 0
-                for a in node.args:
-                    if isinstance(a, ast.Starred):
-                        break
-                    n_pos += 1
-                for label, names, defaulted in targets:
-                    for i, param in enumerate(names):
-                        by_position = i < n_pos and not any(
-                            i < len(other) and other[i] not in other_def
-                            for lab, other, other_def in targets
-                            if lab != label)
-                        if param in keywords or by_position:
-                            passed.add((label, param))
+    for _, node, targets in calls(defs):
+        keywords = {k.arg for k in node.keywords if k.arg}
+        n_pos = 0
+        for a in node.args:
+            if isinstance(a, ast.Starred):
+                break
+            n_pos += 1
+        for label, names, defaulted, _ in targets:
+            for i, param in enumerate(names):
+                by_position = i < n_pos and not any(
+                    i < len(other) and other[i] not in other_def
+                    for lab, other, other_def, _ in targets
+                    if lab != label)
+                if param in keywords or by_position:
+                    passed.add((label, param))
     return passed
 
 
@@ -130,8 +175,20 @@ def test_every_defaulted_parameter_has_a_setter():
     passed = passed_arguments(defs)
     unset = sorted(f"{label}({param})"
                    for entries in defs.values()
-                   for label, _, defaulted in entries
+                   for label, _, defaulted, _ in entries
                    for param in defaulted
                    if (label, param) not in passed)
     assert not unset, (f"{len(unset)} defaulted parameters that no caller "
                        f"sets: " + ", ".join(unset))
+
+
+def test_every_keyword_names_a_parameter():
+    stale = sorted(
+        f"{os.path.relpath(path, ROOT)}:{node.lineno} "
+        f"{ast.unparse(node.func)}({k.arg}=)"
+        for path, node, targets in calls(definitions())
+        for k in node.keywords
+        if k.arg and not any(accepted is None or k.arg in accepted
+                             for *_, accepted in targets))
+    assert not stale, (f"{len(stale)} keywords that no definition of the "
+                       f"called name accepts: " + ", ".join(stale))

@@ -173,19 +173,20 @@ def test_one_sided_continuity(abs_sin):
 
 
 def test_periodized_estimator_consistency(board_spec):
-    est_w = cs.estimate_hbar(board_spec, 2.0, lam_schedule=(0.04, 0.02, 0.01),
-                             seeds=(1,), dx=1 / 64)
-    est_t = cs.estimate_hbar(board_spec, 2.0, lam_schedule=(0.04, 0.02, 0.01),
-                             seeds=(1,), dx=1 / 64, periodize_cells=400)
+    f = env.sample(board_spec, 1)
+    est_w = cs.estimate_hbar({1: f}, 2.0, lam_schedule=(0.04, 0.02, 0.01),
+                             dx=1 / 64)
+    est_t = cs.estimate_hbar({1: f.periodized(400)}, 2.0,
+                             lam_schedule=(0.04, 0.02, 0.01), dx=1 / 64)
     assert est_t.value == pytest.approx(est_w.value, abs=0.08)
     assert est_t.value == pytest.approx(1.5, abs=0.08)
 
 
 def test_estimate_deterministic_reproducible(board_spec):
-    a = cs.estimate_hbar(board_spec, 1.0, lam_schedule=(0.04, 0.02, 0.01),
-                         seeds=(7,), dx=1 / 64)
-    b = cs.estimate_hbar(board_spec, 1.0, lam_schedule=(0.04, 0.02, 0.01),
-                         seeds=(7,), dx=1 / 64)
+    a = cs.estimate_hbar({7: env.sample(board_spec, 7)}, 1.0,
+                         lam_schedule=(0.04, 0.02, 0.01), dx=1 / 64)
+    b = cs.estimate_hbar({7: env.sample(board_spec, 7)}, 1.0,
+                         lam_schedule=(0.04, 0.02, 0.01), dx=1 / 64)
     assert a.value == b.value
     assert a.rows == b.rows
 
@@ -364,10 +365,10 @@ def test_warm_start_divergence_warns_and_solves_cold(abs_sin, monkeypatch):
         return solve(field, p, lam, grid, w0=w0, **kwargs)
 
     monkeypatch.setattr(cs, "solve_discounted", always_cold)
-    cold = cs.estimate_hbar(abs_sin, 0.5, dx=dx, seeds=(3,))
+    cold = cs.estimate_hbar({3: abs_sin}, 0.5, dx=dx)
     monkeypatch.setattr(cs, "solve_discounted", warm_diverges)
     with pytest.warns(WarmStartRetried) as record:
-        est = cs.estimate_hbar(abs_sin, 0.5, dx=dx, seeds=(3,))
+        est = cs.estimate_hbar({3: abs_sin}, 0.5, dx=dx)
     lams = cs.LAMBDA_SCHEDULE[1:]
     assert len(record) == len(lams)
     for w, lam in zip(record, lams):
@@ -405,8 +406,9 @@ def test_half_dx_solve_reuses_lambda_min_iterate(board_spec, monkeypatch):
         return solve(field, p, lam, grid, *args, **kwargs)
 
     monkeypatch.setattr(cs, "solve_discounted", counted)
-    cs.estimate_hbar(board_spec, 2.0, lam_schedule=(0.04, 0.02, 0.01),
-                     seeds=(1, 2), dx=1 / 64, periodize_cells=50)
+    cs.estimate_hbar({s: env.sample(board_spec, s).periodized(50)
+                      for s in (1, 2)}, 2.0,
+                     lam_schedule=(0.04, 0.02, 0.01), dx=1 / 64)
     first_half = calls.index((0.01, 1 / 128))
     # the dx/2 solve and its nested levels below dx/2: none at dx
     assert all(dx != 1 / 64 for _, dx in calls[first_half:])

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hjhomog import cli
+from hjhomog import cli, env
 
 
 def _write(tmp_path, name, obj):
@@ -16,6 +16,9 @@ def _write(tmp_path, name, obj):
 
 BASE_ENV = {"schema": "env/1", "kind": "periodic", "profile": "abs_plus_sin",
             "params": {"amplitude": 1.0}, "period": 1.0}
+BOARD_ENV = {"schema": "env/1", "kind": "checkerboard",
+             "profile": "base_plus_v", "params": {"base": "abs"},
+             "cell_length": 1.0, "value_range": [-1.0, 0.0]}
 
 
 def _cfg(task="effective", **over):
@@ -160,6 +163,7 @@ def test_malformed_config_exit_2(tmp_path):
     {"env": {"schema": "env/1", "kind": "checkerboard",
              "profile": "abs_plus_v", "params": {"base": "abs"},
              "cell_length": 1.0, "value_range": [-1.0, 0.0]}},
+    {"solver": {"dx": 1 / 64, "periodize_cells": 50}},
 ])
 def test_out_of_range_config_exit_2(tmp_path, over):
     out = tmp_path / "out"
@@ -180,10 +184,7 @@ def test_xfree_effective_exact(tmp_path):
 
 
 def test_seed_override_env_var(tmp_path, monkeypatch):
-    envd = {"schema": "env/1", "kind": "checkerboard",
-            "profile": "base_plus_v", "params": {"base": "abs"},
-            "cell_length": 1.0, "value_range": [-1.0, 0.0]}
-    cfg = _cfg(env=envd, p_grid=[2.0], seeds={"master": 1, "count": 1},
+    cfg = _cfg(env=BOARD_ENV, p_grid=[2.0], seeds={"master": 1, "count": 1},
                lambda_schedule=[0.08, 0.04, 0.02])
     cfg_path = _write(tmp_path, "cfg.json", cfg)
     out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -197,6 +198,17 @@ def test_seed_override_env_var(tmp_path, monkeypatch):
     c = (out3 / "curves.csv").read_bytes()
     assert a != b
     assert a == c
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_non_integer_seed_env_var_exit_2(tmp_path, monkeypatch, capsys,
+                                         value):
+    cfg_path = _write(tmp_path, "cfg.json", _cfg())
+    out = tmp_path / "out"
+    monkeypatch.setenv("HJHOMOG_SEED", value)
+    assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "config error: HJHOMOG_SEED" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_task(tmp_path):
@@ -274,32 +286,74 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+BOARD_SEEDS = {"env": BOARD_ENV, "seeds": [3, 5],
+               "solver": {"dx": 1 / 64, "periodize_cells": 50}}
+
+
 @pytest.mark.parametrize("over", [
     {"task": "converge", "epsilons": [0.4, 0.2],
      "ivp": {"T": 0.5, "X_core": 0.5}},
     {"task": "validate"},
+    dict(BOARD_SEEDS, task="effective"),
+    dict(BOARD_SEEDS, task="validate"),
 ])
 def test_task_parses_and_samples_its_env_once(monkeypatch, tmp_path, over):
-    # every route of the task reads one realization; the routes that read
-    # every seed sample the spec themselves, outside cli
-    parsed, sampled = [], []
-    from_dict, sample = cli.EnvironmentSpec.from_dict, cli.sample
+    # every route of the task reads the realizations cli._realize makes:
+    # one per seed of a checkerboard env, the one field of a periodic env;
+    # the solver sweep periodizes each of them once
+    parsed, sampled, periodized = [], [], []
+    from_dict, sample = cli.EnvironmentSpec.from_dict, env.sample
+    periodize = env.CheckerboardField.periodized
 
     def counted_parse(d):
         parsed.append(d)
         return from_dict(d)
 
-    def counted_sample(*args):
-        sampled.append(args)
-        return sample(*args)
+    def counted_sample(spec, seed=0):
+        sampled.append(seed)
+        return sample(spec, seed)
+
+    def counted_periodize(field, n_cells):
+        periodized.append(field.seed)
+        return periodize(field, n_cells)
 
     monkeypatch.setattr(cli.EnvironmentSpec, "from_dict",
                         staticmethod(counted_parse))
-    monkeypatch.setattr(cli, "sample", counted_sample)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hjhomog" \
+                and getattr(module, "sample", None) is sample:
+            monkeypatch.setattr(module, "sample", counted_sample)
+    monkeypatch.setattr(env.CheckerboardField, "periodized",
+                        counted_periodize)
     assert cli.run(_cfg(**over), str(tmp_path)) == 0
     # resolve_config's validation, then the task's own parse
     assert len(parsed) == 2
-    assert len(sampled) == 1
+    if over.get("env") is BOARD_ENV:
+        assert sampled == periodized == [3, 5]
+    else:
+        assert sampled == [0] and periodized == []
+
+
+def test_periodic_converge_marches_each_eps_once(monkeypatch, tmp_path):
+    # every seed realizes the one periodic field: one march and one row
+    # per eps, however many seeds the config names
+    marched = []
+    solve = cli.hp.solve_oscillatory
+
+    def counted(field, eps, setup):
+        marched.append(eps)
+        return solve(field, eps, setup)
+
+    monkeypatch.setattr(cli.hp, "solve_oscillatory", counted)
+    cfg = _cfg(task="converge", epsilons=[0.4, 0.2], seeds=[0, 1],
+               ivp={"T": 0.5, "X_core": 0.5})
+    assert cli.run(cfg, str(tmp_path)) == 0
+    assert marched == [0.4, 0.2]
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    assert [(float(r[0]), r[1]) for r in rows] == [(0.4, "0"), (0.2, "0")]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert list(report["monotone"]) == ["0"]
 
 
 def test_validate_without_independent_route_sweeps_once(monkeypatch,

@@ -59,7 +59,8 @@ def test_oracle_xfree_square():
 
 def test_oracle_checkerboard_abs():
     spec = env.make_separable("abs", (-1.0, 0.0), 1.0)
-    c = gl.convex_oracle(spec, seeds=(0, 1, 2, 3), p_lo=-3.5, p_hi=3.5)
+    c = gl.convex_oracle({s: env.sample(spec, s) for s in range(4)},
+                         p_lo=-3.5, p_hi=3.5)
     lo, hi, level = c.flat
     assert level == pytest.approx(0.0, abs=0.02)       # esssup V
     assert c.evaluate(2.0) == pytest.approx(1.5, abs=0.03)  # mu + E[V] branch
@@ -179,8 +180,11 @@ def test_oracle_matches_reference(case):
     if case == "period_0.7":
         xs = np.linspace(0.0, 400 * source.cell, 6400, endpoint=False)
         assert len(np.unique(source.period_key(xs))) > 16
-    _assert_same_curve(gl.convex_oracle(source, **kwargs),
-                       _convex_oracle_reference(source, **kwargs))
+    want = _convex_oracle_reference(source, **kwargs)
+    if "seeds" in kwargs:
+        # the reference samples a spec per seed; the oracle reads the fields
+        source = {s: env.sample(source, s) for s in kwargs.pop("seeds")}
+    _assert_same_curve(gl.convex_oracle(source, **kwargs), want)
 
 
 @pytest.mark.parametrize("field, kwargs, message", [

@@ -102,8 +102,7 @@ def test_core_insulation(abs_sin, setup):
 
 def test_convergence_strictly_decreasing(abs_sin, abs_sin_curve, setup):
     res = hp.convergence_experiment(abs_sin, abs_sin_curve, setup,
-                                    eps_list=(0.4, 0.2, 0.1), seeds=(0,),
-                                    hbar_dx=1 / 128)
+                                    eps_list=(0.4, 0.2, 0.1), hbar_dx=1 / 128)
     assert res.monotone[0]
     errs = [err for _, _, err, _, _ in res.rows]
     assert errs[0] > errs[1] > errs[2]
@@ -113,8 +112,7 @@ def test_wrong_hbar_stagnates(abs_sin, abs_sin_curve, setup):
     bad = EffectiveCurve(abs_sin_curve.p, abs_sin_curve.values + 0.3,
                          abs_sin_curve.budget)
     res = hp.convergence_experiment(abs_sin, bad, setup,
-                                    eps_list=(0.4, 0.2, 0.1), seeds=(0,),
-                                    hbar_dx=1 / 128)
+                                    eps_list=(0.4, 0.2, 0.1), hbar_dx=1 / 128)
     errs = [err for _, _, err, _, _ in res.rows]
     assert min(errs) >= 0.2
 
