@@ -18,13 +18,15 @@ one the PDE march in ``homog_pde`` uses too.
 
 The steady state of that monotone scheme is the unique solution of the
 discrete system; we reach it by a damped semismooth Newton iteration on
-the same discrete equations (tridiagonal Jacobian, one LAPACK ?gtsv call
+the same discrete equations (tridiagonal Jacobian, one LAPACK dgtsv call
 per step; on a torus both Sherman-Morrison columns go into that call), with
 red-black exact nodal relaxation when Newton stalls on a kink
 configuration and explicit monotone steps as the final verification.
 Pure marching contracts only at rate lam * dt per step, which is far too
 slow at lam = 0.005 on windows X = R / lam; Newton finds the same fixed
-point in a handful of iterations.
+point in a handful of iterations.  dgtsv is read from scipy's LAPACK
+extension module, loaded by itself at the first solve; the scipy.linalg
+package is never imported.
 
 Spatially periodic realizations (periodic media, or checkerboards
 periodized on a representative torus) use an exact fast path: the
@@ -35,8 +37,11 @@ wraparound stencils is solved instead of a window.
 from __future__ import annotations
 
 import functools
+import importlib.util
+import os
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -107,28 +112,34 @@ class DiscountedSolution:
         return -self.lam * float(np.mean(self.v))
 
 
-def _one_sided(w, dx, periodic):
+def _one_sided(w, dx, periodic, q=None):
     """Backward and forward differences (q-, q+) of w: wraparound on a
-    torus, zero-slope ghosts at the two ends otherwise."""
-    qp = np.empty_like(w)
-    qm = np.empty_like(w)
-    qp[:-1] = (w[1:] - w[:-1]) / dx
-    qm[1:] = qp[:-1]
-    if periodic:
-        qp[-1] = (w[0] - w[-1]) / dx
-        qm[0] = qp[-1]
-    else:
-        qp[-1] = 0.0
-        qm[0] = 0.0
-    return qm, qp
+    torus, zero-slope ghosts at the two ends otherwise.  Both are views of
+    one padded array of len(w) + 1 slopes, ``q`` if given: q[:-1] is q-,
+    q[1:] is q+."""
+    if q is None:
+        q = np.empty(len(w) + 1)
+    inner = q[1:-1]
+    np.subtract(w[1:], w[:-1], out=inner)
+    np.divide(inner, dx, out=inner)
+    q[0] = q[-1] = (w[0] - w[-1]) / dx if periodic else 0.0
+    return q[:-1], q[1:]
 
 
-def _lf_terms(w, dx, theta, periodic):
+def _lf_terms(w, dx, theta, periodic, out=None):
     """Central slope c = (q- + q+)/2 and dissipation theta (q+ - q-)/2 of
     the LF numerical Hamiltonian Hhat = H(p + c, x) - diss; the discounted
-    solver and the PDE march (homog_pde) share it."""
-    qm, qp = _one_sided(w, dx, periodic)
-    return 0.5 * (qm + qp), 0.5 * theta * (qp - qm)
+    solver and the PDE march (homog_pde) share it.  ``out`` is (q, c, diss),
+    buffers of len(w) + 1, len(w) and len(w) entries to write into; fresh
+    ones by default."""
+    n = len(w)
+    q, c, diss = out or (np.empty(n + 1), np.empty(n), np.empty(n))
+    qm, qp = _one_sided(w, dx, periodic, q)
+    np.add(qm, qp, out=c)
+    np.multiply(0.5, c, out=c)
+    np.subtract(qp, qm, out=diss)
+    np.multiply(0.5 * theta, diss, out=diss)
+    return c, diss
 
 
 def _operator(h, p, lam, grid, w):
@@ -142,11 +153,23 @@ def _operator(h, p, lam, grid, w):
 
 @functools.cache
 def _dgtsv():
-    # scipy is imported at the first solve, not with the package: the
-    # routes that solve no discounted problem skip its start-up time and
-    # memory
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("gtsv",), (np.zeros(1),))[0]
+    # the LAPACK routine comes from scipy's f2py LAPACK extension, loaded
+    # by itself at the first solve: neither ``import hjhomog`` nor a solve
+    # imports the scipy.linalg package, whose start-up time and memory
+    # (about 0.3 s and 28 MB) would buy nothing else here
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("no scipy installation to load LAPACK from")
+    name = "scipy.linalg._flapack"
+    path = os.path.join(spec.submodule_search_locations[0], "linalg",
+                        "_flapack" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"no LAPACK module {name} at {path}", path=path)
+    loader = ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return module.dgtsv
 
 
 def _gtsv(dl, d, du, b):

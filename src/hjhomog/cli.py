@@ -133,6 +133,8 @@ def resolve_config(raw, seed_override=None):
         seeds = [split_seed(master, k) for k in range(count)]
     else:
         seeds = [_integer("seeds", s) for s in seeds_cfg]
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError(f"seeds must be distinct, not {seeds_cfg!r}")
         if seed_override is not None:
             seeds = [split_seed(seed_override, k) for k in range(len(seeds))]
     sections = {name: dict(keys, **_known_keys(name, raw.get(name, {}), keys))

@@ -79,12 +79,18 @@ def _march(frozen, g, T, X, dx, theta, cfl, X_core):
     k, off = 0, 0                                   # u holds xs[off:]
     while k < n_steps:
         end = int(np.searchsorted(-width, -(3 * width[k] // 4)))
-        u = u[lo[k] - off:hi[k] - off]
+        # the phase's own buffers: u is a copy (never g's output), and
+        # h(c) - diss goes into diss (never into an array h returns)
+        u = u[lo[k] - off:hi[k] - off].copy()
         off = lo[k]
         h = frozen(xs[off:hi[k]])
+        n = len(u)
+        out = np.empty(n + 1), np.empty(n), np.empty(n)
         for _ in range(k, end):
-            c, diss = _lf_terms(u, dx, theta, False)
-            u = u - dt * (h(c) - diss)
+            c, diss = _lf_terms(u, dx, theta, False, out)
+            np.subtract(h(c), diss, out=diss)
+            np.multiply(dt, diss, out=diss)
+            np.subtract(u, diss, out=u)
         k = end
     return xs[c0:c1], u[c0 - off:c1 - off]
 

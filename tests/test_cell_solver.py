@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs, solve_banded
 
 from hjhomog import env, cell_solver as cs
 from hjhomog.errors import Diverged, WarmStartRetried
@@ -347,6 +347,50 @@ def test_first_gtsv_call_keeps_its_checks(case, raised):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == raised.split()
     assert LinAlgError is np.linalg.LinAlgError
+
+
+_SOLVE_ONCE = """
+import sys
+from hjhomog import cell_solver as cs, env
+f = env.sample(env.make_periodic("abs_plus_sin", 1.0))
+cs.solve_discounted(f, 0.3, 0.04, cs.default_grid_policy(f, 0.3, 0.04))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_solve_loads_lapack_without_scipy_linalg():
+    # the solver loads scipy's LAPACK extension module by itself; the
+    # scipy.linalg package, and its start-up cost, stay out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cs.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _SOLVE_ONCE],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "scipy.linalg._flapack" in loaded
+    assert "scipy.linalg" not in loaded
+
+
+# tridiagonal systems with |d| > |dl| + |du| on every row
+_tridiag = hs.integers(2, 40).flatmap(lambda n: hs.tuples(
+    *(hs.lists(hs.floats(-1.0, 1.0), min_size=k, max_size=k).map(np.array)
+      for k in (n - 1, n, n - 1, n, n)),
+    hs.sampled_from([-1.0, 1.0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=_tridiag)
+def test_dgtsv_is_scipy_linalg_gtsv(system):
+    # the routine the solver loads is the one scipy.linalg hands out
+    dl, d, du, b0, b1, sign = system
+    d = sign * (2.0 + np.abs(d))
+    rhs = (b0, np.asfortranarray(np.stack([b0, b1], axis=1)))
+    scipy_gtsv = get_lapack_funcs(("gtsv",), (np.zeros(1),))[0]
+    for b in rhs:
+        got = cs._dgtsv()(dl.copy(), d.copy(), du.copy(), b.copy("K"))
+        want = scipy_gtsv(dl.copy(), d.copy(), du.copy(), b.copy("K"))
+        assert got[4] == want[4] == 0
+        assert got[3].tobytes() == want[3].tobytes()
 
 
 def test_warm_start_divergence_warns_and_solves_cold(abs_sin, monkeypatch):

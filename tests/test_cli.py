@@ -164,6 +164,7 @@ def test_malformed_config_exit_2(tmp_path):
              "profile": "abs_plus_v", "params": {"base": "abs"},
              "cell_length": 1.0, "value_range": [-1.0, 0.0]}},
     {"solver": {"dx": 1 / 64, "periodize_cells": 50}},
+    {"seeds": [3, 3]},
 ])
 def test_out_of_range_config_exit_2(tmp_path, over):
     out = tmp_path / "out"
@@ -274,8 +275,8 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is loaded by the discounted solver at its first solve; the
-    # oracle, glue and largeosc routes never need it
+    # the discounted solver loads scipy's LAPACK extension module at its
+    # first solve; importing the package loads no scipy module
     code = ("import sys, hjhomog.cli; "
             "sys.exit(sorted(m for m in sys.modules if m.startswith('scipy')) "
             "or None)")
@@ -284,6 +285,49 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_RUN_TASK = """
+import json, sys, tempfile
+from hjhomog import cli
+with tempfile.TemporaryDirectory() as out:
+    code = cli.run(json.loads(sys.argv[1]), out)
+print(code, *sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+QUARTIC_ENV = {"schema": "env/1", "kind": "periodic",
+               "profile": "quartic_plus_sin", "params": {"amplitude": 0.1},
+               "period": 1.0}
+WELLS_ENV = {"schema": "env/1", "kind": "periodic",
+             "profile": "pwl_wells_plus_dip",
+             "params": {"nodes": [0, 0.5, 1, 1.5, 2],
+                        "values": [0, 0.8, 0.2, 1.3, 0.5],
+                        "cone_slope": 2.5, "amplitude": 0.1},
+             "period": 1.0}
+LAPACK_ONLY = {"scipy.linalg._flapack"}
+
+
+@pytest.mark.parametrize("over, allowed", [
+    ({}, LAPACK_ONLY),
+    # the oracle and large-oscillation routes fail: the solver sweep runs
+    ({"task": "converge", "env": QUARTIC_ENV, "epsilons": [0.4],
+      "ivp": {"T": 0.25, "X_core": 0.25}}, LAPACK_ONLY),
+    # four quasi-convex leaves: no discounted solve
+    ({"task": "glue", "env": WELLS_ENV}, set()),
+    ({"task": "largeosc", "mu_points": 3, "window_cells": 20,
+      "env": dict(QUARTIC_ENV, params={"amplitude": 2.0})}, set()),
+], ids=["effective", "converge", "glue", "largeosc"])
+def test_task_scipy_footprint(over, allowed):
+    # the solving tasks load at most scipy's LAPACK extension module (the
+    # scipy.linalg package costs about 28 MB); the others load no scipy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_TASK, json.dumps(_cfg(**over))],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert set(loaded) <= allowed, loaded
 
 
 BOARD_SEEDS = {"env": BOARD_ENV, "seeds": [3, 5],

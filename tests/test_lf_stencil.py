@@ -185,3 +185,56 @@ def test_red_black_sweep_matches_reference(w, periodic, dx, theta, lam, p,
         got = cs._red_black_sweep(h, h_edges, p, lam, grid, w)
         want = _red_black_reference(h, h_edges, p, lam, grid, w)
     assert _same_bits(got, want)
+
+
+# the stencil writes into buffers: the arrays it hands out, and the ones
+# handed to it, must keep their bytes
+
+@settings(max_examples=100, deadline=None)
+@given(w=_w, shift=_values, periodic=hs.booleans(), dx=_dx,
+       theta=hs.floats(0.5, 40.0), lam=hs.floats(0.001, 1.0),
+       p=hs.floats(-2.0, 2.0), name=hs.sampled_from(sorted(FIELDS)))
+def test_operator_returns_fresh_arrays(w, shift, periodic, dx, theta, lam, p,
+                                       name):
+    # Newton's line search keeps its best candidate's (res, c) while it
+    # evaluates the next candidate
+    n = len(w)
+    grid = cs.SolverGrid(X=n * dx / 2, dx=dx, theta=theta, dt=0.0,
+                         tol_res=1e-9, periodic=periodic, period=n * dx)
+    h = FIELDS[name].at(np.arange(n) * dx)
+    res, c = cs._operator(h, p, lam, grid, w)
+    kept = res.tobytes(), c.tobytes()
+    cs._operator(h, p, lam, grid, w[::-1] + shift)
+    assert (res.tobytes(), c.tobytes()) == kept
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=_w, dx=_dx, X=hs.floats(0.05, 0.4), X_core=hs.floats(0.0, 0.6),
+       T=hs.one_of(hs.floats(0.01, 0.08), hs.floats(0.2, 1.0)))
+def test_march_leaves_datum_and_evaluator_arrays_alone(w, dx, X, X_core, T):
+    # g returns one stored array, and the frozen evaluator returns arrays
+    # it keeps in a cache: the march writes into neither
+    field = FIELDS["abs_plus_sin"]
+    datum, cache = {}, {}
+
+    def g(xs):
+        return datum.setdefault(len(xs), np.resize(w, xs.shape))
+
+    def frozen(x):
+        h = field.at(x)
+
+        def cached(q):
+            key = x.tobytes(), q.tobytes()
+            if key not in cache:
+                out = h(q)
+                cache[key] = out, out.copy()
+            return cache[key][0]
+        return cached
+
+    xs, u = hp._march(frozen, g, T, X, dx, 1.7, 0.45, X_core)
+    xs_ref, u_ref = _march_reference(frozen, g, T, X, dx, 1.7, 0.45)
+    core = np.abs(xs_ref) <= X_core + 1e-12
+    assert _same_bits(xs, xs_ref[core])
+    assert _same_bits(u, u_ref[core])
+    assert all(_same_bits(a, np.resize(w, a.shape)) for a in datum.values())
+    assert all(_same_bits(out, kept) for out, kept in cache.values())
