@@ -524,110 +524,3 @@ def estimate_hbar(fields, p, lam_schedule=LAMBDA_SCHEDULE, R=2.0, dx=None):
         warnings.warn(f"non-monotone discounted trend at p={p:.4g}", NoisyLimit)
     return HbarEstimate(p=float(p), value=value, dispersion=float(dispersion),
                         noisy=noisy, per_seed=per_seed, rows=rows)
-
-
-# ---------------------------------------------------------------------------
-# diagnostic checks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CheckOutcome:
-    status: str            # "passed" | "failed" | "skipped"
-    detail: dict
-
-    def __bool__(self):
-        return self.status == "passed"
-
-
-def calibrate_comparison_constant(field, p):
-    """C(p) = 1/delta(p): delta makes H move by < 1 over the reachable
-    gradient range, so C is the probed Lipschitz bound there."""
-    m0 = field.sup_abs_on(p)
-    r = field.coercivity_radius(m0 + 0.5)
-    return max(field.lipschitz_on(abs(p) + r + 1.0), 1e-12)
-
-
-def comparison_gap(u, v, field):
-    """Check |lam u - lam v|(x) <= (M/R) sqrt(x^2+1) + M C / R on the
-    common window of two solutions of the same discounted problem, with M
-    the larger sup of |lam u|, |lam v| there and C the
-    ``calibrate_comparison_constant`` of ``field``."""
-    if abs(u.lam - v.lam) > 1e-15 or abs(u.p - v.p) > 1e-15:
-        raise ValueError("solutions must share (p, lam)")
-    lam = u.lam
-    X = min(u.x.max(), v.x.max())
-    R = lam * X
-    xs = u.x[np.abs(u.x) <= X + 1e-12]
-    a = np.interp(xs, u.x, u.v)
-    b = np.interp(xs, v.x, v.v)
-    gap = np.abs(lam * a - lam * b)
-    M = max(np.max(np.abs(lam * a)), np.max(np.abs(lam * b)))
-    C = calibrate_comparison_constant(field, u.p)
-    bound = (M / R) * np.sqrt(xs ** 2 + 1.0) + M * C / R
-    viol = gap - bound
-    worst = int(np.argmax(viol))
-    ok = viol[worst] <= 1e-12
-    return CheckOutcome(
-        status="passed" if ok else "failed",
-        detail={"worst_x": float(xs[worst]), "gap": float(gap[worst]),
-                "bound": float(bound[worst]), "M": float(M), "C": float(C),
-                "R": float(R)})
-
-
-def gradient_control_check(field, solution, p0, P, hbar_p0, case=1):
-    """Gradient localization check for the discounted solution.
-
-    Cases follow the two-point control dichotomy: (1) Hbar(p0) below
-    essinf H(P, .) with p0 < P forces p0 + v' <= P on the window; (2) the
-    mirrored bound; (3)/(4) the esssup variants.  Bounds hold up to 1e-9.
-    When the hypothesis fails numerically the check is reported as
-    skipped, not failed.
-    """
-    h_P = field.evaluate(P, field.probe_xs(4096))
-    Pl, Pu = float(np.min(h_P)), float(np.max(h_P))
-    hyp = {1: hbar_p0 < Pl and p0 < P,
-           2: hbar_p0 < Pl and p0 > P,
-           3: hbar_p0 > Pu and p0 < P,
-           4: hbar_p0 > Pu and p0 > P}[case]
-    if not hyp:
-        return CheckOutcome("skipped", {"reason": "hypothesis not satisfied",
-                                        "essinf_HP": Pl, "esssup_HP": Pu,
-                                        "hbar_p0": hbar_p0})
-    w, xs = solution.w_full, solution.x_full
-    if solution.grid.periodic:
-        grads = np.concatenate(_one_sided(w, solution.grid.dx, True))
-    else:
-        core = np.abs(xs) <= solution.grid.X + 1e-12
-        d = np.diff(w) / solution.grid.dx
-        grads = np.concatenate([d[core[:-1] & core[1:]]])
-    vals = p0 + grads
-    if case in (1, 3):
-        bad = vals > P + 1e-9
-        ok = not bad.any()
-        extreme = float(vals.max())
-    else:
-        bad = vals < P - 1e-9
-        ok = not bad.any()
-        extreme = float(vals.min())
-    return CheckOutcome("passed" if ok else "failed",
-                        {"extreme": extreme, "P": P, "violations": int(bad.sum()),
-                         "total": int(len(vals))})
-
-
-def monotone_update_check(field, p, lam, grid, w, rng, n_points=100):
-    """Randomized monotone-scheme probe: raising any stencil value never
-    lowers the explicit update."""
-    h = field.at(grid.nodes())
-    base = explicit_step(h, p, lam, grid, w)
-    n = len(w)
-    for _ in range(n_points):
-        i = int(rng.integers(1, n - 1))
-        j = i + int(rng.integers(-1, 2))
-        eta = float(rng.uniform(1e-6, 1e-2))
-        w2 = w.copy()
-        w2[j] += eta
-        upd = explicit_step(h, p, lam, grid, w2)
-        if upd[i] < base[i] - 1e-12:
-            return CheckOutcome("failed", {"i": i, "j": j, "eta": eta,
-                                           "drop": float(base[i] - upd[i])})
-    return CheckOutcome("passed", {"points": n_points})

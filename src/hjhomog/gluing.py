@@ -506,7 +506,7 @@ def _evaluate_inner(node, p_grid, opts):
 
 
 # ---------------------------------------------------------------------------
-# quasi-convex oracle and squeeze check
+# quasi-convex oracle
 # ---------------------------------------------------------------------------
 
 def convex_oracle(fields, p_lo=-4.0, p_hi=4.0):
@@ -572,28 +572,3 @@ def convex_oracle(fields, p_lo=-4.0, p_hi=4.0):
     cis = np.concatenate([ci_m[::-1], ci_p])
     return EffectiveCurve(ps, vs, cis, source=["oracle"] * len(ps),
                           flat=(float(pm[0]), float(pp[0]), mu0))
-
-
-def squeeze_check(curve, q):
-    """Flat-piece check: Hbar(q) = 0 with Hbar > 0 beyond q forces
-    Hbar = 0 on [0, q] (mirrored for q < 0), to 0.05 on 11 points; skipped
-    when the hypothesis fails numerically (|Hbar(q)| above 0.02)."""
-    if abs(curve.evaluate(q)) > 0.02:
-        return _cs.CheckOutcome("skipped", {"reason": "Hbar(q) != 0",
-                                            "value": curve.evaluate(q)})
-    if q > 0:
-        beyond = np.linspace(q + 0.1, q + 1.0, 16)
-    elif q < 0:
-        beyond = np.linspace(q - 1.0, q - 0.1, 16)
-    else:
-        return _cs.CheckOutcome("passed", {"interval": "degenerate"})
-    if np.any(curve.evaluate(beyond) <= 1e-6):
-        return _cs.CheckOutcome("skipped",
-                                {"reason": "Hbar not positive beyond q"})
-    inner = np.linspace(0.0, q, 11)
-    vals = np.abs(curve.evaluate(inner))
-    worst = int(np.argmax(vals))
-    ok = vals[worst] <= 0.05
-    return _cs.CheckOutcome("passed" if ok else "failed",
-                            {"worst_p": float(inner[worst]),
-                             "worst_value": float(vals[worst])})

@@ -8,9 +8,11 @@ obey the one-dimensional viscosity corner rules: an upward gradient jump
 needs H >= mu across the gap, a downward jump needs H <= mu.  Dynamic
 programming over the junction chain yields the extremal selections, whose
 window averages bound the flat level set I_mu of the effective
-Hamiltonian.  A Perron-style homotopy interpolates between the extremal
-selections to realize any mean inside I_mu, and the negative side comes
-from the inverse of the single decreasing branch.
+Hamiltonian, and the negative side comes from the inverse of the single
+decreasing branch.  The paper's Perron homotopy between the extremal
+selections, which realizes any mean inside I_mu, is a device of its proof
+that no route needs; it lives with the other proof checks in
+``tests/proof_checks.py``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from functools import partial
 import numpy as np
 
 from .curve import EffectiveCurve
-# _INVPHI stays importable here for the reference root scan the tests keep
-from .env import _INVPHI, golden_min  # noqa: F401
+from .env import golden_min
 from .errors import (ClusterSuspected, LevelSetConflict,
                      NormalizationViolated, NotApplicable,
                      NotPointwiseExtremal)
@@ -159,16 +160,6 @@ def _max_step(m_vals, M_vals):
 # ---------------------------------------------------------------------------
 # junction calculus
 # ---------------------------------------------------------------------------
-
-def junction_compatible(field, structure, mu, a, k_left, k_right):
-    """Viscosity corner rule at x = a for the jump from branch k_left to
-    k_right on 33 gap points: upward jumps need H >= mu - tol on the gap,
-    downward jumps H <= mu + tol (tol as in ``_pair_legality``), equal
-    values are free."""
-    legal = _pair_legality(field, structure, mu, np.array([float(a)]),
-                           [k_left, k_right], n_gap=33)
-    return bool(legal[(k_left, k_right)][0])
-
 
 def corner_gap(field, nodes, q_minus, q_plus, n_gap):
     """(min, max) at each node x of H(q, x) over the n_gap gap points
@@ -384,58 +375,8 @@ def _assert_pointwise_extremal(fn, t, sense):
 
 
 # ---------------------------------------------------------------------------
-# viscosity residual
+# junction legality
 # ---------------------------------------------------------------------------
-
-def viscosity_residual(field, fn):
-    """Interior residual max |H(f(x), x) - mu| at the level mu of ``fn``
-    plus quantified corner violations at the junctions (33 gap points)."""
-    return generic_viscosity_residual(
-        field, fn.x_mid, fn.slopes, fn.mu, fn.widths, n_gap=33,
-        structure=fn.structure, cell_branch=fn.cell_branch)
-
-
-# ---------------------------------------------------------------------------
-# homotopy between admissible functions
-# ---------------------------------------------------------------------------
-
-def generic_viscosity_residual(field, x_mid, slopes, mu, widths=None,
-                               n_gap=17, structure=None, cell_branch=None):
-    """Residual of an arbitrary sampled slope selection: interior
-    |H(f, x) - mu| plus corner-rule violations at slope discontinuities.
-
-    Corners sit at cell edges (junction locations on junction-snapped
-    grids).  When the per-cell branch ids are known, the gap endpoints are
-    the exact branch inverses at the edge; otherwise the adjacent cell
-    slopes stand in, which is only accurate to the process modulus over
-    half a cell."""
-    interior = float(np.max(np.abs(field.evaluate(slopes, x_mid) - mu)))
-    if widths is None:
-        edges = 0.5 * (x_mid[:-1] + x_mid[1:])
-    else:
-        edges = x_mid + 0.5 * np.asarray(widths)
-    jumps = np.nonzero(np.abs(np.diff(slopes)) > 1e-7)[0]
-    xj, q_minus, q_plus = edges[jumps], slopes[jumps], slopes[jumps + 1]
-    keep = np.ones(len(jumps), dtype=bool)
-    if structure is not None and cell_branch is not None:
-        for i, k in enumerate(jumps):
-            j_l, j_r = int(cell_branch[k]), int(cell_branch[k + 1])
-            if j_l <= 0 or j_r <= 0:
-                continue
-            if j_l == j_r:
-                keep[i] = False
-                continue
-            at = xj[i:i + 1]
-            qm, fm = branch_inverse_grid(field, structure, j_l, at, mu)
-            qp, fp = branch_inverse_grid(field, structure, j_r, at, mu)
-            if fm[0] and fp[0]:
-                q_minus[i], q_plus[i] = qm[0], qp[0]
-    keep &= np.abs(q_plus - q_minus) > 1e-10
-    xj, q_minus, q_plus = xj[keep], q_minus[keep], q_plus[keep]
-    h_min, h_max = corner_gap(field, xj, q_minus, q_plus, n_gap)
-    violation = np.where(q_plus > q_minus, mu - h_min, h_max - mu)
-    return interior + float(np.max(violation, initial=0.0))
-
 
 def _pair_legality(field, structure, mu, nodes, branches, n_gap=17,
                    rule="solution"):
@@ -471,175 +412,8 @@ def _pair_legality(field, structure, mu, nodes, branches, n_gap=17,
     return legal
 
 
-def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
-                         incoming_branch=None):
-    """Perron interpolant between admissible selections of one realization
-    on one interval.
-
-    Given f1 >= f2 on I = (a, b) with primitives u1, u2 (u_i(a) = 0) and a
-    target c in [u2(b), u1(b)], the maximal subsolution pinched between
-    the barriers max(u2, u1 - u1(b) + c) and min(u1, u2 - u2(b) + c) is
-    built by dynamic programming over branch rides with corner-legal
-    switches; its endpoint values are exact and its slopes satisfy the
-    level equation up to the corner tolerances.  The branch and legality
-    tables do not depend on c: ``level_piece_function`` builds them once
-    per interval and reruns only the DP for each target.
-    """
-    tables = _homotopy_tables(field, structure, mu, f1, interval)
-    return _perron(field, structure, mu, tables, f1, f2, c, incoming_branch)
-
-
-def _homotopy_tables(field, structure, mu, f1, interval):
-    """(sel, psi, feasible, legal) on the cells of f1's grid inside the
-    interval: every branch's inverse at the midpoints and its subsolution
-    legality at the cell edges, since rides may pass through branches
-    neither endpoint selection uses."""
-    a, b = interval
-    sel = (f1.x_mid >= a - 1e-12) & (f1.x_mid <= b + 1e-12)
-    if not sel.any():
-        raise ValueError("interval contains no grid cells")
-    x_mid, wid = f1.x_mid[sel], f1.widths[sel]
-    nodes = np.concatenate([[a], x_mid[:-1] + 0.5 * wid[:-1], [b]])
-    psi, feas = _branch_tables(field, structure, mu, x_mid)
-    legal = _pair_legality(field, structure, mu, nodes,
-                           list(range(1, len(psi))), rule="sub")
-    return sel, psi, feas, legal
-
-
-def _perron(field, structure, mu, tables, f1, f2, c, incoming_branch):
-    sel, psi, feas, legal = tables
-    x_mid = f1.x_mid[sel]
-    wid = f1.widths[sel]
-    s1, s2 = f1.slopes[sel], f2.slopes[sel]
-    if np.any(s1 < s2 - 1e-9):
-        raise ValueError("barriers crossed: f1 < f2 inside the interval")
-    u1 = np.concatenate([[0.0], np.cumsum(s1 * wid)])
-    u2 = np.concatenate([[0.0], np.cumsum(s2 * wid)])
-    if not (u2[-1] - 1e-9 <= c <= u1[-1] + 1e-9):
-        raise ValueError(f"target c={c:.6g} outside [{u2[-1]:.6g}, {u1[-1]:.6g}]")
-    c = float(np.clip(c, u2[-1], u1[-1]))
-    scale = 1.0 + abs(u1[-1]) + abs(u2[-1])
-    if abs(c - u1[-1]) <= 1e-12 * scale or abs(c - u2[-1]) <= 1e-12 * scale:
-        src_fn = f1 if abs(c - u1[-1]) <= 1e-12 * scale else f2
-        return SlopeFunction(mu=mu, x_mid=x_mid, widths=wid,
-                             slopes=src_fn.slopes[sel].copy(),
-                             core=np.ones(len(x_mid), dtype=bool),
-                             cell_branch=src_fn.cell_branch[sel])
-    u_star = np.minimum(u1, u2 - u2[-1] + c)
-    u_low = np.maximum(u2, u1 - u1[-1] + c)
-
-    b1 = f1.cell_branch[sel]
-    branch_ids = list(range(1, len(psi)))
-    if incoming_branch is None:
-        incoming_branch = int(b1[0])
-    out_branch = int(b1[-1])
-
-    # Two-pass DP over subsolution rides between the barriers.
-    # A_j(k): largest value at node k reachable from the left on branch j
-    # while staying below u*; D_j(k): largest value at node k from which a
-    # branch-j continuation can reach b without crossing u*.  The Perron
-    # envelope is max(u_low, max_j min(A_j, D_j)).
-    NEG = -1e30
-    n = len(x_mid)
-    A = {j: np.full(n + 1, NEG) for j in branch_ids}
-    for j in branch_ids:
-        if legal[(incoming_branch, j)][0]:
-            A[j][0] = 0.0
-    for k in range(n):
-        for j2 in branch_ids:
-            best = NEG
-            for j in branch_ids:
-                if A[j][k] <= NEG / 2 or not feas[j, k]:
-                    continue
-                ridden = A[j][k] + psi[j, k] * wid[k]
-                if j == j2 or legal[(j, j2)][k + 1]:
-                    best = max(best, ridden)
-            A[j2][k + 1] = min(best, u_star[k + 1])
-    D = {j: np.full(n + 1, NEG) for j in branch_ids}
-    for j in branch_ids:
-        if j == out_branch or legal[(j, out_branch)][n]:
-            D[j][n] = u_star[n]
-    for k in range(n - 1, -1, -1):
-        for j in branch_ids:
-            if not feas[j, k]:
-                continue
-            best = NEG
-            for j2 in branch_ids:
-                if D[j2][k + 1] <= NEG / 2:
-                    continue
-                if j == j2 or legal[(j, j2)][k + 1]:
-                    best = max(best, D[j2][k + 1])
-            if best > NEG / 2:
-                D[j][k] = min(u_star[k], best - psi[j, k] * wid[k])
-    w = u_low.copy()
-    for j in branch_ids:
-        w = np.maximum(w, np.minimum(A[j], D[j]))
-    w = np.minimum(w, u_star)
-    slopes = np.diff(w) / wid
-    cell_branch = np.full(len(x_mid), -1, dtype=np.int64)
-    for j in branch_ids:
-        hit = np.abs(slopes - psi[j]) <= 1e-7 * (1.0 + np.abs(psi[j]))
-        cell_branch[hit & (cell_branch < 0)] = j
-    # a regime switch falling inside a cell leaves one blended slope:
-    # split that cell at the integral-preserving crossing so both pieces
-    # ride actual branches and the corner is sharp
-    xs_out, wd_out, sl_out, cb_out = [], [], [], []
-    for k in range(len(x_mid)):
-        blended = cell_branch[k] < 0 and 0 < k < len(x_mid) - 1 and \
-            cell_branch[k - 1] > 0 and cell_branch[k + 1] > 0 and \
-            cell_branch[k - 1] != cell_branch[k + 1]
-        if blended:
-            jl, jr = int(cell_branch[k - 1]), int(cell_branch[k + 1])
-            sl, sr = psi[jl, k], psi[jr, k]
-            if abs(sl - sr) > 1e-12:
-                x_edge_l = x_mid[k] - 0.5 * wid[k]
-                v1v, v2v, w1 = float(sl), float(sr), None
-                ok = False
-                for _ in range(3):
-                    denom = v1v - v2v
-                    if abs(denom) < 1e-12:
-                        break
-                    frac = np.clip((slopes[k] - v2v) / denom, 0.0, 1.0)
-                    w1 = float(frac * wid[k])
-                    if not (1e-12 < w1 < wid[k] - 1e-12):
-                        break
-                    m1 = x_edge_l + 0.5 * w1
-                    m2 = x_edge_l + w1 + 0.5 * (wid[k] - w1)
-                    a1, ok1 = branch_inverse_grid(field, structure, jl,
-                                                  np.array([m1]), mu)
-                    a2, ok2 = branch_inverse_grid(field, structure, jr,
-                                                  np.array([m2]), mu)
-                    if not (ok1[0] and ok2[0]):
-                        break
-                    v1v, v2v = float(a1[0]), float(a2[0])
-                    ok = True
-                if ok and w1 is not None and abs(v1v - v2v) > 1e-12:
-                    # final split preserves the cell integral exactly
-                    frac = np.clip((slopes[k] - v2v) / (v1v - v2v), 0.0, 1.0)
-                    w1 = float(frac * wid[k])
-                    if 1e-12 < w1 < wid[k] - 1e-12:
-                        m1 = x_edge_l + 0.5 * w1
-                        m2 = x_edge_l + w1 + 0.5 * (wid[k] - w1)
-                        xs_out.extend([m1, m2])
-                        wd_out.extend([w1, wid[k] - w1])
-                        sl_out.extend([v1v, v2v])
-                        cb_out.extend([jl, jr])
-                        continue
-        if wid[k] <= 1e-12:
-            continue
-        xs_out.append(x_mid[k])
-        wd_out.append(wid[k])
-        sl_out.append(slopes[k])
-        cb_out.append(cell_branch[k])
-    return SlopeFunction(mu=mu, x_mid=np.asarray(xs_out),
-                         widths=np.asarray(wd_out),
-                         slopes=np.asarray(sl_out),
-                         core=np.ones(len(xs_out), dtype=bool),
-                         cell_branch=np.asarray(cb_out, dtype=np.int64))
-
-
 # ---------------------------------------------------------------------------
-# level sets and level pieces
+# level sets
 # ---------------------------------------------------------------------------
 
 def level_sets(field, structure, mu_grid, window_cells=100):
@@ -672,93 +446,6 @@ def level_sets(field, structure, mu_grid, window_cells=100):
                 cur["p_lo"] = max(cur["p_lo"], mid)
         out.append(cur)
     return out
-
-
-def level_piece_function(field, structure, mu, p, window_cells=100):
-    """A stationary selection with core mean within 1e-4 of p inside I_mu,
-    built by at most 50 bisections of the homotopy parameter across the
-    intervals where the two extremal selections differ."""
-    tol_mean = 1e-4
-    cell = field.cell
-    window = (0.0, window_cells * cell)
-    decomp, f_lo, f_hi = extremal_pair(field, structure, mu, window)
-    if not (f_lo.mean() - tol_mean <= p <= f_hi.mean() + tol_mean):
-        raise ValueError(f"p={p:.6g} outside I_mu=[{f_lo.mean():.6g}, "
-                         f"{f_hi.mean():.6g}]")
-    for fn, t_end in ((f_hi, 1.0), (f_lo, 0.0)):
-        if abs(p - fn.mean()) <= tol_mean:
-            out = SlopeFunction(mu=mu, x_mid=fn.x_mid, widths=fn.widths,
-                                slopes=fn.slopes.copy(), core=fn.core,
-                                cell_branch=fn.cell_branch)
-            return out, t_end
-    # each run's tables are built once; only the Perron DP sees t
-    runs = []
-    for a, b, i0, _ in _unequal_runs(f_hi, f_lo, decomp):
-        tables = _homotopy_tables(field, structure, mu, f_hi, (a, b))
-        sel = tables[0]
-        runs.append((a, b, f_hi.branches[i0 - 1] if i0 > 0 else None,
-                     float(np.sum(f_hi.slopes[sel] * f_hi.widths[sel])),
-                     float(np.sum(f_lo.slopes[sel] * f_lo.widths[sel])),
-                     tables))
-    buf = BUFFER_CELLS * cell
-    x_hi_w = window_cells * cell
-
-    def assemble(t):
-        # stitch homotopy pieces (whose refinement may add cells) between
-        # the unchanged segments
-        segs = []
-        cursor = 0.0
-        for a, b, inc, d_hi, d_lo, tables in runs:
-            keep = (f_hi.x_mid > cursor) & (f_hi.x_mid < a)
-            segs.append((f_hi.x_mid[keep], f_hi.widths[keep],
-                         f_hi.slopes[keep], f_hi.cell_branch[keep]))
-            w = _perron(field, structure, mu, tables, f_hi, f_lo,
-                        t * d_hi + (1.0 - t) * d_lo, inc)
-            segs.append((w.x_mid, w.widths, w.slopes, w.cell_branch))
-            cursor = b
-        keep = f_hi.x_mid > cursor
-        segs.append((f_hi.x_mid[keep], f_hi.widths[keep], f_hi.slopes[keep],
-                     f_hi.cell_branch[keep]))
-        xs = np.concatenate([s[0] for s in segs])
-        wd = np.concatenate([s[1] for s in segs])
-        sl = np.concatenate([s[2] for s in segs])
-        cb = np.concatenate([s[3] for s in segs])
-        core = (xs >= buf) & (xs <= x_hi_w - buf)
-        return SlopeFunction(mu=mu, x_mid=xs, widths=wd, slopes=sl,
-                             core=core, cell_branch=cb)
-
-    lo_t, hi_t = 0.0, 1.0
-    for _ in range(50):
-        t = 0.5 * (lo_t + hi_t)
-        cand = assemble(t)
-        m = cand.mean()
-        if abs(m - p) <= tol_mean:
-            return cand, t
-        if m < p:
-            lo_t = t
-        else:
-            hi_t = t
-    cand = assemble(0.5 * (lo_t + hi_t))
-    if abs(cand.mean() - p) > 10 * tol_mean:
-        raise ValueError("homotopy bisection failed to match the target mean")
-    return cand, 0.5 * (lo_t + hi_t)
-
-
-def _unequal_runs(f_hi, f_lo, decomp):
-    """Maximal runs of decomposition intervals where the selections differ."""
-    runs = []
-    start = None
-    for i, (bh, bl) in enumerate(zip(f_hi.branches, f_lo.branches)):
-        if bh != bl and start is None:
-            start = i
-        if bh == bl and start is not None:
-            runs.append((decomp.intervals[start][0],
-                         decomp.intervals[i - 1][1], start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((decomp.intervals[start][0], decomp.intervals[-1][1],
-                     start, len(f_hi.branches) - 1))
-    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -816,11 +503,15 @@ def assemble_effective_curve(field, structure, mu_points=15, window_cells=100,
     and the high-level branch-1 tail into one sampled curve.
 
     Gap regions between level intervals interpolate monotonically and are
-    tagged "interp"; the result is checked for level-set convexity.
+    tagged "interp"; the result is checked for level-set convexity.  A
+    structure without positive maxima raises NotApplicable.
     """
     window = (0.0, window_cells * field.cell)
     x_probe, _, _ = _window_grid(field, window)
     pos_max = structure.positive_maxima()
+    if len(pos_max) == 0:
+        raise NotApplicable("no positive maxima: the large-oscillation "
+                            "route needs a positive-side hill")
     M_bar = float(field.evaluate(pos_max[:, None], x_probe[None, :]).max())
     mu_grid = default_mu_grid(M_bar, mu_points)
     levels = level_sets(field, structure, mu_grid[mu_grid > 0],

@@ -454,15 +454,6 @@ def branch_inverse_grid(field, structure, j, xs, mu, side="+"):
     return p[inv].reshape(xs.shape), feasible[inv].reshape(xs.shape)
 
 
-def branch_inverse(field, structure, j, x, mu, side="+"):
-    """p with H(p, x) = mu on monotone branch j; |H(p,x) - mu| <= 1e-10."""
-    p, feasible = branch_inverse_grid(field, structure, j, [x], mu, side)
-    if not feasible[0]:
-        raise OutOfBranchRange(
-            f"mu={mu:.6g} outside branch {side}{j} range at x={x:.6g}")
-    return float(p[0])
-
-
 # ---------------------------------------------------------------------------
 # oscillation classification
 # ---------------------------------------------------------------------------
@@ -542,4 +533,3 @@ def normalize(field, structure, central=None):
     new_structure = structure.shifted(p_shift, mu_shift)
     new_structure.central_pos = 2 * c_idx
     return out, new_structure, p_shift, mu_shift
-

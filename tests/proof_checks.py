@@ -1,0 +1,499 @@
+"""The paper's proof checks: code that checks a claim of the proofs and
+that no CLI task runs, so it lives beside the tests that call it.
+
+- Discounted-solver claims: the comparison gap between two solutions,
+  gradient control (criterion 8) and the monotonicity of the explicit LF
+  update.
+- The squeeze on the flat piece of an effective curve.
+- Scalar branch inversion, the reference for ``branch_inverse_grid``.
+- The admissible machinery (criterion 10): the corner rule at one junction
+  and the viscosity residual of a slope selection.
+- The Perron homotopy between the extremal selections (criterion 11), and
+  the level-piece function that bisects it to any mean inside I_mu.
+
+The functions read the package's internals (``_pair_legality``,
+``_branch_tables``, ``_one_sided``) as the package itself does.  Test
+modules import this one as ``proof_checks``: pytest's default ``prepend``
+import mode puts ``tests/`` on ``sys.path``.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from hjhomog.cell_solver import _one_sided, explicit_step
+from hjhomog.errors import OutOfBranchRange
+from hjhomog.large_osc import (BUFFER_CELLS, SlopeFunction, _branch_tables,
+                               _pair_legality, corner_gap, extremal_pair)
+from hjhomog.structure import branch_inverse_grid
+
+
+# ---------------------------------------------------------------------------
+# discounted-solver checks
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CheckOutcome:
+    status: str            # "passed" | "failed" | "skipped"
+    detail: dict
+
+    def __bool__(self):
+        return self.status == "passed"
+
+
+def calibrate_comparison_constant(field, p):
+    """C(p) = 1/delta(p): delta makes H move by < 1 over the reachable
+    gradient range, so C is the probed Lipschitz bound there."""
+    m0 = field.sup_abs_on(p)
+    r = field.coercivity_radius(m0 + 0.5)
+    return max(field.lipschitz_on(abs(p) + r + 1.0), 1e-12)
+
+
+def comparison_gap(u, v, field):
+    """Check |lam u - lam v|(x) <= (M/R) sqrt(x^2+1) + M C / R on the
+    common window of two solutions of the same discounted problem, with M
+    the larger sup of |lam u|, |lam v| there and C the
+    ``calibrate_comparison_constant`` of ``field``."""
+    if abs(u.lam - v.lam) > 1e-15 or abs(u.p - v.p) > 1e-15:
+        raise ValueError("solutions must share (p, lam)")
+    lam = u.lam
+    X = min(u.x.max(), v.x.max())
+    R = lam * X
+    xs = u.x[np.abs(u.x) <= X + 1e-12]
+    a = np.interp(xs, u.x, u.v)
+    b = np.interp(xs, v.x, v.v)
+    gap = np.abs(lam * a - lam * b)
+    M = max(np.max(np.abs(lam * a)), np.max(np.abs(lam * b)))
+    C = calibrate_comparison_constant(field, u.p)
+    bound = (M / R) * np.sqrt(xs ** 2 + 1.0) + M * C / R
+    viol = gap - bound
+    worst = int(np.argmax(viol))
+    ok = viol[worst] <= 1e-12
+    return CheckOutcome(
+        status="passed" if ok else "failed",
+        detail={"worst_x": float(xs[worst]), "gap": float(gap[worst]),
+                "bound": float(bound[worst]), "M": float(M), "C": float(C),
+                "R": float(R)})
+
+
+def gradient_control_check(field, solution, p0, P, hbar_p0, case=1):
+    """Gradient localization check for the discounted solution.
+
+    Cases follow the two-point control dichotomy: (1) Hbar(p0) below
+    essinf H(P, .) with p0 < P forces p0 + v' <= P on the window; (2) the
+    mirrored bound; (3)/(4) the esssup variants.  Bounds hold up to 1e-9.
+    When the hypothesis fails numerically the check is reported as
+    skipped, not failed.
+    """
+    h_P = field.evaluate(P, field.probe_xs(4096))
+    Pl, Pu = float(np.min(h_P)), float(np.max(h_P))
+    hyp = {1: hbar_p0 < Pl and p0 < P,
+           2: hbar_p0 < Pl and p0 > P,
+           3: hbar_p0 > Pu and p0 < P,
+           4: hbar_p0 > Pu and p0 > P}[case]
+    if not hyp:
+        return CheckOutcome("skipped", {"reason": "hypothesis not satisfied",
+                                        "essinf_HP": Pl, "esssup_HP": Pu,
+                                        "hbar_p0": hbar_p0})
+    w, xs = solution.w_full, solution.x_full
+    if solution.grid.periodic:
+        grads = np.concatenate(_one_sided(w, solution.grid.dx, True))
+    else:
+        core = np.abs(xs) <= solution.grid.X + 1e-12
+        d = np.diff(w) / solution.grid.dx
+        grads = np.concatenate([d[core[:-1] & core[1:]]])
+    vals = p0 + grads
+    if case in (1, 3):
+        bad = vals > P + 1e-9
+        ok = not bad.any()
+        extreme = float(vals.max())
+    else:
+        bad = vals < P - 1e-9
+        ok = not bad.any()
+        extreme = float(vals.min())
+    return CheckOutcome("passed" if ok else "failed",
+                        {"extreme": extreme, "P": P, "violations": int(bad.sum()),
+                         "total": int(len(vals))})
+
+
+def monotone_update_check(field, p, lam, grid, w, rng, n_points=100):
+    """Randomized monotone-scheme probe: raising any stencil value never
+    lowers the explicit update."""
+    h = field.at(grid.nodes())
+    base = explicit_step(h, p, lam, grid, w)
+    n = len(w)
+    for _ in range(n_points):
+        i = int(rng.integers(1, n - 1))
+        j = i + int(rng.integers(-1, 2))
+        eta = float(rng.uniform(1e-6, 1e-2))
+        w2 = w.copy()
+        w2[j] += eta
+        upd = explicit_step(h, p, lam, grid, w2)
+        if upd[i] < base[i] - 1e-12:
+            return CheckOutcome("failed", {"i": i, "j": j, "eta": eta,
+                                           "drop": float(base[i] - upd[i])})
+    return CheckOutcome("passed", {"points": n_points})
+
+
+# ---------------------------------------------------------------------------
+# flat-piece squeeze
+# ---------------------------------------------------------------------------
+
+def squeeze_check(curve, q):
+    """Flat-piece check: Hbar(q) = 0 with Hbar > 0 beyond q forces
+    Hbar = 0 on [0, q] (mirrored for q < 0), to 0.05 on 11 points; skipped
+    when the hypothesis fails numerically (|Hbar(q)| above 0.02)."""
+    if abs(curve.evaluate(q)) > 0.02:
+        return CheckOutcome("skipped", {"reason": "Hbar(q) != 0",
+                                        "value": curve.evaluate(q)})
+    if q > 0:
+        beyond = np.linspace(q + 0.1, q + 1.0, 16)
+    elif q < 0:
+        beyond = np.linspace(q - 1.0, q - 0.1, 16)
+    else:
+        return CheckOutcome("passed", {"interval": "degenerate"})
+    if np.any(curve.evaluate(beyond) <= 1e-6):
+        return CheckOutcome("skipped",
+                            {"reason": "Hbar not positive beyond q"})
+    inner = np.linspace(0.0, q, 11)
+    vals = np.abs(curve.evaluate(inner))
+    worst = int(np.argmax(vals))
+    ok = vals[worst] <= 0.05
+    return CheckOutcome("passed" if ok else "failed",
+                        {"worst_p": float(inner[worst]),
+                         "worst_value": float(vals[worst])})
+
+
+# ---------------------------------------------------------------------------
+# scalar branch inversion
+# ---------------------------------------------------------------------------
+
+def branch_inverse(field, structure, j, x, mu, side="+"):
+    """p with H(p, x) = mu on monotone branch j; |H(p,x) - mu| <= 1e-10."""
+    p, feasible = branch_inverse_grid(field, structure, j, [x], mu, side)
+    if not feasible[0]:
+        raise OutOfBranchRange(
+            f"mu={mu:.6g} outside branch {side}{j} range at x={x:.6g}")
+    return float(p[0])
+
+
+# ---------------------------------------------------------------------------
+# junction rule and viscosity residual
+# ---------------------------------------------------------------------------
+
+def junction_compatible(field, structure, mu, a, k_left, k_right):
+    """Viscosity corner rule at x = a for the jump from branch k_left to
+    k_right on 33 gap points: upward jumps need H >= mu - tol on the gap,
+    downward jumps H <= mu + tol (tol as in ``_pair_legality``), equal
+    values are free."""
+    legal = _pair_legality(field, structure, mu, np.array([float(a)]),
+                           [k_left, k_right], n_gap=33)
+    return bool(legal[(k_left, k_right)][0])
+
+
+def viscosity_residual(field, fn):
+    """Interior residual max |H(f(x), x) - mu| at the level mu of ``fn``
+    plus quantified corner violations at the junctions (33 gap points)."""
+    return generic_viscosity_residual(
+        field, fn.x_mid, fn.slopes, fn.mu, fn.widths, n_gap=33,
+        structure=fn.structure, cell_branch=fn.cell_branch)
+
+
+def generic_viscosity_residual(field, x_mid, slopes, mu, widths=None,
+                               n_gap=17, structure=None, cell_branch=None):
+    """Residual of an arbitrary sampled slope selection: interior
+    |H(f, x) - mu| plus corner-rule violations at slope discontinuities.
+
+    Corners sit at cell edges (junction locations on junction-snapped
+    grids).  When the per-cell branch ids are known, the gap endpoints are
+    the exact branch inverses at the edge; otherwise the adjacent cell
+    slopes stand in, which is only accurate to the process modulus over
+    half a cell."""
+    interior = float(np.max(np.abs(field.evaluate(slopes, x_mid) - mu)))
+    if widths is None:
+        edges = 0.5 * (x_mid[:-1] + x_mid[1:])
+    else:
+        edges = x_mid + 0.5 * np.asarray(widths)
+    jumps = np.nonzero(np.abs(np.diff(slopes)) > 1e-7)[0]
+    xj, q_minus, q_plus = edges[jumps], slopes[jumps], slopes[jumps + 1]
+    keep = np.ones(len(jumps), dtype=bool)
+    if structure is not None and cell_branch is not None:
+        for i, k in enumerate(jumps):
+            j_l, j_r = int(cell_branch[k]), int(cell_branch[k + 1])
+            if j_l <= 0 or j_r <= 0:
+                continue
+            if j_l == j_r:
+                keep[i] = False
+                continue
+            at = xj[i:i + 1]
+            qm, fm = branch_inverse_grid(field, structure, j_l, at, mu)
+            qp, fp = branch_inverse_grid(field, structure, j_r, at, mu)
+            if fm[0] and fp[0]:
+                q_minus[i], q_plus[i] = qm[0], qp[0]
+    keep &= np.abs(q_plus - q_minus) > 1e-10
+    xj, q_minus, q_plus = xj[keep], q_minus[keep], q_plus[keep]
+    h_min, h_max = corner_gap(field, xj, q_minus, q_plus, n_gap)
+    violation = np.where(q_plus > q_minus, mu - h_min, h_max - mu)
+    return interior + float(np.max(violation, initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# homotopy between admissible functions
+# ---------------------------------------------------------------------------
+
+def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
+                         incoming_branch=None):
+    """Perron interpolant between admissible selections of one realization
+    on one interval.
+
+    Given f1 >= f2 on I = (a, b) with primitives u1, u2 (u_i(a) = 0) and a
+    target c in [u2(b), u1(b)], the maximal subsolution pinched between
+    the barriers max(u2, u1 - u1(b) + c) and min(u1, u2 - u2(b) + c) is
+    built by dynamic programming over branch rides with corner-legal
+    switches; its endpoint values are exact and its slopes satisfy the
+    level equation up to the corner tolerances.  The branch and legality
+    tables do not depend on c: ``level_piece_function`` builds them once
+    per interval and reruns only the DP for each target.
+    """
+    tables = _homotopy_tables(field, structure, mu, f1, interval)
+    return _perron(field, structure, mu, tables, f1, f2, c, incoming_branch)
+
+
+def _homotopy_tables(field, structure, mu, f1, interval):
+    """(sel, psi, feasible, legal) on the cells of f1's grid inside the
+    interval: every branch's inverse at the midpoints and its subsolution
+    legality at the cell edges, since rides may pass through branches
+    neither endpoint selection uses."""
+    a, b = interval
+    sel = (f1.x_mid >= a - 1e-12) & (f1.x_mid <= b + 1e-12)
+    if not sel.any():
+        raise ValueError("interval contains no grid cells")
+    x_mid, wid = f1.x_mid[sel], f1.widths[sel]
+    nodes = np.concatenate([[a], x_mid[:-1] + 0.5 * wid[:-1], [b]])
+    psi, feas = _branch_tables(field, structure, mu, x_mid)
+    legal = _pair_legality(field, structure, mu, nodes,
+                           list(range(1, len(psi))), rule="sub")
+    return sel, psi, feas, legal
+
+
+def _perron(field, structure, mu, tables, f1, f2, c, incoming_branch):
+    sel, psi, feas, legal = tables
+    x_mid = f1.x_mid[sel]
+    wid = f1.widths[sel]
+    s1, s2 = f1.slopes[sel], f2.slopes[sel]
+    if np.any(s1 < s2 - 1e-9):
+        raise ValueError("barriers crossed: f1 < f2 inside the interval")
+    u1 = np.concatenate([[0.0], np.cumsum(s1 * wid)])
+    u2 = np.concatenate([[0.0], np.cumsum(s2 * wid)])
+    if not (u2[-1] - 1e-9 <= c <= u1[-1] + 1e-9):
+        raise ValueError(f"target c={c:.6g} outside [{u2[-1]:.6g}, {u1[-1]:.6g}]")
+    c = float(np.clip(c, u2[-1], u1[-1]))
+    scale = 1.0 + abs(u1[-1]) + abs(u2[-1])
+    if abs(c - u1[-1]) <= 1e-12 * scale or abs(c - u2[-1]) <= 1e-12 * scale:
+        src_fn = f1 if abs(c - u1[-1]) <= 1e-12 * scale else f2
+        return SlopeFunction(mu=mu, x_mid=x_mid, widths=wid,
+                             slopes=src_fn.slopes[sel].copy(),
+                             core=np.ones(len(x_mid), dtype=bool),
+                             cell_branch=src_fn.cell_branch[sel])
+    u_star = np.minimum(u1, u2 - u2[-1] + c)
+    u_low = np.maximum(u2, u1 - u1[-1] + c)
+
+    b1 = f1.cell_branch[sel]
+    branch_ids = list(range(1, len(psi)))
+    if incoming_branch is None:
+        incoming_branch = int(b1[0])
+    out_branch = int(b1[-1])
+
+    # Two-pass DP over subsolution rides between the barriers.
+    # A_j(k): largest value at node k reachable from the left on branch j
+    # while staying below u*; D_j(k): largest value at node k from which a
+    # branch-j continuation can reach b without crossing u*.  The Perron
+    # envelope is max(u_low, max_j min(A_j, D_j)).
+    NEG = -1e30
+    n = len(x_mid)
+    A = {j: np.full(n + 1, NEG) for j in branch_ids}
+    for j in branch_ids:
+        if legal[(incoming_branch, j)][0]:
+            A[j][0] = 0.0
+    for k in range(n):
+        for j2 in branch_ids:
+            best = NEG
+            for j in branch_ids:
+                if A[j][k] <= NEG / 2 or not feas[j, k]:
+                    continue
+                ridden = A[j][k] + psi[j, k] * wid[k]
+                if j == j2 or legal[(j, j2)][k + 1]:
+                    best = max(best, ridden)
+            A[j2][k + 1] = min(best, u_star[k + 1])
+    D = {j: np.full(n + 1, NEG) for j in branch_ids}
+    for j in branch_ids:
+        if j == out_branch or legal[(j, out_branch)][n]:
+            D[j][n] = u_star[n]
+    for k in range(n - 1, -1, -1):
+        for j in branch_ids:
+            if not feas[j, k]:
+                continue
+            best = NEG
+            for j2 in branch_ids:
+                if D[j2][k + 1] <= NEG / 2:
+                    continue
+                if j == j2 or legal[(j, j2)][k + 1]:
+                    best = max(best, D[j2][k + 1])
+            if best > NEG / 2:
+                D[j][k] = min(u_star[k], best - psi[j, k] * wid[k])
+    w = u_low.copy()
+    for j in branch_ids:
+        w = np.maximum(w, np.minimum(A[j], D[j]))
+    w = np.minimum(w, u_star)
+    slopes = np.diff(w) / wid
+    cell_branch = np.full(len(x_mid), -1, dtype=np.int64)
+    for j in branch_ids:
+        hit = np.abs(slopes - psi[j]) <= 1e-7 * (1.0 + np.abs(psi[j]))
+        cell_branch[hit & (cell_branch < 0)] = j
+    # a regime switch falling inside a cell leaves one blended slope:
+    # split that cell at the integral-preserving crossing so both pieces
+    # ride actual branches and the corner is sharp
+    xs_out, wd_out, sl_out, cb_out = [], [], [], []
+    for k in range(len(x_mid)):
+        blended = cell_branch[k] < 0 and 0 < k < len(x_mid) - 1 and \
+            cell_branch[k - 1] > 0 and cell_branch[k + 1] > 0 and \
+            cell_branch[k - 1] != cell_branch[k + 1]
+        if blended:
+            jl, jr = int(cell_branch[k - 1]), int(cell_branch[k + 1])
+            sl, sr = psi[jl, k], psi[jr, k]
+            if abs(sl - sr) > 1e-12:
+                x_edge_l = x_mid[k] - 0.5 * wid[k]
+                v1v, v2v, w1 = float(sl), float(sr), None
+                ok = False
+                for _ in range(3):
+                    denom = v1v - v2v
+                    if abs(denom) < 1e-12:
+                        break
+                    frac = np.clip((slopes[k] - v2v) / denom, 0.0, 1.0)
+                    w1 = float(frac * wid[k])
+                    if not (1e-12 < w1 < wid[k] - 1e-12):
+                        break
+                    m1 = x_edge_l + 0.5 * w1
+                    m2 = x_edge_l + w1 + 0.5 * (wid[k] - w1)
+                    a1, ok1 = branch_inverse_grid(field, structure, jl,
+                                                  np.array([m1]), mu)
+                    a2, ok2 = branch_inverse_grid(field, structure, jr,
+                                                  np.array([m2]), mu)
+                    if not (ok1[0] and ok2[0]):
+                        break
+                    v1v, v2v = float(a1[0]), float(a2[0])
+                    ok = True
+                if ok and w1 is not None and abs(v1v - v2v) > 1e-12:
+                    # final split preserves the cell integral exactly
+                    frac = np.clip((slopes[k] - v2v) / (v1v - v2v), 0.0, 1.0)
+                    w1 = float(frac * wid[k])
+                    if 1e-12 < w1 < wid[k] - 1e-12:
+                        m1 = x_edge_l + 0.5 * w1
+                        m2 = x_edge_l + w1 + 0.5 * (wid[k] - w1)
+                        xs_out.extend([m1, m2])
+                        wd_out.extend([w1, wid[k] - w1])
+                        sl_out.extend([v1v, v2v])
+                        cb_out.extend([jl, jr])
+                        continue
+        if wid[k] <= 1e-12:
+            continue
+        xs_out.append(x_mid[k])
+        wd_out.append(wid[k])
+        sl_out.append(slopes[k])
+        cb_out.append(cell_branch[k])
+    return SlopeFunction(mu=mu, x_mid=np.asarray(xs_out),
+                         widths=np.asarray(wd_out),
+                         slopes=np.asarray(sl_out),
+                         core=np.ones(len(xs_out), dtype=bool),
+                         cell_branch=np.asarray(cb_out, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# level pieces
+# ---------------------------------------------------------------------------
+
+def level_piece_function(field, structure, mu, p, window_cells=100):
+    """A stationary selection with core mean within 1e-4 of p inside I_mu,
+    built by at most 50 bisections of the homotopy parameter across the
+    intervals where the two extremal selections differ."""
+    tol_mean = 1e-4
+    cell = field.cell
+    window = (0.0, window_cells * cell)
+    decomp, f_lo, f_hi = extremal_pair(field, structure, mu, window)
+    if not (f_lo.mean() - tol_mean <= p <= f_hi.mean() + tol_mean):
+        raise ValueError(f"p={p:.6g} outside I_mu=[{f_lo.mean():.6g}, "
+                         f"{f_hi.mean():.6g}]")
+    for fn, t_end in ((f_hi, 1.0), (f_lo, 0.0)):
+        if abs(p - fn.mean()) <= tol_mean:
+            out = SlopeFunction(mu=mu, x_mid=fn.x_mid, widths=fn.widths,
+                                slopes=fn.slopes.copy(), core=fn.core,
+                                cell_branch=fn.cell_branch)
+            return out, t_end
+    # each run's tables are built once; only the Perron DP sees t
+    runs = []
+    for a, b, i0, _ in _unequal_runs(f_hi, f_lo, decomp):
+        tables = _homotopy_tables(field, structure, mu, f_hi, (a, b))
+        sel = tables[0]
+        runs.append((a, b, f_hi.branches[i0 - 1] if i0 > 0 else None,
+                     float(np.sum(f_hi.slopes[sel] * f_hi.widths[sel])),
+                     float(np.sum(f_lo.slopes[sel] * f_lo.widths[sel])),
+                     tables))
+    buf = BUFFER_CELLS * cell
+    x_hi_w = window_cells * cell
+
+    def assemble(t):
+        # stitch homotopy pieces (whose refinement may add cells) between
+        # the unchanged segments
+        segs = []
+        cursor = 0.0
+        for a, b, inc, d_hi, d_lo, tables in runs:
+            keep = (f_hi.x_mid > cursor) & (f_hi.x_mid < a)
+            segs.append((f_hi.x_mid[keep], f_hi.widths[keep],
+                         f_hi.slopes[keep], f_hi.cell_branch[keep]))
+            w = _perron(field, structure, mu, tables, f_hi, f_lo,
+                        t * d_hi + (1.0 - t) * d_lo, inc)
+            segs.append((w.x_mid, w.widths, w.slopes, w.cell_branch))
+            cursor = b
+        keep = f_hi.x_mid > cursor
+        segs.append((f_hi.x_mid[keep], f_hi.widths[keep], f_hi.slopes[keep],
+                     f_hi.cell_branch[keep]))
+        xs = np.concatenate([s[0] for s in segs])
+        wd = np.concatenate([s[1] for s in segs])
+        sl = np.concatenate([s[2] for s in segs])
+        cb = np.concatenate([s[3] for s in segs])
+        core = (xs >= buf) & (xs <= x_hi_w - buf)
+        return SlopeFunction(mu=mu, x_mid=xs, widths=wd, slopes=sl,
+                             core=core, cell_branch=cb)
+
+    lo_t, hi_t = 0.0, 1.0
+    for _ in range(50):
+        t = 0.5 * (lo_t + hi_t)
+        cand = assemble(t)
+        m = cand.mean()
+        if abs(m - p) <= tol_mean:
+            return cand, t
+        if m < p:
+            lo_t = t
+        else:
+            hi_t = t
+    cand = assemble(0.5 * (lo_t + hi_t))
+    if abs(cand.mean() - p) > 10 * tol_mean:
+        raise ValueError("homotopy bisection failed to match the target mean")
+    return cand, 0.5 * (lo_t + hi_t)
+
+
+def _unequal_runs(f_hi, f_lo, decomp):
+    """Maximal runs of decomposition intervals where the selections differ."""
+    runs = []
+    start = None
+    for i, (bh, bl) in enumerate(zip(f_hi.branches, f_lo.branches)):
+        if bh != bl and start is None:
+            start = i
+        if bh == bl and start is not None:
+            runs.append((decomp.intervals[start][0],
+                         decomp.intervals[i - 1][1], start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((decomp.intervals[start][0], decomp.intervals[-1][1],
+                     start, len(f_hi.branches) - 1))
+    return runs

@@ -11,6 +11,8 @@ from hjhomog import cli, env, structure as st, gluing as gl
 from hjhomog import cell_solver as cs, large_osc as lo, homog_pde as hp
 from hjhomog.curve import EffectiveCurve
 
+import proof_checks as pc
+
 SCHEDULE = (0.04, 0.02, 0.01, 0.005)
 
 
@@ -203,7 +205,7 @@ def test_criterion_08_gradient_control(quartic2):
     lam = SCHEDULE[-1]
     grid = cs.default_grid_policy(quartic2, p0, lam, dx=1 / 1024)
     sol = cs.solve_discounted(quartic2, p0, lam, grid)
-    out = cs.gradient_control_check(quartic2, sol, p0, P, est.value, case=1)
+    out = pc.gradient_control_check(quartic2, sol, p0, P, est.value, case=1)
     ok = out.status == "passed" and out.detail["violations"] == 0
     _report(8, "gradient-control-case1", ok,
             f"{out.detail.get('total', 0)} gradients, "
@@ -242,8 +244,8 @@ def test_criterion_10_admissible_machinery(pwl_large):
         _, f_lo_, f_hi_ = lo.extremal_pair(f, s, mu, window)
         dom_ok &= bool(np.all(f_hi_.slopes >= f_lo_.slopes - 1e-9))
         tol = st.TOL_INV + rho(float(np.max(f_hi_.widths)))
-        resid_ok &= lo.viscosity_residual(f, f_lo_) <= tol
-        resid_ok &= lo.viscosity_residual(f, f_hi_) <= tol
+        resid_ok &= pc.viscosity_residual(f, f_lo_) <= tol
+        resid_ok &= pc.viscosity_residual(f, f_hi_) <= tol
 
     # branch forcing: Lemma-8.5 side at 0.9 M_bar, Lemma-8.6 side at m_hi/2
     mu_hi = 0.9 * M_bar
@@ -275,7 +277,7 @@ def test_criterion_11_homotopy_endpoints(quartic2_normalized):
     fn, sn, _, _ = quartic2_normalized
     window = (0.0, 100.0)
     dec, f_lo_, f_hi_ = lo.extremal_pair(fn, sn, 0.0, window)
-    runs = lo._unequal_runs(f_hi_, f_lo_, dec)
+    runs = pc._unequal_runs(f_hi_, f_lo_, dec)
     rng = np.random.default_rng(11)
     rho = fn.modulus(-1.0, 4.0)
     tol = st.TOL_INV + rho(float(np.max(f_hi_.widths)))
@@ -286,16 +288,16 @@ def test_criterion_11_homotopy_endpoints(quartic2_normalized):
         d_hi = float(np.sum(f_hi_.slopes[sel] * f_hi_.widths[sel]))
         d_lo = float(np.sum(f_lo_.slopes[sel] * f_lo_.widths[sel]))
         inc = f_hi_.branches[i0 - 1] if i0 > 0 else None
-        w1 = lo.homotopy_interpolant(fn, sn, 0.0, f_hi_, f_lo_, (a, b), d_hi,
+        w1 = pc.homotopy_interpolant(fn, sn, 0.0, f_hi_, f_lo_, (a, b), d_hi,
                                      incoming_branch=inc)
-        w2 = lo.homotopy_interpolant(fn, sn, 0.0, f_hi_, f_lo_, (a, b), d_lo,
+        w2 = pc.homotopy_interpolant(fn, sn, 0.0, f_hi_, f_lo_, (a, b), d_lo,
                                      incoming_branch=inc)
         worst_end = max(worst_end,
                         float(np.max(np.abs(w1.slopes - f_hi_.slopes[sel]))),
                         float(np.max(np.abs(w2.slopes - f_lo_.slopes[sel]))))
-        wm = lo.homotopy_interpolant(fn, sn, 0.0, f_hi_, f_lo_, (a, b),
+        wm = pc.homotopy_interpolant(fn, sn, 0.0, f_hi_, f_lo_, (a, b),
                                      0.5 * (d_hi + d_lo), incoming_branch=inc)
-        worst_mid = max(worst_mid, lo.generic_viscosity_residual(
+        worst_mid = max(worst_mid, pc.generic_viscosity_residual(
             fn, wm.x_mid, wm.slopes, 0.0, wm.widths, structure=sn,
             cell_branch=wm.cell_branch))
     ok = worst_end <= 1e-9 and worst_mid <= tol

@@ -1,12 +1,17 @@
-"""Every defaulted parameter of the package is set by some caller, and
-every keyword a caller passes names a parameter.
+"""Every defaulted parameter of the package is set by some caller, every
+keyword a caller passes names a parameter, and every public name of the
+package has a caller outside the tests.
 
 A parameter with a default that no call in ``src/``, ``tests/``, ``demos/``
 or ``perfbench/`` passes, by keyword or by position, is a constant in
 disguise: it carries a branch nobody runs and a knob nobody turns.  A
 keyword that no definition of the called name accepts is a stale call,
-which fails only when it runs (the demos are only byte-compiled).  The
-scan reads the sources with ``ast`` only; nothing is imported or run.
+which fails only when it runs (the demos are only byte-compiled).  A
+public module-level function or class that nothing in ``src/`` outside its
+own definition, and nothing in ``demos/``, names (re-exports in
+``__init__.py`` count) is test scaffolding shipped as API; it belongs
+beside its tests, in ``tests/proof_checks.py``.  The scan reads the
+sources with ``ast`` only; nothing is imported or run.
 
 Calls are matched by name: ``f(...)`` and ``obj.f(...)`` reach every
 function or method named ``f``, and ``Cls(...)`` reaches the ``__init__``
@@ -25,6 +30,7 @@ from collections import defaultdict
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "hjhomog")
 CALLER_DIRS = ("src", "tests", "demos", "perfbench")
+USER_DIRS = ("src", "demos")
 
 
 def _py_files(top):
@@ -192,3 +198,33 @@ def test_every_keyword_names_a_parameter():
                              for *_, accepted in targets))
     assert not stale, (f"{len(stale)} keywords that no definition of the "
                        f"called name accepts: " + ", ".join(stale))
+
+
+def _named(tree):
+    """(name, top-level definition it sits in or None) for every name,
+    attribute and import in a module."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+            elif isinstance(node, ast.alias):
+                yield node.name, owner
+
+
+def test_every_public_name_has_a_user_caller():
+    public = sorted((os.path.splitext(os.path.basename(path))[0], node.name)
+                    for path in _py_files(PACKAGE)
+                    for node in _parse(path).body
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_"))
+    named = {name for top in USER_DIRS
+             for path in _py_files(os.path.join(ROOT, top))
+             for name, owner in _named(_parse(path)) if name != owner}
+    unused = [f"{module}.{name}" for module, name in public
+              if name not in named]
+    assert not unused, (f"{len(unused)} public names that only tests use: "
+                        + ", ".join(unused))

@@ -11,6 +11,8 @@ from scipy.linalg import LinAlgError, get_lapack_funcs, solve_banded
 from hjhomog import env, cell_solver as cs
 from hjhomog.errors import Diverged, WarmStartRetried
 
+import proof_checks as pc
+
 
 @pytest.fixture
 def abs_sin():
@@ -88,7 +90,7 @@ def test_monotone_update_randomized(abs_sin):
     grid = cs.default_grid_policy(abs_sin, 0.3, 0.02, dx=1 / 64)
     sol = cs.solve_discounted(abs_sin, 0.3, 0.02, grid)
     w = sol.w_full + 0.1 * rng.standard_normal(len(sol.w_full))
-    out = cs.monotone_update_check(abs_sin, 0.3, 0.02, grid, w, rng, n_points=100)
+    out = pc.monotone_update_check(abs_sin, 0.3, 0.02, grid, w, rng, n_points=100)
     assert out.status == "passed"
 
 
@@ -97,7 +99,7 @@ def test_comparison_gap_identical(board_spec):
     lam = 0.02
     grid = cs.default_grid_policy(f, 1.5, lam, dx=1 / 64)
     sol = cs.solve_discounted(f, 1.5, lam, grid)
-    out = cs.comparison_gap(sol, sol, field=f)
+    out = pc.comparison_gap(sol, sol, field=f)
     assert out.status == "passed" and out.detail["gap"] == 0.0
 
 
@@ -108,7 +110,7 @@ def test_comparison_gap_two_pads(board_spec):
     g2 = cs.default_grid_policy(f, 1.5, lam, dx=1 / 64, pad_cells=40)
     s1 = cs.solve_discounted(f, 1.5, lam, g1)
     s2 = cs.solve_discounted(f, 1.5, lam, g2)
-    out = cs.comparison_gap(s1, s2, field=f)
+    out = pc.comparison_gap(s1, s2, field=f)
     assert out.status == "passed"
 
 
@@ -123,7 +125,7 @@ def test_window_doubling_scaling(board_spec):
     d1 = abs(vals[2.0] - vals[4.0])
     d2 = abs(vals[4.0] - vals[8.0])
     M = f.sup_abs_on(-2.0)
-    C = cs.calibrate_comparison_constant(f, -2.0)
+    C = pc.calibrate_comparison_constant(f, -2.0)
     assert d1 <= (M * C + M * np.sqrt(2.0)) / 2.0
     # empirical 1/R decay, generous factor
     assert d2 <= d1 / 2.0 * 1.5 + 1e-3
@@ -138,7 +140,7 @@ def test_gradient_control_quartic():
     lam = cs.LAMBDA_SCHEDULE[-1]
     grid = cs.default_grid_policy(f, p0, lam, dx=1 / 512)
     sol = cs.solve_discounted(f, p0, lam, grid)
-    out = cs.gradient_control_check(f, sol, p0, P, est.value, case=1)
+    out = pc.gradient_control_check(f, sol, p0, P, est.value, case=1)
     assert out.status == "passed"
     assert out.detail["violations"] == 0
 
@@ -146,7 +148,7 @@ def test_gradient_control_quartic():
 def test_gradient_control_xfree(xfree_sq):
     sol = cs.solve_discounted(
         xfree_sq, 0.5, 0.01, cs.default_grid_policy(xfree_sq, 0.5, 0.01))
-    out = cs.gradient_control_check(xfree_sq, sol, 0.5, 1.0, hbar_p0=0.25, case=1)
+    out = pc.gradient_control_check(xfree_sq, sol, 0.5, 1.0, hbar_p0=0.25, case=1)
     assert out.status == "passed"
     # constant solution: gradients identically zero
     assert out.detail["extreme"] == pytest.approx(0.5, abs=1e-10)
@@ -157,7 +159,7 @@ def test_gradient_control_skipped():
     lam = 0.04
     sol = cs.solve_discounted(f, 0.2, lam, cs.default_grid_policy(f, 0.2, lam))
     # P = 1: essinf H(1, .) = -2 < Hbar(0.2), hypothesis fails
-    out = cs.gradient_control_check(f, sol, 0.2, 1.0, hbar_p0=2.0, case=1)
+    out = pc.gradient_control_check(f, sol, 0.2, 1.0, hbar_p0=2.0, case=1)
     assert out.status == "skipped"
 
 

@@ -212,6 +212,14 @@ def test_non_integer_seed_env_var_exit_2(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+def test_largeosc_without_positive_maxima_exit_1(tmp_path):
+    # abs_plus_sin has no positive-side hill: a typed failure, no traceback
+    assert cli.run(_cfg(task="largeosc"), str(tmp_path)) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "failed"
+    assert "no positive maxima" in report["error"]
+
+
 def test_validate_task(tmp_path):
     cfg_path = _write(tmp_path, "cfg.json", _cfg(task="validate"))
     out = tmp_path / "out"

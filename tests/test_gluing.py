@@ -12,6 +12,8 @@ from hjhomog.curve import EffectiveCurve
 from hjhomog.env import EnvironmentSpec, bisect
 from hjhomog.errors import ExtrapolationUsed, NotApplicable, ReductionStalled
 
+import proof_checks as pc
+
 
 LEFT_PARAMS = {"nodes": [0.0, 0.5, 1.0, 1.5, 2.0],
                "values": [0.0, 0.8, 0.2, 1.3, 0.5],
@@ -455,13 +457,13 @@ def test_evaluate_xfree_exact():
 def test_squeeze_on_shifted_oracle():
     f = env.sample(env.make_periodic("abs_plus_sin", 1.0))
     curve = gl.convex_oracle(f, p_lo=-4.5, p_hi=4.5).transformed(0.0, -1.0)
-    out = gl.squeeze_check(curve, 1.0)
+    out = pc.squeeze_check(curve, 1.0)
     assert out.status == "passed"
 
 
 def test_squeeze_degenerate_interval():
     c = EffectiveCurve(np.linspace(-1, 1, 21), np.linspace(-1, 1, 21) ** 2)
-    out = gl.squeeze_check(c, 0.0)
+    out = pc.squeeze_check(c, 0.0)
     assert out.status == "passed"
 
 
@@ -470,14 +472,14 @@ def test_squeeze_negative_control():
     vals = np.maximum(np.abs(ps) - 1.0, 0.0)
     vals[(ps > 0.2) & (ps < 0.4)] = 0.2     # flatness violated by 0.2
     c = EffectiveCurve(ps, vals)
-    out = gl.squeeze_check(c, 1.0)
+    out = pc.squeeze_check(c, 1.0)
     assert out.status == "failed"
     assert 0.2 <= out.detail["worst_p"] <= 0.4
 
 
 def test_squeeze_skipped_when_not_zero():
     c = EffectiveCurve(np.linspace(-1, 1, 11), np.full(11, 0.5))
-    assert gl.squeeze_check(c, 1.0).status == "skipped"
+    assert pc.squeeze_check(c, 1.0).status == "skipped"
 
 
 def test_evaluate_two_sided_split_with_mirror():

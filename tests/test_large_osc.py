@@ -13,6 +13,8 @@ from hjhomog.errors import (ClusterSuspected, LevelSetConflict,
                             NormalizationViolated, NotApplicable,
                             NotPointwiseExtremal)
 
+import proof_checks as pc
+
 WINDOW = (0.0, 100.0)
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -121,17 +123,17 @@ def _scan_roots_reference(gfun, g, xs, mu, tol_touch, touches=None):
     for i in interior[is_ext & near & no_cross]:
         sign = 1.0 if d[i] >= d[i - 1] or d[i] >= d[i + 1] else -1.0
         a, b = xs[i - 1], xs[i + 1]
-        cc = b - lo._INVPHI * (b - a)
-        dd_ = a + lo._INVPHI * (b - a)
+        cc = b - env._INVPHI * (b - a)
+        dd_ = a + env._INVPHI * (b - a)
         fc, fd = -sign * gfun(cc), -sign * gfun(dd_)
         for _ in range(80):
             if fc < fd:
                 b, dd_, fd = dd_, cc, fc
-                cc = b - lo._INVPHI * (b - a)
+                cc = b - env._INVPHI * (b - a)
                 fc = -sign * gfun(cc)
             else:
                 a, cc, fc = cc, dd_, fd
-                dd_ = a + lo._INVPHI * (b - a)
+                dd_ = a + env._INVPHI * (b - a)
                 fd = -sign * gfun(dd_)
         x_star = 0.5 * (a + b)
         kept = bool(abs(gfun(x_star) - mu) <= tol_touch)
@@ -301,12 +303,12 @@ def test_junction_rules(quartic):
     f, sn = quartic
     dec = lo.admissible_decomposition(f, sn, 0.0, (0.0, 4.0))
     hill_up = dec.junctions[0]        # M rises through the level at x=1/12
-    assert lo.junction_compatible(f, sn, 0.0, float(hill_up), 1, 1)
-    assert lo.junction_compatible(f, sn, 0.0, float(hill_up), 1, 3)
+    assert pc.junction_compatible(f, sn, 0.0, float(hill_up), 1, 1)
+    assert pc.junction_compatible(f, sn, 0.0, float(hill_up), 1, 3)
     # upward jump over the well away from the tangency is forbidden
-    assert not lo.junction_compatible(f, sn, 0.0, float(hill_up) + 0.07, 3, 1)
+    assert not pc.junction_compatible(f, sn, 0.0, float(hill_up) + 0.07, 3, 1)
     # at the tangency the well bottom touches the level: jump allowed
-    assert lo.junction_compatible(f, sn, 0.0, 0.25, 3, 1)
+    assert pc.junction_compatible(f, sn, 0.0, 0.25, 3, 1)
 
 
 def _pair_legality_reference(field, structure, mu, nodes, branches, tol=None,
@@ -364,8 +366,8 @@ def test_extremal_residuals(quartic, quartic_extremals):
     _, f_lo, f_hi = quartic_extremals
     rho = f.modulus(-1.0, 4.0)
     tol = st.TOL_INV + rho(np.max(f_hi.widths))
-    assert lo.viscosity_residual(f, f_lo) <= tol
-    assert lo.viscosity_residual(f, f_hi) <= tol
+    assert pc.viscosity_residual(f, f_lo) <= tol
+    assert pc.viscosity_residual(f, f_hi) <= tol
 
 
 def test_perturbed_function_fails_residual(quartic, quartic_extremals):
@@ -374,7 +376,7 @@ def test_perturbed_function_fails_residual(quartic, quartic_extremals):
     bad = f_lo.slopes.copy()
     mask = f_lo.interval_of == 3
     bad[mask] += 0.1
-    r = lo.generic_viscosity_residual(f, f_lo.x_mid, bad, 0.0, f_lo.widths)
+    r = pc.generic_viscosity_residual(f, f_lo.x_mid, bad, 0.0, f_lo.widths)
     assert r > 0.05
 
 
@@ -486,7 +488,8 @@ def test_chain_branches_drop_dead_ends():
 
 
 def _count_calls(monkeypatch, names):
-    """Wrap each named module-level function of large_osc with a counter."""
+    """Wrap each named module-level function of large_osc with a counter,
+    also where proof_checks imported it."""
     counts = dict.fromkeys(names, 0)
 
     def counting(name, real):
@@ -496,7 +499,10 @@ def _count_calls(monkeypatch, names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(lo, name, counting(name, getattr(lo, name)))
+        wrapper = counting(name, getattr(lo, name))
+        for module in (lo, pc):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     return counts
 
 
@@ -539,10 +545,10 @@ def test_level_piece_builds_run_tables_before_bisecting(quartic,
                                                         monkeypatch):
     f, sn = quartic
     dec, f_lo, f_hi = lo.extremal_pair(f, sn, 0.0, (0.0, 20.0))
-    n_runs = len(lo._unequal_runs(f_hi, f_lo, dec))
+    n_runs = len(pc._unequal_runs(f_hi, f_lo, dec))
     target = 0.5 * (f_lo.mean() + f_hi.mean())
     counts = _count_calls(monkeypatch, ("_pair_legality",))
-    fn, t = lo.level_piece_function(f, sn, 0.0, target, window_cells=20)
+    fn, t = pc.level_piece_function(f, sn, 0.0, target, window_cells=20)
     assert 0.0 < t < 1.0 and abs(fn.mean() - target) <= 1e-4
     assert n_runs > 0
     assert counts["_pair_legality"] == 1 + n_runs
@@ -671,7 +677,7 @@ def test_level_sets_fail_at_first_conflict(monkeypatch):
 
 
 def _run_targets(f, sn, dec, f_lo, f_hi, ridx):
-    runs = lo._unequal_runs(f_hi, f_lo, dec)
+    runs = pc._unequal_runs(f_hi, f_lo, dec)
     a, b, i0, i1 = runs[ridx]
     sel = (f_hi.x_mid >= a - 1e-12) & (f_hi.x_mid <= b + 1e-12)
     d_hi = float(np.sum(f_hi.slopes[sel] * f_hi.widths[sel]))
@@ -684,13 +690,13 @@ def test_homotopy_endpoints_exact(quartic, quartic_extremals):
     f, sn = quartic
     dec, f_lo, f_hi = quartic_extremals
     rng = np.random.default_rng(7)
-    runs = lo._unequal_runs(f_hi, f_lo, dec)
+    runs = pc._unequal_runs(f_hi, f_lo, dec)
     for ridx in rng.choice(len(runs), 5, replace=False):
         iv, sel, d_hi, d_lo, inc = _run_targets(f, sn, dec, f_lo, f_hi, ridx)
-        w1 = lo.homotopy_interpolant(f, sn, 0.0, f_hi, f_lo, iv, d_hi,
+        w1 = pc.homotopy_interpolant(f, sn, 0.0, f_hi, f_lo, iv, d_hi,
                                      incoming_branch=inc)
         assert np.max(np.abs(w1.slopes - f_hi.slopes[sel])) < 1e-9
-        w2 = lo.homotopy_interpolant(f, sn, 0.0, f_hi, f_lo, iv, d_lo,
+        w2 = pc.homotopy_interpolant(f, sn, 0.0, f_hi, f_lo, iv, d_lo,
                                      incoming_branch=inc)
         assert np.max(np.abs(w2.slopes - f_lo.slopes[sel])) < 1e-9
 
@@ -701,14 +707,14 @@ def test_homotopy_midpoint_contract(quartic, quartic_extremals):
     rho = f.modulus(-1.0, 4.0)
     tol = st.TOL_INV + rho(np.max(f_hi.widths))
     rng = np.random.default_rng(8)
-    runs = lo._unequal_runs(f_hi, f_lo, dec)
+    runs = pc._unequal_runs(f_hi, f_lo, dec)
     for ridx in rng.choice(len(runs), 5, replace=False):
         iv, sel, d_hi, d_lo, inc = _run_targets(f, sn, dec, f_lo, f_hi, ridx)
         c = 0.5 * (d_hi + d_lo)
-        w = lo.homotopy_interpolant(f, sn, 0.0, f_hi, f_lo, iv, c,
+        w = pc.homotopy_interpolant(f, sn, 0.0, f_hi, f_lo, iv, c,
                                     incoming_branch=inc)
         assert abs(float(np.sum(w.slopes * w.widths)) - c) < 1e-9
-        res = lo.generic_viscosity_residual(f, w.x_mid, w.slopes, 0.0,
+        res = pc.generic_viscosity_residual(f, w.x_mid, w.slopes, 0.0,
                                             w.widths, structure=sn,
                                             cell_branch=w.cell_branch)
         assert res <= tol
@@ -719,7 +725,7 @@ def test_homotopy_barriers_crossed(quartic, quartic_extremals):
     dec, f_lo, f_hi = quartic_extremals
     iv, sel, d_hi, d_lo, inc = _run_targets(f, sn, dec, f_lo, f_hi, 0)
     with pytest.raises(ValueError):
-        lo.homotopy_interpolant(f, sn, 0.0, f_lo, f_hi, iv, d_lo,
+        pc.homotopy_interpolant(f, sn, 0.0, f_lo, f_hi, iv, d_lo,
                                 incoming_branch=inc)
 
 
@@ -729,10 +735,10 @@ def test_homotopy_barriers_crossed(quartic, quartic_extremals):
 def test_level_piece_endpoints(quartic, quartic_extremals):
     f, sn = quartic
     _, f_lo, f_hi = quartic_extremals
-    fn, t = lo.level_piece_function(f, sn, 0.0, f_hi.mean(), window_cells=100)
+    fn, t = pc.level_piece_function(f, sn, 0.0, f_hi.mean(), window_cells=100)
     assert t == 1.0
     assert fn.mean() == pytest.approx(f_hi.mean(), abs=1e-9)
-    fn, t = lo.level_piece_function(f, sn, 0.0, f_lo.mean(), window_cells=100)
+    fn, t = pc.level_piece_function(f, sn, 0.0, f_lo.mean(), window_cells=100)
     assert t == 0.0
 
 
@@ -740,10 +746,10 @@ def test_level_piece_midpoint(quartic, quartic_extremals):
     f, sn = quartic
     _, f_lo, f_hi = quartic_extremals
     target = 0.5 * (f_lo.mean() + f_hi.mean())
-    fn, t = lo.level_piece_function(f, sn, 0.0, target, window_cells=100)
+    fn, t = pc.level_piece_function(f, sn, 0.0, target, window_cells=100)
     assert abs(fn.mean() - target) <= 1e-4
     rho = f.modulus(-1.0, 4.0)
-    res = lo.generic_viscosity_residual(f, fn.x_mid, fn.slopes, 0.0,
+    res = pc.generic_viscosity_residual(f, fn.x_mid, fn.slopes, 0.0,
                                         fn.widths, structure=sn,
                                         cell_branch=fn.cell_branch)
     assert res <= st.TOL_INV + rho(np.max(fn.widths))
@@ -753,7 +759,7 @@ def test_level_piece_outside_interval(quartic, quartic_extremals):
     f, sn = quartic
     _, f_lo, f_hi = quartic_extremals
     with pytest.raises(ValueError):
-        lo.level_piece_function(f, sn, 0.0, f_hi.mean() + 0.5)
+        pc.level_piece_function(f, sn, 0.0, f_hi.mean() + 0.5)
 
 
 # -- extreme level -----------------------------------------------------------------
@@ -841,7 +847,7 @@ def test_level_piece_mean_lipschitz_in_t(quartic, quartic_extremals):
     t_for = {}
     for frac in (0.25, 0.75):
         target = f_lo.mean() + frac * span
-        fn, t = lo.level_piece_function(f, sn, 0.0, target, window_cells=100)
+        fn, t = pc.level_piece_function(f, sn, 0.0, target, window_cells=100)
         t_for[frac] = (t, fn.mean())
     (t1, m1), (t2, m2) = t_for[0.25], t_for[0.75]
     assert abs(m2 - m1) <= C * abs(t2 - t1) + 1e-6
@@ -852,12 +858,12 @@ def test_homotopy_output_is_branch_classified(quartic, quartic_extremals):
     # inverse per cell (after sub-cell switch refinement)
     f, sn = quartic
     dec, f_lo, f_hi = quartic_extremals
-    runs = lo._unequal_runs(f_hi, f_lo, dec)
+    runs = pc._unequal_runs(f_hi, f_lo, dec)
     a, b, i0, _ = runs[5]
     sel = (f_hi.x_mid >= a - 1e-12) & (f_hi.x_mid <= b + 1e-12)
     d_hi = float(np.sum(f_hi.slopes[sel] * f_hi.widths[sel]))
     d_lo = float(np.sum(f_lo.slopes[sel] * f_lo.widths[sel]))
     inc = f_hi.branches[i0 - 1] if i0 > 0 else None
-    w = lo.homotopy_interpolant(f, sn, 0.0, f_hi, f_lo, (a, b),
+    w = pc.homotopy_interpolant(f, sn, 0.0, f_hi, f_lo, (a, b),
                                 0.5 * (d_hi + d_lo), incoming_branch=inc)
     assert np.all(w.cell_branch > 0)
