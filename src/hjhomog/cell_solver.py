@@ -412,8 +412,6 @@ class HbarEstimate:
     p: float
     value: float
     dispersion: float
-    noisy: bool
-    per_seed: dict
     rows: list = dc_field(default_factory=list)  # CSV rows per (lam, seed)
 
 
@@ -523,4 +521,4 @@ def estimate_hbar(fields, p, lam_schedule=LAMBDA_SCHEDULE, R=2.0, dx=None):
     if noisy:
         warnings.warn(f"non-monotone discounted trend at p={p:.4g}", NoisyLimit)
     return HbarEstimate(p=float(p), value=value, dispersion=float(dispersion),
-                        noisy=noisy, per_seed=per_seed, rows=rows)
+                        rows=rows)

@@ -19,7 +19,6 @@ of the checkerboard kind.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -28,8 +27,6 @@ import numpy as np
 from .errors import ProfileError
 
 ENV_SCHEMA = "env/1"
-
-DEFAULT_P_BOX = 2.0
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -45,11 +42,6 @@ def bisect(right, lo, hi, steps):
     return lo, hi
 
 
-def _pick(cond, x, y):
-    """Scalar np.where."""
-    return x if cond else y
-
-
 def golden_min(f, a, b, steps, rtol=0.0):
     """Golden-section search for a minimum of f on [a, b]: at most
     ``steps`` shrinks, stopping early once b - a < rtol * (1 + |a|) when
@@ -58,12 +50,10 @@ def golden_min(f, a, b, steps, rtol=0.0):
 
     Array brackets run one search per element, with f called once per
     step on the array of that step's points.  Each element takes the same
-    operations in the same order as a scalar search on its own bracket,
-    and the midpoint of an element that meets the rtol stop is kept from
-    that step on, so each result is the scalar result bit for bit.  Scalar
-    brackets keep scalar calls of f."""
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    pick = _pick if scalar else np.where
+    operations in the same order as a search on its own bracket, and the
+    midpoint of an element that meets the rtol stop is kept from that step
+    on, so each result is the one-bracket result bit for bit.  Scalar
+    brackets run as 0-d arrays and give a 0-d result."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -73,23 +63,20 @@ def golden_min(f, a, b, steps, rtol=0.0):
         # a left step drops (d, b] and probes anew left of c; a right
         # step drops [a, c) and probes anew right of d
         left = fc < fd
-        a, b = pick(left, a, c), pick(left, d, b)
+        a, b = np.where(left, a, c), np.where(left, d, b)
         t = _INVPHI * (b - a)
-        x = pick(left, b - t, a + t)
+        x = np.where(left, b - t, a + t)
         fx = f(x)
-        c, d, fc, fd = (pick(left, x, d), pick(left, c, x),
-                        pick(left, fx, fd), pick(left, fc, fx))
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
         if rtol:
             stop = b - a < rtol * (1.0 + abs(a))
-            if scalar:
-                if stop:
-                    break
-            elif (stop & ~done).any():
+            if (stop & ~done).any():
                 out = np.where(stop & ~done, 0.5 * (a + b), out)
                 done = done | stop
-                if done.all():
-                    break
-    return 0.5 * (a + b) if scalar else np.where(done, out, 0.5 * (a + b))
+            if done.all():
+                break
+    return np.where(done, out, 0.5 * (a + b))
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +278,6 @@ class EnvironmentSpec:
             d["value_range"] = list(self.value_range)
         return d
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @staticmethod
     def from_dict(d):
         """The spec of an env/1 dict, through the checks of
@@ -314,10 +298,6 @@ class EnvironmentSpec:
         _only_keys(f"the params of {spec.profile!r}", spec.params,
                    PROFILE_PARAMS[kind][spec.profile])
         return spec
-
-    @staticmethod
-    def from_json(text):
-        return EnvironmentSpec.from_dict(json.loads(text))
 
 
 def _only_keys(name, d, keys):
@@ -445,10 +425,6 @@ class HamiltonianField:
 
     __call__ = evaluate
 
-    def shifted(self, y):
-        """Field translated in space: shifted(y)(p, x) == self(p, x + y)."""
-        return ShiftedField(self, y)
-
     # -- probing ------------------------------------------------------------
 
     def probe_xs(self, n=512):
@@ -467,11 +443,6 @@ class HamiltonianField:
                 self.evaluate(ps[:, None], xs[None, :])
             self._cache[key] = float(np.max(np.abs(d)) / h)
         return self._cache[key]
-
-    @property
-    def lipschitz_p(self):
-        """Probed p-Lipschitz constant over the default box [-2, 2]."""
-        return self.lipschitz_on(DEFAULT_P_BOX)
 
     def coercivity_radius(self, mu_max):
         """Smallest probed r such that min_x H(+-r, x) > mu_max."""
@@ -588,11 +559,10 @@ class CheckerboardField(HamiltonianField):
 
     deterministic = False
 
-    def __init__(self, spec, seed, cell_offset=0, wrap_cells=None):
+    def __init__(self, spec, seed, wrap_cells=None):
         super().__init__()
         self.spec = spec
         self.seed = int(seed)
-        self.cell_offset = int(cell_offset)
         self.cell_length = float(spec.cell_length)
         self.wrap_cells = int(wrap_cells) if wrap_cells else None
         if self.wrap_cells:
@@ -602,14 +572,13 @@ class CheckerboardField(HamiltonianField):
         self._at = spec.profile_at()
 
     def _cell_value(self, idx):
-        idx = np.asarray(idx) + self.cell_offset
         if self.wrap_cells:
             idx = np.mod(idx, self.wrap_cells)
         u = cell_uniform(self.seed, idx)
         return self._lo + self._span * u
 
     def periodized(self, n_cells):
-        return CheckerboardField(self.spec, self.seed, self.cell_offset, n_cells)
+        return CheckerboardField(self.spec, self.seed, n_cells)
 
     def cell_values(self, x):
         """Blended parameter process V(x), vectorized."""
@@ -636,12 +605,6 @@ class CheckerboardField(HamiltonianField):
         x = np.asarray(x, dtype=np.float64)
         return self._at(x, self.cell_values(x.ravel()).reshape(x.shape))
 
-    def shifted_cells(self, k):
-        """Shift the cell-index stream by k cells; equals shifting x by
-        k * cell_length (bit-exact on dyadic probes)."""
-        return CheckerboardField(self.spec, self.seed, self.cell_offset + k,
-                                 self.wrap_cells)
-
 
 class DerivedField(HamiltonianField):
     """A field computed from ``base``: it has the base's period, cell length
@@ -658,18 +621,6 @@ class DerivedField(HamiltonianField):
         # at(x) hands x to the base unchanged; a subclass that moves x or
         # reads a second field returns None
         return self.base.period_key(x)
-
-
-class ShiftedField(DerivedField):
-    def __init__(self, base, y):
-        super().__init__(base)
-        self.y = float(y)
-
-    def period_key(self, x):
-        return None
-
-    def at(self, x):
-        return self.base.at(np.asarray(x, dtype=np.float64) + self.y)
 
 
 def sample(spec, seed=0):

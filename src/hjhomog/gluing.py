@@ -72,51 +72,6 @@ class ConeBelowField(DerivedField):
         return cone
 
 
-class MaxField(DerivedField):
-    def __init__(self, f1, f2):
-        super().__init__(f1)
-        self.f1, self.f2 = f1, f2
-        self.deterministic = f1.deterministic and f2.deterministic
-
-    def period_key(self, x):
-        return None
-
-    def at(self, x):
-        h1, h2 = self.f1.at(x), self.f2.at(x)
-        return lambda p: np.maximum(h1(p), h2(p))
-
-
-class ReflectedCapField(DerivedField):
-    """The right-steep-side middle modification: H on [0, P], slopes -L
-    leaving both ends.  The raw display is not coercive, so the downslopes
-    are capped at the probed minimum minus one and continue upward with
-    slope +L; the cap only matters far outside [0, P]."""
-
-    def __init__(self, base, P, L):
-        super().__init__(base)
-        self.P = float(P)
-        self.L = float(L)
-        xs = base.probe_xs(512)
-        ps = np.linspace(0.0, P, 129)
-        self._floor = float(base.evaluate(ps[:, None], xs[None, :]).min()) - 1.0
-
-    def at(self, x):
-        h = self.base.at(x)
-        P, L, floor = self.P, self.L, self._floor
-
-        def capped_cone(p):
-            p = np.asarray(p, dtype=np.float64)
-            inner = h(np.clip(p, 0.0, P))
-            down = np.where(p < 0.0, inner - L * np.abs(p),
-                            np.where(p > P, inner - L * (p - P), inner))
-            over = np.maximum(down, floor)
-            dist = np.where(p < 0.0, -p, np.where(p > P, p - P, 0.0))
-            reach = (inner - floor) / L
-            capped = np.where(dist > reach, floor + L * (dist - reach), over)
-            return np.where((p >= 0.0) & (p <= P), inner, capped)
-        return capped_cone
-
-
 class TiltedField(DerivedField):
     """Base minus the hat of height 1/n peaking at the tied well, zero at
     the neighboring maxima: breaks an M_lo == m_hi tie downward."""
@@ -192,7 +147,6 @@ def split_min(field, structure):
 class SteepSideFamily:
     case: str              # "left" | "right"
     H1: HamiltonianField
-    H2: HamiltonianField
     H3: HamiltonianField
     s1: ConstrainedStructure
     s3: ConstrainedStructure
@@ -230,10 +184,11 @@ def steep_side_family(field, structure, stats):
     index (0, L) field.
 
     Left case (P < Q): H1 cones above Q = q_{k_lo}, H3 cones below
-    q_{k_hi}, H2 = max(H1, H3); Hbar = min(Hbar1, Hbar3).
-    Right case (Q <= P): H1 cones above Q, H3 cones below Q, H2 is the
-    reflected cap on [0, P]; Hbar = Hbar1 on p <= 0,
-    min(Hbar1, Hbar3, M_lo) on (0, P), Hbar3 on p >= P.
+    q_{k_hi}; Hbar = min(Hbar1, Hbar3).
+    Right case (Q <= P): H1 cones above Q, H3 cones below Q; Hbar = Hbar1
+    on p <= 0, min(Hbar1, Hbar3, M_lo) on (0, P), Hbar3 on p >= P.
+    The proof's middle Hamiltonian H2 enters neither combination, so it is
+    not built here (``steep_side_middle`` in ``tests/proof_checks.py``).
     """
     _require_normalized(field, structure)
     if structure.index[0] != 0:
@@ -245,22 +200,13 @@ def steep_side_family(field, structure, stats):
     L = structure.lipschitz
     P, Q = stats.P, stats.Q
     bps = structure.breakpoints
-    if P < Q:
-        H1 = ConeAboveField(field, Q, L)
-        H3 = ConeBelowField(field, stats.q_k_hi, L)
-        s1 = _sub_structure(structure, bps < Q, central_value=0.0)
-        s3 = _sub_structure(structure, bps > stats.q_k_hi)
-        H2 = MaxField(H1, H3)
-        case = "left"
-    else:
-        H1 = ConeAboveField(field, Q, L)
-        H3 = ConeBelowField(field, Q, L)
-        s1 = _sub_structure(structure, bps < Q, central_value=0.0)
-        s3 = _sub_structure(structure, bps > Q)
-        H2 = ReflectedCapField(field, P, L)
-        case = "right"
+    q3 = stats.q_k_hi if P < Q else Q
+    s1 = _sub_structure(structure, bps < Q, central_value=0.0)
     s1.normalized = True   # central minimum still at 0 with esssup 0
-    return SteepSideFamily(case=case, H1=H1, H2=H2, H3=H3, s1=s1, s3=s3,
+    return SteepSideFamily(case="left" if P < Q else "right",
+                           H1=ConeAboveField(field, Q, L),
+                           H3=ConeBelowField(field, q3, L), s1=s1,
+                           s3=_sub_structure(structure, bps > q3),
                            P=P, Q=Q, M_lo=stats.M_lo)
 
 

@@ -133,10 +133,6 @@ def solve_homogenized(curve, setup, dx=None):
 class ConvergenceResult:
     rows: list                     # (eps, seed, err, dx, dt)
     monotone: dict                 # seed -> bool
-    ubar: tuple = None
-
-    def errors(self, seed):
-        return [(e, err) for e, s, err, _, _ in self.rows if s == seed]
 
 
 def convergence_experiment(fields, curve, setup, eps_list=(0.4, 0.2, 0.1),
@@ -165,7 +161,7 @@ def convergence_experiment(fields, curve, setup, eps_list=(0.4, 0.2, 0.1),
             rows.append((eps, seed, err, dx, dt))
             errs.append(err)
         monotone[seed] = all(b < a for a, b in zip(errs, errs[1:]))
-    return ConvergenceResult(rows=rows, monotone=monotone, ubar=(xs_bar, ubar))
+    return ConvergenceResult(rows=rows, monotone=monotone)
 
 
 def default_theta(field):

@@ -39,11 +39,9 @@ BUFFER_CELLS = 5
 @dataclass
 class AdmissibleDecomposition:
     mu: float
-    window: tuple
     junctions: np.ndarray          # sorted, interior to the window
     intervals: list                # [(a, b)] covering the window
     feasible: list                 # set of branch ids per interval
-    trivial_branch: int | None = None
 
 
 def _scan_roots(gfun, g, xs, mu, tol_touch):
@@ -97,9 +95,7 @@ def admissible_decomposition(field, structure, mu, window):
     Lt, L = structure.index
     x_lo, x_hi = window
     if L == 0:
-        return AdmissibleDecomposition(mu, window, np.empty(0),
-                                       [(x_lo, x_hi)], [{1}],
-                                       trivial_branch=1)
+        return AdmissibleDecomposition(mu, np.empty(0), [(x_lo, x_hi)], [{1}])
     dx_root = field.cell / 64.0
     W = x_hi - x_lo
     sep_min = 1e-4 * W
@@ -112,12 +108,10 @@ def admissible_decomposition(field, structure, mu, window):
     m_low = float(m_vals.min())
     nb = 2 * L + 1
     if mu >= M_bar:
-        return AdmissibleDecomposition(mu, window, np.empty(0),
-                                       [(x_lo, x_hi)], [{1}], trivial_branch=1)
+        return AdmissibleDecomposition(mu, np.empty(0), [(x_lo, x_hi)], [{1}])
     if m_low >= 0.0 and mu <= m_low:
-        return AdmissibleDecomposition(mu, window, np.empty(0),
-                                       [(x_lo, x_hi)], [{nb}],
-                                       trivial_branch=nb)
+        return AdmissibleDecomposition(mu, np.empty(0), [(x_lo, x_hi)],
+                                       [{nb}])
     span = float(max(M_vals.max() - m_vals.min(), 1.0))
     tol_touch = 1e-6 * span + _max_step(m_vals, M_vals)
     roots = []
@@ -149,7 +143,7 @@ def admissible_decomposition(field, structure, mu, window):
             raise ClusterSuspected(
                 f"no branch feasible throughout ({a:.6g}, {b:.6g}) at "
                 f"mu={mu:.6g}: a junction was likely missed")
-    return AdmissibleDecomposition(mu, window, roots, intervals, feasible)
+    return AdmissibleDecomposition(mu, roots, intervals, feasible)
 
 
 def _max_step(m_vals, M_vals):

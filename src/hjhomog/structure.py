@@ -48,10 +48,6 @@ class ConstrainedStructure:
         return self.breakpoints[0::2]
 
     @property
-    def maxima(self):
-        return self.breakpoints[1::2]
-
-    @property
     def central(self):
         return float(self.breakpoints[self.central_pos])
 
@@ -326,17 +322,17 @@ def _breakpoints_one_probe(field, x, p_box):
     h = 0.25 * step
     g = field.evaluate(ps + h, x) - field.evaluate(ps - h, x)
     sign = np.sign(g)
-    # treat exact zeros as the sign about to come
-    for i in range(len(sign) - 2, -1, -1):
-        if sign[i] == 0:
-            sign[i] = sign[i + 1]
+    # treat exact zeros as the sign about to come: the sign of the next
+    # nonzero entry, or 0 where none follows
+    at = np.where(sign != 0, np.arange(len(sign)), len(sign))
+    sign = np.append(sign, 0.0)[np.minimum.accumulate(at[::-1])[::-1]]
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    kinds = [1 if sign[i] < 0 else -1 for i in flips]  # 1 = minimum
-    # a maximum (kind -1) is a minimum of -H
-    roots = [golden_min(lambda p, s=float(k): s * field.evaluate(p, x),
-                        ps[i] - step, ps[i + 1] + step, 90, rtol=1e-13)
-             for i, k in zip(flips, kinds)]
-    return np.asarray(roots), kinds
+    kinds = np.where(sign[flips] < 0, 1, -1)  # 1 = minimum
+    # a maximum (kind -1) is a minimum of -H; x stays scalar, so its
+    # x-terms are computed as for a single point
+    roots = golden_min(lambda p: kinds * field.evaluate(p, x),
+                       ps[flips] - step, ps[flips + 1] + step, 90, rtol=1e-13)
+    return roots, kinds.tolist()
 
 
 def default_p_box(field):
@@ -468,8 +464,7 @@ class OscillationStats:
     M_hi: float          # esssup of the max process
     m_lo: float          # essinf of the min process
     k_lo: int            # positive branch attaining M_lo
-    k_hi: int            # positive branch attaining m_hi
-    P: float             # p_{k_hi}
+    P: float             # p_{k_hi}, k_hi the positive branch attaining m_hi
     Q: float             # q_{k_lo}
     q_k_hi: float        # q_{k_hi}
 
@@ -496,7 +491,7 @@ def classify_oscillation(field, structure):
     k_hi = int(np.argmin(esssup_mj)) + 1
     return OscillationStats(
         small=M_lo >= m_hi, M_lo=M_lo, m_hi=m_hi, M_hi=float(M_vals.max()),
-        m_lo=float(m_vals.min()), k_lo=k_lo, k_hi=k_hi,
+        m_lo=float(m_vals.min()), k_lo=k_lo,
         P=float(pos_min[k_hi - 1]), Q=float(pos_max[k_lo - 1]),
         q_k_hi=float(pos_max[k_hi - 1]))
 

@@ -10,6 +10,9 @@ that no CLI task runs, so it lives beside the tests that call it.
   and the viscosity residual of a slope selection.
 - The Perron homotopy between the extremal selections (criterion 11), and
   the level-piece function that bisects it to any mean inside I_mu.
+- The proof's middle Hamiltonian H2 of a steep-side family (max(H1, H3),
+  or the reflected cap on [0, P]), which the combination rules never read,
+  and the field translated in x.
 
 The functions read the package's internals (``_pair_legality``,
 ``_branch_tables``, ``_one_sided``) as the package itself does.  Test
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hjhomog.cell_solver import _one_sided, explicit_step
+from hjhomog.env import DerivedField
 from hjhomog.errors import OutOfBranchRange
 from hjhomog.large_osc import (BUFFER_CELLS, SlopeFunction, _branch_tables,
                                _pair_legality, corner_gap, extremal_pair)
@@ -162,6 +166,76 @@ def squeeze_check(curve, q):
     return CheckOutcome("passed" if ok else "failed",
                         {"worst_p": float(inner[worst]),
                          "worst_value": float(vals[worst])})
+
+
+# ---------------------------------------------------------------------------
+# the steep-side middle field and the translated field
+# ---------------------------------------------------------------------------
+
+class MaxField(DerivedField):
+    def __init__(self, f1, f2):
+        super().__init__(f1)
+        self.f1, self.f2 = f1, f2
+        self.deterministic = f1.deterministic and f2.deterministic
+
+    def period_key(self, x):
+        return None
+
+    def at(self, x):
+        h1, h2 = self.f1.at(x), self.f2.at(x)
+        return lambda p: np.maximum(h1(p), h2(p))
+
+
+class ReflectedCapField(DerivedField):
+    """The right-steep-side middle modification: H on [0, P], slopes -L
+    leaving both ends.  The raw display is not coercive, so the downslopes
+    are capped at the probed minimum minus one and continue upward with
+    slope +L; the cap only matters far outside [0, P]."""
+
+    def __init__(self, base, P, L):
+        super().__init__(base)
+        self.P = float(P)
+        self.L = float(L)
+        xs = base.probe_xs(512)
+        ps = np.linspace(0.0, P, 129)
+        self._floor = float(base.evaluate(ps[:, None], xs[None, :]).min()) - 1.0
+
+    def at(self, x):
+        h = self.base.at(x)
+        P, L, floor = self.P, self.L, self._floor
+
+        def capped_cone(p):
+            p = np.asarray(p, dtype=np.float64)
+            inner = h(np.clip(p, 0.0, P))
+            down = np.where(p < 0.0, inner - L * np.abs(p),
+                            np.where(p > P, inner - L * (p - P), inner))
+            over = np.maximum(down, floor)
+            dist = np.where(p < 0.0, -p, np.where(p > P, p - P, 0.0))
+            reach = (inner - floor) / L
+            capped = np.where(dist > reach, floor + L * (dist - reach), over)
+            return np.where((p >= 0.0) & (p <= P), inner, capped)
+        return capped_cone
+
+
+def steep_side_middle(field, fam):
+    """H2 of the steep-side family ``fam`` of ``field``: max(H1, H3) in the
+    left case, the reflected cap on [0, P] in the right case, with the
+    family's cone slope L."""
+    if fam.case == "left":
+        return MaxField(fam.H1, fam.H3)
+    return ReflectedCapField(field, fam.P, fam.H1.L)
+
+
+class ShiftedField(DerivedField):
+    def __init__(self, base, y):
+        super().__init__(base)
+        self.y = float(y)
+
+    def period_key(self, x):
+        return None
+
+    def at(self, x):
+        return self.base.at(np.asarray(x, dtype=np.float64) + self.y)
 
 
 # ---------------------------------------------------------------------------

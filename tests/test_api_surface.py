@@ -1,6 +1,7 @@
 """Every defaulted parameter of the package is set by some caller, every
-keyword a caller passes names a parameter, and every public name of the
-package has a caller outside the tests.
+keyword a caller passes names a parameter, every public name, method and
+property of the package has a caller outside the tests, and every
+dataclass field is read.
 
 A parameter with a default that no call in ``src/``, ``tests/``, ``demos/``
 or ``perfbench/`` passes, by keyword or by position, is a constant in
@@ -10,7 +11,12 @@ which fails only when it runs (the demos are only byte-compiled).  A
 public module-level function or class that nothing in ``src/`` outside its
 own definition, and nothing in ``demos/``, names (re-exports in
 ``__init__.py`` count) is test scaffolding shipped as API; it belongs
-beside its tests, in ``tests/proof_checks.py``.  The scan reads the
+beside its tests, in ``tests/proof_checks.py``.  The same holds for a
+public method or property that nothing in ``src/`` outside its own body,
+and nothing in ``demos/`` or ``perfbench/``, names as an attribute, and
+for a dataclass field that no attribute load in ``src/``, ``demos/``,
+``perfbench/`` or ``tests/proof_checks.py`` reads.  Both go by name, so a
+method that shares its name with a used one passes.  The scan reads the
 sources with ``ast`` only; nothing is imported or run.
 
 Calls are matched by name: ``f(...)`` and ``obj.f(...)`` reach every
@@ -25,7 +31,7 @@ mean either never counts as setting a default.
 
 import ast
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "hjhomog")
@@ -228,3 +234,59 @@ def test_every_public_name_has_a_user_caller():
               if name not in named]
     assert not unused, (f"{len(unused)} public names that only tests use: "
                         + ", ".join(unused))
+
+
+def _attributes(tree, load_only=False):
+    """The attribute names a tree names, loads only when ``load_only``."""
+    return [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and not (load_only and not isinstance(node.ctx, ast.Load))]
+
+
+def _package_classes():
+    """(module, class node) of every class the package defines."""
+    for path in _py_files(PACKAGE):
+        module = os.path.splitext(os.path.basename(path))[0]
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef):
+                yield module, node
+
+
+def test_every_public_method_has_a_user_reader():
+    """A public method or property that nothing in ``src/`` outside its own
+    body, and nothing in ``demos/`` or ``perfbench/``, names as an
+    attribute is reached only by tests, or by nothing."""
+    in_src = Counter(name for path in _py_files(PACKAGE)
+                     for name in _attributes(_parse(path)))
+    elsewhere = {name for top in ("demos", "perfbench")
+                 for path in _py_files(os.path.join(ROOT, top))
+                 for name in _attributes(_parse(path))}
+    unread = sorted(
+        f"{module}.{cls.name}.{fn.name}"
+        for module, cls in _package_classes()
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_") and fn.name not in elsewhere
+        and in_src[fn.name] <= _attributes(fn).count(fn.name))
+    assert not unread, (f"{len(unread)} public methods that only tests "
+                        f"read: " + ", ".join(unread))
+
+
+def test_every_dataclass_field_is_read():
+    """A dataclass field that no attribute load in ``src/``, ``demos/``,
+    ``perfbench/`` or ``tests/proof_checks.py`` reads is written and never
+    used."""
+    paths = [path for top in ("src", "demos", "perfbench")
+             for path in _py_files(os.path.join(ROOT, top))]
+    paths.append(os.path.join(ROOT, "tests", "proof_checks.py"))
+    read = {name for path in paths
+            for name in _attributes(_parse(path), load_only=True)}
+    unread = sorted(f"{module}.{cls.name}.{stmt.target.id}"
+                    for module, cls in _package_classes()
+                    if _is_dataclass(cls)
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in read)
+    assert not unread, (f"{len(unread)} dataclass fields that nothing "
+                        f"reads: " + ", ".join(unread))

@@ -433,3 +433,43 @@ def test_validate_without_independent_route_sweeps_once(monkeypatch,
     assert [f["route"] for f in report["failed_routes"]] == \
         ["oracle", "largeosc"]
     assert all(f["error"] for f in report["failed_routes"])
+
+
+# a value for every param a registry profile reads
+SWEEP_PARAMS = {"amplitude": 0.5, "base": "quadratic", "nodes": [0, 1, 2],
+                "values": [0.0, 1.0, 0.0], "cone_slope": 2.0,
+                "inner_period": 0.5}
+
+
+def _sweep_env(kind, name):
+    d = {"schema": "env/1", "kind": kind, "profile": name,
+         "params": {k: SWEEP_PARAMS[k]
+                    for k in env.PROFILE_PARAMS[kind][name]}}
+    if kind == "periodic":
+        return dict(d, period=1.0)
+    return dict(d, cell_length=1.0, value_range=[-1.0, 0.0])
+
+
+@pytest.mark.parametrize("kind,name", [
+    (kind, name) for kind, names in env.PROFILE_PARAMS.items()
+    for name in names])
+def test_every_profile_through_every_task_without_traceback(tmp_path, kind,
+                                                            name):
+    # a run either succeeds or fails with a typed, reported reason: a
+    # failed task names its error, a failed validate its failed check
+    for task in ("effective", "glue", "largeosc", "converge", "validate"):
+        cfg = _cfg(task=task, env=_sweep_env(kind, name),
+                   p_grid={"start": -1, "stop": 1, "n": 3}, mu_points=5,
+                   window_cells=20, epsilons=[0.4], solver={"dx": 1 / 32})
+        if kind == "checkerboard":
+            cfg["solver"]["periodize_cells"] = 8
+            cfg["seeds"] = {"master": 1, "count": 2}
+        out = tmp_path / task
+        code = cli.run(cfg, str(out))
+        assert code in (0, 1), task
+        if code == 1:
+            report = json.loads((out / "report.json").read_text())
+            failed_checks = [c for c in report.get("checks", {}).values()
+                             if not (c.get("skipped") or c["passed"])]
+            assert report.get("error") or (task == "validate"
+                                           and failed_checks), task

@@ -33,7 +33,7 @@ def test_eval_direct_formula(abs_sin):
 
 def test_periodic_lipschitz_probe(abs_sin):
     # d|p|/dp is +-1 and the medium is p-independent
-    assert abs_sin.lipschitz_p == pytest.approx(1.0, abs=1e-4)
+    assert abs_sin.lipschitz_on(2.0) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_coercivity_radius_quartic(quartic_2sin):
@@ -165,15 +165,6 @@ def test_checkerboard_seeds_differ(board):
     assert np.max(np.abs(a - b)) > 1e-3
 
 
-def test_checkerboard_cell_shift_stationarity(board):
-    # shifting the index stream by k == shifting space by k * cell_length
-    xs = np.arange(0, 16, 0.25)  # dyadic
-    shifted = board.shifted_cells(3)
-    a = shifted.evaluate(0.4, xs)
-    b = board.evaluate(0.4, xs + 3.0)
-    assert np.array_equal(a, b)
-
-
 def test_checkerboard_continuity_across_boundary(board):
     # C^1 blending keeps H continuous in x at cell boundaries
     eps = 1e-8
@@ -212,8 +203,8 @@ def test_nonfinite_profile_rejected():
 
 def test_spec_roundtrip_json():
     spec = env.make_checkerboard((-2.0, 0.0), 0.5, "quartic_plus_v")
-    text = spec.to_json()
-    back = env.EnvironmentSpec.from_json(text)
+    text = json.dumps(spec.to_dict())
+    back = env.EnvironmentSpec.from_dict(json.loads(text))
     assert back == spec
     d = json.loads(text)
     assert d["schema"] == "env/1"
@@ -241,7 +232,8 @@ def test_registry_profile_roundtrip(kind, name, d):
     # every dict to_dict writes loads back: manifests rerun
     back = env.EnvironmentSpec.from_dict(d)
     assert back.to_dict() == d
-    assert env.EnvironmentSpec.from_json(back.to_json()) == back
+    assert env.EnvironmentSpec.from_dict(
+        json.loads(json.dumps(back.to_dict()))) == back
     with pytest.raises(ProfileError):
         env.EnvironmentSpec.from_dict(dict(d, params=dict(d["params"],
                                                           amplitud=0.3)))
@@ -295,7 +287,8 @@ def test_composite_environment():
     # both the periodic forcing and the cell draws are present
     assert np.ptp(vals) > 0.5
     assert spec.to_dict()["profile"] == "base_plus_sin_plus_v"
-    again = env.EnvironmentSpec.from_json(spec.to_json())
+    again = env.EnvironmentSpec.from_dict(json.loads(json.dumps(
+        spec.to_dict())))
     assert np.array_equal(env.sample(again, 4).evaluate(0.0, xs), vals)
 
 

@@ -170,7 +170,8 @@ def _oracle_cases():
                                         "amplitude": 0.4}))
     return {"abs_sin": (abs_sin, {"p_lo": -4.5, "p_hi": 4.5}),
             "period_0.7": (odd, {"p_lo": -3.0, "p_hi": 3.5}),
-            "shifted": (abs_sin.shifted(0.3), {"p_lo": -4.0, "p_hi": 4.5}),
+            "shifted": (pc.ShiftedField(abs_sin, 0.3),
+                        {"p_lo": -4.0, "p_hi": 4.5}),
             "mirrored": (gl.MirroredField(odd), {"p_lo": -3.5, "p_hi": 3.0}),
             "board_seeds": (env.make_separable("abs", (-1.0, 0.0), 1.0),
                             {"seeds": (0, 1), "p_lo": -3.5, "p_hi": 3.5})}
@@ -253,7 +254,7 @@ def test_steep_left_case_and_ordering():
     xs = rng.uniform(0.0, 1.0, 120)
     H = f.evaluate(ps, xs)
     H1 = fam.H1.evaluate(ps, xs)
-    H2 = fam.H2.evaluate(ps, xs)
+    H2 = pc.steep_side_middle(f, fam).evaluate(ps, xs)
     H3 = fam.H3.evaluate(ps, xs)
     assert np.all(H1 <= H2 + 1e-12)
     assert np.all(H3 <= H2 + 1e-12)
@@ -277,8 +278,9 @@ def test_steep_right_case():
     assert fam.Q <= fam.P
     # H2 follows H on [0, P] and stays coercive far out
     x = 0.2
-    assert fam.H2.evaluate(1.0, x) == pytest.approx(f.evaluate(1.0, x), abs=1e-12)
-    assert fam.H2.evaluate(40.0, x) > fam.H2.evaluate(fam.P + 1.0, x)
+    H2 = pc.steep_side_middle(f, fam)
+    assert H2.evaluate(1.0, x) == pytest.approx(f.evaluate(1.0, x), abs=1e-12)
+    assert H2.evaluate(40.0, x) > H2.evaluate(fam.P + 1.0, x)
 
 
 def test_steep_rejects_large_oscillation():
@@ -537,10 +539,10 @@ def test_derived_fields_carry_base_metadata(k):
     periodic = _bases()[0]
     wrappers = [st.TransformedField(base, 0.1, 0.2),
                 st.PLConstrainedField(base, 1), st.DeclutteredField(base, 1),
-                env.ShiftedField(base, 0.3),
+                pc.ShiftedField(base, 0.3),
                 gl.ConeAboveField(base, 0.5, 3.0),
-                gl.ConeBelowField(base, -0.5, 3.0), gl.MaxField(base, base),
-                gl.ReflectedCapField(base, 0.5, 3.0),
+                gl.ConeBelowField(base, -0.5, 3.0), pc.MaxField(base, base),
+                pc.ReflectedCapField(base, 0.5, 3.0),
                 gl.TiltedField(base, 0.0, 0.5, 1.0, 4), gl.MirroredField(base)]
     assert len({type(w) for w in wrappers}) == 10
     for w in wrappers:
@@ -548,7 +550,7 @@ def test_derived_fields_carry_base_metadata(k):
         assert (w.period, w.cell_length, w.deterministic, w.cell) == \
             (base.period, base.cell_length, base.deterministic, base.cell)
     for f1, f2 in ((periodic, base), (base, periodic)):
-        both = gl.MaxField(f1, f2)
+        both = pc.MaxField(f1, f2)
         assert both.deterministic == (f1.deterministic and f2.deterministic)
         assert (both.period, both.cell_length) == (f1.period, f1.cell_length)
 

@@ -56,7 +56,7 @@ def pwl():
 def test_trivial_above_max(quartic):
     f, sn = quartic
     dec = lo.admissible_decomposition(f, sn, 5.0, WINDOW)
-    assert dec.trivial_branch == 1
+    assert dec.intervals == [WINDOW]
     assert dec.feasible == [{1}]
 
 
@@ -65,7 +65,8 @@ def test_trivial_below_min():
     f = env.sample(env.make_periodic("pwl_wells_plus_dip", 1.0, params))
     s, _ = st.detect_branches(f)
     dec = lo.admissible_decomposition(f, s, 0.05, WINDOW)
-    assert dec.trivial_branch == 2 * s.index[1] + 1
+    assert dec.intervals == [WINDOW]
+    assert dec.feasible == [{2 * s.index[1] + 1}]
 
 
 def test_junction_pattern_periodic(quartic):
@@ -186,7 +187,7 @@ def test_decomposition_matches_per_interval_reference(quartic, mu):
     window = (0.0, 20.0)
     dec = lo.admissible_decomposition(f, sn, mu, window)
     roots, intervals, feasible = _decomposition_reference(f, sn, mu, window)
-    assert dec.trivial_branch is None
+    assert len(dec.intervals) > 1
     assert np.array_equal(dec.junctions, roots)
     assert dec.intervals == intervals
     assert dec.feasible == feasible

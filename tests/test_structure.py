@@ -142,6 +142,49 @@ def test_detect_drifting_breakpoint_rejected():
         st.detect_branches(f, p_box=3.0)
 
 
+def _breakpoints_one_probe_reference(field, x, p_box):
+    # the per-flip loop that the array search replaced
+    ps = np.linspace(-p_box, p_box, 2001)
+    step = ps[1] - ps[0]
+    h = 0.25 * step
+    g = field.evaluate(ps + h, x) - field.evaluate(ps - h, x)
+    sign = np.sign(g)
+    for i in range(len(sign) - 2, -1, -1):
+        if sign[i] == 0:
+            sign[i] = sign[i + 1]
+    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    kinds = [1 if sign[i] < 0 else -1 for i in flips]
+    roots = [env.golden_min(lambda p, s=float(k): s * field.evaluate(p, x),
+                            ps[i] - step, ps[i + 1] + step, 90, rtol=1e-13)
+             for i, k in zip(flips, kinds)]
+    return np.asarray(roots, dtype=np.float64), kinds
+
+
+def _probe_fields():
+    board = env.make_checkerboard((-0.5, 0.25), 0.5, "quartic_plus_v")
+    # a plateau at p in [1, 2]: dH/dp is exactly 0 there
+    plateau = {"nodes": [0, 1, 2, 3], "values": [0.0, 1.0, 1.0, 0.2],
+               "cone_slope": 2.0, "amplitude": 0.1}
+    return {"quartic": env.sample(env.make_periodic(
+                "quartic_plus_sin", 1.0, {"amplitude": 2.0})),
+            "abs": env.sample(env.make_periodic("abs_plus_sin", 1.0)),
+            "plateau": env.sample(env.make_periodic(
+                "pwl_wells_plus_dip", 1.0, plateau)),
+            "board": env.sample(board, seed=11),
+            "monotone": env.sample(env.make_periodic(
+                lambda p, x: np.asarray(p) + 0.0 * x, 1.0))}
+
+
+@pytest.mark.parametrize("name", sorted(_probe_fields()))
+def test_breakpoints_one_probe_matches_loop_reference(name):
+    f = _probe_fields()[name]
+    for x in (0.0371, 0.41, 0.9, 3.37):
+        roots, kinds = st._breakpoints_one_probe(f, x, 3.0)
+        want, want_kinds = _breakpoints_one_probe_reference(f, x, 3.0)
+        assert roots.tobytes() == want.tobytes()
+        assert kinds == want_kinds
+
+
 # -- branch inversion ----------------------------------------------------------
 
 
@@ -291,9 +334,9 @@ def _keyless_fields():
     """Fields whose ``at`` reads x itself: their period key is None."""
     board = env.sample(env.make_checkerboard((-2.0, 0.0), 0.5,
                                              "quartic_plus_v"), seed=5)
-    out = {"shifted": env.ShiftedField(Q_07, 0.3),
+    out = {"shifted": pc.ShiftedField(Q_07, 0.3),
            "mirrored": gl.MirroredField(Q_07),
-           "max": gl.MaxField(Q_07, st.TransformedField(Q_07, 0.05, -0.1)),
+           "max": pc.MaxField(Q_07, st.TransformedField(Q_07, 0.05, -0.1)),
            "board": board}
     return {name: (f, st.detect_branches(f)[0]) for name, f in out.items()}
 
