@@ -26,7 +26,7 @@ for n in (4, 8, 16):
     err = np.max(np.abs(approx.evaluate(ps[:, None], xs[None, :]) - base))
     print(f"{n:2d}  {info.wells:6d}   {err:9.4f}   {rho(1 / n) + 1 / n:9.4f}")
 
-detected, _ = structure.detect_branches(
+detected = structure.detect_branches(
     structure.build_constrained_approx(field, 2)[0], p_box=2.5)
 print(f"\nbranch detection on the n=2 approximation: "
       f"{detected.wells} wells (2 n^2 + 1 = 9)")

@@ -46,8 +46,7 @@ print("\nleft steep side on a two-well profile (deep well left of the "
 left = env.sample(env.make_periodic("pwl_wells_plus_dip", 1.0, {
     "nodes": [0.0, 0.5, 1.0, 1.5, 2.0], "values": [0.0, 0.8, 0.2, 1.3, 0.5],
     "cone_slope": 2.5, "amplitude": 0.1}))
-s, _ = structure.detect_branches(left)
-s.normalized = True
+s = structure.detect_branches(left)
 stats = structure.classify_oscillation(left, s)
 fam = gluing.steep_side_family(left, s, stats)
 print(f"  case {fam.case}: P = {fam.P:.2f} < Q = {fam.Q:.2f}, "

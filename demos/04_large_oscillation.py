@@ -21,7 +21,7 @@ from hjhomog import env, structure, large_osc, cell_solver
 
 field = env.sample(env.make_periodic("quartic_plus_sin", 1.0,
                                      {"amplitude": 2.0}))
-s, _ = structure.detect_branches(field)
+s = structure.detect_branches(field)
 fn, sn, p_shift, mu_shift = structure.normalize(field, s)
 print(f"normalization: central well p = {p_shift:.0f}, level shift "
       f"{mu_shift:.0f}; index {sn.index}")

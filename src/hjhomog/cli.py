@@ -254,7 +254,7 @@ def task_glue(cfg, out):
 
 
 def _largeosc_curve(cfg, field):
-    s, _ = detect_branches(field)
+    s = detect_branches(field)
     fn, sn, p_shift, mu_shift = normalize(field, s)
     ps = np.asarray(cfg["p_grid"])
     curve_n = lo.assemble_effective_curve(

@@ -355,12 +355,6 @@ def make_separable(base, value_range, cell_length):
                              {"base": base})
 
 
-def make_composite(base, amplitude, inner_period, value_range, cell_length):
-    """base(p) + a sin(2 pi x / T) + V(x): periodic forcing plus checkerboard."""
-    prm = {"base": base, "amplitude": amplitude, "inner_period": inner_period}
-    return make_checkerboard(value_range, cell_length, "base_plus_sin_plus_v", prm)
-
-
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def _mirror_structure(structure):
     bps = -structure.breakpoints[::-1]
     central = len(structure.breakpoints) - 1 - structure.central_pos
     return ConstrainedStructure(bps, central, structure.lipschitz,
-                                structure.p_box, normalized=structure.normalized)
+                                structure.p_box)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +137,9 @@ def split_min(field, structure):
     minus = ConeAboveField(field, 0.0, L)
     c = structure.central_pos
     s_plus = ConstrainedStructure(structure.breakpoints[c:], 0, L,
-                                  structure.p_box, normalized=True)
+                                  structure.p_box)
     s_minus = ConstrainedStructure(structure.breakpoints[:c + 1], c, L,
-                                   structure.p_box, normalized=True)
+                                   structure.p_box)
     return (plus, s_plus), (minus, s_minus)
 
 
@@ -152,21 +152,6 @@ class SteepSideFamily:
     s3: ConstrainedStructure
     P: float
     Q: float
-    M_lo: float
-
-    def combine(self, c1, c3, p_grid):
-        """Assemble Hbar from the children curves on p_grid."""
-        if self.case == "left":
-            return EffectiveCurve.minimum([c1, c3], p_grid)
-        mid = EffectiveCurve.minimum([c1, c3], p_grid)
-        mid_vals = np.minimum(mid.evaluate(p_grid), self.M_lo)
-        pieces = [
-            (lambda p: p <= 0.0, c1),
-            (lambda p: p >= self.P, c3),
-            (lambda p: (p > 0.0) & (p < self.P),
-             EffectiveCurve(p_grid, mid_vals, mid.budget_at(p_grid))),
-        ]
-        return EffectiveCurve.piecewise(pieces, p_grid)
 
 
 def _sub_structure(structure, keep_mask, central_value=None):
@@ -176,7 +161,7 @@ def _sub_structure(structure, keep_mask, central_value=None):
     else:
         c_pos = int(np.argmin(np.abs(bps - central_value)))
     return ConstrainedStructure(bps, c_pos, structure.lipschitz,
-                                structure.p_box, normalized=False)
+                                structure.p_box)
 
 
 def steep_side_family(field, structure, stats):
@@ -201,36 +186,31 @@ def steep_side_family(field, structure, stats):
     P, Q = stats.P, stats.Q
     bps = structure.breakpoints
     q3 = stats.q_k_hi if P < Q else Q
-    s1 = _sub_structure(structure, bps < Q, central_value=0.0)
-    s1.normalized = True   # central minimum still at 0 with esssup 0
     return SteepSideFamily(case="left" if P < Q else "right",
                            H1=ConeAboveField(field, Q, L),
-                           H3=ConeBelowField(field, q3, L), s1=s1,
-                           s3=_sub_structure(structure, bps > q3),
-                           P=P, Q=Q, M_lo=stats.M_lo)
+                           H3=ConeBelowField(field, q3, L),
+                           s1=_sub_structure(structure, bps < Q,
+                                             central_value=0.0),
+                           s3=_sub_structure(structure, bps > q3), P=P, Q=Q)
 
 
 def tilt(field, structure, stats, n):
-    """Subtract the hat peaking 1/n at p_{k_hi} with zeros at the
-    neighboring maxima, turning M_lo == m_hi into a strict inequality."""
+    """Subtract the hat peaking 1/n at the tied well p_{k_hi} with zeros at
+    its neighboring maxima q_{k_hi} and q_{k_hi - 1}, turning
+    M_lo == m_hi into a strict inequality.  The outermost well has no
+    maximum on its right; its hat ends at the mirror image of q_{k_hi}."""
     span = abs(stats.M_hi - stats.m_lo) + 1.0
     if abs(stats.M_lo - stats.m_hi) > 1e-6 * span + 1e-9:
         raise NotApplicable("tilt applies only when M_lo == m_hi (within tol)")
-    pos_max = structure.positive_maxima()
-    a = pos_max[stats.k_lo - 1]                    # q_{k_lo}
-    b = stats.P                                    # p_{k_hi}
-    if stats.k_lo >= 2:
-        c = pos_max[stats.k_lo - 2]                # q_{k_lo - 1}
+    a, b = stats.q_k_hi, stats.P
+    right = structure.positive_maxima()
+    right = right[right > b]
+    if len(right):
+        c = right.min()
     else:
         c = b + (b - a)
         warnings.warn("no maximum right of the tied well: using a symmetric "
                       "virtual hat endpoint", stacklevel=2)
-    if not a < b:
-        # the tied well sits left of q_{k_lo}: peak between its neighbors
-        pm = structure.positive_maxima()
-        right = pm[pm > b]
-        a = pm[pm < b].max() if np.any(pm < b) else 0.0
-        c = right.min() if len(right) else b + (b - a)
     return TiltedField(field, a, b, c, n)
 
 
@@ -253,11 +233,10 @@ class ReductionNode:
     # in build_reduction_tree
     p_shift: float = dc_field(default=0.0, init=False)
     mu_shift: float = dc_field(default=0.0, init=False)
-    # filled in by the reduction that turns the leaf into a rewrite
+    # filled in by the reduction that turns the leaf into a rewrite; a
+    # steep-side node's params carry its combination rule (case, P, M_lo)
     children: list = dc_field(default_factory=list, init=False)
     params: dict = dc_field(default_factory=dict, init=False)
-    # the steep-side rewrite that combines the two children's curves
-    family: SteepSideFamily | None = dc_field(default=None, init=False)
 
     def depth(self):
         if not self.children:
@@ -299,7 +278,7 @@ def build_reduction_tree(field, structure=None, max_depth=8, _depth=0):
     direct-solver leaf and the stall is surfaced as a warning.
     """
     if structure is None:
-        structure, _ = detect_branches(field)
+        structure = detect_branches(field)
     field_n, structure_n, p_shift, mu_shift = normalize(field, structure)
     if _depth >= max_depth:
         warnings.warn("max reduction depth reached: direct leaf", stacklevel=2)
@@ -365,14 +344,14 @@ def _reduce(field, structure, max_depth, depth):
                 stacklevel=2)
             ch = ReductionNode(kind="leaf", field=child_field,
                                structure=child_struct, leaf_kind="direct")
-        elif child_struct.normalized:
+        elif child_struct.central == 0.0:
+            # central minimum still at 0 with esssup 0: already normalized
             ch = _reduce(child_field, child_struct, max_depth, depth + 1)
         else:
             ch = build_reduction_tree(child_field, structure=child_struct,
                                       max_depth=max_depth, _depth=depth + 1)
         children.append(ch)
     node.children = children
-    node.family = fam
     return node
 
 
@@ -447,8 +426,26 @@ def _evaluate_inner(node, p_grid, opts):
         pieces = [(lambda p: p >= 0.0, plus), (lambda p: p < 0.0, minus)]
         return EffectiveCurve.piecewise(pieces, p_grid)
     if node.kind in ("steep_left", "steep_right"):
-        return node.family.combine(curves[0], curves[1], p_grid)
+        return _combine_steep(node.params, *curves, p_grid)
     raise ValueError(f"unknown node kind {node.kind}")
+
+
+def _combine_steep(params, c1, c3, p_grid):
+    """Hbar of a steep-side node from its children's curves: min(Hbar1,
+    Hbar3) in the left case; in the right case Hbar1 on p <= 0, Hbar3 on
+    p >= P and min(Hbar1, Hbar3, M_lo) between."""
+    mid = EffectiveCurve.minimum([c1, c3], p_grid)
+    if params["case"] == "left":
+        return mid
+    P = params["P"]
+    mid_vals = np.minimum(mid.evaluate(p_grid), params["M_lo"])
+    pieces = [
+        (lambda p: p <= 0.0, c1),
+        (lambda p: p >= P, c3),
+        (lambda p: (p > 0.0) & (p < P),
+         EffectiveCurve(p_grid, mid_vals, mid.budget_at(p_grid))),
+    ]
+    return EffectiveCurve.piecewise(pieces, p_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +460,10 @@ def convex_oracle(fields, p_lo=-4.0, p_hi=4.0):
     pointwise minimum of H), the two branch inverses are averaged over a
     400-cell window at 16 samples per cell: Hbar(p -+ (mu)) = mu.  The
     flat piece spans the averaged inverses at the flat level.  ``fields``
-    maps each seed to its realization (a lone field is seed 0); several
-    seeds report the cross-seed spread as the confidence interval.
+    maps each seed to its realization (a lone field is seed 0).  Several
+    seeds share one level grid, from the highest seed flat level to the
+    lowest seed cap, average their inverses level by level and report the
+    cross-seed spread as the confidence interval.
 
     A field with a period key (``HamiltonianField.period_key``) repeats
     the same values on every window point of equal key, so the 513-level
@@ -474,47 +473,55 @@ def convex_oracle(fields, p_lo=-4.0, p_hi=4.0):
     the inverse index, so the window means, and the curve, are the same
     to the bit as on the whole window.
     """
-    per_seed = []
-    for f in _cs._by_seed(fields).values():
-        xs, inv = f.key_points(
-            np.linspace(0.0, 400 * f.cell, 6400, endpoint=False))
-        pg = np.linspace(p_lo, p_hi, 513)
-        h = f.at(xs)
-        vals = h(pg[:, None])
-        arg = pg[np.argmin(vals, axis=0)]
-        # quasi-convexity probe: no interior rebound above tolerance
-        vmin = vals.min(axis=0)
-        tol = 1e-8 * (np.max(vals) - np.min(vals) + 1.0)
-        for j in (0, len(inv) // 3, 2 * len(inv) // 3):
-            col = vals[:, inv[j]]
-            k = int(np.argmin(col))
-            if np.any(np.diff(col[:k + 1]) > tol) or \
-                    np.any(np.diff(col[k:]) < -tol):
-                raise NotApplicable("field is not quasi-convex in p")
-        mu0 = float(vmin.max())
-        # cap levels so both crossings stay inside [p_lo, p_hi] for every x
-        mu_hi = float(min(np.min(vals[0, :]), np.min(vals[-1, :])))
-        if mu_hi <= mu0:
-            raise NotApplicable("p-range too narrow for the requested levels")
-        mus = mu0 + (mu_hi - mu0) * np.linspace(1e-6, 1.0, 33) ** 1.5
-        lo = np.full(len(xs), p_lo)
-        hi = np.full(len(xs), p_hi)
-        p_plus, p_minus = [], []
+    seeds = [_oracle_table(f, p_lo, p_hi)
+             for f in _cs._by_seed(fields).values()]
+    # one level grid for every seed: above each seed's flat level, below
+    # each seed's cap
+    mu0 = max(t[3] for t in seeds)
+    mu_hi = min(t[4] for t in seeds)
+    if mu_hi <= mu0:
+        raise NotApplicable("p-range too narrow for the requested levels")
+    mus = mu0 + (mu_hi - mu0) * np.linspace(1e-6, 1.0, 33) ** 1.5
+    p_minus, p_plus = [], []
+    for h, arg, inv, _, _ in seeds:
+        lo = np.full(len(arg), p_lo)
+        hi = np.full(len(arg), p_hi)
+        p_minus.append([])
+        p_plus.append([])
         for mu in mus:
             # H < mu right of the minimizer: the crossing is further right
             a, b = bisect(lambda m: h(m) < mu, arg, hi, 60)
-            p_plus.append(float(np.mean((0.5 * (a + b))[inv])))
+            p_plus[-1].append(float(np.mean((0.5 * (a + b))[inv])))
             a, b = bisect(lambda m: ~(h(m) < mu), lo, arg, 60)
-            p_minus.append(float(np.mean((0.5 * (a + b))[inv])))
-        per_seed.append((mu0, mus, np.asarray(p_minus), np.asarray(p_plus)))
-    mu0 = float(np.mean([r[0] for r in per_seed]))
-    mus = per_seed[0][1]
-    pm = np.mean([r[2] for r in per_seed], axis=0)
-    pp = np.mean([r[3] for r in per_seed], axis=0)
-    ci_m = np.ptp([r[2] for r in per_seed], axis=0) if len(per_seed) > 1 else 0 * pm
-    ci_p = np.ptp([r[3] for r in per_seed], axis=0) if len(per_seed) > 1 else 0 * pp
+            p_minus[-1].append(float(np.mean((0.5 * (a + b))[inv])))
+    pm = np.mean(p_minus, axis=0)
+    pp = np.mean(p_plus, axis=0)
+    ci_m = np.ptp(p_minus, axis=0) if len(seeds) > 1 else 0 * pm
+    ci_p = np.ptp(p_plus, axis=0) if len(seeds) > 1 else 0 * pp
     ps = np.concatenate([pm[::-1], pp])
     vs = np.concatenate([mus[::-1], mus])
     cis = np.concatenate([ci_m[::-1], ci_p])
     return EffectiveCurve(ps, vs, cis, source=["oracle"] * len(ps),
                           flat=(float(pm[0]), float(pp[0]), mu0))
+
+
+def _oracle_table(f, p_lo, p_hi):
+    """(h, arg, inv, mu0, mu_hi) of one realization: the evaluator frozen
+    at the distinct window keys, the grid minimizer at each, the inverse
+    index back onto the window, the flat level and the level cap."""
+    xs, inv = f.key_points(
+        np.linspace(0.0, 400 * f.cell, 6400, endpoint=False))
+    pg = np.linspace(p_lo, p_hi, 513)
+    h = f.at(xs)
+    vals = h(pg[:, None])
+    # quasi-convexity probe: no interior rebound above tolerance
+    tol = 1e-8 * (np.max(vals) - np.min(vals) + 1.0)
+    for j in (0, len(inv) // 3, 2 * len(inv) // 3):
+        col = vals[:, inv[j]]
+        k = int(np.argmin(col))
+        if np.any(np.diff(col[:k + 1]) > tol) or \
+                np.any(np.diff(col[k:]) < -tol):
+            raise NotApplicable("field is not quasi-convex in p")
+    # cap levels so both crossings stay inside [p_lo, p_hi] for every x
+    return (h, pg[np.argmin(vals, axis=0)], inv, float(vals.min(axis=0).max()),
+            float(min(np.min(vals[0, :]), np.min(vals[-1, :]))))

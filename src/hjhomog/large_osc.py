@@ -27,7 +27,8 @@ from .env import golden_min
 from .errors import (ClusterSuspected, LevelSetConflict,
                      NormalizationViolated, NotApplicable,
                      NotPointwiseExtremal)
-from .structure import TOL_INV, branch_feasible, branch_inverse_grid
+from .structure import (TOL_INV, _sign_ahead, branch_feasible,
+                        branch_inverse_grid)
 
 BUFFER_CELLS = 5
 
@@ -51,12 +52,18 @@ def _scan_roots(gfun, g, xs, mu, tol_touch):
     refined value is still within tol).  High-accuracy locations matter:
     the corner rule at a junction holds only up to the process slope times
     the location error.  ``gfun`` must accept an array of x.
+
+    A sample within TOL_INV of the level is on it, as branch feasibility
+    reads the same process values (``structure.branch_feasible``): it has
+    sign 0, so rounding noise at a touch makes no crossing pair, and a
+    crossing through it is bracketed with the sign about to come.
     """
     d = g - mu
-    s = np.sign(d)
-    flips = np.nonzero(s[:-1] * s[1:] < 0)[0]
+    s = np.where(np.abs(d) <= TOL_INV, 0.0, np.sign(d))
+    ahead = _sign_ahead(s)
+    flips = np.nonzero(ahead[:-1] * ahead[1:] < 0)[0]
     lo, hi = xs[flips], xs[flips + 1]
-    up = d[flips] > 0
+    up = ahead[flips] > 0
     for _ in range(60 if len(flips) else 0):
         mid = 0.5 * (lo + hi)
         dm = gfun(mid) - mu
@@ -100,10 +107,7 @@ def admissible_decomposition(field, structure, mu, window):
     W = x_hi - x_lo
     sep_min = 1e-4 * W
     xs = np.arange(x_lo, x_hi + dx_root * 0.5, dx_root)
-    pos_min = structure.positive_minima()
-    pos_max = structure.positive_maxima()
-    m_vals = field.evaluate(pos_min[:, None], xs[None, :])
-    M_vals = field.evaluate(pos_max[:, None], xs[None, :])
+    m_vals, M_vals = structure.processes(field, xs)
     M_bar = float(M_vals.max())
     m_low = float(m_vals.min())
     nb = 2 * L + 1
@@ -115,9 +119,10 @@ def admissible_decomposition(field, structure, mu, window):
     span = float(max(M_vals.max() - m_vals.min(), 1.0))
     tol_touch = 1e-6 * span + _max_step(m_vals, M_vals)
     roots = []
-    for k, p_ext in enumerate(np.concatenate([pos_min, pos_max])):
-        g = m_vals[k] if k < len(pos_min) else M_vals[k - len(pos_min)]
-        gfun = partial(field.evaluate, float(p_ext))
+    p_ext = np.concatenate([structure.positive_minima(),
+                            structure.positive_maxima()])
+    for p, g in zip(p_ext, [*m_vals, *M_vals]):
+        gfun = partial(field.evaluate, float(p))
         roots.extend(_scan_roots(gfun, g, xs, mu, tol_touch))
     roots = np.sort(np.asarray(roots))
     roots = roots[(roots > x_lo + 1e-9 * W) & (roots < x_hi - 1e-9 * W)]

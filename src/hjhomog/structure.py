@@ -34,9 +34,6 @@ class ConstrainedStructure:
     central_pos: int
     lipschitz: float
     p_box: float
-    p_shift: float = 0.0
-    mu_shift: float = 0.0
-    normalized: bool = False
 
     def __post_init__(self):
         self.breakpoints = np.asarray(self.breakpoints, dtype=np.float64)
@@ -101,52 +98,19 @@ class ConstrainedStructure:
         """Odd positive branches increase; odd negative branches decrease."""
         return j % 2 == 1 if side == "+" else j % 2 == 0
 
-    def shifted(self, p_shift, mu_shift):
-        return ConstrainedStructure(
-            self.breakpoints - p_shift, self.central_pos, self.lipschitz,
-            self.p_box, self.p_shift + p_shift, self.mu_shift + mu_shift,
-            normalized=True)
+    def processes(self, field, xs):
+        """The positive side's extremum processes at ``xs``: the well rows
+        m_j = H(p_j, xs) and the hill rows M_j = H(q_j, xs), outermost
+        first."""
+        xs = np.asarray(xs, dtype=np.float64)[None, :]
+        return (field.evaluate(self.positive_minima()[:, None], xs),
+                field.evaluate(self.positive_maxima()[:, None], xs))
 
     def to_dict(self):
         return {"breakpoints": [float(b) for b in self.breakpoints],
                 "central_pos": int(self.central_pos),
                 "index": list(self.index),
-                "lipschitz": float(self.lipschitz),
-                "p_shift": float(self.p_shift),
-                "mu_shift": float(self.mu_shift),
-                "normalized": bool(self.normalized)}
-
-
-class ExtremaProcesses:
-    """Local extreme value processes m_j(x) = H(p_j, x), M_j(x) = H(q_j, x)
-    and the pointwise envelopes m(x) (min over non-central minima) and
-    M(x) (max over maxima)."""
-
-    def __init__(self, field, structure):
-        self.field = field
-        self.structure = structure
-        c = structure.central_pos
-        bps = structure.breakpoints
-        self._noncentral_minima = np.concatenate([bps[:c:2], bps[c + 2:: 2]])
-        self._maxima = bps[1::2]
-
-    def minima_values(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return self.field.evaluate(self._noncentral_minima[:, None], x[None, :])
-
-    def maxima_values(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return self.field.evaluate(self._maxima[:, None], x[None, :])
-
-    def m(self, x):
-        if len(self._noncentral_minima) == 0:
-            raise NotApplicable("no non-central wells: m(x) undefined")
-        return self.minima_values(x).min(axis=0)
-
-    def M(self, x):
-        if len(self._maxima) == 0:
-            raise NotApplicable("no interior maxima: M(x) undefined")
-        return self.maxima_values(x).max(axis=0)
+                "lipschitz": float(self.lipschitz)}
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +280,20 @@ def declutter(field, n):
 # branch detection
 # ---------------------------------------------------------------------------
 
+def _sign_ahead(sign):
+    """``sign`` with each zero replaced by the sign about to come: the
+    next nonzero entry, or 0 where none follows."""
+    at = np.where(sign != 0, np.arange(len(sign)), len(sign))
+    return np.append(sign, 0.0)[np.minimum.accumulate(at[::-1])[::-1]]
+
+
 def _breakpoints_one_probe(field, x, p_box):
     ps = np.linspace(-p_box, p_box, 2001)
     step = ps[1] - ps[0]
     h = 0.25 * step
     g = field.evaluate(ps + h, x) - field.evaluate(ps - h, x)
-    sign = np.sign(g)
-    # treat exact zeros as the sign about to come: the sign of the next
-    # nonzero entry, or 0 where none follows
-    at = np.where(sign != 0, np.arange(len(sign)), len(sign))
-    sign = np.append(sign, 0.0)[np.minimum.accumulate(at[::-1])[::-1]]
+    # exact zeros take the sign about to come
+    sign = _sign_ahead(np.sign(g))
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     kinds = np.where(sign[flips] < 0, 1, -1)  # 1 = minimum
     # a maximum (kind -1) is a minimum of -H; x stays scalar, so its
@@ -357,7 +325,7 @@ def detect_branches(field, p_box=None):
     refined by golden-section search, then required to agree across probes
     within 2e-4 p_box; larger drift raises NotConstrained naming the
     offending probe pair.  The central well is the ``_tie_break`` choice.
-    Returns (ConstrainedStructure, ExtremaProcesses).
+    Returns the ConstrainedStructure.
     """
     if p_box is None:
         p_box = default_p_box(field)
@@ -393,10 +361,9 @@ def detect_branches(field, p_box=None):
             kinds[i] == kinds[i + 1] for i in range(len(kinds) - 1)):
         raise NotConstrained("breakpoints do not alternate min/max")
 
-    structure = ConstrainedStructure(
+    return ConstrainedStructure(
         breakpoints=bps, central_pos=2 * _tie_break(bps[0::2]),
         lipschitz=field.lipschitz_on(p_box), p_box=float(p_box))
-    return structure, ExtremaProcesses(field, structure)
 
 
 # ---------------------------------------------------------------------------
@@ -463,37 +430,33 @@ class OscillationStats:
     m_hi: float          # esssup of the min process
     M_hi: float          # esssup of the max process
     m_lo: float          # essinf of the min process
-    k_lo: int            # positive branch attaining M_lo
     P: float             # p_{k_hi}, k_hi the positive branch attaining m_hi
-    Q: float             # q_{k_lo}
+    Q: float             # q_{k_lo}, k_lo the positive branch attaining M_lo
     q_k_hi: float        # q_{k_hi}
 
 
 def classify_oscillation(field, structure):
-    """Small vs large oscillation of one realization from extrema of m(x)
-    and M(x) over a 100-cell window, 16 samples per cell.
+    """Small vs large oscillation of one realization from extrema of the
+    positive side's m(x) = min_j m_j(x) and M(x) = max_j M_j(x) over a
+    100-cell window, 16 samples per cell.
 
-    The arg-branches are taken on the positive side, as required by the
-    one-sided gluing constructions.
+    The positive side is the one the one-sided gluing constructions read;
+    on an index (0, L) field its wells are all the non-central ones.
     """
     pos_min = structure.positive_minima()
     pos_max = structure.positive_maxima()
     if len(pos_min) == 0:
         raise NotApplicable("no positive-side wells to classify")
     xs = np.linspace(0.0, 100 * field.cell, 1600, endpoint=False)
-    proc = ExtremaProcesses(field, structure)
-    m_vals = proc.m(xs)
-    M_vals = proc.M(xs)
-    essinf_Mj = field.evaluate(pos_max[:, None], xs[None, :]).min(axis=1)
-    esssup_mj = field.evaluate(pos_min[:, None], xs[None, :]).max(axis=1)
+    wells, hills = structure.processes(field, xs)
+    m_vals, M_vals = wells.min(axis=0), hills.max(axis=0)
     M_lo, m_hi = float(M_vals.min()), float(m_vals.max())
-    k_lo = int(np.argmax(essinf_Mj)) + 1
-    k_hi = int(np.argmin(esssup_mj)) + 1
+    k_lo = int(np.argmax(hills.min(axis=1))) + 1
+    k_hi = int(np.argmin(wells.max(axis=1))) + 1
     return OscillationStats(
         small=M_lo >= m_hi, M_lo=M_lo, m_hi=m_hi, M_hi=float(M_vals.max()),
-        m_lo=float(m_vals.min()), k_lo=k_lo,
-        P=float(pos_min[k_hi - 1]), Q=float(pos_max[k_lo - 1]),
-        q_k_hi=float(pos_max[k_hi - 1]))
+        m_lo=float(m_vals.min()), P=float(pos_min[k_hi - 1]),
+        Q=float(pos_max[k_lo - 1]), q_k_hi=float(pos_max[k_hi - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +487,7 @@ def normalize(field, structure, central=None):
         c_idx = _tie_break(minima)
     p_shift = float(minima[c_idx])
     mu_shift = esssup_probe(field, p_shift)
-    out = TransformedField(field, p_shift, mu_shift)
-    new_structure = structure.shifted(p_shift, mu_shift)
-    new_structure.central_pos = 2 * c_idx
-    return out, new_structure, p_shift, mu_shift
+    return (TransformedField(field, p_shift, mu_shift),
+            ConstrainedStructure(structure.breakpoints - p_shift, 2 * c_idx,
+                                 structure.lipschitz, structure.p_box),
+            p_shift, mu_shift)

@@ -33,7 +33,7 @@ def abs_sin():
 def quartic01():
     f0 = env.sample(env.make_periodic("quartic_plus_sin", 1.0,
                                       {"amplitude": 0.1}))
-    s, _ = st.detect_branches(f0)
+    s = st.detect_branches(f0)
     return st.normalize(f0, s)
 
 
@@ -45,7 +45,7 @@ def quartic2():
 
 @pytest.fixture(scope="module")
 def quartic2_normalized(quartic2):
-    s, _ = st.detect_branches(quartic2)
+    s = st.detect_branches(quartic2)
     return st.normalize(quartic2, s)
 
 
@@ -65,8 +65,7 @@ def pwl_large():
               "values": [0.0, 0.8, 0.4, 0.9, 0.6],
               "cone_slope": 2.0, "amplitude": 0.6}
     f = env.sample(env.make_periodic("pwl_wells_plus_dip", 1.0, params))
-    s, _ = st.detect_branches(f)
-    s.normalized = True
+    s = st.detect_branches(f)
     stats = st.classify_oscillation(f, s)
     return f, s, stats
 
@@ -75,8 +74,7 @@ def _steep_field(values, cone):
     params = {"nodes": [0.0, 0.5, 1.0, 1.5, 2.0], "values": values,
               "cone_slope": cone, "amplitude": 0.1}
     f = env.sample(env.make_periodic("pwl_wells_plus_dip", 1.0, params))
-    s, _ = st.detect_branches(f)
-    s.normalized = True
+    s = st.detect_branches(f)
     stats = st.classify_oscillation(f, s)
     return f, s, stats
 
@@ -230,8 +228,7 @@ def test_criterion_10_admissible_machinery(pwl_large):
     f, s, stats = pwl_large
     window = (0.0, 100.0)
     x_probe = np.linspace(0, 100, 1601)
-    proc = st.ExtremaProcesses(f, s)
-    M_bar = float(proc.M(x_probe).max())
+    M_bar = float(s.processes(f, x_probe)[1].max())
     rho = f.modulus(-1.0, 4.0)
 
     mu_grid = lo.default_mu_grid(M_bar, 15)
@@ -251,7 +248,7 @@ def test_criterion_10_admissible_machinery(pwl_large):
     mu_hi = 0.9 * M_bar
     f_hi_ = lo.extremal_admissible(f, s, mu_hi, window, "sup")
     sel = f_hi_.cell_branch
-    forced_hi = proc.M(f_hi_.x_mid) < mu_hi
+    forced_hi = s.processes(f, f_hi_.x_mid)[1].max(axis=0) < mu_hi
     force1 = bool(np.all(sel[forced_hi] == 1))
     frac1 = np.sum(f_hi_.widths[sel == 1]) / np.sum(f_hi_.widths)
     frac1_forced = np.sum(f_hi_.widths[forced_hi]) / np.sum(f_hi_.widths)
@@ -260,7 +257,7 @@ def test_criterion_10_admissible_machinery(pwl_large):
     nb = 2 * s.index[1] + 1
     f_lo2 = lo.extremal_admissible(f, s, mu_lo_, window, "inf")
     sel2 = f_lo2.cell_branch
-    forced_lo = proc.m(f_lo2.x_mid) > mu_lo_
+    forced_lo = s.processes(f, f_lo2.x_mid)[0].min(axis=0) > mu_lo_
     force2 = bool(np.all(sel2[forced_lo] == nb))
     fracN = np.sum(f_lo2.widths[sel2 == nb]) / np.sum(f_lo2.widths)
     fracN_forced = np.sum(f_lo2.widths[forced_lo]) / np.sum(f_lo2.widths)

@@ -9,8 +9,8 @@ disguise: it carries a branch nobody runs and a knob nobody turns.  A
 keyword that no definition of the called name accepts is a stale call,
 which fails only when it runs (the demos are only byte-compiled).  A
 public module-level function or class that nothing in ``src/`` outside its
-own definition, and nothing in ``demos/``, names (re-exports in
-``__init__.py`` count) is test scaffolding shipped as API; it belongs
+own definition, and nothing in ``demos/``, names (a re-export in an
+``__init__.py`` is no use) is test scaffolding shipped as API; it belongs
 beside its tests, in ``tests/proof_checks.py``.  The same holds for a
 public method or property that nothing in ``src/`` outside its own body,
 and nothing in ``demos/`` or ``perfbench/``, names as an attribute, and
@@ -229,6 +229,7 @@ def test_every_public_name_has_a_user_caller():
                     and not node.name.startswith("_"))
     named = {name for top in USER_DIRS
              for path in _py_files(os.path.join(ROOT, top))
+             if os.path.basename(path) != "__init__.py"
              for name, owner in _named(_parse(path)) if name != owner}
     unused = [f"{module}.{name}" for module, name in public
               if name not in named]

@@ -220,6 +220,25 @@ def test_largeosc_without_positive_maxima_exit_1(tmp_path):
     assert "no positive maxima" in report["error"]
 
 
+DIP_ENV = {"schema": "env/1", "kind": "periodic",
+           "profile": "pwl_wells_plus_dip",
+           "params": {"nodes": [0, 1, 2], "values": [0, 1, 0],
+                      "cone_slope": 2, "amplitude": 0.5},
+           "period": 1.0}
+
+
+@pytest.mark.parametrize("task", ["largeosc", "glue"])
+def test_hill_touching_level_is_one_junction(tmp_path, task):
+    # the normalized hill process touches level 0 at x = k + 0.75, where
+    # rounding leaves one sample 3e-14 below the level: that is one touch,
+    # not two crossings closer than sep_min (ClusterSuspected)
+    cfg = _cfg(task=task, env=DIP_ENV, p_grid=[-1.0, 0.0, 1.0],
+               window_cells=20)
+    assert cli.run(cfg, str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "ok"
+
+
 def test_validate_task(tmp_path):
     cfg_path = _write(tmp_path, "cfg.json", _cfg(task="validate"))
     out = tmp_path / "out"

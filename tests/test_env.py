@@ -279,8 +279,9 @@ def test_split_seed_deterministic():
 
 
 def test_composite_environment():
-    spec = env.make_composite("double_well", amplitude=0.3, inner_period=0.5,
-                              value_range=(-1.0, 0.0), cell_length=1.0)
+    spec = env.make_checkerboard(
+        (-1.0, 0.0), 1.0, "base_plus_sin_plus_v",
+        {"base": "double_well", "amplitude": 0.3, "inner_period": 0.5})
     f = env.sample(spec, seed=4)
     xs = np.linspace(0, 8, 200)
     vals = f.evaluate(0.0, xs)

@@ -31,7 +31,7 @@ def _field(params):
 
 
 def _analysed(field, central=None):
-    s, _ = st.detect_branches(field)
+    s = st.detect_branches(field)
     f, sn, _, _ = st.normalize(field, s, central=central)
     stats = st.classify_oscillation(f, sn)
     return f, sn, stats
@@ -69,6 +69,22 @@ def test_oracle_checkerboard_abs():
     assert np.all(c.budget <= 0.05)
 
 
+def test_oracle_seeds_share_one_level_grid():
+    # H = |p| + V(x): each seed's flat level is its window esssup of V, and
+    # above the highest of them every seed's crossing is p+ = mu - mean(V)
+    spec = env.make_separable("abs", (-1.0, 0.0), 1.0)
+    fields = {s: env.sample(spec, s) for s in range(4)}
+    c = gl.convex_oracle(fields, p_lo=-3.5, p_hi=3.5)
+    xs = np.linspace(0.0, 400.0, 6400, endpoint=False)
+    flats = [float(f.evaluate(0.0, xs).max()) for f in fields.values()]
+    assert len(set(flats)) == 4
+    assert c.flat[2] == max(flats)
+    assert c.values.min() >= c.flat[2]
+    plus = c.p >= 0.0
+    np.testing.assert_allclose(c.p[plus] - c.values[plus],
+                               c.p[plus][0] - c.values[plus][0], atol=1e-9)
+
+
 def test_oracle_rejects_nonconvex():
     f = env.sample(env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 0.1}))
     with pytest.raises(NotApplicable):
@@ -77,12 +93,13 @@ def test_oracle_rejects_nonconvex():
 
 def _convex_oracle_reference(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
     # the oracle as it was before it evaluated periodic fields on one
-    # period: every one of the 6,400 window points is evaluated and bisected
+    # period: every one of the 6,400 window points is evaluated and
+    # bisected; several seeds share one level grid
     if isinstance(source, EnvironmentSpec):
         fields = [env.sample(source, s) for s in seeds]
     else:
         fields = [source]
-    per_seed = []
+    tables = []
     for f in fields:
         xs = np.linspace(0.0, 400 * f.cell, 6400, endpoint=False)
         pg = np.linspace(p_lo, p_hi, 513)
@@ -98,14 +115,18 @@ def _convex_oracle_reference(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
             if np.any(np.diff(col[:k + 1]) > tol) or \
                     np.any(np.diff(col[k:]) < -tol):
                 raise NotApplicable("field is not quasi-convex in p")
-        mu0 = float(vmin.max())
         # cap levels so both crossings stay inside [p_lo, p_hi] for every x
         mu_hi = float(min(np.min(vals[0, :]), np.min(vals[-1, :])))
-        if mu_hi <= mu0:
-            raise NotApplicable("p-range too narrow for the requested levels")
-        mus = mu0 + (mu_hi - mu0) * np.linspace(1e-6, 1.0, 33) ** 1.5
-        lo = np.full(len(xs), p_lo)
-        hi = np.full(len(xs), p_hi)
+        tables.append((h, arg, float(vmin.max()), mu_hi))
+    mu0 = max(t[2] for t in tables)
+    mu_hi = min(t[3] for t in tables)
+    if mu_hi <= mu0:
+        raise NotApplicable("p-range too narrow for the requested levels")
+    mus = mu0 + (mu_hi - mu0) * np.linspace(1e-6, 1.0, 33) ** 1.5
+    per_seed = []
+    for h, arg, _, _ in tables:
+        lo = np.full(len(arg), p_lo)
+        hi = np.full(len(arg), p_hi)
         p_plus, p_minus = [], []
         for mu in mus:
             # H < mu right of the minimizer: the crossing is further right
@@ -113,13 +134,11 @@ def _convex_oracle_reference(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
             p_plus.append(float(np.mean(0.5 * (a + b))))
             a, b = bisect(lambda m: ~(h(m) < mu), lo, arg, 60)
             p_minus.append(float(np.mean(0.5 * (a + b))))
-        per_seed.append((mu0, mus, np.asarray(p_minus), np.asarray(p_plus)))
-    mu0 = float(np.mean([r[0] for r in per_seed]))
-    mus = per_seed[0][1]
-    pm = np.mean([r[2] for r in per_seed], axis=0)
-    pp = np.mean([r[3] for r in per_seed], axis=0)
-    ci_m = np.ptp([r[2] for r in per_seed], axis=0) if len(per_seed) > 1 else 0 * pm
-    ci_p = np.ptp([r[3] for r in per_seed], axis=0) if len(per_seed) > 1 else 0 * pp
+        per_seed.append((np.asarray(p_minus), np.asarray(p_plus)))
+    pm = np.mean([r[0] for r in per_seed], axis=0)
+    pp = np.mean([r[1] for r in per_seed], axis=0)
+    ci_m = np.ptp([r[0] for r in per_seed], axis=0) if len(per_seed) > 1 else 0 * pm
+    ci_p = np.ptp([r[1] for r in per_seed], axis=0) if len(per_seed) > 1 else 0 * pp
     ps = np.concatenate([pm[::-1], pp])
     vs = np.concatenate([mus[::-1], mus])
     cis = np.concatenate([ci_m[::-1], ci_p])
@@ -221,7 +240,7 @@ def test_split_cone_formula():
 
 def test_split_requires_normalized():
     f = _field(LEFT_PARAMS)
-    s, _ = st.detect_branches(f)
+    s = st.detect_branches(f)
     shifted = st.TransformedField(f, 0.7, 0.0)
     s_bad = st.ConstrainedStructure(s.breakpoints - 0.7, s.central_pos,
                                     s.lipschitz, s.p_box)
@@ -319,6 +338,43 @@ def test_tilt_makes_strictly_small():
     stats2 = st.classify_oscillation(tilted, sn)
     assert stats2.small
     assert stats2.M_lo > stats2.m_hi + 1e-3
+
+
+def _tied(values):
+    # H = v(p) + 0.55 (sin 2 pi x - 1): M_lo = max(v at the hills) - 1.1
+    # ties with m_hi = min(v at the positive wells)
+    params = dict(TIE_PARAMS, values=values)
+    f, sn, stats = _analysed(_field(params))
+    span = abs(stats.M_hi - stats.m_lo) + 1.0
+    assert abs(stats.M_lo - stats.m_hi) <= 1e-6 * span
+    return f, sn, stats
+
+
+def test_tilt_hat_inside_the_deepest_well():
+    # the hill attaining M_lo (q_2 = 0.5) lies left of the tied outermost
+    # well's own hill (q_1 = 1.5): the hat spans that well's neighbours,
+    # right of it the mirror image of q_1
+    f, sn, stats = _tied([0.0, 1.3, 0.5, 0.8, 0.2])
+    assert stats.Q == pytest.approx(0.5, abs=1e-6)
+    assert stats.P == pytest.approx(2.0, abs=1e-6)
+    with pytest.warns(UserWarning, match="no maximum right of the tied well"):
+        tilted = gl.tilt(f, sn, stats, 16)
+    assert tilted.a < tilted.b < tilted.c
+    np.testing.assert_allclose([tilted.a, tilted.b, tilted.c],
+                               [1.5, 2.0, 2.5], atol=1e-6)
+
+
+def test_tilt_inner_tied_well_has_a_right_hill():
+    # M_lo is attained on the outermost hill q_1 = 1.5, the tie on the
+    # inner well p_2 = 1, whose right neighbour is q_1: no virtual endpoint
+    f, sn, stats = _tied([0.0, 0.8, 0.2, 1.3, 0.5])
+    assert stats.Q == pytest.approx(1.5, abs=1e-6)
+    assert stats.P == pytest.approx(1.0, abs=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tilted = gl.tilt(f, sn, stats, 16)
+    np.testing.assert_allclose([tilted.a, tilted.b, tilted.c],
+                               [0.5, 1.0, 1.5], atol=1e-6)
 
 
 def test_tilt_rejects_strict_case():

@@ -28,7 +28,7 @@ PWL_LARGE = {"nodes": [0.0, 0.5, 1.0, 1.5, 2.0],
 @pytest.fixture(scope="module")
 def quartic():
     f0 = env.sample(env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 2.0}))
-    s, _ = st.detect_branches(f0)
+    s = st.detect_branches(f0)
     f, sn, p_shift, mu_shift = st.normalize(f0, s)
     return f, sn
 
@@ -42,11 +42,10 @@ def quartic_extremals(quartic):
 @pytest.fixture(scope="module")
 def pwl():
     f = env.sample(env.make_periodic("pwl_wells_plus_dip", 1.0, PWL_LARGE))
-    s, _ = st.detect_branches(f)
+    s = st.detect_branches(f)
     assert s.index == (0, 2)
     stats = st.classify_oscillation(f, s)
     assert not stats.small and stats.m_hi > 0
-    s.normalized = True   # esssup H(0, .) = 0 by construction
     return f, s, stats
 
 
@@ -63,7 +62,7 @@ def test_trivial_above_max(quartic):
 def test_trivial_below_min():
     params = dict(PWL_LARGE, amplitude=0.15)   # m_low = 0.1 >= 0
     f = env.sample(env.make_periodic("pwl_wells_plus_dip", 1.0, params))
-    s, _ = st.detect_branches(f)
+    s = st.detect_branches(f)
     dec = lo.admissible_decomposition(f, s, 0.05, WINDOW)
     assert dec.intervals == [WINDOW]
     assert dec.feasible == [{2 * s.index[1] + 1}]
@@ -387,8 +386,7 @@ def test_branch_forcing_above(quartic, quartic_extremals):
     dec = lo.admissible_decomposition(f, sn, 0.5, WINDOW)
     f_hi = lo.extremal_admissible(f, sn, 0.5, WINDOW, "sup",
                                   decomposition=dec)
-    proc = st.ExtremaProcesses(f, sn)
-    forced = proc.M(f_hi.x_mid) < 0.5
+    forced = sn.processes(f, f_hi.x_mid)[1].max(axis=0) < 0.5
     on_branch1 = f_hi.cell_branch == 1
     assert np.all(on_branch1[forced])
 
@@ -400,8 +398,7 @@ def test_branch_forcing_below(pwl):
     dec = lo.admissible_decomposition(f, s, mu, WINDOW)
     f_hi = lo.extremal_admissible(f, s, mu, WINDOW, "sup",
                                   decomposition=dec)
-    proc = st.ExtremaProcesses(f, s)
-    forced = proc.m(f_hi.x_mid) > mu
+    forced = s.processes(f, f_hi.x_mid)[0].min(axis=0) > mu
     assert forced.mean() > 0.1     # the forcing set is substantial
     nb = 2 * s.index[1] + 1
     sel = f_hi.cell_branch
@@ -561,7 +558,7 @@ def test_level_piece_builds_run_tables_before_bisecting(quartic,
 def test_checkerboard_extremal_means_agree():
     spec = env.make_checkerboard((-2.0, 0.0), 1.0, "quartic_plus_v")
     realizations = {s: env.sample(spec, s) for s in (0, 1)}
-    s0, _ = st.detect_branches(realizations[0])
+    s0 = st.detect_branches(realizations[0])
 
     means = []
     for s, fr in realizations.items():
@@ -792,16 +789,16 @@ def test_extreme_level_oracles(quartic):
 def test_extreme_level_xfree_shifted():
     f = env.sample(env.make_periodic(
         lambda p, x: np.asarray(p) ** 2 - 1.0 + 0.0 * np.asarray(x), 1.0))
-    s, _ = st.detect_branches(f)
+    s = st.detect_branches(f)
     ext = lo.extreme_level(f, s, window_cells=20)
     assert ext["e_zl"] == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_extreme_level_normalization_violated():
     f = env.sample(env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 2.0}))
-    s, _ = st.detect_branches(f)   # un-normalized: esssup H(central, .) = 2
+    s = st.detect_branches(f)   # un-normalized: esssup H(central, .) = 2
     s2 = st.ConstrainedStructure(s.breakpoints - s.minima[0], 0,
-                                 s.lipschitz, s.p_box, normalized=True)
+                                 s.lipschitz, s.p_box)
     shifted = st.TransformedField(f, float(s.minima[0]), 0.0)
     with pytest.raises(NormalizationViolated):
         lo.extreme_level(shifted, s2, window_cells=20)

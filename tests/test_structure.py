@@ -72,7 +72,7 @@ def test_approx_wells_count(quartic_01):
     n = 2
     approx, known = st.build_constrained_approx(quartic_01, n)
     assert known.wells == 2 * n * n + 1
-    detected, _ = st.detect_branches(approx, p_box=n + 0.5)
+    detected = st.detect_branches(approx, p_box=n + 0.5)
     assert detected.wells == 2 * n * n + 1
     assert np.allclose(detected.breakpoints, known.breakpoints, atol=1e-6)
 
@@ -119,17 +119,17 @@ def test_declutter_sup_distance(quartic_2):
 
 
 def test_detect_quartic_breakpoints(quartic_01):
-    s, proc = st.detect_branches(quartic_01)
+    s = st.detect_branches(quartic_01)
     assert np.allclose(s.breakpoints, [-1.0, 0.0, 1.0], atol=1e-6)
     # tie-break picks the smaller-p well; one well remains on the right
     assert s.central == pytest.approx(-1.0, abs=1e-6)
     assert s.index == (0, 1)
-    xs = np.linspace(0, 1, 50)
-    assert np.all(proc.m(xs) <= proc.M(xs))
+    wells, hills = s.processes(quartic_01, np.linspace(0, 1, 50))
+    assert np.all(wells.min(axis=0) <= hills.max(axis=0))
 
 
 def test_detect_abs_plus_v(abs_sin):
-    s, _ = st.detect_branches(abs_sin)
+    s = st.detect_branches(abs_sin)
     assert len(s.breakpoints) == 1
     assert s.breakpoints[0] == pytest.approx(0.0, abs=1e-8)
     assert s.index == (0, 0)
@@ -190,26 +190,26 @@ def test_breakpoints_one_probe_matches_loop_reference(name):
 
 def test_branch_inverse_quartic_closed_form():
     f = env.sample(env.make_periodic("xfree", 1.0, {"base": "double_well"}))
-    s, _ = st.detect_branches(f)
+    s = st.detect_branches(f)
     p = pc.branch_inverse(f, s, 1, 0.3, 1.0, side="+")
     assert p == pytest.approx(math.sqrt(1.0 + 1.0), abs=1e-9)
 
 
 def test_branch_inverse_abs(abs_sin):
-    s, _ = st.detect_branches(abs_sin)
+    s = st.detect_branches(abs_sin)
     p = pc.branch_inverse(abs_sin, s, 1, 0.0, 2.0, side="+")
     assert p == pytest.approx(2.0, abs=1e-9)
 
 
 def test_branch_inverse_out_of_range(quartic_01):
-    s, _ = st.detect_branches(quartic_01)
+    s = st.detect_branches(quartic_01)
     # level below the right well bottom at x = 0.75 (well value 0.1 sin = -0.1)
     with pytest.raises(OutOfBranchRange):
         pc.branch_inverse(quartic_01, s, 1, 0.75, -0.5, side="+")
 
 
 def test_branch_inverse_consistency(quartic_2):
-    s, _ = st.detect_branches(quartic_2)
+    s = st.detect_branches(quartic_2)
     rng = np.random.default_rng(3)
     for _ in range(30):
         x = rng.uniform(0, 1)
@@ -223,7 +223,7 @@ def test_branch_inverse_consistency(quartic_2):
 
 
 def test_branch_inverse_grid_matches_scalar(quartic_2):
-    s, _ = st.detect_branches(quartic_2)
+    s = st.detect_branches(quartic_2)
     xs = np.linspace(0, 1, 40)
     mu = 2.5  # above esssup of the well value 2 sin, so branch 1 always crosses
     grid, feas = st.branch_inverse_grid(quartic_2, s, 1, xs, mu, side="+")
@@ -255,7 +255,7 @@ def _branch_inverse_brentq(field, structure, j, x, mu, side="+"):
 
 @pytest.mark.parametrize("mu", [-1.5, 0.0, 0.7, 2.5])
 def test_branch_inverse_matches_brentq_reference(quartic_2, mu):
-    s, _ = st.detect_branches(quartic_2)
+    s = st.detect_branches(quartic_2)
     for side, n in (("+", 2 * s.index[1] + 1), ("-", 2 * s.index[0] + 1)):
         for j in range(1, n + 1):
             for x in np.linspace(0.0, 1.0, 9):
@@ -290,7 +290,7 @@ def _branch_inverse_grid_reference(field, structure, j, xs, mu, side="+"):
 
 @pytest.mark.parametrize("mu", [-1.5, 0.0, 0.7, 2.5])
 def test_branch_inverse_grid_matches_loop_reference(quartic_2, mu):
-    s, _ = st.detect_branches(quartic_2)
+    s = st.detect_branches(quartic_2)
     xs = np.linspace(0.0, 2.0, 53).reshape(1, 53)
     for side, n in (("+", 2 * s.index[1] + 1), ("-", 2 * s.index[0] + 1)):
         for j in range(1, n + 1):
@@ -327,7 +327,7 @@ def _branch_inverse_grid_before_keys(field, structure, j, xs, mu, side="+"):
 T_07 = 0.7
 Q_07 = env.sample(env.make_periodic("quartic_plus_sin", T_07,
                                     {"amplitude": 2.0}))
-Q_07_S, _ = st.detect_branches(Q_07)
+Q_07_S = st.detect_branches(Q_07)
 
 
 def _keyless_fields():
@@ -338,7 +338,7 @@ def _keyless_fields():
            "mirrored": gl.MirroredField(Q_07),
            "max": pc.MaxField(Q_07, st.TransformedField(Q_07, 0.05, -0.1)),
            "board": board}
-    return {name: (f, st.detect_branches(f)[0]) for name, f in out.items()}
+    return {name: (f, st.detect_branches(f)) for name, f in out.items()}
 
 
 KEYLESS = _keyless_fields()
@@ -456,7 +456,7 @@ def test_keyless_inversion_bisects_every_x(monkeypatch):
 
 
 def _normalized(field, central=None):
-    s, _ = st.detect_branches(field)
+    s = st.detect_branches(field)
     return st.normalize(field, s, central=central)
 
 
@@ -469,7 +469,7 @@ def test_oscillation_small(quartic_01):
 
 
 def test_oscillation_large(quartic_2):
-    s, _ = st.detect_branches(quartic_2)
+    s = st.detect_branches(quartic_2)
     stats = st.classify_oscillation(quartic_2, s)
     assert not stats.small
     assert stats.m_hi == pytest.approx(2.0, abs=1e-4)
@@ -478,7 +478,7 @@ def test_oscillation_large(quartic_2):
 
 def test_oscillation_degenerate_deterministic():
     f = env.sample(env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 0.0}))
-    s, _ = st.detect_branches(f)
+    s = st.detect_branches(f)
     stats = st.classify_oscillation(f, s)
     assert stats.small
     assert stats.M_lo == stats.M_hi
@@ -490,15 +490,12 @@ def test_oscillation_degenerate_deterministic():
 
 def test_normalize_chosen_central():
     f = env.sample(env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 1.0}))
-    s, _ = st.detect_branches(f)
+    s = st.detect_branches(f)
     fn, sn, p_shift, mu_shift = st.normalize(f, s, central=1.0)
     assert p_shift == pytest.approx(1.0, abs=1e-6)
     assert mu_shift == pytest.approx(1.0, abs=1e-6)   # esssup sin at the well
     assert sn.central == pytest.approx(0.0, abs=1e-9)
     assert st.esssup_probe(fn, 0.0) == pytest.approx(0.0, abs=1e-12)
-    # curve transform bookkeeping
-    assert sn.p_shift == pytest.approx(1.0, abs=1e-6)
-    assert sn.mu_shift == pytest.approx(1.0, abs=1e-6)
 
 
 def test_normalize_idempotent(quartic_01):
