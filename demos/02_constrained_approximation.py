@@ -36,7 +36,7 @@ print("the interpolated separation bump, all clean slices stay untouched")
 flat_slice = env.sample(env.make_periodic(
     lambda p, x: np.minimum(np.abs(8.0 * np.asarray(p)), 1.0)
     * np.sin(2 * np.pi * x), 1.0))
-out = structure.declutter(flat_slice, 8)
+out = structure.DeclutteredField(flat_slice, 8)
 x = 0.125
 print(f"  before: H(0, {x}) = {flat_slice.evaluate(0.0, x):.6f}")
 print(f"  after:  H(0, {x}) = {out.evaluate(0.0, x):.6f} "

@@ -272,8 +272,7 @@ def _coarse(grid, lam):
                    dt=0.9 / (grid.theta / (grid.dx * 2) + lam))
 
 
-def solve_discounted(field, p, lam, grid, w0=None, max_iters=200,
-                     verify_steps=12, nested=True):
+def solve_discounted(field, p, lam, grid, w0=None, verify_steps=12):
     """Steady state of the discounted LF scheme; Diverged on failure.
 
     Cold starts are warmed by nested iteration: the same problem is solved
@@ -287,10 +286,9 @@ def solve_discounted(field, p, lam, grid, w0=None, max_iters=200,
         raise ValueError("lam must be positive")
     grid.check_cfl(lam)
     xs = grid.nodes()
-    coarse = _coarse(grid, lam) if w0 is None and nested else None
+    coarse = _coarse(grid, lam) if w0 is None else None
     if coarse is not None:
-        sol_c = solve_discounted(field, p, lam, coarse, max_iters=max_iters,
-                                 verify_steps=0, nested=True)
+        sol_c = solve_discounted(field, p, lam, coarse, verify_steps=0)
         w0 = prolong(sol_c.x_full, sol_c.w_full, grid)
     h = field.at(xs)
     h_edges = None if grid.periodic else field.at(xs[[0, -1]])
@@ -312,7 +310,7 @@ def solve_discounted(field, p, lam, grid, w0=None, max_iters=200,
     rnorm = float(np.max(np.abs(res)))
     iters = 0
     for outer in range(60):
-        for _ in range(max_iters):
+        for _ in range(200):
             if rnorm <= tol:
                 break
             w_new = _newton_step(h, p, lam, grid, w, res, c)
@@ -382,7 +380,7 @@ def prolong(xs_c, w_c, grid):
 # grid policy and the lam -> 0 limit
 # ---------------------------------------------------------------------------
 
-def default_grid_policy(field, p, lam, R=2.0, dx=None, pad_cells=10):
+def default_grid_policy(field, p, lam, R=2.0, dx=None):
     """Grid for one (p, lam) solve.
 
     dx defaults to min(1e-2, cell/64) so at least 64 nodes resolve one
@@ -402,7 +400,7 @@ def default_grid_policy(field, p, lam, R=2.0, dx=None, pad_cells=10):
         return SolverGrid(X=field.period / 2, dx=dx, theta=theta, dt=dt,
                           tol_res=tol, periodic=True, period=field.period)
     return SolverGrid(X=R / lam, dx=dx, theta=theta, dt=dt, tol_res=tol,
-                      pad=pad_cells * dx)
+                      pad=10 * dx)
 
 
 @dataclass

@@ -370,7 +370,6 @@ def run(config, out_dir, strict=False, seed_override=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(out_dir, exist_ok=True)
-    captured = []
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
         try:

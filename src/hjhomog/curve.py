@@ -79,13 +79,11 @@ class EffectiveCurve:
                               self.budget.copy(), list(self.source), levels, flat)
 
     @staticmethod
-    def minimum(curves, p_grid=None):
-        """Pointwise min of curves on the union grid (or a given grid);
-        the budget at each point is the active curve's budget.  A curve
-        read outside its support warns (ExtrapolationUsed) only where its
-        extrapolated value is the minimum."""
-        if p_grid is None:
-            p_grid = np.unique(np.concatenate([c.p for c in curves]))
+    def minimum(curves, p_grid):
+        """Pointwise min of curves on p_grid; the budget at each point is
+        the active curve's budget.  A curve read outside its support warns
+        (ExtrapolationUsed) only where its extrapolated value is the
+        minimum."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtrapolationUsed)
             vals = np.stack([c.evaluate(p_grid) for c in curves])

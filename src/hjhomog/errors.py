@@ -50,7 +50,16 @@ class ConfigError(HJHomogError):
 
 
 class ReductionStalled(UserWarning):
-    """A reduction step failed to decrease the well count."""
+    """A reduction step stalled or hit the depth cap: a direct-solver leaf
+    stands in."""
+
+
+class VirtualHatEndpoint(UserWarning):
+    """No hill right of the tied well: the tilt hat ends at a mirror image."""
+
+
+class OracleFellBack(UserWarning):
+    """The convex oracle failed on a quasi-convex leaf: the solver stands in."""
 
 
 class NoisyLimit(UserWarning):

@@ -19,7 +19,8 @@ import numpy as np
 
 from .curve import EffectiveCurve
 from .env import DerivedField, HamiltonianField, bisect
-from .errors import NotApplicable, ReductionStalled
+from .errors import (NotApplicable, OracleFellBack, ReductionStalled,
+                     VirtualHatEndpoint)
 from .structure import (ConstrainedStructure, classify_oscillation,
                         detect_branches, normalize)
 from . import cell_solver as _cs
@@ -210,7 +211,7 @@ def tilt(field, structure, stats, n):
     else:
         c = b + (b - a)
         warnings.warn("no maximum right of the tied well: using a symmetric "
-                      "virtual hat endpoint", stacklevel=2)
+                      "virtual hat endpoint", VirtualHatEndpoint, stacklevel=2)
     return TiltedField(field, a, b, c, n)
 
 
@@ -220,6 +221,8 @@ def tilt(field, structure, stats, n):
 
 #: the tilt hat's height is 1/TILT_N
 TILT_N = 64
+#: rewrites deeper than MAX_DEPTH become direct-solver leaves
+MAX_DEPTH = 8
 
 
 @dataclass
@@ -270,27 +273,29 @@ def _is_xfree(field):
     return True
 
 
-def build_reduction_tree(field, structure=None, max_depth=8, _depth=0):
+def build_reduction_tree(field, structure=None, _depth=0):
     """Recursively reduce a constrained field to evaluable leaves.
 
     Stops at x-free, quasi-convex and large-oscillation leaves.  A
-    steep-side child that fails to decrease the well count is demoted to a
-    direct-solver leaf and the stall is surfaced as a warning.
+    steep-side child that fails to decrease the well count, and a node
+    MAX_DEPTH levels down, become direct-solver leaves, each surfaced as a
+    ReductionStalled warning.
     """
     if structure is None:
         structure = detect_branches(field)
     field_n, structure_n, p_shift, mu_shift = normalize(field, structure)
-    if _depth >= max_depth:
-        warnings.warn("max reduction depth reached: direct leaf", stacklevel=2)
+    if _depth >= MAX_DEPTH:
+        warnings.warn("max reduction depth reached: direct leaf",
+                      ReductionStalled, stacklevel=2)
         node = ReductionNode(kind="leaf", field=field_n, structure=structure_n,
                              leaf_kind="direct")
     else:
-        node = _reduce(field_n, structure_n, max_depth, _depth)
+        node = _reduce(field_n, structure_n, _depth)
     node.p_shift, node.mu_shift = p_shift, mu_shift
     return node
 
 
-def _reduce(field, structure, max_depth, depth):
+def _reduce(field, structure, depth):
     """The node of a normalized field: a leaf or a rewrite with its
     children."""
     node = ReductionNode(kind="leaf", field=field, structure=structure)
@@ -304,18 +309,18 @@ def _reduce(field, structure, max_depth, depth):
     if Lt > 0 and L > 0:
         node.kind = "split"
         (plus, s_plus), (minus, s_minus) = split_min(field, structure)
-        node.children = [_reduce(plus, s_plus, max_depth, depth + 1),
-                         _reduce(minus, s_minus, max_depth, depth + 1)]
+        node.children = [_reduce(plus, s_plus, depth + 1),
+                         _reduce(minus, s_minus, depth + 1)]
         return node
     if Lt > 0:
         # mirror (L_tilde, 0) onto (0, L_tilde)
         node.kind = "mirror"
         node.children = [_reduce(MirroredField(field),
-                                 _mirror_structure(structure), max_depth,
-                                 depth + 1)]
+                                 _mirror_structure(structure), depth + 1)]
         return node
-    if depth >= max_depth:
-        warnings.warn("max reduction depth reached: direct leaf", stacklevel=2)
+    if depth >= MAX_DEPTH:
+        warnings.warn("max reduction depth reached: direct leaf",
+                      ReductionStalled, stacklevel=2)
         node.leaf_kind = "direct"
         return node
     stats = classify_oscillation(field, structure)
@@ -329,7 +334,7 @@ def _reduce(field, structure, max_depth, depth):
         node.kind = "tilt"
         node.params["n"] = TILT_N
         node.children = [_reduce(tilt(field, structure, stats, TILT_N),
-                                 structure, max_depth, depth + 1)]
+                                 structure, depth + 1)]
         return node
     fam = steep_side_family(field, structure, stats)
     node.kind = "steep_left" if fam.case == "left" else "steep_right"
@@ -346,10 +351,10 @@ def _reduce(field, structure, max_depth, depth):
                                structure=child_struct, leaf_kind="direct")
         elif child_struct.central == 0.0:
             # central minimum still at 0 with esssup 0: already normalized
-            ch = _reduce(child_field, child_struct, max_depth, depth + 1)
+            ch = _reduce(child_field, child_struct, depth + 1)
         else:
             ch = build_reduction_tree(child_field, structure=child_struct,
-                                      max_depth=max_depth, _depth=depth + 1)
+                                      _depth=depth + 1)
         children.append(ch)
     node.children = children
     return node
@@ -375,19 +380,20 @@ def evaluate_leaf(leaf, p_grid, opts):
         vals = field.evaluate(np.asarray(p_grid, float), 0.0)
         return EffectiveCurve(p_grid, np.atleast_1d(vals),
                               source=["xfree"] * len(p_grid))
+    p_lo, p_hi = float(np.min(p_grid)) - 0.5, float(np.max(p_grid)) + 0.5
     if kind == "quasi_convex":
         try:
-            return convex_oracle(field, p_lo=float(np.min(p_grid)) - 0.5,
-                                 p_hi=float(np.max(p_grid)) + 0.5)
-        except NotApplicable:
+            return convex_oracle(field, p_lo=p_lo, p_hi=p_hi)
+        except NotApplicable as exc:
+            warnings.warn(f"convex oracle on p in [{p_lo:.4g}, {p_hi:.4g}] "
+                          f"did not apply ({exc}): direct-solver leaf",
+                          OracleFellBack, stacklevel=2)
             kind = "direct"
     if kind == "large_osc":
         from .large_osc import assemble_effective_curve
         return assemble_effective_curve(
             field, structure, mu_points=opts.mu_points,
-            window_cells=max(opts.window_cells, 50),
-            p_hi=float(np.max(p_grid)) + 0.5,
-            p_lo=float(np.min(p_grid)) - 0.5)
+            window_cells=max(opts.window_cells, 50), p_hi=p_hi, p_lo=p_lo)
     ests = [_cs.estimate_hbar(field, float(p), lam_schedule=opts.lam_schedule,
                               R=opts.R, dx=opts.dx)
             for p in np.asarray(p_grid, float)]
@@ -396,14 +402,13 @@ def evaluate_leaf(leaf, p_grid, opts):
                           source=["solver"] * len(p_grid))
 
 
-def evaluate_tree(node, p_grid, opts=None):
+def evaluate_tree(node, p_grid, opts):
     """Combine leaf curves, each from ``evaluate_leaf``, bottom-up
     through the recorded rules.
 
     The returned curve lives in the coordinates of ``node``'s parent
     frame, i.e. the original field's coordinates at the root.
     """
-    opts = opts or LeafOptions()
     p_grid = np.asarray(p_grid, dtype=np.float64)
     inner = _evaluate_inner(node, p_grid - node.p_shift, opts)
     return inner.transformed(node.p_shift, node.mu_shift)

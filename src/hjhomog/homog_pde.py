@@ -4,9 +4,10 @@ problem u_t + H(Du, x/eps) = 0 against the homogenized ubar_t + Hbar(Dubar)
 
 Both problems march forward Euler with the monotone Lax-Friedrichs flux,
 built by ``cell_solver._lf_terms``, the stencil the discounted solver
-uses too, with zero-slope ghosts at the two ends.  The domain carries a
-pad of width pad_factor * theta * T + 0.5 outside the reported core, which
-covers the physical cone: characteristics move at speed at most theta.
+uses too, with zero-slope ghosts at the two ends.  The oscillatory march
+resolves each period with 32 nodes, dx = eps/32.  The domain carries a
+pad of width 1.1 theta T + 0.5 outside the reported core, which covers
+the physical cone: characteristics move at speed at most theta.
 The scheme's numerical domain of dependence is wider, one node per step
 or dx/dt = theta/cfl (about 2.2 theta), so the ghosts do reach the core,
 damped by the monotone stencil; ``test_core_insulation`` bounds that
@@ -26,6 +27,8 @@ import numpy as np
 from .cell_solver import _by_seed, _lf_terms
 from .errors import ExtrapolationUsed
 
+_OSC_NODES = 32   # nodes per period eps of the oscillatory march: dx = eps/32
+
 
 @dataclass
 class IVPSetup:
@@ -35,12 +38,11 @@ class IVPSetup:
     T: float
     X_core: float
     theta: float                 # dissipation and speed bound
-    dx: float | None = None      # oscillatory runs refine to eps/32 anyway
-    pad_factor: float = 1.1
     cfl = 0.45                   # CFL number (a constant, not a field)
+    dx = None   # no grid step of its own; perfbench/spans.py reads setup.dx
 
     def domain_half_width(self):
-        return self.X_core + self.pad_factor * self.theta * self.T + 0.5
+        return self.X_core + 1.1 * self.theta * self.T + 0.5
 
 
 def wedge_datum(height=5.0):
@@ -96,20 +98,16 @@ def _march(frozen, g, T, X, dx, theta, cfl, X_core):
 
 
 def solve_oscillatory(field, eps, setup):
-    """March u_t + H(Du, x/eps) = 0 to the horizon; needs dx <= eps/32."""
-    dx = setup.dx if setup.dx is not None else eps / 32.0
-    if dx > eps / 32.0 + 1e-15:
-        raise ValueError(f"eps={eps} under-resolved: need dx <= {eps / 32:.3g}")
-    X = setup.domain_half_width()
-    return _march(lambda x: field.at(x / eps), setup.g, setup.T, X, dx,
-                  setup.theta, setup.cfl, setup.X_core)
+    """March u_t + H(Du, x/eps) = 0 to the horizon at dx = eps/32."""
+    return _march(lambda x: field.at(x / eps), setup.g, setup.T,
+                  setup.domain_half_width(), eps / _OSC_NODES, setup.theta,
+                  setup.cfl, setup.X_core)
 
 
-def solve_homogenized(curve, setup, dx=None):
+def solve_homogenized(curve, setup, dx):
     """Same scheme with the sampled effective Hamiltonian; a gradient that
     leaves the curve support at a node that can still reach the core
     triggers the ExtrapolationUsed warning."""
-    dx = dx or (setup.dx or 1e-2)
     X = setup.domain_half_width()
     flagged = []
 
@@ -136,7 +134,7 @@ class ConvergenceResult:
 
 
 def convergence_experiment(fields, curve, setup, eps_list=(0.4, 0.2, 0.1),
-                           hbar_dx=None):
+                           *, hbar_dx):
     """err(eps) = sup over the core at t = T of |u_eps - ubar|, per seed of
     ``fields``, a {seed: field} map (a lone field is seed 0).
 
@@ -153,7 +151,7 @@ def convergence_experiment(fields, curve, setup, eps_list=(0.4, 0.2, 0.1),
     for seed, field in _by_seed(fields).items():
         errs = []
         for eps in eps_list:
-            dx = eps / 32.0
+            dx = eps / _OSC_NODES
             xs_e, u_e = solve_oscillatory(field, eps, setup)
             u_on_bar = np.interp(xs_bar, xs_e, u_e)
             err = float(np.max(np.abs(u_on_bar - ubar)))

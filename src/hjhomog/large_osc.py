@@ -283,15 +283,13 @@ def _level_tables(field, structure, mu, window, decomp):
                         _chain_branches(decomp.feasible, legal))
 
 
-def extremal_admissible(field, structure, mu, window, sense="sup",
-                        decomposition=None):
+def extremal_admissible(field, structure, mu, window, sense="sup"):
     """The extremal admissible selection at level mu by DP over the
     junction chain, maximizing (sense="sup") or minimizing ("inf") the
     integral; the result is checked against every branch on a complete
     legal junction chain, surfacing NotPointwiseExtremal where one beats
     it."""
-    decomp = decomposition or admissible_decomposition(field, structure, mu,
-                                                       window)
+    decomp = admissible_decomposition(field, structure, mu, window)
     return _extremal_dp(
         _level_tables(field, structure, mu, window, decomp), structure, mu,
         sense)

@@ -272,10 +272,6 @@ def build_constrained_approx(field, n):
     return approx, structure
 
 
-def declutter(field, n):
-    return DeclutteredField(field, n)
-
-
 # ---------------------------------------------------------------------------
 # branch detection
 # ---------------------------------------------------------------------------
@@ -389,9 +385,9 @@ def _capped_range(h, field, structure, j, mu, side):
         (mu <= np.maximum(v_lo, v_hi) + TOL_INV)
 
 
-def branch_feasible(field, structure, j, xs, mu, side="+"):
-    """Mask of the x at which branch j reaches level mu."""
-    return _capped_range(field.at(xs), field, structure, j, mu, side)[2]
+def branch_feasible(field, structure, j, xs, mu):
+    """Mask of the x at which positive branch j reaches level mu."""
+    return _capped_range(field.at(xs), field, structure, j, mu, "+")[2]
 
 
 def branch_inverse_grid(field, structure, j, xs, mu, side="+"):
@@ -469,23 +465,21 @@ def esssup_probe(field, p):
     return float(np.max(field.evaluate(p, xs)))
 
 
-def normalize(field, structure, central=None):
-    """Shift coordinates so a central minimum sits at p = 0 with probed
-    esssup H(0, x) = 0.
+def normalize(field, structure):
+    """Shift coordinates so the tie-break central minimum (smallest |p|,
+    then smallest p) sits at p = 0 with probed esssup H(0, x) = 0.
 
-    The central well defaults to the tie-break (smallest |p|, then smallest
-    p); pass ``central`` to pick another minimum.  Returns
-    (field', structure', p_shift, mu_shift) with
+    Returns (field', structure', p_shift, mu_shift) with
     Hbar_orig(p) = Hbar_norm(p - p_shift) + mu_shift.
     """
-    minima = structure.minima
-    if len(minima) == 0:
+    if len(structure.minima) == 0:
         raise NotApplicable("no local minimum breakpoint")
-    if central is not None:
-        c_idx = int(np.argmin(np.abs(minima - central)))
-    else:
-        c_idx = _tie_break(minima)
-    p_shift = float(minima[c_idx])
+    return _centered(field, structure, _tie_break(structure.minima))
+
+
+def _centered(field, structure, c_idx):
+    """``normalize`` about the minimum of index ``c_idx``."""
+    p_shift = float(structure.minima[c_idx])
     mu_shift = esssup_probe(field, p_shift)
     return (TransformedField(field, p_shift, mu_shift),
             ConstrainedStructure(structure.breakpoints - p_shift, 2 * c_idx,

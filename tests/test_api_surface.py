@@ -1,13 +1,19 @@
-"""Every defaulted parameter of the package is set by some caller, every
-keyword a caller passes names a parameter, every public name, method and
-property of the package has a caller outside the tests, and every
-dataclass field is read.
+"""Every defaulted parameter of the package is set by some caller outside
+the tests, every keyword a caller passes names a parameter, every public
+name, method and property of the package has a caller outside the tests,
+every dataclass field is read, and every warning the package raises has a
+category of its own.
 
-A parameter with a default that no call in ``src/``, ``tests/``, ``demos/``
-or ``perfbench/`` passes, by keyword or by position, is a constant in
-disguise: it carries a branch nobody runs and a knob nobody turns.  A
-keyword that no definition of the called name accepts is a stale call,
-which fails only when it runs (the demos are only byte-compiled).  A
+A parameter with a default that no call in ``src/``, ``demos/``,
+``perfbench/`` or ``tests/proof_checks.py`` passes, by keyword or by
+position, is a constant in disguise: it carries a branch that only a test
+runs, or none, and a knob that only a test turns.  A call from a function
+to itself sets nothing when it passes its own parameter through unchanged
+or passes the parameter's default literal.  ``cli.main(argv)`` is the one
+exception: it is the console-script entry point, which the command line
+fills and the CLI tests drive.  A keyword that no definition of the called
+name accepts, in any caller directory, the tests included, is a stale
+call, which fails only when it runs (the demos are only byte-compiled).  A
 public module-level function or class that nothing in ``src/`` outside its
 own definition, and nothing in ``demos/``, names (a re-export in an
 ``__init__.py`` is no use) is test scaffolding shipped as API; it belongs
@@ -17,7 +23,10 @@ and nothing in ``demos/`` or ``perfbench/``, names as an attribute, and
 for a dataclass field that no attribute load in ``src/``, ``demos/``,
 ``perfbench/`` or ``tests/proof_checks.py`` reads.  Both go by name, so a
 method that shares its name with a used one passes.  The scan reads the
-sources with ``ast`` only; nothing is imported or run.
+sources with ``ast`` only; nothing is imported or run.  A
+``warnings.warn`` in ``src/`` without a category defined in ``errors.py``
+reaches the reports as a bare "UserWarning: ...", which no filter can
+single out.
 
 Calls are matched by name: ``f(...)`` and ``obj.f(...)`` reach every
 function or method named ``f``, and ``Cls(...)`` reaches the ``__init__``
@@ -37,6 +46,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "hjhomog")
 CALLER_DIRS = ("src", "tests", "demos", "perfbench")
 USER_DIRS = ("src", "demos")
+PROOF_CHECKS = os.path.join(ROOT, "tests", "proof_checks.py")
+#: defaulted parameters that only the tests set, on purpose
+SEAMS = {"cli.main(argv)"}
 
 
 def _py_files(top):
@@ -44,6 +56,11 @@ def _py_files(top):
         for name in sorted(names):
             if name.endswith(".py"):
                 yield os.path.join(base, name)
+
+
+def _caller_files(tops):
+    for top in tops:
+        yield from _py_files(os.path.join(ROOT, top))
 
 
 def _parse(path):
@@ -71,7 +88,8 @@ def _init_field(stmt):
 
 def _function_params(fn, method):
     """(names, defaulted, keywords) of the parameters a call can fill;
-    a method's first parameter is bound by the call and left out, and
+    a method's first parameter is bound by the call and left out,
+    ``defaulted`` maps each defaulted name to its default expression, and
     ``keywords`` is None when a ``**`` parameter takes any keyword."""
     args = fn.args
     positional = args.posonlyargs + args.args
@@ -79,8 +97,9 @@ def _function_params(fn, method):
                  for d in fn.decorator_list)
     skip = 1 if method and not static else 0
     n_def = len(args.defaults)
-    defaulted = {a.arg for a in positional[len(positional) - n_def:]}
-    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+    defaulted = {a.arg: d for a, d in zip(positional[len(positional) - n_def:],
+                                          args.defaults)}
+    defaulted |= {a.arg: d for a, d in zip(args.kwonlyargs, args.kw_defaults)
                   if d is not None}
     keywords = None if args.kwarg else {
         a.arg for a in args.args[skip:] + args.kwonlyargs}
@@ -88,7 +107,7 @@ def _function_params(fn, method):
 
 
 def definitions():
-    """name -> [(owner label, positional names, defaulted names,
+    """name -> [(owner label, positional names, {defaulted name: default},
     keyword names or None for any)]."""
     defs = defaultdict(list)
     fields_of = {}                    # dataclass name -> its init fields
@@ -111,7 +130,7 @@ def definitions():
                         names = [s.target.id for s in fields]
                         defs[child.name].append((
                             f"{module}.{child.name}", names,
-                            {s.target.id for s in fields
+                            {s.target.id: s.value for s in fields
                              if s.value is not None}, set(names)))
                     visit(child, f"{owner}{child.name}.", True)
                 elif isinstance(child, (ast.FunctionDef,
@@ -140,31 +159,60 @@ def _foreign_names(tree):
     return names
 
 
-def calls(defs):
-    """(path, call node, definitions it reaches) for every call in the
-    caller directories that reaches some package definition."""
-    for top in CALLER_DIRS:
-        for path in _py_files(os.path.join(ROOT, top)):
-            tree = _parse(path)
-            foreign = _foreign_names(tree)
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                through = func.value if isinstance(func, ast.Attribute) \
-                    else func
-                if getattr(through, "id", None) in foreign:
-                    continue
-                targets = defs.get(getattr(func, "id", getattr(
-                    func, "attr", None)))
-                if targets:
-                    yield path, node, targets
+def _enclosed(tree, module):
+    """(call node, label of the package function it sits in or None) for
+    every call of a module; labels are those of ``definitions``."""
+    def visit(node, owner, label):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, f"{owner}{child.name}.", label)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, f"{owner}{child.name}.",
+                                 f"{module}.{owner}{child.name}")
+            else:
+                if isinstance(child, ast.Call):
+                    yield child, label
+                yield from visit(child, owner, label)
+    yield from visit(tree, "", None)
 
 
-def passed_arguments(defs):
-    """The set of (owner label, parameter) that some call fills."""
+def calls(defs, paths):
+    """(path, call node, definitions it reaches, label of the enclosing
+    package function or None) for every call in ``paths`` that reaches
+    some package definition."""
+    for path in paths:
+        tree = _parse(path)
+        foreign = _foreign_names(tree)
+        module = os.path.splitext(os.path.basename(path))[0] \
+            if path.startswith(PACKAGE + os.sep) else None
+        for node, enclosing in _enclosed(tree, module):
+            func = node.func
+            through = func.value if isinstance(func, ast.Attribute) \
+                else func
+            if getattr(through, "id", None) in foreign:
+                continue
+            targets = defs.get(getattr(func, "id", getattr(
+                func, "attr", None)))
+            if targets:
+                yield path, node, targets, enclosing
+
+
+def _passes_itself(node, i, param, default):
+    """Whether ``node``, a call of a function from inside itself, passes
+    its parameter ``param`` (position ``i``) through unchanged or at its
+    default literal: a self-call that sets nothing."""
+    arg = next((k.value for k in node.keywords if k.arg == param), None)
+    if arg is None:
+        arg = node.args[i]
+    return getattr(arg, "id", None) == param or (
+        default is not None and ast.dump(arg) == ast.dump(default))
+
+
+def passed_arguments(defs, paths):
+    """The set of (owner label, parameter) that some call in ``paths``
+    fills, less what a function passes to itself unchanged."""
     passed = set()
-    for _, node, targets in calls(defs):
+    for _, node, targets, enclosing in calls(defs, paths):
         keywords = {k.arg for k in node.keywords if k.arg}
         n_pos = 0
         for a in node.args:
@@ -177,28 +225,32 @@ def passed_arguments(defs):
                     i < len(other) and other[i] not in other_def
                     for lab, other, other_def, _ in targets
                     if lab != label)
-                if param in keywords or by_position:
+                if (param in keywords or by_position) and not (
+                        label == enclosing and _passes_itself(
+                            node, i, param, defaulted.get(param))):
                     passed.add((label, param))
     return passed
 
 
 def test_every_defaulted_parameter_has_a_setter():
     defs = definitions()
-    passed = passed_arguments(defs)
-    unset = sorted(f"{label}({param})"
-                   for entries in defs.values()
-                   for label, _, defaulted, _ in entries
-                   for param in defaulted
-                   if (label, param) not in passed)
+    setters = [*_caller_files(("src", "demos", "perfbench")), PROOF_CHECKS]
+    passed = {f"{label}({param})"
+              for label, param in passed_arguments(defs, setters)}
+    defaulted = {f"{label}({param})" for entries in defs.values()
+                 for label, _, params, _ in entries for param in params}
+    assert SEAMS <= defaulted - passed, f"stale seams: {sorted(SEAMS)}"
+    unset = sorted(defaulted - passed - SEAMS)
     assert not unset, (f"{len(unset)} defaulted parameters that no caller "
-                       f"sets: " + ", ".join(unset))
+                       f"outside the tests sets: " + ", ".join(unset))
 
 
 def test_every_keyword_names_a_parameter():
     stale = sorted(
         f"{os.path.relpath(path, ROOT)}:{node.lineno} "
         f"{ast.unparse(node.func)}({k.arg}=)"
-        for path, node, targets in calls(definitions())
+        for path, node, targets, _ in calls(definitions(),
+                                            _caller_files(CALLER_DIRS))
         for k in node.keywords
         if k.arg and not any(accepted is None or k.arg in accepted
                              for *_, accepted in targets))
@@ -279,7 +331,7 @@ def test_every_dataclass_field_is_read():
     used."""
     paths = [path for top in ("src", "demos", "perfbench")
              for path in _py_files(os.path.join(ROOT, top))]
-    paths.append(os.path.join(ROOT, "tests", "proof_checks.py"))
+    paths.append(PROOF_CHECKS)
     read = {name for path in paths
             for name in _attributes(_parse(path), load_only=True)}
     unread = sorted(f"{module}.{cls.name}.{stmt.target.id}"
@@ -291,3 +343,34 @@ def test_every_dataclass_field_is_read():
                     and stmt.target.id not in read)
     assert not unread, (f"{len(unread)} dataclass fields that nothing "
                         f"reads: " + ", ".join(unread))
+
+
+def _warning_categories():
+    """Names of the warning classes ``errors.py`` defines."""
+    names = {"UserWarning"}
+    for node in _parse(os.path.join(PACKAGE, "errors.py")).body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(b, "id", None) in names for b in node.bases):
+            names.add(node.name)
+    return names - {"UserWarning"}
+
+
+def test_every_warning_names_a_category():
+    """Every ``warnings.warn`` in ``src/`` passes, as its second argument
+    or as ``category=``, a warning class defined in ``errors.py``."""
+    categories = _warning_categories()
+    bare = []
+    for path in _py_files(PACKAGE):
+        for node in ast.walk(_parse(path)):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "warn"
+                    and getattr(node.func.value, "id", None) == "warnings"):
+                continue
+            category = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "category"),
+                None)
+            if getattr(category, "id", None) not in categories:
+                bare.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}")
+    assert not bare, (f"{len(bare)} warnings without a category from "
+                      f"errors.py: " + ", ".join(bare))

@@ -106,8 +106,8 @@ def test_comparison_gap_identical(board_spec):
 def test_comparison_gap_two_pads(board_spec):
     f = env.sample(board_spec, 3)
     lam = 0.02
-    g1 = cs.default_grid_policy(f, 1.5, lam, dx=1 / 64, pad_cells=10)
-    g2 = cs.default_grid_policy(f, 1.5, lam, dx=1 / 64, pad_cells=40)
+    g1 = cs.default_grid_policy(f, 1.5, lam, dx=1 / 64)
+    g2 = replace(g1, pad=40 * g1.dx)
     s1 = cs.solve_discounted(f, 1.5, lam, g1)
     s2 = cs.solve_discounted(f, 1.5, lam, g2)
     out = pc.comparison_gap(s1, s2, field=f)
@@ -208,12 +208,17 @@ def test_estimate_does_not_depend_on_earlier_p():
     assert again.rows == fresh.rows
 
 
-def test_diverged_raises(board_spec):
+def test_diverged_raises(board_spec, monkeypatch):
     f = env.sample(board_spec, 1)
     grid = cs.default_grid_policy(f, 0.0, 0.02, dx=1 / 32)
+    # neither Newton nor the red-black sweeps make progress: the coarsest
+    # level of the nested cold start stalls and raises
+    monkeypatch.setattr(cs, "_newton_step",
+                        lambda h, p, lam, grid, w, res, c: w)
+    monkeypatch.setattr(cs, "_red_black_sweep",
+                        lambda h, h_edges, p, lam, grid, w: w)
     with pytest.raises(Diverged) as exc:
-        cs.solve_discounted(f, 0.0, 0.02, grid, max_iters=0, nested=False,
-                            verify_steps=0)
+        cs.solve_discounted(f, 0.0, 0.02, grid)
     # no Newton step: each of the 60 red-black passes logs one residual,
     # and the last one is the residual the message reports
     trace = exc.value.residual_trace

@@ -10,7 +10,8 @@ from hjhomog import env, structure as st, gluing as gl, cell_solver as cs
 from hjhomog import cli
 from hjhomog.curve import EffectiveCurve
 from hjhomog.env import EnvironmentSpec, bisect
-from hjhomog.errors import ExtrapolationUsed, NotApplicable, ReductionStalled
+from hjhomog.errors import (ExtrapolationUsed, NotApplicable, OracleFellBack,
+                            ReductionStalled, VirtualHatEndpoint)
 
 import proof_checks as pc
 
@@ -30,9 +31,9 @@ def _field(params):
     return env.sample(env.make_periodic("pwl_wells_plus_dip", 1.0, params))
 
 
-def _analysed(field, central=None):
+def _analysed(field):
     s = st.detect_branches(field)
-    f, sn, _, _ = st.normalize(field, s, central=central)
+    f, sn, _, _ = st.normalize(field, s)
     stats = st.classify_oscillation(f, sn)
     return f, sn, stats
 
@@ -357,11 +358,25 @@ def test_tilt_hat_inside_the_deepest_well():
     f, sn, stats = _tied([0.0, 1.3, 0.5, 0.8, 0.2])
     assert stats.Q == pytest.approx(0.5, abs=1e-6)
     assert stats.P == pytest.approx(2.0, abs=1e-6)
-    with pytest.warns(UserWarning, match="no maximum right of the tied well"):
+    with pytest.warns(VirtualHatEndpoint,
+                      match="no maximum right of the tied well"):
         tilted = gl.tilt(f, sn, stats, 16)
     assert tilted.a < tilted.b < tilted.c
     np.testing.assert_allclose([tilted.a, tilted.b, tilted.c],
                                [1.5, 2.0, 2.5], atol=1e-6)
+
+
+def test_oracle_fallback_on_a_quasi_convex_leaf_warns():
+    # Hbar(0) = 2 on abs_plus_sin of amplitude 2, whose flat level is 2:
+    # on p in [-0.5, 0.5] no level lies between the flat level and the
+    # cap, so the oracle does not apply and the solver stands in
+    f = env.sample(env.make_periodic("abs_plus_sin", 1.0, {"amplitude": 2.0}))
+    leaf = gl.ReductionNode(kind="leaf", field=f, structure=None,
+                            leaf_kind="quasi_convex")
+    with pytest.warns(OracleFellBack, match=r"p in \[-0\.5, 0\.5\] did not "
+                      r"apply \(p-range too narrow"):
+        curve = gl.evaluate_leaf(leaf, [0.0], gl.LeafOptions())
+    assert curve.source == ["solver"]
 
 
 def test_tilt_inner_tied_well_has_a_right_hill():
@@ -460,14 +475,14 @@ def test_evaluate_single_leaf_idempotent():
     f = env.sample(env.make_periodic("abs_plus_sin", 1.0))
     tree = gl.build_reduction_tree(f)
     ps = np.linspace(-2, 2, 9)
-    curve = gl.evaluate_tree(tree, ps)
+    curve = gl.evaluate_tree(tree, ps, gl.LeafOptions())
     oracle = gl.convex_oracle(f, p_lo=-4.5, p_hi=4.5)
     assert np.allclose(curve.evaluate(ps), oracle.evaluate(ps), atol=1e-6)
 
 
 def test_minimum_of_identical_curves():
     c = EffectiveCurve(np.linspace(0, 1, 5), np.arange(5.0))
-    m = EffectiveCurve.minimum([c, c])
+    m = EffectiveCurve.minimum([c, c], c.p)
     assert np.array_equal(m.values, c.values)
 
 
@@ -492,7 +507,7 @@ def test_evaluate_tree_dual_route_quartic():
     q = env.sample(env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 0.1}))
     tree = gl.build_reduction_tree(q)
     ps = np.linspace(-1.0, 2.5, 8)
-    curve = gl.evaluate_tree(tree, ps)
+    curve = gl.evaluate_tree(tree, ps, gl.LeafOptions())
     direct = np.array([cs.estimate_hbar(q, float(p), dx=1 / 1024).value
                        for p in ps])
     assert np.max(np.abs(curve.evaluate(ps) - direct)) <= 0.07
@@ -502,7 +517,7 @@ def test_evaluate_xfree_exact():
     f = env.sample(env.make_periodic("xfree", 1.0, {"base": "double_well"}))
     tree = gl.build_reduction_tree(f)
     ps = np.linspace(-0.5, 2.5, 11)
-    curve = gl.evaluate_tree(tree, ps)
+    curve = gl.evaluate_tree(tree, ps, gl.LeafOptions())
     # Hbar of an x-free double well is its quasi-convexification on wells:
     # the cell solver route agrees since no medium exists; spot check center
     direct = cs.estimate_hbar(f, 1.0).value
@@ -636,10 +651,13 @@ TWO_SIDED = {"nodes": [-1.0, -0.5, 0.0, 0.5, 1.0],
                                            ("steep_right", None, (QC, DIRECT))))),
     (TWO_SIDED, 1, ("split", None, (DIRECT, ("mirror", None, (DIRECT,))))),
 ])
-def test_tree_depth_limit_makes_direct_leaves(params, max_depth, shape):
-    with pytest.warns(UserWarning, match="max reduction depth") as rec:
-        tree = gl.build_reduction_tree(_field(params), max_depth=max_depth)
+def test_tree_depth_limit_makes_direct_leaves(params, max_depth, shape,
+                                              monkeypatch):
+    monkeypatch.setattr(gl, "MAX_DEPTH", max_depth)
+    with pytest.warns(ReductionStalled, match="max reduction depth") as rec:
+        tree = gl.build_reduction_tree(_field(params))
     assert _shape(tree) == shape
     direct = [l for l in tree.leaves() if l.leaf_kind == "direct"]
     limits = [w for w in rec if "max reduction depth" in str(w.message)]
     assert len(limits) == len(direct)
+    assert all(w.category is ReductionStalled for w in limits)

@@ -34,23 +34,20 @@ def test_xfree_plane_wave():
     assert np.max(np.abs(u[left] - exact)) < 1e-12
 
 
+def _march(field, eps, setup, dx, X):
+    """solve_oscillatory's march at a grid step and half-width of one's
+    own."""
+    return hp._march(lambda x: field.at(x / eps), setup.g, setup.T, X, dx,
+                     setup.theta, setup.cfl, setup.X_core)
+
+
 def test_eps_independence_xfree():
     f = env.sample(env.make_periodic("xfree", 1.0, {"base": "quadratic"}))
     setup = hp.IVPSetup(g=hp.wedge_datum(), T=0.5, X_core=0.5,
                         theta=hp.default_theta(f))
-    runs = {}
-    for eps in (0.4, 0.2):
-        setup_e = hp.IVPSetup(g=setup.g, T=setup.T, X_core=setup.X_core,
-                              theta=setup.theta, dx=0.2 / 32)
-        runs[eps] = hp.solve_oscillatory(f, eps, setup_e)
+    X = setup.domain_half_width()
+    runs = {eps: _march(f, eps, setup, 0.2 / 32, X) for eps in (0.4, 0.2)}
     assert np.array_equal(runs[0.4][1], runs[0.2][1])
-
-
-def test_under_resolved_rejected(abs_sin, setup):
-    bad = hp.IVPSetup(g=setup.g, T=setup.T, X_core=setup.X_core,
-                      theta=setup.theta, dx=0.1)
-    with pytest.raises(ValueError):
-        hp.solve_oscillatory(abs_sin, 0.4, bad)
 
 
 def test_comparison_monotone_ordering(abs_sin, setup):
@@ -93,10 +90,9 @@ def test_extrapolation_flagged(setup):
 
 def test_core_insulation(abs_sin, setup):
     # doubling the pad leaves the core unchanged to rounding
-    s_wide = hp.IVPSetup(g=setup.g, T=setup.T, X_core=setup.X_core,
-                         theta=setup.theta, pad_factor=2.2)
+    wide = setup.X_core + 2.2 * setup.theta * setup.T + 0.5
     xs1, u1 = hp.solve_oscillatory(abs_sin, 0.2, setup)
-    xs2, u2 = hp.solve_oscillatory(abs_sin, 0.2, s_wide)
+    xs2, u2 = _march(abs_sin, 0.2, setup, 0.2 / 32, wide)
     assert np.max(np.abs(np.interp(xs1, xs2, u2) - u1)) < 1e-8
 
 
@@ -120,4 +116,4 @@ def test_wrong_hbar_stagnates(abs_sin, abs_sin_curve, setup):
 def test_bad_eps_schedule(abs_sin, abs_sin_curve, setup):
     with pytest.raises(ValueError):
         hp.convergence_experiment(abs_sin, abs_sin_curve, setup,
-                                  eps_list=(0.1, 0.2))
+                                  eps_list=(0.1, 0.2), hbar_dx=1 / 128)

@@ -383,9 +383,7 @@ def test_perturbed_function_fails_residual(quartic, quartic_extremals):
 def test_branch_forcing_above(quartic, quartic_extremals):
     # any admissible selection rides branch 1 wherever M(x) < mu
     f, sn = quartic
-    dec = lo.admissible_decomposition(f, sn, 0.5, WINDOW)
-    f_hi = lo.extremal_admissible(f, sn, 0.5, WINDOW, "sup",
-                                  decomposition=dec)
+    f_hi = lo.extremal_admissible(f, sn, 0.5, WINDOW, "sup")
     forced = sn.processes(f, f_hi.x_mid)[1].max(axis=0) < 0.5
     on_branch1 = f_hi.cell_branch == 1
     assert np.all(on_branch1[forced])
@@ -395,9 +393,7 @@ def test_branch_forcing_below(pwl):
     # mu below m_hi: wherever m(x) > mu only branch 2L+1 survives
     f, s, stats = pwl
     mu = 0.5 * stats.m_hi
-    dec = lo.admissible_decomposition(f, s, mu, WINDOW)
-    f_hi = lo.extremal_admissible(f, s, mu, WINDOW, "sup",
-                                  decomposition=dec)
+    f_hi = lo.extremal_admissible(f, s, mu, WINDOW, "sup")
     forced = s.processes(f, f_hi.x_mid)[0].min(axis=0) > mu
     assert forced.mean() > 0.1     # the forcing set is substantial
     nb = 2 * s.index[1] + 1
@@ -519,10 +515,8 @@ def test_extremal_pair_builds_one_set_of_tables(case, quartic, pwl,
     window = (0.0, 20.0)
     names = ("branch_inverse_grid", "_pair_legality")
     for mu in levels:
-        dec = lo.admissible_decomposition(f, sn, mu, window)
         counts = _count_calls(monkeypatch, names)
-        singles = {sense: lo.extremal_admissible(f, sn, mu, window, sense,
-                                                 decomposition=dec)
+        singles = {sense: lo.extremal_admissible(f, sn, mu, window, sense)
                    for sense in ("inf", "sup")}
         per_single = {k: v / 2 for k, v in counts.items()}
         monkeypatch.undo()
@@ -562,7 +556,9 @@ def test_checkerboard_extremal_means_agree():
 
     means = []
     for s, fr in realizations.items():
-        fn, sn, _, _ = st.normalize(fr, s0, central=-1.0)
+        # the well at p = -1, not the tie-break one
+        fn, sn, _, _ = st._centered(
+            fr, s0, int(np.argmin(np.abs(s0.minima + 1.0))))
         f_hi = lo.extremal_admissible(fn, sn, 0.5, (0.0, 60.0), "sup")
         means.append(f_hi.mean())
     assert abs(means[0] - means[1]) < 0.1
