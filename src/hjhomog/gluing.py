@@ -181,7 +181,7 @@ def steep_side_family(field, structure, stats):
         raise NotApplicable("steep-side constructions assume index (0, L)")
     if not stats.small:
         raise NotApplicable("field has large oscillation")
-    if stats.M_lo - stats.m_hi <= 1e-6 * (abs(stats.M_hi - stats.m_lo) + 1.0):
+    if stats.tied:
         raise NotApplicable("M_lo == m_hi within tolerance: tilt first")
     L = structure.lipschitz
     P, Q = stats.P, stats.Q
@@ -200,8 +200,7 @@ def tilt(field, structure, stats, n):
     its neighboring maxima q_{k_hi} and q_{k_hi - 1}, turning
     M_lo == m_hi into a strict inequality.  The outermost well has no
     maximum on its right; its hat ends at the mirror image of q_{k_hi}."""
-    span = abs(stats.M_hi - stats.m_lo) + 1.0
-    if abs(stats.M_lo - stats.m_hi) > 1e-6 * span + 1e-9:
+    if not stats.tied:
         raise NotApplicable("tilt applies only when M_lo == m_hi (within tol)")
     a, b = stats.q_k_hi, stats.P
     right = structure.positive_maxima()
@@ -221,7 +220,7 @@ def tilt(field, structure, stats, n):
 
 #: the tilt hat's height is 1/TILT_N
 TILT_N = 64
-#: rewrites deeper than MAX_DEPTH become direct-solver leaves
+#: a rewrite MAX_DEPTH levels down becomes a direct-solver leaf
 MAX_DEPTH = 8
 
 
@@ -232,8 +231,7 @@ class ReductionNode:
     field: HamiltonianField
     structure: ConstrainedStructure | None
     leaf_kind: str | None = None  # xfree | quasi_convex | large_osc | direct
-    # child coords -> parent coords bookkeeping, set by the normalization
-    # in build_reduction_tree
+    # child coords -> parent coords bookkeeping, set by ``_normalized``
     p_shift: float = dc_field(default=0.0, init=False)
     mu_shift: float = dc_field(default=0.0, init=False)
     # filled in by the reduction that turns the leaf into a rewrite; a
@@ -273,31 +271,38 @@ def _is_xfree(field):
     return True
 
 
-def build_reduction_tree(field, structure=None, _depth=0):
-    """Recursively reduce a constrained field to evaluable leaves.
+def build_reduction_tree(field):
+    """Reduce a constrained field to evaluable leaves: detect its branches,
+    normalize it and walk it with ``_reduce``."""
+    return _normalized(field, detect_branches(field), 0)
 
-    Stops at x-free, quasi-convex and large-oscillation leaves.  A
-    steep-side child that fails to decrease the well count, and a node
-    MAX_DEPTH levels down, become direct-solver leaves, each surfaced as a
-    ReductionStalled warning.
-    """
-    if structure is None:
-        structure = detect_branches(field)
+
+def _normalized(field, structure, depth):
+    """The node of ``field`` normalized about its tie-break well, the
+    shift recorded on the node."""
     field_n, structure_n, p_shift, mu_shift = normalize(field, structure)
-    if _depth >= MAX_DEPTH:
-        warnings.warn("max reduction depth reached: direct leaf",
-                      ReductionStalled, stacklevel=2)
-        node = ReductionNode(kind="leaf", field=field_n, structure=structure_n,
-                             leaf_kind="direct")
-    else:
-        node = _reduce(field_n, structure_n, _depth)
+    node = _reduce(field_n, structure_n, depth)
     node.p_shift, node.mu_shift = p_shift, mu_shift
     return node
 
 
+def _direct_leaf(field, structure, reason):
+    """A direct-solver leaf where the reduction stalls, surfaced as a
+    ReductionStalled warning."""
+    warnings.warn(f"{reason}: direct-solver leaf", ReductionStalled,
+                  stacklevel=3)
+    return ReductionNode(kind="leaf", field=field, structure=structure,
+                         leaf_kind="direct")
+
+
 def _reduce(field, structure, depth):
     """The node of a normalized field: a leaf or a rewrite with its
-    children."""
+    children.
+
+    Stops at x-free, quasi-convex and large-oscillation leaves.  A rewrite
+    (tilt or steep side) MAX_DEPTH levels down, and a steep-side child
+    that fails to decrease the well count, become direct-solver leaves.
+    """
     node = ReductionNode(kind="leaf", field=field, structure=structure)
     if _is_xfree(field):
         node.leaf_kind = "xfree"
@@ -318,19 +323,15 @@ def _reduce(field, structure, depth):
         node.children = [_reduce(MirroredField(field),
                                  _mirror_structure(structure), depth + 1)]
         return node
-    if depth >= MAX_DEPTH:
-        warnings.warn("max reduction depth reached: direct leaf",
-                      ReductionStalled, stacklevel=2)
-        node.leaf_kind = "direct"
-        return node
     stats = classify_oscillation(field, structure)
+    if stats.small and depth >= MAX_DEPTH:
+        return _direct_leaf(field, structure, "max reduction depth reached")
     node.params.update({"M_lo": stats.M_lo, "m_hi": stats.m_hi,
                         "P": stats.P, "Q": stats.Q})
     if not stats.small:
         node.leaf_kind = "large_osc"
         return node
-    span = abs(stats.M_hi - stats.m_lo) + 1.0
-    if stats.M_lo - stats.m_hi <= 1e-6 * span:
+    if stats.tied:
         node.kind = "tilt"
         node.params["n"] = TILT_N
         node.children = [_reduce(tilt(field, structure, stats, TILT_N),
@@ -338,25 +339,19 @@ def _reduce(field, structure, depth):
         return node
     fam = steep_side_family(field, structure, stats)
     node.kind = "steep_left" if fam.case == "left" else "steep_right"
-    node.params.update({"case": fam.case})
+    node.params["case"] = fam.case
     wells = structure.wells
-    children = []
     for child_field, child_struct in ((fam.H1, fam.s1), (fam.H3, fam.s3)):
         if child_struct.wells >= wells:
-            warnings.warn(
-                f"steep-side child keeps {child_struct.wells} wells "
-                f"(parent {wells}): direct-solver leaf", ReductionStalled,
-                stacklevel=2)
-            ch = ReductionNode(kind="leaf", field=child_field,
-                               structure=child_struct, leaf_kind="direct")
+            ch = _direct_leaf(child_field, child_struct,
+                              f"steep-side child keeps {child_struct.wells} "
+                              f"wells (parent {wells})")
         elif child_struct.central == 0.0:
             # central minimum still at 0 with esssup 0: already normalized
             ch = _reduce(child_field, child_struct, depth + 1)
         else:
-            ch = build_reduction_tree(child_field, structure=child_struct,
-                                      _depth=depth + 1)
-        children.append(ch)
-    node.children = children
+            ch = _normalized(child_field, child_struct, depth + 1)
+        node.children.append(ch)
     return node
 
 
@@ -393,7 +388,7 @@ def evaluate_leaf(leaf, p_grid, opts):
         from .large_osc import assemble_effective_curve
         return assemble_effective_curve(
             field, structure, mu_points=opts.mu_points,
-            window_cells=max(opts.window_cells, 50), p_hi=p_hi, p_lo=p_lo)
+            window_cells=opts.window_cells, p_lo=p_lo, p_hi=p_hi)
     ests = [_cs.estimate_hbar(field, float(p), lam_schedule=opts.lam_schedule,
                               R=opts.R, dx=opts.dx)
             for p in np.asarray(p_grid, float)]
@@ -409,30 +404,27 @@ def evaluate_tree(node, p_grid, opts):
     The returned curve lives in the coordinates of ``node``'s parent
     frame, i.e. the original field's coordinates at the root.
     """
-    p_grid = np.asarray(p_grid, dtype=np.float64)
-    inner = _evaluate_inner(node, p_grid - node.p_shift, opts)
-    return inner.transformed(node.p_shift, node.mu_shift)
-
-
-def _evaluate_inner(node, p_grid, opts):
+    p = np.asarray(p_grid, dtype=np.float64) - node.p_shift
     if node.kind == "leaf":
-        return evaluate_leaf(node, p_grid, opts)
-    if node.kind == "mirror":
-        sub = evaluate_tree(node.children[0], -p_grid[::-1], opts)
-        return EffectiveCurve(p_grid, sub.evaluate(-p_grid),
-                              sub.budget_at(-p_grid))
-    if node.kind == "tilt":
-        sub = evaluate_tree(node.children[0], p_grid, opts)
-        return EffectiveCurve(p_grid, sub.evaluate(p_grid),
-                              sub.budget_at(p_grid) + 1.0 / node.params["n"])
-    curves = [evaluate_tree(child, p_grid, opts) for child in node.children]
-    if node.kind == "split":
-        plus, minus = curves
-        pieces = [(lambda p: p >= 0.0, plus), (lambda p: p < 0.0, minus)]
-        return EffectiveCurve.piecewise(pieces, p_grid)
-    if node.kind in ("steep_left", "steep_right"):
-        return _combine_steep(node.params, *curves, p_grid)
-    raise ValueError(f"unknown node kind {node.kind}")
+        curve = evaluate_leaf(node, p, opts)
+    elif node.kind == "mirror":
+        sub = evaluate_tree(node.children[0], -p[::-1], opts)
+        curve = EffectiveCurve(p, sub.evaluate(-p), sub.budget_at(-p))
+    elif node.kind == "tilt":
+        sub = evaluate_tree(node.children[0], p, opts)
+        curve = EffectiveCurve(p, sub.evaluate(p),
+                               sub.budget_at(p) + 1.0 / node.params["n"])
+    else:
+        curves = [evaluate_tree(ch, p, opts) for ch in node.children]
+        if node.kind == "split":
+            plus, minus = curves
+            curve = EffectiveCurve.piecewise(
+                [(lambda q: q >= 0.0, plus), (lambda q: q < 0.0, minus)], p)
+        elif node.kind in ("steep_left", "steep_right"):
+            curve = _combine_steep(node.params, *curves, p)
+        else:
+            raise ValueError(f"unknown node kind {node.kind}")
+    return curve.transformed(node.p_shift, node.mu_shift)
 
 
 def _combine_steep(params, c1, c3, p_grid):
@@ -457,7 +449,7 @@ def _combine_steep(params, c1, c3, p_grid):
 # quasi-convex oracle
 # ---------------------------------------------------------------------------
 
-def convex_oracle(fields, p_lo=-4.0, p_hi=4.0):
+def convex_oracle(fields, p_lo, p_hi):
     """Ground-truth effective Hamiltonian for quasi-convex fields by
     inverse-branch averaging.
 

@@ -283,7 +283,7 @@ def _level_tables(field, structure, mu, window, decomp):
                         _chain_branches(decomp.feasible, legal))
 
 
-def extremal_admissible(field, structure, mu, window, sense="sup"):
+def extremal_admissible(field, structure, mu, window, sense):
     """The extremal admissible selection at level mu by DP over the
     junction chain, maximizing (sense="sup") or minimizing ("inf") the
     integral; the result is checked against every branch on a complete
@@ -413,7 +413,7 @@ def _pair_legality(field, structure, mu, nodes, branches, n_gap=17,
 # level sets
 # ---------------------------------------------------------------------------
 
-def level_sets(field, structure, mu_grid, window_cells=100):
+def level_sets(field, structure, mu_grid, window_cells):
     """I_mu = [mean(f_inf), mean(f_sup)] per level of one realization,
     sorted by mu; an overlap of neighbouring levels up to 1e-9 is split at
     its midpoint and a larger one raises LevelSetConflict.  Each record
@@ -449,7 +449,7 @@ def level_sets(field, structure, mu_grid, window_cells=100):
 # extreme level and the assembled curve
 # ---------------------------------------------------------------------------
 
-def extreme_level(field, structure, window_cells=100, mu_neg=None):
+def extreme_level(field, structure, window_cells, mu_neg=None):
     """Flat minimum piece [E z_l, E f_inf_0] and negative-side samples
     p_mu = E[Psi(mu)] with Psi the decreasing-branch inverse; the field
     must be normalized to 1e-6 (esssup H(0, x) <= 1e-6 on the window)."""
@@ -485,7 +485,7 @@ def _branch1_mean(field, structure, grid, mu, side):
     return float(np.sum(psi[core] * (widths[core] / np.sum(widths[core]))))
 
 
-def default_mu_grid(M_bar, n=15):
+def default_mu_grid(M_bar, n):
     """Level 0 plus log-spaced levels in [0.05, 0.95] * M_bar, avoiding the
     extremes where junctions cluster."""
     if M_bar <= 0:
@@ -494,8 +494,8 @@ def default_mu_grid(M_bar, n=15):
     return np.concatenate([[0.0], levels])
 
 
-def assemble_effective_curve(field, structure, mu_points=15, window_cells=100,
-                             p_lo=-4.0, p_hi=4.0):
+def assemble_effective_curve(field, structure, mu_points, window_cells, p_lo,
+                             p_hi):
     """Merge negative-side samples, the flat minimum piece, the level sets
     and the high-level branch-1 tail into one sampled curve.
 

@@ -421,11 +421,10 @@ def branch_inverse_grid(field, structure, j, xs, mu, side="+"):
 class OscillationStats:
     """Window statistics driving the small/large oscillation dichotomy."""
 
-    small: bool
+    small: bool          # M_lo >= m_hi, a tie included
+    tied: bool           # M_lo == m_hi: the tilt breaks the tie first
     M_lo: float          # essinf of the max process
     m_hi: float          # esssup of the min process
-    M_hi: float          # esssup of the max process
-    m_lo: float          # essinf of the min process
     P: float             # p_{k_hi}, k_hi the positive branch attaining m_hi
     Q: float             # q_{k_lo}, k_lo the positive branch attaining M_lo
     q_k_hi: float        # q_{k_hi}
@@ -438,6 +437,9 @@ def classify_oscillation(field, structure):
 
     The positive side is the one the one-sided gluing constructions read;
     on an index (0, L) field its wells are all the non-central ones.
+    M_lo and m_hi are tied when they differ by at most 1e-6 (1 + |M_hi -
+    m_lo|), with M_hi the esssup of M and m_lo the essinf of m; a tie
+    counts as small oscillation.
     """
     pos_min = structure.positive_minima()
     pos_max = structure.positive_maxima()
@@ -447,12 +449,13 @@ def classify_oscillation(field, structure):
     wells, hills = structure.processes(field, xs)
     m_vals, M_vals = wells.min(axis=0), hills.max(axis=0)
     M_lo, m_hi = float(M_vals.min()), float(m_vals.max())
+    tol = 1e-6 * (abs(float(M_vals.max() - m_vals.min())) + 1.0)
     k_lo = int(np.argmax(hills.min(axis=1))) + 1
     k_hi = int(np.argmin(wells.max(axis=1))) + 1
     return OscillationStats(
-        small=M_lo >= m_hi, M_lo=M_lo, m_hi=m_hi, M_hi=float(M_vals.max()),
-        m_lo=float(m_vals.min()), P=float(pos_min[k_hi - 1]),
-        Q=float(pos_max[k_lo - 1]), q_k_hi=float(pos_max[k_hi - 1]))
+        small=M_lo >= m_hi - tol, tied=abs(M_lo - m_hi) <= tol, M_lo=M_lo,
+        m_hi=m_hi, P=float(pos_min[k_hi - 1]), Q=float(pos_max[k_lo - 1]),
+        q_k_hi=float(pos_max[k_hi - 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,23 @@ def test_hill_touching_level_is_one_junction(tmp_path, task):
     assert report["status"] == "ok"
 
 
+TIED_ENV = {"schema": "env/1", "kind": "periodic",
+            "profile": "pwl_wells_plus_dip",
+            "params": {"nodes": [0, 0.5, 1, 1.5, 2],
+                       "values": [0, 1.3, 0.2, 0.8, 0.5],
+                       "cone_slope": 3, "amplitude": 0.55},
+            "period": 1.0}
+
+
+def test_glue_tilts_a_tied_field(tmp_path):
+    # M_lo - m_hi rounds to -2.8e-14 here: a tie, not large oscillation
+    cfg = _cfg(task="glue", env=TIED_ENV, p_grid=[0.5, 1.0, 2.0],
+               window_cells=20)
+    assert cli.run(cfg, str(tmp_path)) == 0
+    tree = json.loads((tmp_path / "tree.json").read_text())
+    assert tree["kind"] == "tilt"
+
+
 def test_validate_task(tmp_path):
     cfg_path = _write(tmp_path, "cfg.json", _cfg(task="validate"))
     out = tmp_path / "out"

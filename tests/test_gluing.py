@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hjhomog import env, structure as st, gluing as gl, cell_solver as cs
+from hjhomog import large_osc as lo
 from hjhomog import cli
 from hjhomog.curve import EffectiveCurve
 from hjhomog.env import EnvironmentSpec, bisect
@@ -89,7 +90,7 @@ def test_oracle_seeds_share_one_level_grid():
 def test_oracle_rejects_nonconvex():
     f = env.sample(env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 0.1}))
     with pytest.raises(NotApplicable):
-        gl.convex_oracle(f)
+        gl.convex_oracle(f, p_lo=-4.0, p_hi=4.0)
 
 
 def _convex_oracle_reference(source, seeds=(0,), p_lo=-4.0, p_hi=4.0):
@@ -211,7 +212,8 @@ def test_oracle_matches_reference(case):
 
 
 @pytest.mark.parametrize("field, kwargs, message", [
-    (_field(LEFT_PARAMS), {}, "field is not quasi-convex in p"),
+    (_field(LEFT_PARAMS), {"p_lo": -4.0, "p_hi": 4.0},
+     "field is not quasi-convex in p"),
     (env.sample(env.make_periodic("abs_plus_sin", 1.0)),
      {"p_lo": -0.5, "p_hi": 0.5},
      "p-range too narrow for the requested levels")],
@@ -346,9 +348,22 @@ def _tied(values):
     # ties with m_hi = min(v at the positive wells)
     params = dict(TIE_PARAMS, values=values)
     f, sn, stats = _analysed(_field(params))
-    span = abs(stats.M_hi - stats.m_lo) + 1.0
-    assert abs(stats.M_lo - stats.m_hi) <= 1e-6 * span
+    assert stats.tied
     return f, sn, stats
+
+
+TIED_VALUES = [TIE_PARAMS["values"], [0.0, 1.3, 0.5, 0.8, 0.2],
+               [0.0, 0.8, 0.2, 1.3, 0.5]]
+
+
+@pytest.mark.parametrize("values", TIED_VALUES,
+                         ids=["tie", "deepest_well", "inner_well"])
+def test_tied_fields_are_small_and_tied(values):
+    # M_lo - m_hi rounds to a few 1e-14 either side of 0: one tolerance
+    # makes the field small and tied, so the reduction tilts it
+    _, _, stats = _analysed(_field(dict(TIE_PARAMS, values=values)))
+    assert abs(stats.M_lo - stats.m_hi) < 1e-12
+    assert stats.small and stats.tied
 
 
 def test_tilt_hat_inside_the_deepest_well():
@@ -513,6 +528,37 @@ def test_evaluate_tree_dual_route_quartic():
     assert np.max(np.abs(curve.evaluate(ps) - direct)) <= 0.07
 
 
+def test_tied_field_reduces_through_the_tilt():
+    # the tie reaches the tilt, whose 1/n hat the glued curve's budget
+    # carries; the solver agrees within the two budgets
+    f = _field(TIE_PARAMS)
+    tree = gl.build_reduction_tree(f)
+    assert tree.kind == "tilt"
+    ps = np.array([0.5, 1.0, 2.0])
+    curve = gl.evaluate_tree(tree, ps, gl.LeafOptions(dx=1 / 512,
+                                                      window_cells=20))
+    for p, value, budget in zip(ps, curve.evaluate(ps), curve.budget_at(ps)):
+        est = cs.estimate_hbar(f, float(p), dx=1 / 512)
+        assert abs(value - est.value) <= budget + est.dispersion
+
+
+def test_large_osc_leaf_runs_on_the_requested_window(monkeypatch):
+    # a glue config's window_cells reaches its large-oscillation leaves
+    # as given, the same window the largeosc task runs on
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return EffectiveCurve([0.0, 1.0], [0.0, 1.0])
+
+    monkeypatch.setattr(lo, "assemble_effective_curve", recorded)
+    q2 = env.sample(env.make_periodic("quartic_plus_sin", 1.0,
+                                      {"amplitude": 2.0}))
+    tree = gl.build_reduction_tree(q2)
+    gl.evaluate_tree(tree, [0.0, 1.0], gl.LeafOptions(window_cells=20))
+    assert [kw["window_cells"] for kw in calls] == [20]
+
+
 def test_evaluate_xfree_exact():
     f = env.sample(env.make_periodic("xfree", 1.0, {"base": "double_well"}))
     tree = gl.build_reduction_tree(f)
@@ -642,22 +688,29 @@ QC = ("leaf", "quasi_convex", ())
 TWO_SIDED = {"nodes": [-1.0, -0.5, 0.0, 0.5, 1.0],
              "values": [0.3, 1.0, 0.0, 1.0, 0.3],
              "cone_slope": 3.0, "amplitude": 0.1}
+ONE_WELL = {"nodes": [0.0, 1.0], "values": [0.0, 0.5], "cone_slope": 2.0,
+            "amplitude": 0.1}
 
 
 @pytest.mark.parametrize("params,max_depth,shape", [
     (LEFT_PARAMS, 0, DIRECT),
     (LEFT_PARAMS, 1, ("steep_left", None, (DIRECT, DIRECT))),
-    (LEFT_PARAMS, 2, ("steep_left", None, (("steep_right", None, (QC, DIRECT)),
-                                           ("steep_right", None, (QC, DIRECT))))),
+    # the steep-right nodes' quasi-convex children are leaves at any depth,
+    # whether or not they were renormalized
+    (LEFT_PARAMS, 2, ("steep_left", None, (("steep_right", None, (QC, QC)),
+                                           ("steep_right", None, (QC, QC))))),
     (TWO_SIDED, 1, ("split", None, (DIRECT, ("mirror", None, (DIRECT,))))),
+    (ONE_WELL, 0, QC),
 ])
 def test_tree_depth_limit_makes_direct_leaves(params, max_depth, shape,
                                               monkeypatch):
+    # only a rewrite MAX_DEPTH levels down becomes a direct leaf
     monkeypatch.setattr(gl, "MAX_DEPTH", max_depth)
-    with pytest.warns(ReductionStalled, match="max reduction depth") as rec:
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
         tree = gl.build_reduction_tree(_field(params))
     assert _shape(tree) == shape
     direct = [l for l in tree.leaves() if l.leaf_kind == "direct"]
-    limits = [w for w in rec if "max reduction depth" in str(w.message)]
-    assert len(limits) == len(direct)
-    assert all(w.category is ReductionStalled for w in limits)
+    stalls = [w for w in rec if w.category is ReductionStalled]
+    assert len(stalls) == len(direct)
+    assert all("max reduction depth" in str(w.message) for w in stalls)

@@ -49,6 +49,12 @@ def pwl():
     return f, s, stats
 
 
+def _M_hi(f, s):
+    # esssup of the max process on classify_oscillation's window
+    xs = np.linspace(0.0, 100 * f.cell, 1600, endpoint=False)
+    return float(s.processes(f, xs)[1].max())
+
+
 # -- decompositions -------------------------------------------------------------
 
 
@@ -505,7 +511,8 @@ def _levels(case, quartic, pwl):
         f, sn = quartic
         return f, sn, (5.0, 0.0, 0.3, 0.5)
     f, s, stats = pwl
-    return f, s, (stats.M_hi + 1.0, 0.5 * stats.m_hi, 0.5 * stats.M_hi)
+    M_hi = _M_hi(f, s)
+    return f, s, (M_hi + 1.0, 0.5 * stats.m_hi, 0.5 * M_hi)
 
 
 @pytest.mark.parametrize("case", ["quartic", "pwl"])
@@ -579,8 +586,8 @@ def test_level_sets_quartic_degenerate(quartic):
 
 
 def test_level_sets_pwl_disjoint_ordered(pwl):
-    f, s, stats = pwl
-    mu_grid = lo.default_mu_grid(stats.M_hi, 8)[1:]
+    f, s, _ = pwl
+    mu_grid = lo.default_mu_grid(_M_hi(f, s), 8)[1:]
     recs = lo.level_sets(f, s, mu_grid, window_cells=60)
     for prev, cur in zip(recs, recs[1:]):
         assert cur["p_lo"] >= prev["p_hi"] - 1e-9
@@ -613,8 +620,8 @@ def _level_sets_reference(field, structure, mu_grid, window_cells):
 
 
 def test_level_sets_shuffled_grid_matches_reference(pwl, quartic):
-    f, s, stats = pwl
-    cases = [(f, s, lo.default_mu_grid(stats.M_hi, 8)[1:]),
+    f, s, _ = pwl
+    cases = [(f, s, lo.default_mu_grid(_M_hi(f, s), 8)[1:]),
              (*quartic, np.array([0.2, 0.5, 0.8]))]
     for f, s, mu_grid in cases:
         shuffled = np.random.default_rng(3).permutation(mu_grid)

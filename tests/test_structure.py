@@ -481,9 +481,10 @@ def test_oscillation_degenerate_deterministic():
     f = env.sample(env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 0.0}))
     s = st.detect_branches(f)
     stats = st.classify_oscillation(f, s)
-    assert stats.small
-    assert stats.M_lo == stats.M_hi
-    assert stats.m_hi == stats.m_lo
+    assert stats.small and not stats.tied
+    # x-free extremum processes: H = 1 on the hill, 0 in the well
+    assert stats.M_lo == pytest.approx(1.0, abs=1e-12)
+    assert stats.m_hi == pytest.approx(0.0, abs=1e-12)
 
 
 # -- normalization ---------------------------------------------------------------
