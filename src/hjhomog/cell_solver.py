@@ -40,7 +40,7 @@ import functools
 import importlib.util
 import os
 import warnings
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
@@ -380,10 +380,10 @@ def prolong(xs_c, w_c, grid):
 # grid policy and the lam -> 0 limit
 # ---------------------------------------------------------------------------
 
-def default_grid_policy(field, p, lam, R=2.0, dx=None):
+def default_grid_policy(field, p, lam, R, dx):
     """Grid for one (p, lam) solve.
 
-    dx defaults to min(1e-2, cell/64) so at least 64 nodes resolve one
+    A dx of None gives min(1e-2, cell/64) so at least 64 nodes resolve one
     period or cell.  theta is the probed p-Lipschitz bound over the
     reachable gradient range |p + v'| <= coercivity_radius(sup|H(p, .)|),
     plus slack.  Deterministic periodic fields solve one period exactly;
@@ -410,7 +410,7 @@ class HbarEstimate:
     p: float
     value: float
     dispersion: float
-    rows: list = dc_field(default_factory=list)  # CSV rows per (lam, seed)
+    rows: list                     # CSV rows per (lam, seed)
 
 
 def _by_seed(fields):
@@ -418,7 +418,7 @@ def _by_seed(fields):
     return {0: fields} if isinstance(fields, HamiltonianField) else fields
 
 
-def estimate_hbar(fields, p, lam_schedule=LAMBDA_SCHEDULE, R=2.0, dx=None):
+def estimate_hbar(fields, p, lam_schedule=LAMBDA_SCHEDULE, R=2.0, *, dx):
     """Estimate Hbar(p) = lim -lam v_lam(0) along a decreasing lam schedule.
 
     ``fields`` maps each seed to its realization; a lone field is seed 0.

@@ -106,7 +106,7 @@ def _integer(name, value):
     return value
 
 
-def resolve_config(raw, seed_override=None):
+def resolve_config(raw, seed_override):
     """Validate and fill defaults; every tolerance is echoed explicitly.
 
     Numbers must be JSON numbers (counts and seeds JSON integers) and are
@@ -394,7 +394,7 @@ def run(config, out_dir, strict=False, seed_override=None):
     return 0
 
 
-def diff_runs(dir_a, dir_b, extra_tol=0.0):
+def diff_runs(dir_a, dir_b, extra_tol):
     """Compare two runs' curves; grids must match exactly."""
     with open(os.path.join(dir_a, "manifest.json")) as fh:
         man_a = json.load(fh)
@@ -441,7 +441,7 @@ def main(argv=None):
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=None,
-                       help="master seed override (beats HJHOMOG_SEED)")
+                       help="master seed override")
     p_run.add_argument("--strict", action="store_true",
                        help="treat warnings as failures")
     p_diff = sub.add_parser("diff", help="compare two run directories")
@@ -458,14 +458,8 @@ def main(argv=None):
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        seed = args.seed
-        if seed is None and os.environ.get("HJHOMOG_SEED"):
-            try:
-                seed = int(os.environ["HJHOMOG_SEED"])
-            except ValueError as exc:
-                print(f"config error: HJHOMOG_SEED: {exc}", file=sys.stderr)
-                return 2
-        return run(config, args.out, strict=args.strict, seed_override=seed)
+        return run(config, args.out, strict=args.strict,
+                   seed_override=args.seed)
     try:
         report = diff_runs(args.dir_a, args.dir_b, extra_tol=args.tol)
     except (ConfigError, OSError) as exc:

@@ -20,7 +20,7 @@ of the checkerboard kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,7 +216,7 @@ class EnvironmentSpec:
 
     kind: str
     profile: object
-    params: dict = dc_field(default_factory=dict)
+    params: dict
     period: float | None = None
     cell_length: float | None = None
     value_range: tuple | None = None
@@ -333,7 +333,7 @@ def make_periodic(profile, period, params=None):
     return spec
 
 
-def make_checkerboard(value_range, cell_length, profile_template, params=None):
+def make_checkerboard(value_range, cell_length, profile_template, params):
     """Spec for an i.i.d.-per-cell medium with C^1 boundary blending."""
     lo, hi = float(value_range[0]), float(value_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -421,7 +421,7 @@ class HamiltonianField:
 
     # -- probing ------------------------------------------------------------
 
-    def probe_xs(self, n=512):
+    def probe_xs(self, n):
         """Representative x probes: one period, or a 48-cell window."""
         if self.period is not None:
             return np.arange(n) * (self.period / n)

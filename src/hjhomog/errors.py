@@ -28,9 +28,9 @@ class NotApplicable(HJHomogError):
 class Diverged(HJHomogError):
     """Discounted solve failed to reach the residual tolerance."""
 
-    def __init__(self, message, residual_trace=None):
+    def __init__(self, message, residual_trace):
         super().__init__(message)
-        self.residual_trace = residual_trace or []
+        self.residual_trace = residual_trace
 
 
 class NotPointwiseExtremal(HJHomogError):

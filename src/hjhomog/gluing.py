@@ -361,8 +361,8 @@ def _reduce(field, structure, depth):
 
 @dataclass
 class LeafOptions:
+    dx: float | None
     lam_schedule: tuple = _cs.LAMBDA_SCHEDULE
-    dx: float | None = None
     R: float = 2.0
     mu_points: int = 15
     window_cells: int = 100

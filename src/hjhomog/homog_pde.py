@@ -133,8 +133,7 @@ class ConvergenceResult:
     monotone: dict                 # seed -> bool
 
 
-def convergence_experiment(fields, curve, setup, eps_list=(0.4, 0.2, 0.1),
-                           *, hbar_dx):
+def convergence_experiment(fields, curve, setup, eps_list, *, hbar_dx):
     """err(eps) = sup over the core at t = T of |u_eps - ubar|, per seed of
     ``fields``, a {seed: field} map (a lone field is seed 0).
 

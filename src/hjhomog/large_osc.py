@@ -28,7 +28,7 @@ from .errors import (ClusterSuspected, LevelSetConflict,
                      NormalizationViolated, NotApplicable,
                      NotPointwiseExtremal)
 from .structure import (TOL_INV, _sign_ahead, branch_feasible,
-                        branch_inverse_grid)
+                        branch_inverse_grid, classify_oscillation)
 
 BUFFER_CELLS = 5
 
@@ -47,11 +47,12 @@ class AdmissibleDecomposition:
 
 def _scan_roots(gfun, g, xs, mu, tol_touch):
     """Crossings (bisection-refined against the process callable, all sign
-    flips at once) and tangential touches (local extrema within tol of the
-    level, all refined in one array ``golden_min`` and kept where the
-    refined value is still within tol).  High-accuracy locations matter:
-    the corner rule at a junction holds only up to the process slope times
-    the location error.  ``gfun`` must accept an array of x.
+    flips at once) and tangential touches (strict local extrema within tol
+    of the level, all refined in one array ``golden_min`` and kept where
+    the refined value is still within tol; a constant run of samples, as
+    in a piecewise-constant cell, is no touch).  High-accuracy locations
+    matter: the corner rule at a junction holds only up to the process
+    slope times the location error.  ``gfun`` must accept an array of x.
 
     A sample within TOL_INV of the level is on it, as branch feasibility
     reads the same process values (``structure.branch_feasible``): it has
@@ -74,7 +75,7 @@ def _scan_roots(gfun, g, xs, mu, tol_touch):
     roots = list(0.5 * (lo + hi))
     interior = np.arange(1, len(xs) - 1)
     is_ext = ((d[interior] - d[interior - 1]) * (d[interior + 1] - d[interior])
-              <= 0.0)
+              < 0.0)
     near = np.abs(d[interior]) <= tol_touch
     no_cross = (s[interior - 1] * s[interior] >= 0) & \
                (s[interior] * s[interior + 1] >= 0)
@@ -501,7 +502,9 @@ def assemble_effective_curve(field, structure, mu_points, window_cells, p_lo,
 
     Gap regions between level intervals interpolate monotonically and are
     tagged "interp"; the result is checked for level-set convexity.  A
-    structure without positive maxima raises NotApplicable.
+    structure without positive maxima, and a field of small oscillation
+    (M_lo > m_hi, ``classify_oscillation``), raise NotApplicable; a tied
+    field runs.
     """
     window = (0.0, window_cells * field.cell)
     x_probe, _, _ = _window_grid(field, window)
@@ -509,6 +512,12 @@ def assemble_effective_curve(field, structure, mu_points, window_cells, p_lo,
     if len(pos_max) == 0:
         raise NotApplicable("no positive maxima: the large-oscillation "
                             "route needs a positive-side hill")
+    stats = classify_oscillation(field, structure)
+    if stats.small and not stats.tied:
+        raise NotApplicable(
+            f"small oscillation (M_lo={stats.M_lo:.6g} > "
+            f"m_hi={stats.m_hi:.6g}): the large-oscillation route needs "
+            f"M_lo < m_hi")
     M_bar = float(field.evaluate(pos_max[:, None], x_probe[None, :]).max())
     mu_grid = default_mu_grid(M_bar, mu_points)
     levels = level_sets(field, structure, mu_grid[mu_grid > 0],

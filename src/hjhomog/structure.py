@@ -69,7 +69,7 @@ class ConstrainedStructure:
         pos = self.breakpoints[self.central_pos + 1:: 2]
         return pos[::-1]
 
-    def branch_interval(self, j, side="+"):
+    def branch_interval(self, j, side):
         """p-interval of monotone branch j (outermost-first, 1-based).
 
         Positive side: branch 1 is [p_1, inf) increasing, branch 2L+1 is
@@ -94,7 +94,7 @@ class ConstrainedStructure:
             return -np.inf, float(pos[0])
         return float(pos[j - 2]), float(pos[j - 1])
 
-    def branch_increasing(self, j, side="+"):
+    def branch_increasing(self, j, side):
         """Odd positive branches increase; odd negative branches decrease."""
         return j % 2 == 1 if side == "+" else j % 2 == 0
 

@@ -201,7 +201,7 @@ def test_criterion_08_gradient_control(quartic2):
     p0, P = 0.2, 2.2     # essinf H(P, .) = (P^2-1)^2 - 2 = 12.7 > Hbar(p0) = 2
     est = cs.estimate_hbar(quartic2, p0, lam_schedule=SCHEDULE, dx=1 / 1024)
     lam = SCHEDULE[-1]
-    grid = cs.default_grid_policy(quartic2, p0, lam, dx=1 / 1024)
+    grid = cs.default_grid_policy(quartic2, p0, lam, R=2.0, dx=1 / 1024)
     sol = cs.solve_discounted(quartic2, p0, lam, grid)
     out = pc.gradient_control_check(quartic2, sol, p0, P, est.value, case=1)
     ok = out.status == "passed" and out.detail["violations"] == 0

@@ -1,8 +1,8 @@
 """Every defaulted parameter of the package is set by some caller outside
-the tests, every keyword a caller passes names a parameter, every public
-name, method and property of the package has a caller outside the tests,
-every dataclass field is read, and every warning the package raises has a
-category of its own.
+the tests and left unset by another, every keyword a caller passes names a
+parameter, every public name, method and property of the package has a
+caller outside the tests, every dataclass field is read, and every warning
+the package raises has a category of its own.
 
 A parameter with a default that no call in ``src/``, ``demos/``,
 ``perfbench/`` or ``tests/proof_checks.py`` passes, by keyword or by
@@ -11,8 +11,12 @@ runs, or none, and a knob that only a test turns.  A call from a function
 to itself sets nothing when it passes its own parameter through unchanged
 or passes the parameter's default literal.  ``cli.main(argv)`` is the one
 exception: it is the console-script entry point, which the command line
-fills and the CLI tests drive.  A keyword that no definition of the called
-name accepts, in any caller directory, the tests included, is a stale
+fills and the CLI tests drive.  Conversely, a default that every one of
+those calls overrides is a value no route uses, and its parameter is
+required in all but name.  A call with ``*args`` or ``**kwargs`` leaves
+every default unset, and a self-call that passes a parameter through, as
+above, neither sets nor leaves it.  A keyword that no definition of the
+called name accepts, in any caller directory, the tests included, is a stale
 call, which fails only when it runs (the demos are only byte-compiled).  A
 public module-level function or class that nothing in ``src/`` outside its
 own definition, and nothing in ``demos/``, names (a re-export in an
@@ -208,10 +212,12 @@ def _passes_itself(node, i, param, default):
         default is not None and ast.dump(arg) == ast.dump(default))
 
 
-def passed_arguments(defs, paths):
-    """The set of (owner label, parameter) that some call in ``paths``
-    fills, less what a function passes to itself unchanged."""
-    passed = set()
+def _filled(defs, paths):
+    """(label "owner(parameter)", whether the call sets it, whether it
+    leaves it unset) for every parameter of every definition a call in
+    ``paths`` reaches.  A function passing a parameter to itself unchanged
+    neither sets nor leaves it; a call with ``*args`` or ``**kwargs``
+    leaves every parameter unset."""
     for _, node, targets, enclosing in calls(defs, paths):
         keywords = {k.arg for k in node.keywords if k.arg}
         n_pos = 0
@@ -219,30 +225,47 @@ def passed_arguments(defs, paths):
             if isinstance(a, ast.Starred):
                 break
             n_pos += 1
+        starred = n_pos < len(node.args) or len(keywords) < len(node.keywords)
         for label, names, defaulted, _ in targets:
             for i, param in enumerate(names):
                 by_position = i < n_pos and not any(
                     i < len(other) and other[i] not in other_def
                     for lab, other, other_def, _ in targets
                     if lab != label)
-                if (param in keywords or by_position) and not (
-                        label == enclosing and _passes_itself(
-                            node, i, param, defaulted.get(param))):
-                    passed.add((label, param))
-    return passed
+                named = param in keywords or by_position
+                if named and label == enclosing and _passes_itself(
+                        node, i, param, defaulted.get(param)):
+                    continue
+                yield (f"{label}({param})", named,
+                       starred or not (param in keywords or i < n_pos))
+
+
+def _defaulted(defs):
+    return {f"{label}({param})" for entries in defs.values()
+            for label, _, params, _ in entries for param in params}
+
+
+SETTERS = [*_caller_files(("src", "demos", "perfbench")), PROOF_CHECKS]
 
 
 def test_every_defaulted_parameter_has_a_setter():
     defs = definitions()
-    setters = [*_caller_files(("src", "demos", "perfbench")), PROOF_CHECKS]
-    passed = {f"{label}({param})"
-              for label, param in passed_arguments(defs, setters)}
-    defaulted = {f"{label}({param})" for entries in defs.values()
-                 for label, _, params, _ in entries for param in params}
+    passed = {label for label, sets, _ in _filled(defs, SETTERS) if sets}
+    defaulted = _defaulted(defs)
     assert SEAMS <= defaulted - passed, f"stale seams: {sorted(SEAMS)}"
     unset = sorted(defaulted - passed - SEAMS)
     assert not unset, (f"{len(unset)} defaulted parameters that no caller "
                        f"outside the tests sets: " + ", ".join(unset))
+
+
+def test_every_default_is_relied_on():
+    """The converse: a default that every call outside the tests overrides
+    is a value no route uses."""
+    defs = definitions()
+    relied = {label for label, _, unset in _filled(defs, SETTERS) if unset}
+    unused = sorted(_defaulted(defs) - relied)
+    assert not unused, (f"{len(unused)} defaults that every caller outside "
+                        f"the tests overrides: " + ", ".join(unused))
 
 
 def test_every_keyword_names_a_parameter():

@@ -32,14 +32,14 @@ def board_spec():
 def test_xfree_lambda_consistency(xfree_sq):
     # constant solution: -lam v(0) = H(p) to machine precision for every lam
     for lam in (0.04, 0.01, 10.0):
-        grid = cs.default_grid_policy(xfree_sq, 1.0, lam)
+        grid = cs.default_grid_policy(xfree_sq, 1.0, lam, R=2.0, dx=None)
         sol = cs.solve_discounted(xfree_sq, 1.0, lam, grid)
         assert sol.minus_lambda_v0 == pytest.approx(1.0, abs=1e-12)
         assert abs(sol.grad_range[0]) < 1e-10 and abs(sol.grad_range[1]) < 1e-10
 
 
 def test_abs_sin_single_solve(abs_sin):
-    grid = cs.default_grid_policy(abs_sin, 0.0, 0.01, dx=1 / 128)
+    grid = cs.default_grid_policy(abs_sin, 0.0, 0.01, R=2.0, dx=1 / 128)
     sol = cs.solve_discounted(abs_sin, 0.0, 0.01, grid)
     assert sol.minus_lambda_v0 == pytest.approx(1.0, abs=0.05)
 
@@ -47,27 +47,28 @@ def test_abs_sin_single_solve(abs_sin):
 def test_uniform_bound(abs_sin):
     # comparison with constants: sup |lam v| <= sup |H(p, .)|
     for p, lam in [(0.0, 0.01), (2.0, 0.04), (0.5, 10.0)]:
-        grid = cs.default_grid_policy(abs_sin, p, lam)
+        grid = cs.default_grid_policy(abs_sin, p, lam, R=2.0, dx=None)
         sol = cs.solve_discounted(abs_sin, p, lam, grid)
         bound = abs_sin.sup_abs_on(p)
         assert np.max(np.abs(lam * sol.v)) <= bound + 1e-9
 
 
 def test_cfl_rejected(abs_sin):
-    grid = cs.default_grid_policy(abs_sin, 0.0, 0.01)
+    grid = cs.default_grid_policy(abs_sin, 0.0, 0.01, R=2.0, dx=None)
     grid.dt = 10.0 / (grid.theta / grid.dx)
     with pytest.raises(ValueError):
         cs.solve_discounted(abs_sin, 0.0, 0.01, grid)
 
 
 def test_bad_lambda_and_schedule(abs_sin):
-    grid = cs.default_grid_policy(abs_sin, 0.0, 0.01)
+    grid = cs.default_grid_policy(abs_sin, 0.0, 0.01, R=2.0, dx=None)
     with pytest.raises(ValueError):
         cs.solve_discounted(abs_sin, 0.0, -1.0, grid)
     with pytest.raises(ValueError):
-        cs.estimate_hbar(abs_sin, 0.0, lam_schedule=(0.01, 0.02, 0.04))
+        cs.estimate_hbar(abs_sin, 0.0, lam_schedule=(0.01, 0.02, 0.04),
+                         dx=None)
     with pytest.raises(ValueError):
-        cs.estimate_hbar(abs_sin, 0.0, lam_schedule=(0.02, 0.01))
+        cs.estimate_hbar(abs_sin, 0.0, lam_schedule=(0.02, 0.01), dx=None)
 
 
 def test_estimate_hbar_convex_oracle(abs_sin):
@@ -87,7 +88,7 @@ def test_estimate_rows_schema(abs_sin):
 
 def test_monotone_update_randomized(abs_sin):
     rng = np.random.default_rng(5)
-    grid = cs.default_grid_policy(abs_sin, 0.3, 0.02, dx=1 / 64)
+    grid = cs.default_grid_policy(abs_sin, 0.3, 0.02, R=2.0, dx=1 / 64)
     sol = cs.solve_discounted(abs_sin, 0.3, 0.02, grid)
     w = sol.w_full + 0.1 * rng.standard_normal(len(sol.w_full))
     out = pc.monotone_update_check(abs_sin, 0.3, 0.02, grid, w, rng, n_points=100)
@@ -97,7 +98,7 @@ def test_monotone_update_randomized(abs_sin):
 def test_comparison_gap_identical(board_spec):
     f = env.sample(board_spec, 3)
     lam = 0.02
-    grid = cs.default_grid_policy(f, 1.5, lam, dx=1 / 64)
+    grid = cs.default_grid_policy(f, 1.5, lam, R=2.0, dx=1 / 64)
     sol = cs.solve_discounted(f, 1.5, lam, grid)
     out = pc.comparison_gap(sol, sol, field=f)
     assert out.status == "passed" and out.detail["gap"] == 0.0
@@ -106,7 +107,7 @@ def test_comparison_gap_identical(board_spec):
 def test_comparison_gap_two_pads(board_spec):
     f = env.sample(board_spec, 3)
     lam = 0.02
-    g1 = cs.default_grid_policy(f, 1.5, lam, dx=1 / 64)
+    g1 = cs.default_grid_policy(f, 1.5, lam, R=2.0, dx=1 / 64)
     g2 = replace(g1, pad=40 * g1.dx)
     s1 = cs.solve_discounted(f, 1.5, lam, g1)
     s2 = cs.solve_discounted(f, 1.5, lam, g2)
@@ -138,7 +139,7 @@ def test_gradient_control_quartic():
     p0, P = 0.2, 2.2
     est = cs.estimate_hbar(f, p0, dx=1 / 512)
     lam = cs.LAMBDA_SCHEDULE[-1]
-    grid = cs.default_grid_policy(f, p0, lam, dx=1 / 512)
+    grid = cs.default_grid_policy(f, p0, lam, R=2.0, dx=1 / 512)
     sol = cs.solve_discounted(f, p0, lam, grid)
     out = pc.gradient_control_check(f, sol, p0, P, est.value, case=1)
     assert out.status == "passed"
@@ -147,7 +148,8 @@ def test_gradient_control_quartic():
 
 def test_gradient_control_xfree(xfree_sq):
     sol = cs.solve_discounted(
-        xfree_sq, 0.5, 0.01, cs.default_grid_policy(xfree_sq, 0.5, 0.01))
+        xfree_sq, 0.5, 0.01,
+        cs.default_grid_policy(xfree_sq, 0.5, 0.01, R=2.0, dx=None))
     out = pc.gradient_control_check(xfree_sq, sol, 0.5, 1.0, hbar_p0=0.25, case=1)
     assert out.status == "passed"
     # constant solution: gradients identically zero
@@ -157,7 +159,8 @@ def test_gradient_control_xfree(xfree_sq):
 def test_gradient_control_skipped():
     f = env.sample(env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 2.0}))
     lam = 0.04
-    sol = cs.solve_discounted(f, 0.2, lam, cs.default_grid_policy(f, 0.2, lam))
+    sol = cs.solve_discounted(
+        f, 0.2, lam, cs.default_grid_policy(f, 0.2, lam, R=2.0, dx=None))
     # P = 1: essinf H(1, .) = -2 < Hbar(0.2), hypothesis fails
     out = pc.gradient_control_check(f, sol, 0.2, 1.0, hbar_p0=2.0, case=1)
     assert out.status == "skipped"
@@ -210,7 +213,7 @@ def test_estimate_does_not_depend_on_earlier_p():
 
 def test_diverged_raises(board_spec, monkeypatch):
     f = env.sample(board_spec, 1)
-    grid = cs.default_grid_policy(f, 0.0, 0.02, dx=1 / 32)
+    grid = cs.default_grid_policy(f, 0.0, 0.02, R=2.0, dx=1 / 32)
     # neither Newton nor the red-black sweeps make progress: the coarsest
     # level of the nested cold start stalls and raises
     monkeypatch.setattr(cs, "_newton_step",
@@ -360,7 +363,8 @@ _SOLVE_ONCE = """
 import sys
 from hjhomog import cell_solver as cs, env
 f = env.sample(env.make_periodic("abs_plus_sin", 1.0))
-cs.solve_discounted(f, 0.3, 0.04, cs.default_grid_policy(f, 0.3, 0.04))
+cs.solve_discounted(f, 0.3, 0.04,
+                    cs.default_grid_policy(f, 0.3, 0.04, R=2.0, dx=None))
 print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
@@ -407,7 +411,7 @@ def test_warm_start_divergence_warns_and_solves_cold(abs_sin, monkeypatch):
     def warm_diverges(field, p, lam, grid, w0=None, **kwargs):
         # only the schedule's warm starts: the dx/2 solve keeps its start
         if w0 is not None and grid.dx == dx:
-            raise Diverged("forced")
+            raise Diverged("forced", [])
         return solve(field, p, lam, grid, w0=w0, **kwargs)
 
     def always_cold(field, p, lam, grid, w0=None, **kwargs):
@@ -436,7 +440,7 @@ def test_prolonged_newton_iterate_is_the_nested_start(board_spec, abs_sin,
     # iterate of a cold grid_f solve is the same computation
     f, p, lam, dx = ((abs_sin, 0.3, 0.01, 1 / 256) if case == "torus"
                      else (env.sample(board_spec, 3), 1.0, 0.04, 1 / 32))
-    grid_f = cs.default_grid_policy(f, p, lam, dx=dx)
+    grid_f = cs.default_grid_policy(f, p, lam, R=2.0, dx=dx)
     grid_h = replace(grid_f, dx=grid_f.dx * 0.5,
                      dt=0.9 / (grid_f.theta / (grid_f.dx * 0.5) + lam))
     assert cs._coarse(grid_h, lam) == grid_f

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from hjhomog import cli, env
+from hjhomog.errors import NotApplicable
 
 
 def _write(tmp_path, name, obj):
@@ -57,7 +58,7 @@ def test_diff_identical_runs(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cli.main(["run", "--config", cfg_path, "--out", str(out1)])
     cli.main(["run", "--config", cfg_path, "--out", str(out2)])
-    report = cli.diff_runs(str(out1), str(out2))
+    report = cli.diff_runs(str(out1), str(out2), 0.0)
     assert report["identical"] and report["max_diff"] == 0.0
 
 
@@ -69,7 +70,7 @@ def test_diff_task_mismatch(tmp_path):
     cli.main(["run", "--config", c1, "--out", str(out1)])
     cli.main(["run", "--config", c2, "--out", str(out2)])
     with pytest.raises(cli.ConfigError):
-        cli.diff_runs(str(out1), str(out2))
+        cli.diff_runs(str(out1), str(out2), 0.0)
 
 
 def test_malformed_config_exit_2(tmp_path):
@@ -184,32 +185,19 @@ def test_xfree_effective_exact(tmp_path):
         assert abs(hbar - p * p) < 1e-10
 
 
-def test_seed_override_env_var(tmp_path, monkeypatch):
+def test_seed_flag_overrides_master(tmp_path):
     cfg = _cfg(env=BOARD_ENV, p_grid=[2.0], seeds={"master": 1, "count": 1},
                lambda_schedule=[0.08, 0.04, 0.02])
     cfg_path = _write(tmp_path, "cfg.json", cfg)
     out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     cli.main(["run", "--config", cfg_path, "--out", str(out1)])
-    monkeypatch.setenv("HJHOMOG_SEED", "99")
-    cli.main(["run", "--config", cfg_path, "--out", str(out2)])
-    # CLI flag beats the environment variable
+    cli.main(["run", "--config", cfg_path, "--out", str(out2), "--seed", "99"])
     cli.main(["run", "--config", cfg_path, "--out", str(out3), "--seed", "1"])
     a = (out1 / "curves.csv").read_bytes()
     b = (out2 / "curves.csv").read_bytes()
     c = (out3 / "curves.csv").read_bytes()
     assert a != b
     assert a == c
-
-
-@pytest.mark.parametrize("value", ["abc", "1.5"])
-def test_non_integer_seed_env_var_exit_2(tmp_path, monkeypatch, capsys,
-                                         value):
-    cfg_path = _write(tmp_path, "cfg.json", _cfg())
-    out = tmp_path / "out"
-    monkeypatch.setenv("HJHOMOG_SEED", value)
-    assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 2
-    assert "config error: HJHOMOG_SEED" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_largeosc_without_positive_maxima_exit_1(tmp_path):
@@ -237,6 +225,38 @@ def test_hill_touching_level_is_one_junction(tmp_path, task):
     assert cli.run(cfg, str(tmp_path)) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "ok"
+
+
+def _quartic_board(v_lo):
+    return {"schema": "env/1", "kind": "checkerboard",
+            "profile": "quartic_plus_v", "params": {}, "cell_length": 1.0,
+            "value_range": [v_lo, 0.0]}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("task", ["largeosc", "glue"])
+def test_large_oscillation_checkerboard_completes(tmp_path, task, seed):
+    # the processes are constant inside each cell: a constant run of
+    # samples near a level is no tangential touch (read as one, every
+    # plateau made junctions closer than sep_min: ClusterSuspected)
+    cfg = _cfg(task=task, env=_quartic_board(-2.0), p_grid=[-1.5, 0.0, 1.5],
+               seeds=[seed], window_cells=50)
+    assert cli.run(cfg, str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "ok"
+
+
+def test_largeosc_on_small_oscillation_is_not_applicable(tmp_path):
+    # M_lo > m_hi: the route does not apply, which it says before it
+    # builds a level (it failed with LevelSetConflict)
+    cfg = _cfg(task="largeosc", env=_quartic_board(-0.5),
+               p_grid=[-1.5, 0.0, 1.5], seeds=[0], window_cells=50)
+    assert cli.run(cfg, str(tmp_path)) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["error"].startswith("small oscillation (M_lo=")
+    resolved = cli.resolve_config(cfg, None)
+    with pytest.raises(NotApplicable, match="small oscillation"):
+        cli._largeosc_curve(resolved, cli._realize(resolved)[0])
 
 
 TIED_ENV = {"schema": "env/1", "kind": "periodic",

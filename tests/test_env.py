@@ -21,7 +21,7 @@ def quartic_2sin():
 
 @pytest.fixture
 def board():
-    spec = env.make_checkerboard((-2.0, 0.0), 1.0, "quartic_plus_v")
+    spec = env.make_checkerboard((-2.0, 0.0), 1.0, "quartic_plus_v", {})
     return env.sample(spec, seed=7)
 
 
@@ -175,7 +175,7 @@ def test_checkerboard_continuity_across_boundary(board):
 
 
 def test_degenerate_value_range_is_periodic():
-    spec = env.make_checkerboard((-0.5, -0.5), 1.0, "quartic_plus_v")
+    spec = env.make_checkerboard((-0.5, -0.5), 1.0, "quartic_plus_v", {})
     f = env.sample(spec, seed=3)
     xs = np.linspace(0, 10, 200)
     assert np.allclose(f.evaluate(0.0, xs), 1.0 - 0.5)
@@ -193,7 +193,7 @@ def test_continuity_modulus_probe(quartic_2sin):
 
 def test_empty_range_rejected():
     with pytest.raises(ProfileError):
-        env.make_checkerboard((1.0, 0.0), 1.0, "abs_plus_v")
+        env.make_checkerboard((1.0, 0.0), 1.0, "abs_plus_v", {})
 
 
 def test_nonfinite_profile_rejected():
@@ -202,7 +202,7 @@ def test_nonfinite_profile_rejected():
 
 
 def test_spec_roundtrip_json():
-    spec = env.make_checkerboard((-2.0, 0.0), 0.5, "quartic_plus_v")
+    spec = env.make_checkerboard((-2.0, 0.0), 0.5, "quartic_plus_v", {})
     text = json.dumps(spec.to_dict())
     back = env.EnvironmentSpec.from_dict(json.loads(text))
     assert back == spec

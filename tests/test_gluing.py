@@ -160,7 +160,7 @@ def _glue_steep_leaf_calls():
     path = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "perfbench", "configs", "glue_steep.json")
     with open(path) as fh:
-        cfg = cli.resolve_config(json.load(fh))
+        cfg = cli.resolve_config(json.load(fh), None)
     calls, oracle = [], gl.convex_oracle
 
     def recorded(field, **kwargs):
@@ -390,7 +390,7 @@ def test_oracle_fallback_on_a_quasi_convex_leaf_warns():
                             leaf_kind="quasi_convex")
     with pytest.warns(OracleFellBack, match=r"p in \[-0\.5, 0\.5\] did not "
                       r"apply \(p-range too narrow"):
-        curve = gl.evaluate_leaf(leaf, [0.0], gl.LeafOptions())
+        curve = gl.evaluate_leaf(leaf, [0.0], gl.LeafOptions(dx=None))
     assert curve.source == ["solver"]
 
 
@@ -490,7 +490,7 @@ def test_evaluate_single_leaf_idempotent():
     f = env.sample(env.make_periodic("abs_plus_sin", 1.0))
     tree = gl.build_reduction_tree(f)
     ps = np.linspace(-2, 2, 9)
-    curve = gl.evaluate_tree(tree, ps, gl.LeafOptions())
+    curve = gl.evaluate_tree(tree, ps, gl.LeafOptions(dx=None))
     oracle = gl.convex_oracle(f, p_lo=-4.5, p_hi=4.5)
     assert np.allclose(curve.evaluate(ps), oracle.evaluate(ps), atol=1e-6)
 
@@ -522,7 +522,7 @@ def test_evaluate_tree_dual_route_quartic():
     q = env.sample(env.make_periodic("quartic_plus_sin", 1.0, {"amplitude": 0.1}))
     tree = gl.build_reduction_tree(q)
     ps = np.linspace(-1.0, 2.5, 8)
-    curve = gl.evaluate_tree(tree, ps, gl.LeafOptions())
+    curve = gl.evaluate_tree(tree, ps, gl.LeafOptions(dx=None))
     direct = np.array([cs.estimate_hbar(q, float(p), dx=1 / 1024).value
                        for p in ps])
     assert np.max(np.abs(curve.evaluate(ps) - direct)) <= 0.07
@@ -555,7 +555,8 @@ def test_large_osc_leaf_runs_on_the_requested_window(monkeypatch):
     q2 = env.sample(env.make_periodic("quartic_plus_sin", 1.0,
                                       {"amplitude": 2.0}))
     tree = gl.build_reduction_tree(q2)
-    gl.evaluate_tree(tree, [0.0, 1.0], gl.LeafOptions(window_cells=20))
+    gl.evaluate_tree(tree, [0.0, 1.0],
+                     gl.LeafOptions(dx=None, window_cells=20))
     assert [kw["window_cells"] for kw in calls] == [20]
 
 
@@ -563,10 +564,10 @@ def test_evaluate_xfree_exact():
     f = env.sample(env.make_periodic("xfree", 1.0, {"base": "double_well"}))
     tree = gl.build_reduction_tree(f)
     ps = np.linspace(-0.5, 2.5, 11)
-    curve = gl.evaluate_tree(tree, ps, gl.LeafOptions())
+    curve = gl.evaluate_tree(tree, ps, gl.LeafOptions(dx=None))
     # Hbar of an x-free double well is its quasi-convexification on wells:
     # the cell solver route agrees since no medium exists; spot check center
-    direct = cs.estimate_hbar(f, 1.0).value
+    direct = cs.estimate_hbar(f, 1.0, dx=None).value
     assert curve.evaluate(1.0) == pytest.approx(direct, abs=1e-6)
 
 
@@ -643,7 +644,7 @@ def test_mirror_field_is_the_reflection(lams):
 
 
 def _bases():
-    board = env.make_checkerboard((-0.5, 0.0), 0.5, "quartic_plus_v")
+    board = env.make_checkerboard((-0.5, 0.0), 0.5, "quartic_plus_v", {})
     return [env.sample(env.make_periodic("quartic_plus_sin", 1.0,
                                          {"amplitude": 0.5})),
             env.sample(board, seed=3).periodized(8),

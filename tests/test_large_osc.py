@@ -557,7 +557,7 @@ def test_level_piece_builds_run_tables_before_bisecting(quartic,
 
 
 def test_checkerboard_extremal_means_agree():
-    spec = env.make_checkerboard((-2.0, 0.0), 1.0, "quartic_plus_v")
+    spec = env.make_checkerboard((-2.0, 0.0), 1.0, "quartic_plus_v", {})
     realizations = {s: env.sample(spec, s) for s in (0, 1)}
     s0 = st.detect_branches(realizations[0])
 
@@ -654,11 +654,18 @@ def test_level_sets_split_overlaps_like_reference(monkeypatch, quartic):
 
 def test_level_sets_fail_at_first_conflict(monkeypatch):
     """The first failure in ascending mu is the one reported, and no level
-    above it is built: on the converge benchmark's field the lowest two
-    levels overlap, so two of the fourteen levels are built."""
+    above it is built: on the converge benchmark's field, normalized, with
+    the large-oscillation route's level grid, the lowest two levels
+    overlap, so two of the fourteen levels are built."""
     with open(os.path.join(PERFBENCH, "configs",
                            "converge_quartic_small.json")) as fh:
-        cfg = cli.resolve_config(json.load(fh))
+        cfg = cli.resolve_config(json.load(fh), None)
+    field = cli._realize(cfg)[0]
+    fn, sn, _, _ = st.normalize(field, st.detect_branches(field))
+    x_probe, _, _ = lo._window_grid(fn, (0.0, cfg["window_cells"] * fn.cell))
+    M_bar = float(fn.evaluate(sn.positive_maxima()[:, None],
+                              x_probe[None, :]).max())
+    mu_grid = lo.default_mu_grid(M_bar, cfg["mu_points"])
     calls = []
     pair = lo.extremal_pair
 
@@ -668,7 +675,7 @@ def test_level_sets_fail_at_first_conflict(monkeypatch):
 
     monkeypatch.setattr(lo, "extremal_pair", counted)
     with pytest.raises(LevelSetConflict) as err:
-        cli._largeosc_curve(cfg, cli._realize(cfg)[0])
+        lo.level_sets(fn, sn, mu_grid[mu_grid > 0], cfg["window_cells"])
     assert str(err.value) == ("I_mu at mu=0.0625893 overlaps mu=0.0499039 "
                               "by more than 1e-9")
     assert len(calls) == 2 and calls == sorted(calls)

@@ -161,7 +161,7 @@ def _breakpoints_one_probe_reference(field, x, p_box):
 
 
 def _probe_fields():
-    board = env.make_checkerboard((-0.5, 0.25), 0.5, "quartic_plus_v")
+    board = env.make_checkerboard((-0.5, 0.25), 0.5, "quartic_plus_v", {})
     # a plateau at p in [1, 2]: dH/dp is exactly 0 there
     plateau = {"nodes": [0, 1, 2, 3], "values": [0.0, 1.0, 1.0, 0.2],
                "cone_slope": 2.0, "amplitude": 0.1}
@@ -334,7 +334,7 @@ Q_07_S = st.detect_branches(Q_07)
 def _keyless_fields():
     """Fields whose ``at`` reads x itself: their period key is None."""
     board = env.sample(env.make_checkerboard((-2.0, 0.0), 0.5,
-                                             "quartic_plus_v"), seed=5)
+                                             "quartic_plus_v", {}), seed=5)
     out = {"shifted": pc.ShiftedField(Q_07, 0.3),
            "mirrored": gl.MirroredField(Q_07),
            "max": pc.MaxField(Q_07, st.TransformedField(Q_07, 0.05, -0.1)),
