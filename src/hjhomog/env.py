@@ -395,6 +395,15 @@ class HamiltonianField:
         loop varies p at fixed x."""
         raise NotImplementedError
 
+    def frozen_at(self, key, x):
+        """``at(x)``, built at the first call with ``key`` and kept beside
+        the probes, for a caller that freezes the same nodes again and
+        again; ``key`` must fix x to the bit."""
+        key = ("at", key)
+        if key not in self._cache:
+            self._cache[key] = self.at(x)
+        return self._cache[key]
+
     def period_key(self, x):
         """The reduced x that ``at(x)`` depends on, or None when ``at``
         reads x itself: points with equal keys have equal values

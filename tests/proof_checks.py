@@ -327,27 +327,40 @@ def homotopy_interpolant(field, structure, mu, f1, f2, interval, c,
     switches; its endpoint values are exact and its slopes satisfy the
     level equation up to the corner tolerances.  The branch and legality
     tables do not depend on c: ``level_piece_function`` builds them once
-    per interval and reruns only the DP for each target.
+    per level and reruns only the DP for each target.
     """
-    tables = _homotopy_tables(field, structure, mu, f1, interval)
+    [tables] = _homotopy_tables(field, structure, mu, f1, [interval])
     return _perron(field, structure, mu, tables, f1, f2, c, incoming_branch)
 
 
-def _homotopy_tables(field, structure, mu, f1, interval):
-    """(sel, psi, feasible, legal) on the cells of f1's grid inside the
-    interval: every branch's inverse at the midpoints and its subsolution
+def _homotopy_tables(field, structure, mu, f1, intervals):
+    """(sel, psi, feasible, legal) per interval, on the cells of f1's grid
+    inside it: every branch's inverse at the midpoints and its subsolution
     legality at the cell edges, since rides may pass through branches
-    neither endpoint selection uses."""
-    a, b = interval
-    sel = (f1.x_mid >= a - 1e-12) & (f1.x_mid <= b + 1e-12)
-    if not sel.any():
-        raise ValueError("interval contains no grid cells")
-    x_mid, wid = f1.x_mid[sel], f1.widths[sel]
-    nodes = np.concatenate([[a], x_mid[:-1] + 0.5 * wid[:-1], [b]])
-    psi, feas = _branch_tables(field, structure, mu, x_mid)
-    legal = _pair_legality(field, structure, mu, nodes,
+    neither endpoint selection uses.  One branch inversion over all the
+    intervals' cells and one legality pass over all their nodes serve
+    every interval; both work point by point, so each interval's slice
+    is, to the bit, what a pass of its own would give."""
+    sels, x_mids, nodes = [], [], []
+    for a, b in intervals:
+        sel = (f1.x_mid >= a - 1e-12) & (f1.x_mid <= b + 1e-12)
+        if not sel.any():
+            raise ValueError("interval contains no grid cells")
+        x_mid, wid = f1.x_mid[sel], f1.widths[sel]
+        sels.append(sel)
+        x_mids.append(x_mid)
+        nodes.append(np.concatenate([[a], x_mid[:-1] + 0.5 * wid[:-1], [b]]))
+    psi, feas = _branch_tables(field, structure, mu, np.concatenate(x_mids))
+    legal = _pair_legality(field, structure, mu, np.concatenate(nodes),
                            list(range(1, len(psi))), rule="sub")
-    return sel, psi, feas, legal
+    tables, i = [], 0
+    for sel, x_mid in zip(sels, x_mids):
+        # an interval of n cells has n + 1 nodes
+        n, k = len(x_mid), i + len(tables)
+        tables.append((sel, psi[:, i:i + n], feas[:, i:i + n],
+                       {pair: ok[k:k + n + 1] for pair, ok in legal.items()}))
+        i += n
+    return tables
 
 
 def _perron(field, structure, mu, tables, f1, f2, c, incoming_branch):
@@ -503,10 +516,11 @@ def level_piece_function(field, structure, mu, p, window_cells=100):
                                 slopes=fn.slopes.copy(), core=fn.core,
                                 cell_branch=fn.cell_branch)
             return out, t_end
-    # each run's tables are built once; only the Perron DP sees t
+    # the runs' tables are built once, together; only the Perron DP sees t
+    unequal = _unequal_runs(f_hi, f_lo, decomp)
     runs = []
-    for a, b, i0, _ in _unequal_runs(f_hi, f_lo, decomp):
-        tables = _homotopy_tables(field, structure, mu, f_hi, (a, b))
+    for (a, b, i0, _), tables in zip(unequal, _homotopy_tables(
+            field, structure, mu, f_hi, [run[:2] for run in unequal])):
         sel = tables[0]
         runs.append((a, b, f_hi.branches[i0 - 1] if i0 > 0 else None,
                      float(np.sum(f_hi.slopes[sel] * f_hi.widths[sel])),

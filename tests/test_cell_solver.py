@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 from scipy.linalg import LinAlgError, get_lapack_funcs, solve_banded
 
-from hjhomog import env, cell_solver as cs
+from hjhomog import cli, env, cell_solver as cs
 from hjhomog.errors import Diverged, WarmStartRetried
 
 import proof_checks as pc
@@ -211,6 +212,88 @@ def test_estimate_does_not_depend_on_earlier_p():
     assert again.rows == fresh.rows
 
 
+@pytest.mark.parametrize("case", ["torus", "window"])
+def test_frozen_node_grids_give_what_fresh_ones_give(case, monkeypatch):
+    # the solver freezes each (field, node grid) once: a second estimate
+    # on the same field finds every grid frozen, a twin sampled afresh
+    # freezes its own, and a run with the cache bypassed freezes at every
+    # solve.  The three lam have windows of their own on the board, and
+    # the dx/2 solve nests the lam_min grid.  With R = 0.505 the third
+    # coarse level of the lam = 0.04 window and the fourth of the
+    # lam = 0.02 one both have 105 nodes, 8 dx and 16 dx apart: a key
+    # without the spacing would hand one the other's evaluator.
+    spec = env.make_checkerboard((-0.5, 0.0), 1.0, "quartic_plus_v", {})
+    solves, solve = [], cs.solve_discounted
+
+    def recorded_solve(field, p, lam, grid, *args, **kwargs):
+        solves.append((field, grid))
+        return solve(field, p, lam, grid, *args, **kwargs)
+
+    def realize():
+        f = env.sample(spec, 5)
+        return f.periodized(20) if case == "torus" else f
+
+    def estimate(f):
+        est = cs.estimate_hbar(f, 1.0, lam_schedule=(0.04, 0.02, 0.01),
+                               R=0.505, dx=1 / 32)
+        return est.value, est.dispersion, est.rows
+
+    monkeypatch.setattr(cs, "solve_discounted", recorded_solve)
+    shared = realize()
+    first, again, twin = estimate(shared), estimate(shared), estimate(realize())
+    with monkeypatch.context() as m:
+        m.setattr(env.HamiltonianField, "frozen_at",
+                  lambda self, key, x: self.at(x))
+        unfrozen = estimate(realize())
+    assert first == again == twin == unfrozen
+    # and each solve's evaluators are the field frozen at its own nodes
+    qs = np.linspace(-2.0, 2.0, 9)[:, None]
+    for f, grid in solves:
+        xs = grid.nodes()
+        h, h_edges = cs._frozen(f, grid, xs)
+        assert h(qs).tobytes() == f.at(xs)(qs).tobytes()
+        if case == "window":
+            ends = xs[[0, -1]]
+            assert h_edges(qs).tobytes() == f.at(ends)(qs).tobytes()
+    if case == "window":
+        assert len({len(g.nodes()) for _, g in solves}) \
+            < len({(len(g.nodes()), g.dx) for _, g in solves})
+
+
+def test_effective_run_freezes_each_node_grid_once(tmp_path, monkeypatch):
+    # per-solve freezing must not come back: over one small effective run
+    # every (field, node grid) a solve works on, its window ends included,
+    # is frozen exactly once
+    grids, frozen = set(), Counter()
+    at, solve = env.CheckerboardField.at, cs.solve_discounted
+
+    def counted_at(field, x):
+        frozen[id(field), np.asarray(x, dtype=np.float64).tobytes()] += 1
+        return at(field, x)
+
+    def recorded_solve(field, p, lam, grid, *args, **kwargs):
+        xs = grid.nodes()
+        grids.add((id(field), xs.tobytes()))
+        if not grid.periodic:
+            grids.add((id(field), xs[[0, -1]].tobytes()))
+        return solve(field, p, lam, grid, *args, **kwargs)
+
+    monkeypatch.setattr(env.CheckerboardField, "at", counted_at)
+    monkeypatch.setattr(cs, "solve_discounted", recorded_solve)
+    cfg = {"schema": "run/1", "task": "effective",
+           "env": {"schema": "env/1", "kind": "checkerboard",
+                   "profile": "quartic_plus_v", "params": {},
+                   "cell_length": 1.0, "value_range": [-0.5, 0.0]},
+           "seeds": {"master": 3, "count": 2}, "p_grid": [-1.0, 1.0],
+           "lambda_schedule": [0.04, 0.02, 0.01],
+           "solver": {"dx": 1 / 64, "periodize_cells": 10}}
+    assert cli.run(cfg, str(tmp_path)) == 0
+    # per seed the 640-node torus and its nested 320, 160 and 80 nodes,
+    # and the first seed's dx/2 torus of 1280 nodes
+    assert len(grids) == 9
+    assert {g: frozen[g] for g in grids} == dict.fromkeys(grids, 1)
+
+
 def test_diverged_raises(board_spec, monkeypatch):
     f = env.sample(board_spec, 1)
     grid = cs.default_grid_policy(f, 0.0, 0.02, R=2.0, dx=1 / 32)
@@ -325,8 +408,9 @@ def test_gtsv_singular():
     # rows 0 and 1 of [[1, 1, 0], [1, 1, 0], [0, 0, 1]] are equal
     dl, d, du = np.array([1.0, 0.0]), np.ones(3), np.array([1.0, 0.0])
     for b in (np.ones(3), np.ones((3, 2), order="F")):
+        # LAPACK works in the diagonals: each solve gets its own
         with pytest.raises(LinAlgError):
-            cs._gtsv(dl, d, du, b)
+            cs._gtsv(dl.copy(), d.copy(), du.copy(), b)
 
 
 _FIRST_GTSV = """

@@ -1,8 +1,8 @@
-"""The demos compile, and demo 04 runs to the end.
+"""The demos compile and run to the end.
 
-Every demo is byte-compiled; demo 04 (the large-oscillation walk-through,
-about 5 s) runs in a fresh interpreter with ``src`` on its path and must
-exit 0.
+Every demo is byte-compiled, and every demo runs in a fresh interpreter
+with ``src`` on its path and must exit 0 (each takes 0.3 to 3.5 s).
+Demo 04, the large-oscillation walk-through, must also end convex.
 """
 
 import os
@@ -27,13 +27,23 @@ def test_demo_compiles(name, tmp_path):
                        cfile=str(tmp_path / (name + "c")), doraise=True)
 
 
-def test_demo_04_runs():
+def _run(name):
+    """The demo's standard output; it must exit 0."""
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, os.path.join(DEMOS, "04_large_oscillation.py")],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, os.path.join(DEMOS, name)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert "level-set convex: True" in proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if n[:3] != "04_"])
+def test_demo_runs(name):
+    assert _run(name).strip()
+
+
+def test_demo_04_runs():
+    assert "level-set convex: True" in _run("04_large_oscillation.py")
