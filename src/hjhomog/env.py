@@ -176,6 +176,9 @@ def _build_periodic_profile(name, params, period):
         nodes = np.asarray(params["nodes"], dtype=np.float64)
         values = np.asarray(params["values"], dtype=np.float64)
         slope = params.get("cone_slope", 2.0)
+        if not slope > 0:
+            # a flat or falling cone leaves H bounded in p: not coercive
+            raise ProfileError("cone_slope must be positive")
         a = params.get("amplitude", 0.1)
         return (lambda p: _pwl(p, nodes, values, slope),
                 lambda x: a * (np.sin(two_pi * x) - 1.0))
@@ -359,6 +362,20 @@ def make_separable(base, value_range, cell_length):
 # fields
 # ---------------------------------------------------------------------------
 
+#: elements of one evaluated block of a probe or oracle table
+_BLOCK = 64 * 256
+#: coercivity_radii doubles its probe radius from 4 up to this one
+_COERCIVE_R_MAX = 1024.0
+
+
+def _row_blocks(n_rows, n_cols):
+    """Row slices covering an (n_rows, n_cols) table in blocks of at most
+    ``_BLOCK`` elements (one row at least), so that a table is reduced as
+    it is evaluated and never held whole."""
+    step = max(1, _BLOCK // n_cols)
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
+
+
 class HamiltonianField:
     """One realization of H(p, x), evaluable anywhere, immutable after build.
 
@@ -366,8 +383,10 @@ class HamiltonianField:
     so no probe's value depends on what the field was asked before:
     ``lipschitz_on(r)`` bounds |dH/dp| over [-r, r],
     ``coercivity_radius(mu)`` returns the smallest probed r with
-    H(+-r, x) > mu for all probe x, and ``modulus(p_lo, p_hi)`` returns
-    the continuity-modulus callable over a compact p-set.
+    H(+-r, x) > mu for all probe x, ``sup_abs_on(p)`` returns the probed
+    sup over x of |H(p, x)|, and ``modulus(p_lo, p_hi)`` returns the
+    continuity-modulus callable over a compact p-set.  Probe tables are
+    evaluated and reduced in row blocks (``_row_blocks``).
     """
 
     #: spatial period of the realization, or None for random media
@@ -436,15 +455,19 @@ class HamiltonianField:
             return np.arange(n) * (self.period / n)
         return np.arange(n) * (48 * self.cell / n)
 
+    def _probe_at(self, n):
+        """The evaluator frozen at ``probe_xs(n)``, built once per field."""
+        return self.frozen_at(("probe", n), self.probe_xs(n))
+
     def lipschitz_on(self, r):
         key = ("lip", float(r))
         if key not in self._cache:
-            ps = np.linspace(-r, r, 601)
-            xs = self.probe_xs(256)
+            ps = np.linspace(-r, r, 601)[:, None]
+            at = self._probe_at(256)
             h = 1e-6 * (1.0 + r)
-            d = self.evaluate(ps[:, None] + h, xs[None, :]) - \
-                self.evaluate(ps[:, None], xs[None, :])
-            self._cache[key] = float(np.max(np.abs(d)) / h)
+            d = [np.max(np.abs(at(ps[s] + h) - at(ps[s])))
+                 for s in _row_blocks(len(ps), 256)]
+            self._cache[key] = float(np.max(d) / h)
         return self._cache[key]
 
     def coercivity_radius(self, mu_max):
@@ -455,7 +478,9 @@ class HamiltonianField:
         """``coercivity_radius`` of each level in ``mus``.
 
         Radii are cached per level.  The levels share the probe grid of
-        each doubling radius and one vectorized bisection.
+        each doubling radius and one vectorized bisection.  A level the
+        probes do not clear by r = _COERCIVE_R_MAX, as on a field bounded
+        in p, is a ProfileError.
         """
         keys = [("coer", float(mu)) for mu in mus]
         todo = {}
@@ -465,18 +490,19 @@ class HamiltonianField:
         if not todo:
             return [self._cache[key] for key in keys]
         thresholds = np.array(list(todo.values()))
-        xs = self.probe_xs(512)
-
-        h = self.at(xs)
+        h = self._probe_at(512)
 
         def g(rs):
-            vplus = h(rs[:, None]).min(axis=1)
-            vminus = h(-rs[:, None]).min(axis=1)
-            return np.minimum(vplus, vminus)
+            out = []
+            for s in _row_blocks(len(rs), 512):
+                vplus = h(rs[s, None]).min(axis=1)
+                vminus = h(-rs[s, None]).min(axis=1)
+                out.append(np.minimum(vplus, vminus))
+            return np.concatenate(out)
 
         brackets = {}
         R = 4.0
-        for _ in range(40):
+        while R <= _COERCIVE_R_MAX:
             rs = np.linspace(0.0, R, max(int(R / 0.02), 64) + 1)
             gr = g(rs)
             for i, t in enumerate(thresholds):
@@ -504,14 +530,17 @@ class HamiltonianField:
         L is the probed maximum difference quotient in (p, x) on K times a
         probe window; the returned callable carries it as ``rho.L``.
         """
-        ps = np.linspace(p_lo, p_hi, 401)
-        xs = self.probe_xs(256)
+        ps = np.linspace(p_lo, p_hi, 401)[:, None]
+        at = self._probe_at(256)
         hp = 1e-6 * (1.0 + abs(p_hi - p_lo))
         hx = 1e-6 * (1.0 + float(self.cell))
-        base = self.evaluate(ps[:, None], xs[None, :])
-        dp = np.max(np.abs(self.evaluate(ps[:, None] + hp, xs[None, :]) - base)) / hp
-        dx = np.max(np.abs(self.evaluate(ps[:, None], xs[None, :] + hx) - base)) / hx
-        L = float(max(dp, dx))
+        at_dx = self.at(self.probe_xs(256) + hx)
+        dp, dx = [], []
+        for s in _row_blocks(len(ps), 256):
+            base = at(ps[s])
+            dp.append(np.max(np.abs(at(ps[s] + hp) - base)))
+            dx.append(np.max(np.abs(at_dx(ps[s]) - base)))
+        L = float(max(np.max(dp) / hp, np.max(dx) / hx))
 
         def rho(r):
             return L * np.asarray(r, dtype=np.float64)
@@ -521,8 +550,10 @@ class HamiltonianField:
 
     def sup_abs_on(self, p):
         """Probed sup over x of |H(p, x)| for a fixed tilt p."""
-        xs = self.probe_xs(512)
-        return float(np.max(np.abs(self.evaluate(p, xs))))
+        key = ("sup", float(p))
+        if key not in self._cache:
+            self._cache[key] = float(np.max(np.abs(self._probe_at(512)(p))))
+        return self._cache[key]
 
 
 class PeriodicField(HamiltonianField):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .curve import EffectiveCurve
-from .env import DerivedField, HamiltonianField, bisect
+from .env import DerivedField, HamiltonianField, _row_blocks, bisect
 from .errors import (NotApplicable, OracleFellBack, ReductionStalled,
                      VirtualHatEndpoint)
 from .structure import (ConstrainedStructure, classify_oscillation,
@@ -505,20 +505,39 @@ def convex_oracle(fields, p_lo, p_hi):
 def _oracle_table(f, p_lo, p_hi):
     """(h, arg, inv, mu0, mu_hi) of one realization: the evaluator frozen
     at the distinct window keys, the grid minimizer at each, the inverse
-    index back onto the window, the flat level and the level cap."""
+    index back onto the window, the flat level and the level cap.
+
+    The 513-level table is evaluated in row blocks (``env._row_blocks``)
+    and reduced as they are made: its extremes, the per-key minimum and
+    first minimizer, the minima of its first and last rows and the probe
+    columns are those of the whole table, NaN included."""
     xs, inv = f.key_points(
         np.linspace(0.0, 400 * f.cell, 6400, endpoint=False))
     pg = np.linspace(p_lo, p_hi, 513)
     h = f.at(xs)
-    vals = h(pg[:, None])
+    probes = [inv[j] for j in (0, len(inv) // 3, 2 * len(inv) // 3)]
+    highs, lows, cols = [], [], []
+    for s in _row_blocks(len(pg), len(xs)):
+        vals = h(pg[s, None])
+        highs.append(np.max(vals))
+        lows.append(np.min(vals))
+        cols.append(vals[:, probes])
+        kb, mb = np.argmin(vals, axis=0) + s.start, vals.min(axis=0)
+        if s.start == 0:
+            top, arg, low = np.min(vals[0]), kb, mb
+        else:
+            # a later block's minimizer wins where its minimum is lower,
+            # or NaN where the minimum so far is not: np.argmin's first
+            # index, the first NaN if any
+            take = ~np.isnan(low) & (np.isnan(mb) | (mb < low))
+            arg, low = np.where(take, kb, arg), np.minimum(low, mb)
     # quasi-convexity probe: no interior rebound above tolerance
-    tol = 1e-8 * (np.max(vals) - np.min(vals) + 1.0)
-    for j in (0, len(inv) // 3, 2 * len(inv) // 3):
-        col = vals[:, inv[j]]
+    tol = 1e-8 * (np.max(highs) - np.min(lows) + 1.0)
+    for col in np.concatenate(cols).T:
         k = int(np.argmin(col))
         if np.any(np.diff(col[:k + 1]) > tol) or \
                 np.any(np.diff(col[k:]) < -tol):
             raise NotApplicable("field is not quasi-convex in p")
     # cap levels so both crossings stay inside [p_lo, p_hi] for every x
-    return (h, pg[np.argmin(vals, axis=0)], inv, float(vals.min(axis=0).max()),
-            float(min(np.min(vals[0, :]), np.min(vals[-1, :]))))
+    return (h, pg[arg], inv, float(low.max()),
+            float(min(top, np.min(vals[-1]))))

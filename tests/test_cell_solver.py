@@ -263,7 +263,7 @@ def test_frozen_node_grids_give_what_fresh_ones_give(case, monkeypatch):
 def test_effective_run_freezes_each_node_grid_once(tmp_path, monkeypatch):
     # per-solve freezing must not come back: over one small effective run
     # every (field, node grid) a solve works on, its window ends included,
-    # is frozen exactly once
+    # is frozen exactly once (each freeze is one cell_values call)
     grids, frozen = set(), Counter()
     at, solve = env.CheckerboardField.at, cs.solve_discounted
 
@@ -292,6 +292,9 @@ def test_effective_run_freezes_each_node_grid_once(tmp_path, monkeypatch):
     # and the first seed's dx/2 torus of 1280 nodes
     assert len(grids) == 9
     assert {g: frozen[g] for g in grids} == dict.fromkeys(grids, 1)
+    # and so is every probe grid: each field's 256 and 512 probe points
+    # go through one frozen evaluator, and sup_abs_on is cached per p
+    assert len(frozen) == 13 and max(frozen.values()) == 1
 
 
 def test_diverged_raises(board_spec, monkeypatch):

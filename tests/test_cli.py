@@ -17,6 +17,10 @@ def _write(tmp_path, name, obj):
 
 BASE_ENV = {"schema": "env/1", "kind": "periodic", "profile": "abs_plus_sin",
             "params": {"amplitude": 1.0}, "period": 1.0}
+PWL_ENV = {"schema": "env/1", "kind": "periodic",
+           "profile": "pwl_wells_plus_dip",
+           "params": {"nodes": [0, 1, 2], "values": [0, 1, 0],
+                      "cone_slope": 2.0, "amplitude": 0.1}, "period": 1.0}
 BOARD_ENV = {"schema": "env/1", "kind": "checkerboard",
              "profile": "base_plus_v", "params": {"base": "abs"},
              "cell_length": 1.0, "value_range": [-1.0, 0.0]}
@@ -166,6 +170,9 @@ def test_malformed_config_exit_2(tmp_path):
              "cell_length": 1.0, "value_range": [-1.0, 0.0]}},
     {"solver": {"dx": 1 / 64, "periodize_cells": 50}},
     {"seeds": [3, 3]},
+    # a cone slope <= 0 leaves H bounded in p
+    {"env": dict(PWL_ENV, params=dict(PWL_ENV["params"], cone_slope=0))},
+    {"env": dict(PWL_ENV, params=dict(PWL_ENV["params"], cone_slope=-1))},
 ])
 def test_out_of_range_config_exit_2(tmp_path, over):
     out = tmp_path / "out"

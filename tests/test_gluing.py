@@ -195,7 +195,14 @@ def _oracle_cases():
                         {"p_lo": -4.0, "p_hi": 4.5}),
             "mirrored": (gl.MirroredField(odd), {"p_lo": -3.5, "p_hi": 3.0}),
             "board_seeds": (env.make_separable("abs", (-1.0, 0.0), 1.0),
-                            {"seeds": (0, 1), "p_lo": -3.5, "p_hi": 3.5})}
+                            {"seeds": (0, 1), "p_lo": -3.5, "p_hi": 3.5}),
+            # demo 06's medium: 6,400 keyless columns, two table rows per
+            # evaluated block
+            "board_one_seed": (env.make_separable("abs", (-1.0, 0.0), 1.0),
+                               {"seeds": (0,), "p_lo": -3.5, "p_hi": 3.5}),
+            "board_four_seeds": (env.make_separable("abs", (-1.0, 0.0), 1.0),
+                                 {"seeds": (0, 1, 2, 3), "p_lo": -3.5,
+                                  "p_hi": 3.5})}
 
 
 @pytest.mark.parametrize("case", sorted(_oracle_cases()))
