@@ -285,13 +285,14 @@ def _frozen(field, grid, xs):
     on a window, at its two end nodes (None on a torus).  Built once per
     (field, node grid) and kept with the field's probes, so the nested
     levels, lam values and tilts of a task share them.  The node count
-    and the period of a torus, or dx of a window, fix the nodes, and so
-    the end points, to the bit."""
+    and the period of a torus, or dx of a window, fix the nodes to the
+    bit; the end nodes are keyed by their own bytes, so windows of
+    different dx that end at the same two points share one evaluator."""
     if grid.periodic:
         return field.frozen_at(("torus", len(xs), grid.period), xs), None
-    key = ("window", len(xs), grid.dx)
-    return (field.frozen_at(key, xs),
-            field.frozen_at(key + ("edges",), xs[[0, -1]]))
+    ends = xs[[0, -1]]
+    return (field.frozen_at(("window", len(xs), grid.dx), xs),
+            field.frozen_at(("edges", ends.tobytes()), ends))
 
 
 def _coarse(grid, lam):

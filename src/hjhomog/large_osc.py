@@ -18,7 +18,6 @@ that no route needs; it lives with the other proof checks in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -45,14 +44,38 @@ class AdmissibleDecomposition:
     feasible: list                 # set of branch ids per interval
 
 
-def _scan_roots(gfun, g, xs, mu, tol_touch):
-    """Crossings (bisection-refined against the process callable, all sign
-    flips at once) and tangential touches (strict local extrema within tol
-    of the level, all refined in one array ``golden_min`` and kept where
-    the refined value is still within tol; a constant run of samples, as
-    in a piecewise-constant cell, is no touch).  High-accuracy locations
-    matter: the corner rule at a junction holds only up to the process
-    slope times the location error.  ``gfun`` must accept an array of x.
+def _rows_reader(at, ps, rows):
+    """x -> the values of the processes ``rows`` at x, element by element:
+    process r is ``at(x)(ps[r])``.  One evaluator is frozen per call and
+    read once per process present, each at its own scalar p."""
+    first, *rest = np.unique(rows)
+    masks = [(ps[r], rows == r) for r in rest]
+
+    def read(x):
+        h = at(x)
+        out = h(ps[first])
+        for p, mask in masks:
+            out = np.where(mask, h(p), out)
+        return out
+    return read
+
+
+def _scan_roots(at, ps, g, xs, mu, tol_touch):
+    """Crossings and tangential touches of level mu by the processes
+    x -> ``at(x)(p)``, one per scalar p of ``ps``, sampled at ``xs`` as
+    the rows of ``g``.
+
+    Crossings are bisection-refined, the sign flips of all processes in
+    one loop; touches (strict local extrema within tol of the level) are
+    refined in one array ``golden_min`` and kept where the refined value
+    is still within tol; a constant run of samples, as in a
+    piecewise-constant cell, is no touch.  Each step freezes ``at`` once
+    at all its points and reads each process at its own p, a scalar: a
+    0-d p takes numpy's scalar power, as ``field.evaluate(p, x)`` does,
+    where an array of the p would round some values an ulp apart.  So
+    each root is the one a scan of its process alone finds, to the bit.
+    High-accuracy locations matter: the corner rule at a junction holds
+    only up to the process slope times the location error.
 
     A sample within TOL_INV of the level is on it, as branch feasibility
     reads the same process values (``structure.branch_feasible``): it has
@@ -61,31 +84,36 @@ def _scan_roots(gfun, g, xs, mu, tol_touch):
     """
     d = g - mu
     s = np.where(np.abs(d) <= TOL_INV, 0.0, np.sign(d))
-    ahead = _sign_ahead(s)
-    flips = np.nonzero(ahead[:-1] * ahead[1:] < 0)[0]
-    lo, hi = xs[flips], xs[flips + 1]
-    up = ahead[flips] > 0
-    for _ in range(60 if len(flips) else 0):
-        mid = 0.5 * (lo + hi)
-        dm = gfun(mid) - mu
-        # an exact zero sets lo = hi = mid, which every later step keeps
-        zero = dm == 0.0
-        lo = np.where(zero | ((dm > 0) == up), mid, lo)
-        hi = np.where(zero | ((dm > 0) != up), mid, hi)
-    roots = list(0.5 * (lo + hi))
-    interior = np.arange(1, len(xs) - 1)
-    is_ext = ((d[interior] - d[interior - 1]) * (d[interior + 1] - d[interior])
-              < 0.0)
-    near = np.abs(d[interior]) <= tol_touch
-    no_cross = (s[interior - 1] * s[interior] >= 0) & \
-               (s[interior] * s[interior + 1] >= 0)
-    i = interior[is_ext & near & no_cross]
+    ahead = np.stack([_sign_ahead(row) for row in s])
+    rows, flips = np.nonzero(ahead[:, :-1] * ahead[:, 1:] < 0)
+    roots = []
+    if len(flips):
+        read = _rows_reader(at, ps, rows)
+        lo, hi = xs[flips], xs[flips + 1]
+        up = ahead[rows, flips] > 0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            dm = read(mid) - mu
+            # an exact zero sets lo = hi = mid, which every later step
+            # keeps
+            zero = dm == 0.0
+            lo = np.where(zero | ((dm > 0) == up), mid, lo)
+            hi = np.where(zero | ((dm > 0) != up), mid, hi)
+        roots = list(0.5 * (lo + hi))
+    di = d[:, 1:-1]
+    is_ext = (di - d[:, :-2]) * (d[:, 2:] - di) < 0.0
+    near = np.abs(di) <= tol_touch
+    no_cross = (s[:, :-2] * s[:, 1:-1] >= 0) & (s[:, 1:-1] * s[:, 2:] >= 0)
+    rows, i = np.nonzero(is_ext & near & no_cross)
     if len(i):
+        read = _rows_reader(at, ps, rows)
+        i = i + 1
         # +1 refines a local maximum of the process, -1 a minimum
-        sign = np.where((d[i] >= d[i - 1]) | (d[i] >= d[i + 1]), 1.0, -1.0)
-        x_star = golden_min(lambda x: -sign * gfun(x), xs[i - 1], xs[i + 1],
+        sign = np.where((d[rows, i] >= d[rows, i - 1]) |
+                        (d[rows, i] >= d[rows, i + 1]), 1.0, -1.0)
+        x_star = golden_min(lambda x: -sign * read(x), xs[i - 1], xs[i + 1],
                             80)
-        roots.extend(x_star[np.abs(gfun(x_star) - mu) <= tol_touch].tolist())
+        roots.extend(x_star[np.abs(read(x_star) - mu) <= tol_touch].tolist())
     return roots
 
 
@@ -95,8 +123,10 @@ def admissible_decomposition(field, structure, mu, window):
     Outside the intermediate band the decomposition is trivial: a single
     interval riding branch 1 (mu above the esssup of the max process) or
     branch 2L+1 (mu below the essinf of the min process when that is
-    nonnegative).  The processes are scanned at 64 points per cell;
-    junctions closer than 1e-4 times the window raise ClusterSuspected.
+    nonnegative).  The processes are scanned at 64 points per cell, all
+    of them in one ``_scan_roots`` call; junctions closer than 1e-4 times
+    the window raise ClusterSuspected.  Every branch's feasibility on
+    every interval comes from one frozen evaluator.
     """
     if structure.index[0] != 0:
         raise NotApplicable("admissible machinery assumes index (0, L)")
@@ -119,13 +149,11 @@ def admissible_decomposition(field, structure, mu, window):
                                        [{nb}])
     span = float(max(M_vals.max() - m_vals.min(), 1.0))
     tol_touch = 1e-6 * span + _max_step(m_vals, M_vals)
-    roots = []
-    p_ext = np.concatenate([structure.positive_minima(),
-                            structure.positive_maxima()])
-    for p, g in zip(p_ext, [*m_vals, *M_vals]):
-        gfun = partial(field.evaluate, float(p))
-        roots.extend(_scan_roots(gfun, g, xs, mu, tol_touch))
-    roots = np.sort(np.asarray(roots))
+    p_ext = [float(p) for p in np.concatenate([structure.positive_minima(),
+                                               structure.positive_maxima()])]
+    roots = np.sort(np.asarray(_scan_roots(
+        field.at, p_ext, np.concatenate([m_vals, M_vals]), xs, mu,
+        tol_touch)))
     roots = roots[(roots > x_lo + 1e-9 * W) & (roots < x_hi - 1e-9 * W)]
     if len(roots) >= 2:
         gaps = np.diff(roots)
@@ -138,12 +166,12 @@ def admissible_decomposition(field, structure, mu, window):
     keep = np.diff(edges) > 1e-12
     a_s, b_s = edges[:-1][keep], edges[1:][keep]
     intervals = [(float(a), float(b)) for a, b in zip(a_s, b_s)]
-    # the 7 interior probes of every interval, one inversion per branch
+    # the 7 interior probes of every interval, all branches at once
     probes = np.linspace(a_s, b_s, 9, axis=1)[:, 1:-1]
-    ok = [branch_feasible(field, structure, j, probes, mu).all(axis=1)
-          for j in range(1, nb + 1)]
-    feasible = [{j for j in range(1, nb + 1) if ok[j - 1][i]}
-                for i in range(len(intervals))]
+    ok = branch_feasible(field, structure, range(1, nb + 1), probes,
+                         mu).all(axis=-1)
+    feasible = [{j for j, f in enumerate(row, 1) if f}
+                for row in ok.T.tolist()]
     for (a, b), fs in zip(intervals, feasible):
         if not fs:
             raise ClusterSuspected(
@@ -228,8 +256,8 @@ def _branch_tables(field, structure, mu, x_mid):
     nb = 2 * L + 1
     psi = np.full((nb + 1, len(x_mid)), np.nan)
     feas = np.zeros((nb + 1, len(x_mid)), dtype=bool)
-    for j in range(1, nb + 1):
-        psi[j], feas[j] = branch_inverse_grid(field, structure, j, x_mid, mu)
+    psi[1:], feas[1:] = branch_inverse_grid(field, structure,
+                                            range(1, nb + 1), x_mid, mu)
     return psi, feas
 
 
@@ -254,6 +282,14 @@ class _LevelTables:
     on_chain: list
 
 
+def _branch_mask(sets, n):
+    """mask[i, j]: branch j is in sets[i], for branch ids below n."""
+    mask = np.zeros((len(sets), n), dtype=bool)
+    mask[[i for i, js in enumerate(sets) for _ in js],
+         [j for js in sets for j in js]] = True
+    return mask
+
+
 def _level_tables(field, structure, mu, window, decomp):
     x_mid, widths, core = _window_grid(field, window, decomp.junctions)
     psi, feas = _branch_tables(field, structure, mu, x_mid)
@@ -271,14 +307,16 @@ def _level_tables(field, structure, mu, window, decomp):
         [b for _, b in decomp.intervals[:-1]], x_mid, side="right")
     starts = np.searchsorted(iv, np.arange(n_int + 1))
     cells = [slice(s, e) for s, e in zip(starts[:-1], starts[1:])]
-    weights = np.zeros((n_int, psi.shape[0]))
-    okleaf = np.zeros((n_int, psi.shape[0]), dtype=bool)
-    for i, c in enumerate(cells):
-        for j in decomp.feasible[i]:
-            # an interval without cells takes any branch at weight 0
-            okleaf[i, j] = feas[j, c].all()
-            if okleaf[i, j]:
-                weights[i, j] = float(np.sum(psi[j, c] * widths[c]))
+    # okleaf[i, j]: branch j is feasible on interval i and on each of its
+    # cells (an interval without cells takes any branch at weight 0)
+    misses = np.zeros((len(psi), len(x_mid) + 1), dtype=np.int64)
+    misses[:, 1:] = np.cumsum(~feas, axis=1)
+    okleaf = _branch_mask(decomp.feasible, len(psi)) & \
+        (misses[:, starts[1:]] == misses[:, starts[:-1]]).T
+    weights = np.zeros(okleaf.shape)
+    prod = psi * widths
+    for i, j in zip(*np.nonzero(okleaf)):
+        weights[i, j] = prod[j, cells[i]].sum()
     return _LevelTables(decomp, x_mid, widths, core, psi, legal, iv, cells,
                         weights, okleaf,
                         _chain_branches(decomp.feasible, legal))
@@ -362,14 +400,24 @@ def _chain_branches(feasible, legal):
 
 
 def _assert_pointwise_extremal(fn, t, sense):
+    """NotPointwiseExtremal where a branch on a complete legal chain beats
+    the selection by more than 1e-9 (1 + max|psi|) on some cell: every
+    cell of the level is compared at once, and the intervals are walked
+    only to name the first offender (lowest interval, then lowest
+    branch)."""
     sign = 1.0 if sense == "sup" else -1.0
     tol = 1e-9 * (1.0 + np.nanmax(np.abs(t.psi)))
-    for i, (c, on_chain) in enumerate(zip(t.cells, t.on_chain)):
-        for j in sorted(on_chain):
-            if np.any(sign * (t.psi[j, c] - fn.slopes[c]) > tol):
-                raise NotPointwiseExtremal(
-                    f"alternative branch {j} beats the {sense}-extremal "
-                    f"selection on interval {i} at mu={fn.mu:.6g}")
+    # on[i, j]: branch j lies on a complete legal chain through interval i
+    on = _branch_mask(t.on_chain, len(t.psi))
+    beats = on[t.interval_of].T & (sign * (t.psi - fn.slopes) > tol)
+    if not beats.any():
+        return
+    for i, c in enumerate(t.cells):
+        js = np.nonzero(beats[:, c].any(axis=1))[0]
+        if len(js):
+            raise NotPointwiseExtremal(
+                f"alternative branch {int(js[0])} beats the {sense}-extremal "
+                f"selection on interval {i} at mu={fn.mu:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +436,8 @@ def _pair_legality(field, structure, mu, nodes, branches, n_gap=17,
     still need H <= mu.
     """
     tol = 1e-6 * (1.0 + abs(mu)) + 10.0 * TOL_INV
-    inv = {j: branch_inverse_grid(field, structure, j, nodes, mu)
-           for j in branches}
+    q, f = branch_inverse_grid(field, structure, branches, nodes, mu)
+    inv = {j: (q[k], f[k]) for k, j in enumerate(branches)}
     legal = {}
     for j in branches:
         qj, fj = inv[j]

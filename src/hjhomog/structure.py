@@ -386,31 +386,55 @@ def _capped_range(h, field, structure, j, mu, side):
 
 
 def branch_feasible(field, structure, j, xs, mu):
-    """Mask of the x at which positive branch j reaches level mu."""
-    return _capped_range(field.at(xs), field, structure, j, mu, "+")[2]
+    """Mask of the x at which positive branch j reaches level mu.  ``j``
+    may be a sequence of branches: the field is frozen at ``xs`` once and
+    the masks come stacked along a leading branch axis."""
+    h = field.at(xs)
+    masks = [_capped_range(h, field, structure, int(k), mu, "+")[2]
+             for k in np.atleast_1d(j)]
+    return np.stack(masks) if np.ndim(j) else masks[0]
 
 
 def branch_inverse_grid(field, structure, j, xs, mu, side="+"):
     """Vectorized branch inversion over x of any shape; returns
     (p, feasible_mask), with p NaN where branch j misses level mu.
 
+    ``j`` is one branch id or a sequence of them.  A sequence runs one
+    70-step bisection over every (branch, x) pair and returns arrays with
+    a leading branch axis, each row bit for bit the one-branch result: the
+    brackets of the branches are stacked, and each element takes the same
+    operations in the same order as on its own.  The capped interval and
+    its end values stay one scalar evaluation per branch, on the field
+    frozen once at the keys.
+
     A field with a period key (``HamiltonianField.period_key``) has the
     same branch inverse at every x of equal key, so the end values and the
-    70-step bisection run once per distinct key, on the first x of each
+    bisection run once per distinct key, on the first x of each
     (``HamiltonianField.key_points``), and are read back through the
     inverse index: the same roots, to the bit, as inverting at every x.
     Fields without a key invert every x.
     """
     xs = np.asarray(xs, dtype=np.float64)
+    js = np.atleast_1d(j)
     pts, inv = field.key_points(xs)
     h = field.at(pts)
-    lo, hi, feasible = _capped_range(h, field, structure, j, mu, side)
-    increasing = structure.branch_increasing(j, side)
+    ranges = [_capped_range(h, field, structure, int(k), mu, side)
+              for k in js]
+    # one bracket per (branch, key), branch-major, bisected on the field
+    # frozen at the keys repeated once per branch: flat arrays of one
+    # shape, as broadcasting a (branch, key) table slows every step
+    lo, hi, feasible = (np.concatenate([np.broadcast_to(r[i], pts.shape)
+                                        for r in ranges]) for i in range(3))
+    increasing = np.repeat([structure.branch_increasing(int(k), side)
+                            for k in js], len(pts))
+    if len(js) > 1:
+        h = field.at(np.tile(pts, len(js)))
     # below the level, the root lies right of p on an increasing branch
-    lo, hi = bisect(lambda p: (h(p) < mu) == increasing,
-                    np.full(pts.shape, lo), np.full(pts.shape, hi), 70)
+    lo, hi = bisect(lambda p: (h(p) < mu) == increasing, lo, hi, 70)
     p = np.where(feasible, 0.5 * (lo + hi), np.nan)
-    return p[inv].reshape(xs.shape), feasible[inv].reshape(xs.shape)
+    p, feasible = (a.reshape(len(js), len(pts))[:, inv].reshape(
+        js.shape + xs.shape) for a in (p, feasible))
+    return (p, feasible) if np.ndim(j) else (p[0], feasible[0])
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,31 @@ def test_effective_run_freezes_each_node_grid_once(tmp_path, monkeypatch):
     assert len(frozen) == 13 and max(frozen.values()) == 1
 
 
+def test_window_end_nodes_are_frozen_once_per_pair(tmp_path, monkeypatch):
+    # windows of different dx end at the same two nodes: on a 2-seed run
+    # keyed by (node count, dx), 13 of its two-point cell_values calls
+    # froze an end pair already frozen for that field
+    seen, fields = Counter(), []
+    cell_values = env.CheckerboardField.cell_values
+
+    def counted(field, x):
+        x = np.asarray(x, dtype=np.float64)
+        seen[id(field), x.tobytes()] += 1
+        fields.append(field)           # keeps every id distinct
+        return cell_values(field, x)
+
+    monkeypatch.setattr(env.CheckerboardField, "cell_values", counted)
+    cfg = {"schema": "run/1", "task": "effective",
+           "env": {"schema": "env/1", "kind": "checkerboard",
+                   "profile": "base_plus_v", "params": {"base": "abs"},
+                   "cell_length": 1.0, "value_range": [-1.0, 0.0]},
+           "seeds": {"master": 0, "count": 2}, "p_grid": [-1.0, 0.0, 1.0],
+           "lambda_schedule": [0.04, 0.02, 0.01], "solver": {"dx": 1 / 32}}
+    assert cli.run(cfg, str(tmp_path)) == 0
+    pairs = [n for (_, x), n in seen.items() if len(x) == 16]
+    assert len(pairs) > 2 and max(pairs) == 1
+
+
 def test_diverged_raises(board_spec, monkeypatch):
     f = env.sample(board_spec, 1)
     grid = cs.default_grid_policy(f, 0.0, 0.02, R=2.0, dx=1 / 32)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import json
 import os
@@ -260,8 +261,7 @@ def test_scan_roots_touches_of_both_signs(quartic):
     touches = []
     for p_ext in np.concatenate([sn.positive_minima(), sn.positive_maxima()]):
         g = f.evaluate(p_ext, xs)
-        got = lo._scan_roots(lambda x: f.evaluate(float(p_ext), x),
-                             g, xs, mu, tol)
+        got = lo._scan_roots(f.at, [float(p_ext)], g[None], xs, mu, tol)
         ref = _scan_roots_reference(
             lambda x: float(f.evaluate(float(p_ext), x)), g, xs, mu, tol,
             touches)
@@ -276,8 +276,7 @@ def test_scan_roots_matches_scalar_bisection(quartic, mu):
     xs = np.arange(0.0, 20.0 + 0.5 / 64.0, 1.0 / 64.0)
     for p_ext in np.concatenate([sn.positive_minima(), sn.positive_maxima()]):
         g = f.evaluate(p_ext, xs)
-        got = lo._scan_roots(lambda x: f.evaluate(float(p_ext), x),
-                             g, xs, mu, 1e-3)
+        got = lo._scan_roots(f.at, [float(p_ext)], g[None], xs, mu, 1e-3)
         ref = _scan_roots_reference(lambda x: float(f.evaluate(float(p_ext), x)),
                                     g, xs, mu, 1e-3)
         assert got == ref
@@ -287,9 +286,34 @@ def test_scan_roots_exact_zero_freezes():
     # the first flip's first midpoint is an exact root; the second is not
     gfun = lambda x: (x - 0.5) * (x - 2.0)   # noqa: E731
     xs = np.array([0.0, 1.0, 2.3])
-    got = lo._scan_roots(gfun, gfun(xs), xs, 0.0, -1.0)
+    got = lo._scan_roots(lambda x: lambda p: gfun(x), [None],
+                         gfun(xs)[None], xs, 0.0, -1.0)
     assert got[0] == 0.5
     assert got == _scan_roots_reference(gfun, gfun(xs), xs, 0.0, -1.0)
+
+
+def _two_waves(x):
+    """Frozen at x: p -> sin(pi (2 + 2 p) x), so p = 0 and p = 0.5 make
+    two and three half-waves per unit length."""
+    x = np.asarray(x, dtype=np.float64)
+    return lambda p: np.sin(np.pi * (2.0 + 2.0 * p) * x)
+
+
+@pytest.mark.parametrize("mu", [0.1, 1.0 + 5e-4, -1.0 - 5e-4])
+def test_stacked_scan_matches_reference_on_interleaved_processes(mu):
+    # at 0.1 the two processes cross the level in turn along x; just above
+    # 1 (below -1) both touch it at their maxima (minima), again in turn
+    xs = np.arange(0.0, 4.0 + 0.5 / 64.0, 1.0 / 64.0) + 0.3 / 64.0
+    ps = [0.0, 0.5]
+    g = np.stack([_two_waves(xs)(p) for p in ps])
+    got = lo._scan_roots(_two_waves, ps, g, xs, mu, 5e-3)
+    refs = [_scan_roots_reference(lambda x, p=p: float(_two_waves(x)(p)),
+                                  row, xs, mu, 5e-3) for p, row in zip(ps, g)]
+    assert sorted(got) == sorted(refs[0] + refs[1])
+    owners = [k for _, k in sorted((x, k) for k, ref in enumerate(refs)
+                                   for x in ref)]
+    assert min(len(refs[0]), len(refs[1])) >= 4
+    assert sum(a != b for a, b in zip(owners, owners[1:])) >= 4
 
 
 def test_cluster_suspected_no_feasible_branch(quartic):
@@ -444,6 +468,52 @@ def test_pointwise_check_rejects_inf_selection_as_sup(quartic,
         lo._assert_pointwise_extremal(f_lo, tables, "sup")
 
 
+def _pointwise_walk(fn, t, sense):
+    """The interval-by-interval walk over the chain branches that
+    _assert_pointwise_extremal's masked comparison replaced."""
+    sign = 1.0 if sense == "sup" else -1.0
+    tol = 1e-9 * (1.0 + np.nanmax(np.abs(t.psi)))
+    for i, (c, on_chain) in enumerate(zip(t.cells, t.on_chain)):
+        for j in sorted(on_chain):
+            if np.any(sign * (t.psi[j, c] - fn.slopes[c]) > tol):
+                raise NotPointwiseExtremal(
+                    f"alternative branch {j} beats the {sense}-extremal "
+                    f"selection on interval {i} at mu={fn.mu:.6g}")
+
+
+@pytest.mark.parametrize("sense", ["inf", "sup"])
+def test_pointwise_check_names_a_later_offender_like_the_walk(
+        quartic, quartic_extremals, sense):
+    # on an interval past the first, the higher chain branch beats the
+    # selection on the interval's first cell and the lower one on its last
+    # cell, and another branch beats it on the next interval: both forms
+    # name the lower branch on the earlier interval
+    f, sn = quartic
+    dec, f_lo, f_hi = quartic_extremals
+    fn, sign = (f_lo, -1.0) if sense == "inf" else (f_hi, 1.0)
+    tables = lo._level_tables(f, sn, 0.0, WINDOW, dec)
+    lo._assert_pointwise_extremal(fn, tables, sense)
+    later = [i for i, (c, js) in enumerate(zip(tables.cells, tables.on_chain))
+             if i >= 3 and len(js) >= 2 and c.stop - c.start >= 2
+             and tables.cells[i + 1].stop > tables.cells[i + 1].start]
+    assert len(later) >= 3
+    for i in later[:3]:
+        c, js = tables.cells[i], sorted(tables.on_chain[i])
+        psi = tables.psi.copy()
+        psi[js[-1], c.start] = fn.slopes[c.start] + sign
+        psi[js[0], c.stop - 1] = fn.slopes[c.stop - 1] + sign
+        nxt = tables.cells[i + 1].start
+        psi[min(tables.on_chain[i + 1]), nxt] = fn.slopes[nxt] + sign
+        bumped = dataclasses.replace(tables, psi=psi)
+        with pytest.raises(NotPointwiseExtremal) as got:
+            lo._assert_pointwise_extremal(fn, bumped, sense)
+        with pytest.raises(NotPointwiseExtremal) as want:
+            _pointwise_walk(fn, bumped, sense)
+        assert str(got.value) == str(want.value)
+        assert f"branch {js[0]} beats" in str(got.value)
+        assert f"interval {i} " in str(got.value)
+
+
 def _chain_union(feasible, legal):
     """Per interval, the branches of every complete legal chain, by
     enumerating all chains."""
@@ -552,6 +622,74 @@ def test_level_piece_builds_run_tables_before_bisecting(quartic,
     assert n_runs > 1
     # one pass each for the level's own tables, one for all runs together
     assert counts == {"_pair_legality": 2, "_branch_tables": 2}
+
+
+def _bisections(monkeypatch):
+    """Record each structure.bisect call, and the entry to and exit from
+    _pair_legality, in order."""
+    calls, bisect, pair = [], st.bisect, lo._pair_legality
+
+    def spy_bisect(*args):
+        calls.append("bisect")
+        return bisect(*args)
+
+    def spy_pair(*args, **kwargs):
+        calls.append("legality")
+        out = pair(*args, **kwargs)
+        calls.append("/legality")
+        return out
+    monkeypatch.setattr(st, "bisect", spy_bisect)
+    monkeypatch.setattr(lo, "_pair_legality", spy_pair)
+    return calls
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_level_tables_bisect_once_per_table(quartic, monkeypatch, mu):
+    # one bisection inverts all three branches on the window grid, one
+    # more all of them at the junctions
+    f, sn = quartic
+    window = (0.0, 20.0)
+    dec = lo.admissible_decomposition(f, sn, mu, window)
+    assert len(dec.junctions) and 2 * sn.index[1] + 1 == 3
+    calls = _bisections(monkeypatch)
+    lo._level_tables(f, sn, mu, window, dec)
+    assert calls == ["bisect", "legality", "bisect", "/legality"]
+
+
+def _leaf_tables_reference(t):
+    """okleaf and weights by the per-interval loop that built them before
+    they were vectorized; psi is NaN exactly where a branch is
+    infeasible."""
+    okleaf = np.zeros_like(t.okleaf)
+    weights = np.zeros_like(t.weights)
+    for i, c in enumerate(t.cells):
+        for j in t.decomposition.feasible[i]:
+            okleaf[i, j] = (~np.isnan(t.psi[j, c])).all()
+            if okleaf[i, j]:
+                weights[i, j] = float(np.sum(t.psi[j, c] * t.widths[c]))
+    return okleaf, weights
+
+
+@pytest.mark.parametrize("case", ["quartic", "pwl"])
+def test_leaf_tables_match_the_interval_loop(case, quartic, pwl):
+    # each level as decomposed, and with every branch claimed feasible on
+    # every interval, so that some claimed branch misses the level on a
+    # cell of its interval
+    f, sn, levels = _levels(case, quartic, pwl)
+    window = (0.0, 20.0)
+    every = set(range(1, 2 * sn.index[1] + 2))
+    partial = 0
+    for mu in levels:
+        dec = lo.admissible_decomposition(f, sn, mu, window)
+        claimed = dataclasses.replace(dec,
+                                      feasible=[every] * len(dec.intervals))
+        for d in (dec, claimed):
+            t = lo._level_tables(f, sn, mu, window, d)
+            okleaf, weights = _leaf_tables_reference(t)
+            assert np.array_equal(t.okleaf, okleaf)
+            assert t.weights.tobytes() == weights.tobytes()
+        partial += int((~okleaf[:, 1:]).sum())
+    assert partial > 0
 
 
 # -- ergodic means ---------------------------------------------------------------

@@ -453,6 +453,77 @@ def test_keyless_inversion_bisects_every_x(monkeypatch):
     assert sizes == [80]
 
 
+# -- several branches in one call ---------------------------------------------
+
+STACKED = {"keyed": (Q_07, Q_07_S),
+           "keyed_transformed": (st.TransformedField(Q_07, 0.1, 0.2), Q_07_S),
+           **{f"keyless_{name}": fs for name, fs in KEYLESS.items()}}
+
+
+def _with_hill_at(structure, zero):
+    """``structure`` with its hill breakpoint (the one nearest 0) set to
+    ``zero``, a signed zero: the end of the brackets of both inner
+    branches."""
+    bps = structure.breakpoints.copy()
+    bps[int(np.argmin(np.abs(bps)))] = zero
+    return st.ConstrainedStructure(bps, structure.central_pos,
+                                   structure.lipschitz, structure.p_box)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=hs.sampled_from(sorted(STACKED)), pairs=_PAIRS,
+       layout=hs.sampled_from(["0d", "1d", "2d"]), side=hs.sampled_from("+-"),
+       picks=hs.lists(hs.integers(0, 10), min_size=1, max_size=4),
+       mu=_LEVELS, zero=hs.sampled_from([None, 0.0, -0.0]))
+@example(name="keyed", pairs=[(0.3, "same", 0)], layout="1d", side="+",
+         picks=[1, 2, 0], mu=-10.0, zero=-0.0)
+def test_stacked_inversion_matches_one_call_per_branch(name, pairs, layout,
+                                                       side, picks, mu, zero):
+    field, structure = STACKED[name]
+    if zero is not None:
+        structure = _with_hill_at(structure, zero)
+    n = 2 * structure.index[side == "+"] + 1
+    js = [1 + k % n for k in picks]
+    xs = np.float64(pairs[0][0]) if layout == "0d" else \
+        _xs_of(pairs, layout == "2d")
+    p, ok = st.branch_inverse_grid(field, structure, js, xs, mu, side)
+    assert p.shape == ok.shape == (len(js),) + np.shape(xs)
+    for row, j in enumerate(js):
+        want, want_ok = st.branch_inverse_grid(field, structure, j, xs, mu,
+                                               side)
+        # byte comparison: roots, NaN positions and signed zeros alike
+        assert p[row].tobytes() == want.tobytes()
+        assert ok[row].tobytes() == want_ok.tobytes()
+    if side == "+":
+        masks = st.branch_feasible(field, structure, js, xs, mu)
+        assert masks.shape == (len(js),) + np.shape(xs)
+        for row, j in enumerate(js):
+            assert masks[row].tobytes() == \
+                st.branch_feasible(field, structure, j, xs, mu).tobytes()
+
+
+def test_stacked_inversion_covers_infeasible_levels_and_signed_zero_ends():
+    # at mu = -10 no branch reaches the level anywhere; at mu = 0.7 the
+    # inner branches, bracketed by a -0.0 end, are feasible at some x only
+    structure = _with_hill_at(Q_07_S, -0.0)
+    assert np.signbit(structure.branch_interval(2, "+")[0])
+    xs = np.linspace(0.0, T_07, 12, endpoint=False)
+    p, ok = st.branch_inverse_grid(Q_07, structure, [1, 2, 3], xs, -10.0)
+    assert not ok.any() and np.isnan(p).all()
+    p, ok = st.branch_inverse_grid(Q_07, structure, [1, 2, 3], xs, 0.7)
+    assert ok[1].any() and not ok[1].all()
+    for row, j in enumerate([1, 2, 3]):
+        assert p[row].tobytes() == st.branch_inverse_grid(
+            Q_07, structure, j, xs, 0.7)[0].tobytes()
+
+
+def test_stacked_inversion_bisects_once(monkeypatch):
+    sizes = _bisect_sizes(monkeypatch)
+    xs = np.linspace(0.0, T_07, 40, endpoint=False)
+    st.branch_inverse_grid(Q_07, Q_07_S, [1, 2, 3], xs, 1.5)
+    assert sizes == [3 * 40]
+
+
 # -- oscillation classification -------------------------------------------------
 
 
