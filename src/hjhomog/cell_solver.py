@@ -13,8 +13,10 @@ with one-sided differences, zero-slope ghosts at the edges of a pad that
 is excluded from every reported quantity, and theta at least the
 p-Lipschitz bound of H over the reachable gradient range, which makes the
 explicit update w <- w - dt * (lam w + Hhat) monotone under the CFL
-condition dt * (theta/dx + lam) <= 1.  The stencil, ``_lf_terms``, is the
-one the PDE march in ``homog_pde`` uses too.
+condition dt * (theta/dx + lam) <= 1.  There is one CFL rule,
+``SolverGrid.dt``, which takes dt * (theta/dx + lam) = 0.9 (CFL number
+0.9), so every grid meets the condition by construction.  The stencil,
+``_lf_terms``, is the one the PDE march in ``homog_pde`` uses too.
 
 The steady state of that monotone scheme is the unique solution of the
 discrete system; we reach it by a damped semismooth Newton iteration on
@@ -31,7 +33,8 @@ package is never imported.
 Spatially periodic realizations (periodic media, or checkerboards
 periodized on a representative torus) use an exact fast path: the
 whole-line discounted solution is itself periodic, so one period with
-wraparound stencils is solved instead of a window.
+wraparound stencils is solved instead of a window.  A grid is a torus
+exactly when it has a period; a torus grid does not depend on lam.
 
 H is frozen once per (field, node grid): ``field.at(nodes)``, and a
 window's two end nodes, are built at the first solve on that grid and
@@ -63,17 +66,24 @@ class SolverGrid:
     """Grid and scheme parameters for one discounted solve.
 
     Non-periodic grids span [-(X+pad), X+pad] with values reported only on
-    |x| <= X; periodic grids cover one period with wraparound stencils.
+    |x| <= X; periodic grids (those with a period) cover one period with
+    wraparound stencils.
     """
 
     X: float
     dx: float
     theta: float
-    dt: float
     tol_res: float
     pad: float = 0.0
-    periodic: bool = False
     period: float | None = None
+
+    @property
+    def periodic(self):
+        return self.period is not None
+
+    def dt(self, lam):
+        """The pseudo-time step of the explicit update: CFL number 0.9."""
+        return 0.9 / (self.theta / self.dx + lam)
 
     def nodes(self):
         if self.periodic:
@@ -81,12 +91,6 @@ class SolverGrid:
             return np.arange(n) * (self.period / n)
         m = int(np.ceil((self.X + self.pad) / self.dx))
         return np.arange(-m, m + 1) * self.dx
-
-    def check_cfl(self, lam):
-        if self.dt * (self.theta / self.dx + lam) > 1.0 + 1e-12:
-            raise ValueError(
-                f"CFL violated: dt*(theta/dx + lam) = "
-                f"{self.dt * (self.theta / self.dx + lam):.3g} > 1")
 
 
 @dataclass
@@ -242,7 +246,7 @@ def explicit_step(h, p, lam, grid, w):
     """One monotone pseudo-time update w - dt * (lam w + Hhat), with ``h``
     the field frozen at the grid nodes (``field.at(grid.nodes())``)."""
     res, _ = _operator(h, p, lam, grid, w)
-    return w - grid.dt * res
+    return w - grid.dt(lam) * res
 
 
 def _red_black_sweep(h, h_edges, p, lam, grid, w):
@@ -295,13 +299,12 @@ def _frozen(field, grid, xs):
             field.frozen_at(("edges", ends.tobytes()), ends))
 
 
-def _coarse(grid, lam):
+def _coarse(grid):
     """The grid of the nested coarse level of a cold solve on ``grid``
     (dx doubled), or None when ``grid`` has too few nodes to nest."""
     if len(grid.nodes()) <= 128:
         return None
-    return replace(grid, dx=grid.dx * 2,
-                   dt=0.9 / (grid.theta / (grid.dx * 2) + lam))
+    return replace(grid, dx=grid.dx * 2)
 
 
 def solve_discounted(field, p, lam, grid, w0=None, verify_steps=12):
@@ -316,9 +319,8 @@ def solve_discounted(field, p, lam, grid, w0=None, verify_steps=12):
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    grid.check_cfl(lam)
     xs = grid.nodes()
-    coarse = _coarse(grid, lam) if w0 is None else None
+    coarse = _coarse(grid) if w0 is None else None
     if coarse is not None:
         sol_c = solve_discounted(field, p, lam, coarse, verify_steps=0)
         w0 = prolong(sol_c.x_full, sol_c.w_full, grid)
@@ -383,20 +385,13 @@ def solve_discounted(field, p, lam, grid, w0=None, verify_steps=12):
         raise Diverged(
             f"explicit verification drifted to residual {rnorm:.3g}", trace)
 
-    if grid.periodic:
-        core = np.ones(len(xs), dtype=bool)
-    else:
-        core = np.abs(xs) <= grid.X + 1e-12
-    dgrad = np.diff(w) / grid.dx
-    if grid.periodic:
-        gmin, gmax = float(dgrad.min()), float(dgrad.max())
-    else:
-        inner = core[:-1] & core[1:]
-        gmin, gmax = float(dgrad[inner].min()), float(dgrad[inner].max())
+    core = (np.ones(len(xs), dtype=bool) if grid.periodic
+            else np.abs(xs) <= grid.X + 1e-12)
+    dgrad = (np.diff(w) / grid.dx)[core[:-1] & core[1:]]
     return DiscountedSolution(
         x=xs[core], v=w[core], x_full=xs, w_full=w, p=float(p), lam=float(lam),
-        residual=rnorm, grad_range=(gmin, gmax), grid=grid, iterations=iters,
-        w_newton=w_newton)
+        residual=rnorm, grad_range=(float(dgrad.min()), float(dgrad.max())),
+        grid=grid, iterations=iters, w_newton=w_newton)
 
 
 def prolong(xs_c, w_c, grid):
@@ -427,12 +422,10 @@ def default_grid_policy(field, p, lam, R, dx):
     r = field.coercivity_radius(m0 + 0.5)
     theta = field.lipschitz_on(r + 0.25)
     tol = 1e-9 * (1.0 + m0)
-    dt = 0.9 / (theta / dx + lam)
     if field.period is not None:
-        return SolverGrid(X=field.period / 2, dx=dx, theta=theta, dt=dt,
-                          tol_res=tol, periodic=True, period=field.period)
-    return SolverGrid(X=R / lam, dx=dx, theta=theta, dt=dt, tol_res=tol,
-                      pad=10 * dx)
+        return SolverGrid(X=field.period / 2, dx=dx, theta=theta,
+                          tol_res=tol, period=field.period)
+    return SolverGrid(X=R / lam, dx=dx, theta=theta, tol_res=tol, pad=10 * dx)
 
 
 @dataclass
@@ -463,13 +456,15 @@ def estimate_hbar(fields, p, lam_schedule=LAMBDA_SCHEDULE, R=2.0, *, dx):
     Deterministic realizations read -lam v(0); random ones read the
     core-window average of -lam v, which has the same limit (the definition
     gives uniform convergence on |x| <= R/lam) and much smaller variance.
-    Each solve uses the ``default_grid_policy`` grid.
+    Each solve uses the ``default_grid_policy`` grid; a deterministic
+    solve is warm-started from the previous lam's solution when the two
+    grids are equal, which holds exactly on a torus.
 
     The discretization term comes from a dx/2 solve of the first seed's
-    lam_min problem.  Its nested coarse level is that seed's lam_min grid,
-    so when that solve was cold it starts from the prolonged Newton
-    iterate (``w_newton``) instead of solving the coarse level again; the
-    result is the same to the bit.
+    lam_min problem, on that solve's grid with dx halved.  Its nested
+    coarse level is that lam_min grid, so when that solve was cold it
+    starts from the prolonged Newton iterate (``w_newton``) instead of
+    solving the coarse level again; the result is the same to the bit.
     """
     lam_schedule = tuple(lam_schedule)
     if len(lam_schedule) < 3 or any(
@@ -477,24 +472,23 @@ def estimate_hbar(fields, p, lam_schedule=LAMBDA_SCHEDULE, R=2.0, *, dx):
         raise ValueError("lam_schedule must be strictly decreasing, >= 3 entries")
     fields = _by_seed(fields)
     first = next(iter(fields.values()))
-    center = first.deterministic
-    per_seed = {}
-    rows = []
-    cold_min = None  # the first seed's lam_min solution, when solved cold
+
+    def read(sol):
+        return sol.minus_lambda_v0 if first.deterministic \
+            else sol.minus_lambda_v_mean
+
+    trends, rows = [], []
     for seed, f in fields.items():
-        vals = []
-        w_prev, xs_prev = None, None
+        vals, prev = [], None
         for lam in lam_schedule:
             grid = default_grid_policy(f, p, lam, R=R, dx=dx)
-            xs = grid.nodes()
             w0 = None
             # warm starts across lam help deterministic solves; on random
             # realizations they pin stale kink configurations, where the
-            # nested-cold hierarchy is both faster and more robust
-            if f.deterministic and w_prev is not None \
-                    and len(xs) == len(xs_prev) and np.allclose(xs, xs_prev):
-                lam_prev, val_prev = vals[-1]
-                w0 = w_prev - val_prev * (1.0 / lam - 1.0 / lam_prev)
+            # nested-cold hierarchy is both faster and more robust.  Only a
+            # torus grid is the same at every lam
+            if f.deterministic and prev is not None and grid == prev.grid:
+                w0 = prev.w_full - vals[-1] * (1.0 / lam - 1.0 / prev.lam)
             try:
                 sol = solve_discounted(f, p, lam, grid, w0=w0)
             except Diverged as exc:
@@ -505,50 +499,39 @@ def estimate_hbar(fields, p, lam_schedule=LAMBDA_SCHEDULE, R=2.0, *, dx):
                               f"solved again cold", WarmStartRetried)
                 w0 = None
                 sol = solve_discounted(f, p, lam, grid, w0=w0)
-            val = sol.minus_lambda_v0 if center else sol.minus_lambda_v_mean
-            vals.append((lam, val))
+            vals.append(read(sol))
             rows.append((p, lam, seed, sol.minus_lambda_v0, sol.residual,
                          sol.grad_range[0], sol.grad_range[1]))
-            w_prev, xs_prev = sol.w_full, sol.x_full
-        per_seed[seed] = vals
-        if f is first and w0 is None:
-            cold_min = sol
+            prev = sol
+        trends.append(vals)
+        if f is first:
+            # the first seed's lam_min solve, its value and whether it was cold
+            sol_min, val_min, cold_min = sol, vals[-1], w0 is None
     lams = np.asarray(lam_schedule)
-    intercepts, resids, slopes = {}, [], []
-    for seed, vals in per_seed.items():
-        ys = np.asarray([v for _, v in vals])
+    intercepts, resids, slopes, monotone = [], [], [], []
+    for ys in map(np.asarray, trends):
         b, a = np.polyfit(lams, ys, 1)
-        intercepts[seed] = float(a)
+        intercepts.append(float(a))
         resids.append(float(np.max(np.abs(a + b * lams - ys))))
         slopes.append(abs(float(b)))
-    value = float(np.mean(list(intercepts.values())))
-    spread = float(np.ptp(list(intercepts.values()))) if len(intercepts) > 1 else 0.0
+        diffs = np.diff(ys)
+        monotone.append(np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12))
+    value = float(np.mean(intercepts))
+    spread = float(np.ptp(intercepts)) if len(intercepts) > 1 else 0.0
     resid = float(np.max(resids))
     truncation = 0.5 * max(slopes) * lams[-1]
     # discretization uncertainty: first-order Richardson from a dx/2 solve
     # of the smallest-lam problem, first seed: bias(dx) ~ 2 |val - val_half|
-    lam_min = lam_schedule[-1]
-    grid_f = default_grid_policy(first, p, lam_min, R=R, dx=dx)
-    grid_h = replace(grid_f, dx=grid_f.dx * 0.5,
-                     dt=0.9 / (grid_f.theta / (grid_f.dx * 0.5) + lam_min))
+    grid_h = replace(sol_min.grid, dx=sol_min.grid.dx * 0.5)
     w0 = None
-    if cold_min is not None and cold_min.grid == _coarse(grid_h, lam_min):
+    if cold_min and _coarse(grid_h) == sol_min.grid:
         # the dx/2 solve's nested coarse level is that cold lam_min solve:
         # start from its Newton iterate instead of solving it again
-        w0 = prolong(cold_min.x_full, cold_min.w_newton, grid_h)
-    sol_h = solve_discounted(first, p, lam_min, grid_h, w0=w0)
-    val_h = sol_h.minus_lambda_v0 if center else sol_h.minus_lambda_v_mean
-    fine_tail = per_seed[next(iter(per_seed))][-1][1]
-    discretization = 2.0 * abs(fine_tail - val_h)
+        w0 = prolong(sol_min.x_full, sol_min.w_newton, grid_h)
+    sol_h = solve_discounted(first, p, sol_min.lam, grid_h, w0=w0)
+    discretization = 2.0 * abs(val_min - read(sol_h))
     dispersion = spread + resid + truncation + discretization
-    noisy = False
-    for seed, vals in per_seed.items():
-        ys = np.asarray([v for _, v in vals])
-        diffs = np.diff(ys)
-        monotone = np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)
-        if not monotone and resid > 0.02 * (1.0 + abs(value)):
-            noisy = True
-    if noisy:
+    if not all(monotone) and resid > 0.02 * (1.0 + abs(value)):
         warnings.warn(f"non-monotone discounted trend at p={p:.4g}", NoisyLimit)
     return HbarEstimate(p=float(p), value=value, dispersion=float(dispersion),
                         rows=rows)

@@ -20,6 +20,7 @@ of the checkerboard kind.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,27 +327,36 @@ def _probe_profile(spec, period_or_cell):
             f"x={xs[bad[1]]:.3g}")
 
 
+def _number(name, x, positive=False):
+    """``x`` as a float; ProfileError unless it is a finite real number (a
+    bool is not one), and positive when ``positive``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) \
+            or not math.isfinite(x) or (positive and x <= 0):
+        raise ProfileError(f"{name} must be a finite "
+                           f"{'positive ' * positive}number, not {x!r}")
+    return float(x)
+
+
 def make_periodic(profile, period, params=None):
     """Spec for a deterministic periodic medium; realizations ignore the seed."""
-    if not period > 0:
-        raise ProfileError("period must be positive")
+    period = _number("period", period, positive=True)
     spec = EnvironmentSpec(kind="periodic", profile=profile,
-                           params=dict(params or {}), period=float(period))
+                           params=dict(params or {}), period=period)
     _probe_profile(spec, period)
     return spec
 
 
 def make_checkerboard(value_range, cell_length, profile_template, params):
     """Spec for an i.i.d.-per-cell medium with C^1 boundary blending."""
-    lo, hi = float(value_range[0]), float(value_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ProfileError("value_range must be bounded")
+    if not (isinstance(value_range, (list, tuple)) and len(value_range) == 2):
+        raise ProfileError(f"value_range must be two finite numbers, "
+                           f"not {value_range!r}")
+    lo, hi = (_number("value_range", v) for v in value_range)
     if hi < lo:
         raise ProfileError("empty value_range")
-    if not cell_length > 0:
-        raise ProfileError("cell_length must be positive")
+    cell_length = _number("cell_length", cell_length, positive=True)
     spec = EnvironmentSpec(kind="checkerboard", profile=profile_template,
-                           params=dict(params or {}), cell_length=float(cell_length),
+                           params=dict(params or {}), cell_length=cell_length,
                            value_range=(lo, hi))
     _probe_profile(spec, cell_length)
     return spec

@@ -511,15 +511,14 @@ def extreme_level(field, structure, window_cells, mu_neg=None):
     e_zl = _branch1_mean(field, structure, grid, 0.0, "-")
     if e_zl is None:
         raise NormalizationViolated("negative branch does not reach level 0")
-    f_lo = extremal_admissible(field, structure, 0.0, window, "inf")
-    q0 = f_lo.mean()
+    q0 = extremal_admissible(field, structure, 0.0, window, "inf").mean()
     neg = []
     if mu_neg is not None:
         for mu in mu_neg:
             p_mu = _branch1_mean(field, structure, grid, mu, "-")
             if p_mu is not None:
                 neg.append((p_mu, float(mu)))
-    return {"e_zl": e_zl, "q0": q0, "negative": neg, "f_inf_0": f_lo}
+    return {"e_zl": e_zl, "q0": q0, "negative": neg}
 
 
 def _branch1_mean(field, structure, grid, mu, side):

@@ -54,11 +54,67 @@ def test_uniform_bound(abs_sin):
         assert np.max(np.abs(lam * sol.v)) <= bound + 1e-9
 
 
-def test_cfl_rejected(abs_sin):
-    grid = cs.default_grid_policy(abs_sin, 0.0, 0.01, R=2.0, dx=None)
-    grid.dt = 10.0 / (grid.theta / grid.dx)
-    with pytest.raises(ValueError):
-        cs.solve_discounted(abs_sin, 0.0, 0.01, grid)
+def _solves(monkeypatch):
+    """Record (lam, grid, warm) of every solve_discounted call, nested
+    coarse levels included; warm is whether the call got a w0."""
+    calls = []
+    solve = cs.solve_discounted
+
+    def recorded(field, p, lam, grid, w0=None, **kwargs):
+        calls.append((lam, grid, w0 is not None))
+        return solve(field, p, lam, grid, w0=w0, **kwargs)
+
+    monkeypatch.setattr(cs, "solve_discounted", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["torus", "window"])
+def test_cfl_holds_by_construction(abs_sin, board_spec, monkeypatch, case):
+    # every grid an estimate solves on: each lam, the nested coarse levels
+    # and the dx/2 grid
+    f, dx = ((abs_sin, 1 / 256) if case == "torus"
+             else (env.sample(board_spec, 3), 1 / 32))
+    calls = _solves(monkeypatch)
+    cs.estimate_hbar(f, 0.5, lam_schedule=(0.04, 0.02, 0.01), dx=dx)
+    assert {lam for lam, _, _ in calls} == {0.04, 0.02, 0.01}
+    assert {grid.dx for _, grid, _ in calls} >= {dx / 2, dx, 2 * dx}
+    assert {grid.periodic for _, grid, _ in calls} == {case == "torus"}
+    for lam, grid, _ in calls:
+        assert grid.dt(lam) * (grid.theta / grid.dx + lam) <= 1.0
+
+
+@pytest.mark.parametrize("case", ["periodic", "periodized", "window"])
+def test_warm_start_rule(abs_sin, board_spec, monkeypatch, case):
+    # only a deterministic torus keeps its grid from one lam to the next:
+    # every lam after the first is warm-started there, and none elsewhere
+    if case == "periodic":
+        fields = abs_sin
+    else:
+        fields = {s: env.sample(board_spec, s) for s in (1, 2)}
+        if case == "periodized":
+            fields = {s: f.periodized(50) for s, f in fields.items()}
+    dx = 1 / 64
+    calls = _solves(monkeypatch)
+    cs.estimate_hbar(fields, 0.5, lam_schedule=(0.04, 0.02, 0.01), dx=dx)
+    # the solves at dx, one per (seed, lam)
+    expect = [False, True, True] if case == "periodic" else [False] * 6
+    assert [warm for _, grid, warm in calls if grid.dx == dx] == expect
+
+
+def test_one_grid_policy_call_per_seed_and_lam(board_spec, monkeypatch):
+    # the dx/2 grid is the first seed's lam_min grid with dx halved, not
+    # one more policy call
+    lams = []
+    policy = cs.default_grid_policy
+
+    def counted(field, p, lam, R, dx):
+        lams.append(lam)
+        return policy(field, p, lam, R=R, dx=dx)
+
+    monkeypatch.setattr(cs, "default_grid_policy", counted)
+    cs.estimate_hbar({s: env.sample(board_spec, s) for s in (1, 2)}, 0.5,
+                     lam_schedule=(0.04, 0.02, 0.01), dx=1 / 32)
+    assert lams == [0.04, 0.02, 0.01] * 2
 
 
 def test_bad_lambda_and_schedule(abs_sin):
@@ -411,8 +467,8 @@ _grid_values = hs.lists(hs.floats(-4.0, 4.0, allow_nan=False), min_size=3,
        p=hs.floats(-2.0, 2.0), name=hs.sampled_from(sorted(_NEWTON_FIELDS)))
 def test_newton_step_matches_reference(w, periodic, dx, theta, lam, p, name):
     n = len(w)
-    grid = cs.SolverGrid(X=n * dx / 2, dx=dx, theta=theta, dt=0.0,
-                         tol_res=1e-9, periodic=periodic, period=n * dx)
+    grid = cs.SolverGrid(X=n * dx / 2, dx=dx, theta=theta,
+                         tol_res=1e-9, period=n * dx if periodic else None)
     h = _NEWTON_FIELDS[name].at(np.arange(n) * dx)
     res, c = cs._operator(h, p, lam, grid, w)
     assert _outcome(cs._newton_step, h, p, lam, grid, w, res, c) \
@@ -422,8 +478,8 @@ def test_newton_step_matches_reference(w, periodic, dx, theta, lam, p, name):
 @pytest.mark.parametrize("periodic", [True, False])
 def test_newton_step_rejects_nonfinite(abs_sin, periodic):
     n, dx = 32, 1 / 32
-    grid = cs.SolverGrid(X=0.5, dx=dx, theta=2.0, dt=0.0, tol_res=1e-9,
-                         periodic=periodic, period=1.0)
+    grid = cs.SolverGrid(X=0.5, dx=dx, theta=2.0, tol_res=1e-9,
+                         period=1.0 if periodic else None)
     h = abs_sin.at(np.arange(n) * dx)
     w = np.sin(np.arange(n) * dx)
     res, c = cs._operator(h, 0.3, 0.02, grid, w)
@@ -553,9 +609,8 @@ def test_prolonged_newton_iterate_is_the_nested_start(board_spec, abs_sin,
     f, p, lam, dx = ((abs_sin, 0.3, 0.01, 1 / 256) if case == "torus"
                      else (env.sample(board_spec, 3), 1.0, 0.04, 1 / 32))
     grid_f = cs.default_grid_policy(f, p, lam, R=2.0, dx=dx)
-    grid_h = replace(grid_f, dx=grid_f.dx * 0.5,
-                     dt=0.9 / (grid_f.theta / (grid_f.dx * 0.5) + lam))
-    assert cs._coarse(grid_h, lam) == grid_f
+    grid_h = replace(grid_f, dx=grid_f.dx * 0.5)
+    assert cs._coarse(grid_h) == grid_f
     sol = cs.solve_discounted(f, p, lam, grid_f)
     cold = cs.solve_discounted(f, p, lam, grid_h)
     warm = cs.solve_discounted(
@@ -565,17 +620,11 @@ def test_prolonged_newton_iterate_is_the_nested_start(board_spec, abs_sin,
 
 
 def test_half_dx_solve_reuses_lambda_min_iterate(board_spec, monkeypatch):
-    calls = []
-    solve = cs.solve_discounted
-
-    def counted(field, p, lam, grid, *args, **kwargs):
-        calls.append((lam, grid.dx))
-        return solve(field, p, lam, grid, *args, **kwargs)
-
-    monkeypatch.setattr(cs, "solve_discounted", counted)
+    solves = _solves(monkeypatch)
     cs.estimate_hbar({s: env.sample(board_spec, s).periodized(50)
                       for s in (1, 2)}, 2.0,
                      lam_schedule=(0.04, 0.02, 0.01), dx=1 / 64)
+    calls = [(lam, grid.dx) for lam, grid, _ in solves]
     first_half = calls.index((0.01, 1 / 128))
     # the dx/2 solve and its nested levels below dx/2: none at dx
     assert all(dx != 1 / 64 for _, dx in calls[first_half:])

@@ -173,6 +173,15 @@ def test_malformed_config_exit_2(tmp_path):
     # a cone slope <= 0 leaves H bounded in p
     {"env": dict(PWL_ENV, params=dict(PWL_ENV["params"], cone_slope=0))},
     {"env": dict(PWL_ENV, params=dict(PWL_ENV["params"], cone_slope=-1))},
+    # env/1 numbers: finite, positive, not bools; a range of exactly two
+    {"env": dict(BOARD_ENV, cell_length=float("inf"))},
+    {"env": dict(BOARD_ENV, cell_length=True)},
+    {"env": dict(BASE_ENV, period=float("inf"))},
+    {"env": dict(BASE_ENV, period=True)},
+    {"env": dict(BOARD_ENV, value_range=[-1.0])},
+    {"env": dict(BOARD_ENV, value_range=[-1.0, 0.0, 5.0])},
+    {"env": dict(BOARD_ENV, value_range=[-1.0, float("inf")])},
+    {"env": dict(BOARD_ENV, value_range=[False, 0.0])},
 ])
 def test_out_of_range_config_exit_2(tmp_path, over):
     out = tmp_path / "out"

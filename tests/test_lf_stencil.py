@@ -108,8 +108,8 @@ _dx = hs.sampled_from([1 / 64, 1 / 100, 0.03])
        p=hs.floats(-2.0, 2.0), name=hs.sampled_from(sorted(FIELDS)))
 def test_operator_matches_reference(w, periodic, dx, theta, lam, p, name):
     n = len(w)
-    grid = cs.SolverGrid(X=n * dx / 2, dx=dx, theta=theta, dt=0.0,
-                         tol_res=1e-9, periodic=periodic, period=n * dx)
+    grid = cs.SolverGrid(X=n * dx / 2, dx=dx, theta=theta,
+                         tol_res=1e-9, period=n * dx if periodic else None)
     h = FIELDS[name].at(np.arange(n) * dx)
     res, c = cs._operator(h, p, lam, grid, w)
     res_ref, c_ref = _operator_reference(h, p, lam, grid, w)
@@ -176,8 +176,8 @@ def test_frozen_window_matches_whole_grid(n, data, dx, eps, name, p):
 def test_red_black_sweep_matches_reference(w, periodic, dx, theta, lam, p,
                                            name):
     n = len(w)
-    grid = cs.SolverGrid(X=n * dx / 2, dx=dx, theta=theta, dt=0.0,
-                         tol_res=1e-9, periodic=periodic, period=n * dx)
+    grid = cs.SolverGrid(X=n * dx / 2, dx=dx, theta=theta,
+                         tol_res=1e-9, period=n * dx if periodic else None)
     xs = np.arange(n) * dx
     h, h_edges = FIELDS[name].at(xs), FIELDS[name].at(xs[[0, -1]])
     # steep drawn edges can overflow the ghost-row updates, on both sides
@@ -199,8 +199,8 @@ def test_operator_returns_fresh_arrays(w, shift, periodic, dx, theta, lam, p,
     # Newton's line search keeps its best candidate's (res, c) while it
     # evaluates the next candidate
     n = len(w)
-    grid = cs.SolverGrid(X=n * dx / 2, dx=dx, theta=theta, dt=0.0,
-                         tol_res=1e-9, periodic=periodic, period=n * dx)
+    grid = cs.SolverGrid(X=n * dx / 2, dx=dx, theta=theta,
+                         tol_res=1e-9, period=n * dx if periodic else None)
     h = FIELDS[name].at(np.arange(n) * dx)
     res, c = cs._operator(h, p, lam, grid, w)
     kept = res.tobytes(), c.tobytes()
