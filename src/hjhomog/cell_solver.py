@@ -56,9 +56,18 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .env import HamiltonianField
-from .errors import Diverged, NoisyLimit, WarmStartRetried
+from .errors import Diverged, GridTooLarge, NoisyLimit, WarmStartRetried
 
 LAMBDA_SCHEDULE = (0.04, 0.02, 0.01, 0.005)
+MAX_NODES = 10 ** 7   # the most nodes of any grid: 80 MB per float64 array
+
+
+def _check_nodes(n, grid):
+    """GridTooLarge unless ``n``, the float node count of ``grid``, is at
+    most MAX_NODES: called before any array of the grid exists."""
+    if not n <= MAX_NODES:
+        raise GridTooLarge(f"{grid} needs {n:.3g} nodes, more than "
+                           f"cell_solver.MAX_NODES = {MAX_NODES}")
 
 
 @dataclass
@@ -87,8 +96,10 @@ class SolverGrid:
 
     def nodes(self):
         if self.periodic:
+            _check_nodes(self.period / self.dx, "the torus")
             n = max(int(round(self.period / self.dx)), 8)
             return np.arange(n) * (self.period / n)
+        _check_nodes(2 * (self.X + self.pad) / self.dx, "the window")
         m = int(np.ceil((self.X + self.pad) / self.dx))
         return np.arange(-m, m + 1) * self.dx
 

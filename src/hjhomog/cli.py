@@ -38,13 +38,13 @@ MANIFEST_SCHEMA = "manifest/1"
 SECTIONS = {
     "solver": {"dx": None, "R": 2.0, "periodize_cells": None},
     "ivp": {"T": 1.0, "X_core": 1.0, "datum_height": 5.0},
-    "tolerances": {"dual_route": 0.1, "level_set_convexity": 1e-7},
+    "tolerances": {"dual_route": 0.1},
 }
 # the bound of each number in a section ("" for any finite number)
 BOUNDS = {"solver.dx": "> 0", "solver.R": "> 0", "ivp.T": "> 0",
           "ivp.X_core": ">= 0", "ivp.datum_height": "",
-          "tolerances.dual_route": ">= 0",
-          "tolerances.level_set_convexity": ">= 0"}
+          "tolerances.dual_route": ">= 0"}
+CURVE_HEADER = ["p", "Hbar", "error_budget", "route"]  # every curves.csv
 TOP_KEYS = ("schema", "task", "env", "p_grid", "mu_points", "lambda_schedule",
             "epsilons", "seeds", "window_cells", *SECTIONS)
 
@@ -118,7 +118,7 @@ def resolve_config(raw, seed_override):
         raise ConfigError(f"unsupported config schema {raw.get('schema')!r}")
     _known_keys("the config", raw, TOP_KEYS)
     task = raw.get("task")
-    if task not in ("effective", "glue", "largeosc", "converge", "validate"):
+    if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     if "env" not in raw:
         raise ConfigError("config needs an 'env' section")
@@ -193,117 +193,107 @@ def _realize(cfg):
     """The task's realizations as a {seed: field} map, from one parse of
     ``cfg["env"]``: one field per seed of a checkerboard env, and the one
     field of a periodic env, which every seed realizes, under the first
-    seed.  Every route of the task reads these fields; the single-field
-    routes read the first."""
+    seed.  Every route of the task reads these fields; ONE_SEED_ROUTES
+    read the first seed's only."""
     spec = EnvironmentSpec.from_dict(cfg["env"])
     seeds = cfg["seeds"][:1] if spec.kind == "periodic" else cfg["seeds"]
     return {s: sample(spec, s) for s in seeds}
 
 
-def _first(fields):
-    return next(iter(fields.values()))
-
-
-def _estimate_sweep(cfg, fields):
+def _solver_curve(cfg, fields):
     sol = cfg["solver"]
     if sol["periodize_cells"]:
         fields = {s: f.periodized(sol["periodize_cells"])
                   for s, f in fields.items()}
-    return [cs.estimate_hbar(
+    ests = [cs.estimate_hbar(
         fields, float(p), lam_schedule=tuple(cfg["lambda_schedule"]),
         dx=sol["dx"], R=sol["R"])
         for p in cfg["p_grid"]]
-
-
-def _sweep_curve(ests):
     return EffectiveCurve([e.p for e in ests], [e.value for e in ests],
-                          [e.dispersion for e in ests])
+                          [e.dispersion for e in ests],
+                          sweep_rows=[r for e in ests for r in e.rows])
 
 
-def task_effective(cfg, out):
-    ests = _estimate_sweep(cfg, _realize(cfg))
-    write_csv(os.path.join(out, "curves.csv"),
-              ["p", "Hbar", "error_budget", "route"],
-              [(e.p, e.value, e.dispersion, "solver") for e in ests])
-    rows = [r for e in ests for r in e.rows]
-    write_csv(os.path.join(out, "sweep.csv"),
-              ["p", "lambda", "seed", "minus_lambda_v0", "residual",
-               "grad_min", "grad_max"], rows)
-    return {"status": "ok", "n_points": len(ests)}
+def _oracle_curve(cfg, fields):
+    return gl.convex_oracle(fields, p_lo=-3.5, p_hi=3.5)
 
 
-def _glue_curve(cfg):
-    tree = gl.build_reduction_tree(_first(_realize(cfg)))
+def _largeosc_curve(cfg, fields):
+    field = fields[cfg["seeds"][0]]
+    fn, sn, p_shift, mu_shift = normalize(field, detect_branches(field))
+    curve_n = lo.assemble_effective_curve(
+        fn, sn, mu_points=cfg["mu_points"], window_cells=cfg["window_cells"],
+        p_lo=min(cfg["p_grid"]) - p_shift - 0.25,
+        p_hi=max(cfg["p_grid"]) - p_shift + 0.25)
+    return curve_n.transformed(p_shift, mu_shift)
+
+
+def _glue_curve(cfg, fields):
+    tree = gl.build_reduction_tree(fields[cfg["seeds"][0]])
     opts = gl.LeafOptions(lam_schedule=tuple(cfg["lambda_schedule"]),
                           dx=cfg["solver"]["dx"], R=cfg["solver"]["R"],
                           mu_points=cfg["mu_points"],
                           window_cells=cfg["window_cells"])
     curve = gl.evaluate_tree(tree, np.asarray(cfg["p_grid"]), opts)
-    return tree, curve
+    curve.tree = tree
+    return curve
+
+
+# route -> (cfg, fields) -> EffectiveCurve, ``fields`` the task's
+# realizations; a route that does not apply raises NotApplicable
+ROUTES = {"oracle": _oracle_curve, "largeosc": _largeosc_curve,
+          "glue": _glue_curve, "solver": _solver_curve}  # the solver last
+ONE_SEED_ROUTES = ("largeosc", "glue")   # they read the first seed's field
+CONVERGE_ORDER = ("oracle", "largeosc", "solver")
+
+
+def task_effective(cfg, out):
+    curve = ROUTES["solver"](cfg, _realize(cfg))
+    write_csv(os.path.join(out, "curves.csv"), CURVE_HEADER,
+              [(p, v, b, "solver") for p, v, b, _ in curve.rows()])
+    write_csv(os.path.join(out, "sweep.csv"),
+              ["p", "lambda", "seed", "minus_lambda_v0", "residual",
+               "grad_min", "grad_max"], curve.sweep_rows)
+    return {"status": "ok", "n_points": len(curve.p)}
 
 
 def task_glue(cfg, out):
-    tree, curve = _glue_curve(cfg)
+    curve = ROUTES["glue"](cfg, _realize(cfg))
     with open(os.path.join(out, "tree.json"), "w") as fh:
-        json.dump(tree.to_dict(), fh, indent=1, sort_keys=True)
-    write_csv(os.path.join(out, "curves.csv"),
-              ["p", "Hbar", "error_budget", "route"],
+        json.dump(curve.tree.to_dict(), fh, indent=1, sort_keys=True)
+    write_csv(os.path.join(out, "curves.csv"), CURVE_HEADER,
               [(p, v, b, "glue") for p, v, b, _ in curve.rows()])
-    return {"status": "ok", "depth": tree.depth(),
-            "leaves": [l.leaf_kind for l in tree.leaves()]}
-
-
-def _largeosc_curve(cfg, field):
-    s = detect_branches(field)
-    fn, sn, p_shift, mu_shift = normalize(field, s)
-    ps = np.asarray(cfg["p_grid"])
-    curve_n = lo.assemble_effective_curve(
-        fn, sn, mu_points=cfg["mu_points"],
-        window_cells=cfg["window_cells"],
-        p_lo=float(ps.min()) - p_shift - 0.25,
-        p_hi=float(ps.max()) - p_shift + 0.25)
-    return curve_n.transformed(p_shift, mu_shift)
+    return {"status": "ok", "depth": curve.tree.depth(),
+            "leaves": [l.leaf_kind for l in curve.tree.leaves()]}
 
 
 def task_largeosc(cfg, out):
-    curve = _largeosc_curve(cfg, _first(_realize(cfg)))
+    curve = ROUTES["largeosc"](cfg, _realize(cfg))
     write_csv(os.path.join(out, "levelsets.csv"),
               ["mu", "p_lo", "p_hi", "ci"],
               [(r["mu"], r["p_lo"], r["p_hi"], r["ci"])
                for r in curve.level_intervals])
-    write_csv(os.path.join(out, "curves.csv"),
-              ["p", "Hbar", "error_budget", "route"],
-              [(p, v, b, src) for p, v, b, src in curve.rows()])
-    return {"status": "ok", "flat": list(curve.flat) if curve.flat else None,
-            "level_set_convex": bool(curve.is_level_set_convex())}
-
-
-def _reference_curve(cfg, fields, solver_curve=None):
-    """(curve, route, failed): the convex oracle's curve, else the
-    large-oscillation route's, else the solver sweep (``solver_curve``
-    when given); ``failed`` names each route tried before and its error.
-    ``fields`` are the task's realizations (``_realize``)."""
-    failed = []
-    try:
-        return gl.convex_oracle(fields, p_lo=-3.5, p_hi=3.5), "oracle", failed
-    except NotApplicable as exc:
-        failed.append({"route": "oracle", "error": repr(exc)})
-    try:
-        return _largeosc_curve(cfg, _first(fields)), "largeosc", failed
-    except HJHomogError as exc:
-        failed.append({"route": "largeosc", "error": repr(exc)})
-    if solver_curve is None:
-        solver_curve = _sweep_curve(_estimate_sweep(cfg, fields))
-    return solver_curve, "solver", failed
+    write_csv(os.path.join(out, "curves.csv"), CURVE_HEADER, curve.rows())
+    return {"status": "ok", "flat": list(curve.flat) if curve.flat else None}
 
 
 def task_converge(cfg, out):
+    """The eps experiment against the curve of the first route in
+    CONVERGE_ORDER that builds one; an error of the last route fails."""
     fields = _realize(cfg)
-    curve, route, failed = _reference_curve(cfg, fields)
+    failed = []
+    for route in CONVERGE_ORDER:
+        try:
+            curve = ROUTES[route](cfg, fields)
+            break
+        except HJHomogError as exc:
+            if route == CONVERGE_ORDER[-1]:
+                raise
+            failed.append({"route": route, "error": repr(exc)})
     ivp = cfg["ivp"]
     setup = hp.IVPSetup(g=hp.wedge_datum(ivp["datum_height"]), T=ivp["T"],
                         X_core=ivp["X_core"],
-                        theta=hp.default_theta(_first(fields)))
+                        theta=hp.default_theta(fields[cfg["seeds"][0]]))
     res = hp.convergence_experiment(fields, curve, setup,
                                     eps_list=tuple(cfg["epsilons"]),
                                     hbar_dx=1 / 128)
@@ -314,42 +304,40 @@ def task_converge(cfg, out):
 
 
 def task_validate(cfg, out):
-    tol = cfg["tolerances"]
+    """The solver sweep against every other route, each run once on the
+    same fields: a route's curve must lie within both budgets plus
+    ``tolerances.dual_route`` of the sweep at every p of ``p_grid``."""
     fields = _realize(cfg)
-    solver_curve = _sweep_curve(_estimate_sweep(cfg, fields))
-    curve, route, failed = _reference_curve(cfg, fields, solver_curve)
     ps = np.asarray(cfg["p_grid"])
-    diffs = np.abs(solver_curve.evaluate(ps) - curve.evaluate(ps))
-    budgets = solver_curve.budget_at(ps) + curve.budget_at(ps) \
-        + tol["dual_route"]
-    if route == "solver":
-        # the solver against itself proves nothing
-        dual = {"skipped": True, "route": route,
-                "reason": "no independent route applies"}
-    else:
+    solver = ROUTES["solver"](cfg, fields)
+    ref, ref_budget = solver.evaluate(ps), solver.budget_at(ps)
+    rows = [(p, v, b, "solver") for p, v, b in zip(ps, ref, ref_budget)]
+    checks, seeds = {}, list(fields)
+    for route, build in list(ROUTES.items())[:-1]:   # all but the solver
+        check = checks[route] = {
+            "seeds_read": seeds[:1] if route in ONE_SEED_ROUTES else seeds}
+        try:
+            curve = build(cfg, fields)
+        except NotApplicable as exc:
+            check.update(skipped=True, reason=str(exc))
+            continue
+        except HJHomogError as exc:
+            check.update(passed=False, error=repr(exc))
+            continue
+        values, budget = curve.evaluate(ps), curve.budget_at(ps)
+        rows += [(p, v, b, route) for p, v, b in zip(ps, values, budget)]
+        diffs = np.abs(ref - values)
+        allowed = ref_budget + budget + cfg["tolerances"]["dual_route"]
         # the report pairs each number with the p where diff/allowed peaks
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(diffs > 0, diffs / budgets, 0.0)
+            ratio = np.where(diffs > 0, diffs / allowed, 0.0)
         k = int(np.argmax(ratio))
-        dual = {"passed": bool(np.all(diffs <= budgets)),
-                "worst_p": float(ps[k]), "ratio": float(ratio[k]),
-                "max_diff": float(diffs[k]), "allowed": float(budgets[k]),
-                "route": route}
-    checks = {
-        "dual_route": dual,
-        "level_set_convexity": {
-            "passed": bool(curve.is_level_set_convex(
-                tol=tol["level_set_convexity"])),
-        },
-    }
-    write_csv(os.path.join(out, "curves.csv"),
-              ["p", "Hbar_solver", "Hbar_reference", "diff", "allowed"],
-              [(p, sv, rv, d, a) for p, sv, rv, d, a in zip(
-                  ps, solver_curve.evaluate(ps), curve.evaluate(ps),
-                  diffs, budgets)])
+        check.update(passed=bool(np.all(diffs <= allowed)),
+                     worst_p=float(ps[k]), ratio=float(ratio[k]),
+                     max_diff=float(diffs[k]), allowed=float(allowed[k]))
+    write_csv(os.path.join(out, "curves.csv"), CURVE_HEADER, rows)
     ok = all(c.get("skipped") or c["passed"] for c in checks.values())
-    return {"status": "ok" if ok else "failed", "checks": checks,
-            "failed_routes": failed}
+    return {"status": "ok" if ok else "failed", "checks": checks}
 
 
 TASKS = {"effective": task_effective, "glue": task_glue,
@@ -382,10 +370,9 @@ def run(config, out_dir, strict=False, seed_override=None):
                 "versions": {"hjhomog": __version__,
                              "numpy": np.__version__},
                 "report": report}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
+    for name, doc in (("manifest.json", manifest), ("report.json", report)):
+        with open(os.path.join(out_dir, name), "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
     if report.get("status") != "ok":
         return 1
     if strict and captured:
@@ -403,23 +390,14 @@ def diff_runs(dir_a, dir_b, extra_tol):
     if man_a["config"]["task"] != man_b["config"]["task"]:
         raise ConfigError("manifests describe different tasks")
 
-    def load_curve(d):
+    def load_curve(d):   # p, Hbar, error_budget: CURVE_HEADER's first three
         with open(os.path.join(d, "curves.csv")) as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        ip = header.index("p")
-        iv = header.index("Hbar") if "Hbar" in header \
-            else header.index("Hbar_solver")
-        ib = header.index("error_budget") if "error_budget" in header else None
-        p = np.asarray([float(r[ip]) for r in rows])
-        v = np.asarray([float(r[iv]) for r in rows])
-        b = np.asarray([float(r[ib]) for r in rows]) if ib is not None \
-            else np.zeros_like(p)
-        return p, v, b
+            return np.asarray([line.split(",")[:3]
+                               for line in fh.readlines()[1:]], float).T
 
     pa, va, ba = load_curve(dir_a)
     pb, vb, bb = load_curve(dir_b)
-    if len(pa) != len(pb) or not np.array_equal(pa, pb):
+    if not np.array_equal(pa, pb):
         raise ConfigError("incompatible p grids")
     diffs = np.abs(va - vb)
     allowed = ba + bb + extra_tol

@@ -16,7 +16,9 @@ class EffectiveCurve:
 
     Between samples the curve is linear.  ``level_intervals`` records the
     flat level sets [p_lo, p_hi] at each sampled level mu, and ``flat``
-    the minimum-level flat piece, when known.
+    the minimum-level flat piece, when known.  A solver sweep's curve
+    keeps its (p, lam, seed) rows in ``sweep_rows``, a glued curve its
+    reduction tree in ``tree``.
     """
 
     p: np.ndarray
@@ -25,6 +27,8 @@ class EffectiveCurve:
     source: list = None
     level_intervals: list = dc_field(default_factory=list)
     flat: tuple | None = None
+    sweep_rows: list = dc_field(default_factory=list)
+    tree: object = dc_field(default=None, init=False)
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)

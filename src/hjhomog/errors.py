@@ -45,6 +45,10 @@ class NormalizationViolated(HJHomogError):
     """Field does not satisfy the normalization esssup H(0, x) = 0."""
 
 
+class GridTooLarge(HJHomogError):
+    """A grid needs more nodes than ``cell_solver.MAX_NODES``."""
+
+
 class ConfigError(HJHomogError):
     """Malformed run configuration."""
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_solver import _by_seed, _lf_terms
+from .cell_solver import _by_seed, _check_nodes, _lf_terms
 from .errors import ExtrapolationUsed
 
 _OSC_NODES = 32   # nodes per period eps of the oscillatory march: dx = eps/32
@@ -65,6 +65,7 @@ def _march(frozen, g, T, X, dx, theta, cfl, X_core):
     has shrunk by a quarter.  The nodes the march drops are the ones
     whose values the next step no longer needs, so the core's values are
     the whole-grid march's, bit for bit."""
+    _check_nodes(2 * X / dx, "the march")
     m = int(np.ceil(X / dx))
     xs = np.arange(-m, m + 1) * dx
     core = np.flatnonzero(np.abs(xs) <= X_core + 1e-12)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from hjhomog import cli, env
-from hjhomog.errors import NotApplicable
+from hjhomog.errors import Diverged, NotApplicable
 
 
 def _write(tmp_path, name, obj):
@@ -131,7 +131,8 @@ def test_malformed_config_exit_2(tmp_path):
     {"task": "converge", "ivp": {"datum_height": "x"}},
     {"task": "validate", "tolerances": {"dual_route": "a"}},
     {"task": "validate", "tolerances": {"dual_route": -0.1}},
-    {"task": "validate", "tolerances": {"level_set_convexity": float("nan")}},
+    # no theorem asks for level-set convexity: the key is gone
+    {"task": "validate", "tolerances": {"level_set_convexity": 1e-7}},
     {"solver": {"dx": 1 / 64, "periodize_cells": 0}},
     {"solver": {"dx": 1 / 64, "periodize_cells": -5}},
     {"solver": {"dx": 1 / 64, "periodize_cells": 2.5}},
@@ -272,7 +273,7 @@ def test_largeosc_on_small_oscillation_is_not_applicable(tmp_path):
     assert report["error"].startswith("small oscillation (M_lo=")
     resolved = cli.resolve_config(cfg, None)
     with pytest.raises(NotApplicable, match="small oscillation"):
-        cli._largeosc_curve(resolved, cli._realize(resolved)[0])
+        cli.ROUTES["largeosc"](resolved, cli._realize(resolved))
 
 
 TIED_ENV = {"schema": "env/1", "kind": "periodic",
@@ -293,31 +294,51 @@ def test_glue_tilts_a_tied_field(tmp_path):
 
 
 def test_validate_task(tmp_path):
+    # every route but the solver has a check: the oracle and glue agree
+    # with the sweep, and largeosc, with no positive-side hill, is skipped
     cfg_path = _write(tmp_path, "cfg.json", _cfg(task="validate"))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["checks"]["dual_route"]["passed"]
-    assert report["checks"]["dual_route"]["route"] == "oracle"
-    assert report["checks"]["level_set_convexity"]["passed"]
+    checks = report["checks"]
+    assert sorted(checks) == ["glue", "largeosc", "oracle"]
+    assert checks["oracle"]["passed"] and checks["glue"]["passed"]
+    assert checks["largeosc"]["skipped"]
+    assert "no positive maxima" in checks["largeosc"]["reason"]
+    assert "failed_routes" not in report
+
+
+def _curve_blocks(path):
+    """route -> {p: (Hbar, error_budget)} of a curves.csv."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "p,Hbar,error_budget,route"
+    blocks = {}
+    for line in lines[1:]:
+        p, v, b, route = line.split(",")
+        blocks.setdefault(route, {})[float(p)] = (float(v), float(b))
+    return blocks
 
 
 def test_validate_reports_numbers_of_one_p(tmp_path):
-    # max_diff and allowed come from the p with the largest diff/allowed,
-    # the same row of curves.csv
+    # max_diff and allowed come from the p with the largest diff/allowed:
+    # the solver's and the route's rows of curves.csv at worst_p
     cfg_path = _write(tmp_path, "cfg.json", _cfg(task="validate"))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 0
-    dual = json.loads((out / "report.json").read_text())["checks"][
-        "dual_route"]
-    lines = (out / "curves.csv").read_text().splitlines()
-    assert lines[0] == "p,Hbar_solver,Hbar_reference,diff,allowed"
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    worst = [r for r in rows if r[0] == dual["worst_p"]]
-    assert len(worst) == 1
-    assert dual["max_diff"] == worst[0][3]
-    assert dual["allowed"] == worst[0][4]
-    assert dual["ratio"] == max(r[3] / r[4] for r in rows)
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    blocks = _curve_blocks(out / "curves.csv")
+    assert list(blocks) == ["solver", "oracle", "glue"]
+    for route in ("oracle", "glue"):
+        check, rows = checks[route], blocks[route]
+        assert sorted(rows) == sorted(blocks["solver"]) == [-1, 0, 1, 2]
+
+        def diff_allowed(p):
+            (sv, sb), (rv, rb) = blocks["solver"][p], rows[p]
+            return abs(sv - rv), sb + rb + 0.1
+
+        assert (check["max_diff"], check["allowed"]) == \
+            diff_allowed(check["worst_p"])
+        assert check["ratio"] == max(d / a for d, a in map(diff_allowed, rows))
 
 
 def test_converge_task(tmp_path):
@@ -480,31 +501,138 @@ def test_periodic_converge_marches_each_eps_once(monkeypatch, tmp_path):
     assert list(report["monotone"]) == ["0"]
 
 
-def test_validate_without_independent_route_sweeps_once(monkeypatch,
-                                                        tmp_path):
+def test_validate_sweeps_once_and_glue_misreads_a_narrow_grid(monkeypatch,
+                                                             tmp_path):
     # small oscillation: the oracle needs quasi-convexity and the
-    # large-oscillation route fails, so the solver is the only route left
+    # large-oscillation route does not apply, but glue does.  The solver
+    # sweep runs once per p, on the task's own fields.  Glue's quasi-convex
+    # leaf finds its p-range too narrow for the oracle (OracleFellBack) and
+    # reads Hbar(2) = 2.89 where the sweep reads 9.00: the curve depends on
+    # the caller's p grid
     envd = {"schema": "env/1", "kind": "periodic",
             "profile": "quartic_plus_sin", "params": {"amplitude": 0.1},
             "period": 1.0}
-    calls = []
-    estimate = cli.cs.estimate_hbar
+    realized, calls = [], []
+    estimate, realize = cli.cs.estimate_hbar, cli._realize
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[:2])
         return estimate(*args, **kwargs)
 
+    def recorded(cfg):
+        realized.append(realize(cfg))
+        return realized[-1]
+
     monkeypatch.setattr(cli.cs, "estimate_hbar", counted)
+    monkeypatch.setattr(cli, "_realize", recorded)
     cfg = _cfg(task="validate", env=envd, p_grid=[1.0, 1.5, 2.0])
-    assert cli.run(cfg, str(tmp_path)) == 0
-    assert calls == [1.0, 1.5, 2.0]
+    assert cli.run(cfg, str(tmp_path)) == 1
+    assert len(realized) == 1
+    assert [p for fields, p in calls if fields is realized[0]] == \
+        [1.0, 1.5, 2.0]
     report = json.loads((tmp_path / "report.json").read_text())
-    dual = report["checks"]["dual_route"]
-    assert dual["skipped"] and dual["route"] == "solver"
-    assert "passed" not in dual
-    assert [f["route"] for f in report["failed_routes"]] == \
-        ["oracle", "largeosc"]
-    assert all(f["error"] for f in report["failed_routes"])
+    checks = report["checks"]
+    assert checks["oracle"]["skipped"] and checks["largeosc"]["skipped"]
+    assert not checks["glue"]["passed"]
+    assert checks["glue"]["worst_p"] == 2.0
+    assert any(w.startswith("OracleFellBack") for w in report["warnings"])
+
+
+def test_validate_check_names_the_seeds_its_route_read(tmp_path):
+    # the oracle averages every seed; largeosc and glue read the first
+    assert cli.run(_cfg(**dict(BOARD_SEEDS, task="validate")),
+                   str(tmp_path)) == 0
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert {route: c["seeds_read"] for route, c in checks.items()} == \
+        {"oracle": [3, 5], "largeosc": [3], "glue": [3]}
+
+
+# the benchmark's three fixed configs, as validate runs
+BENCH_VALIDATE = {
+    "glue_steep": {"env": WELLS_ENV,
+                   "p_grid": {"start": -0.5, "stop": 2.5, "n": 21},
+                   "solver": {"dx": 0.001953125}},
+    "converge_quartic_small": {"env": QUARTIC_ENV,
+                               "p_grid": {"start": -1.8, "stop": 1.8,
+                                          "n": 25},
+                               "solver": {"dx": 0.001953125}},
+    "largeosc_quartic": {"env": dict(QUARTIC_ENV,
+                                     params={"amplitude": 2.0}),
+                         "p_grid": {"start": -2.2, "stop": 3.4, "n": 11},
+                         "mu_points": 15, "window_cells": 50},
+}
+
+
+@pytest.mark.parametrize("name", list(BENCH_VALIDATE))
+def test_validate_on_benchmark_configs(tmp_path, name):
+    # glue agrees with the sweep on the two small-oscillation configs.
+    # On largeosc_quartic the sweep's flat piece is off (the LF flux), so
+    # largeosc disagrees with it at p = 0.6
+    cfg = dict(BENCH_VALIDATE[name], schema="run/1", task="validate")
+    code = cli.run(cfg, str(tmp_path))
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    if name == "largeosc_quartic":
+        assert code == 1
+        assert not checks["largeosc"]["passed"]
+        assert checks["largeosc"]["worst_p"] == pytest.approx(0.6)
+    else:
+        assert code == 0
+        assert checks["glue"]["passed"] and "max_diff" in checks["glue"]
+
+
+@pytest.mark.parametrize("env_over, tried", [
+    ({}, ["oracle"]),
+    ({"env": QUARTIC_ENV}, ["oracle", "largeosc", "solver"]),
+], ids=["oracle", "solver"])
+def test_converge_takes_the_first_route_that_applies(monkeypatch, tmp_path,
+                                                     env_over, tried):
+    # the stated order, and never glue
+    calls = []
+    for route, build in list(cli.ROUTES.items()):
+        def recorded(cfg, fields, route=route, build=build):
+            calls.append(route)
+            return build(cfg, fields)
+        monkeypatch.setitem(cli.ROUTES, route, recorded)
+    cfg = _cfg(task="converge", epsilons=[0.4],
+               ivp={"T": 0.25, "X_core": 0.25}, **env_over)
+    assert cli.run(cfg, str(tmp_path)) == 0
+    assert calls == tried
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["curve_route"] == tried[-1]
+    assert [f["route"] for f in report["failed_routes"]] == tried[:-1]
+
+
+def test_converge_fails_on_an_error_of_its_last_route(monkeypatch, tmp_path):
+    def broken(cfg, fields):
+        raise Diverged("solver broke", [])
+
+    monkeypatch.setitem(cli.ROUTES, "solver", broken)
+    cfg = _cfg(task="converge", env=QUARTIC_ENV, epsilons=[0.4],
+               ivp={"T": 0.25, "X_core": 0.25})
+    assert cli.run(cfg, str(tmp_path)) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report == {"status": "failed", "error": "solver broke",
+                      "warnings": []}
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("over, grid", [
+    ({"env": dict(BASE_ENV, period=1e300)}, "the torus"),
+    ({"env": BOARD_ENV, "lambda_schedule": [1e-300, 1e-301, 1e-302]},
+     "the window"),
+    ({"task": "converge", "epsilons": [0.4], "ivp": {"X_core": 1e300}},
+     "the march"),
+    ({"task": "converge", "epsilons": [0.4], "ivp": {"T": 1e300}},
+     "the march"),
+], ids=["period", "lambda", "X_core", "T"])
+def test_grid_too_large_is_a_typed_failure(tmp_path, over, grid):
+    # each grid would need some 1e302 nodes: the run fails before any
+    # array of them exists, with the bound in its error
+    assert cli.run(_cfg(**over), str(tmp_path)) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "failed"
+    assert report["error"].startswith(f"{grid} needs ")
+    assert "cell_solver.MAX_NODES" in report["error"]
 
 
 # a value for every param a registry profile reads

@@ -169,7 +169,7 @@ def _glue_steep_leaf_calls():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gl, "convex_oracle", recorded)
-        cli._glue_curve(cfg)
+        cli.ROUTES["glue"](cfg, cli._realize(cfg))
     return calls
 
 
