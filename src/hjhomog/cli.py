@@ -112,8 +112,10 @@ def resolve_config(raw, seed_override):
     Numbers must be JSON numbers (counts and seeds JSON integers) and are
     stored converted; a key this function does not read, at the top level
     or in a section, is a ConfigError."""
-    if raw.get("schema") == MANIFEST_SCHEMA:
+    if isinstance(raw, dict) and raw.get("schema") == MANIFEST_SCHEMA:
         raw = raw["config"]
+    if not isinstance(raw, dict):
+        raise ConfigError(f"the config must be a JSON object, not {raw!r}")
     if raw.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported config schema {raw.get('schema')!r}")
     _known_keys("the config", raw, TOP_KEYS)
@@ -306,7 +308,9 @@ def task_converge(cfg, out):
 def task_validate(cfg, out):
     """The solver sweep against every other route, each run once on the
     same fields: a route's curve must lie within both budgets plus
-    ``tolerances.dual_route`` of the sweep at every p of ``p_grid``."""
+    ``tolerances.dual_route`` of the sweep at every p of ``p_grid``.  The
+    glue check counts its ``solver_leaves``: a leaf the solver evaluated
+    compares the solver with itself."""
     fields = _realize(cfg)
     ps = np.asarray(cfg["p_grid"])
     solver = ROUTES["solver"](cfg, fields)
@@ -335,6 +339,9 @@ def task_validate(cfg, out):
         check.update(passed=bool(np.all(diffs <= allowed)),
                      worst_p=float(ps[k]), ratio=float(ratio[k]),
                      max_diff=float(diffs[k]), allowed=float(allowed[k]))
+        if curve.tree is not None:   # glue: the leaves the solver read
+            check["solver_leaves"] = sum(leaf.leaf_kind == "direct"
+                                         for leaf in curve.tree.leaves())
     write_csv(os.path.join(out, "curves.csv"), CURVE_HEADER, rows)
     ok = all(c.get("skipped") or c["passed"] for c in checks.values())
     return {"status": "ok" if ok else "failed", "checks": checks}

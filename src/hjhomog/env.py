@@ -119,14 +119,6 @@ def split_seed(master, k):
 # profile registry
 # ---------------------------------------------------------------------------
 
-def _pwl(p, nodes, values, cone_slope):
-    p = np.asarray(p, dtype=np.float64)
-    inner = np.interp(p, nodes, values)
-    left = values[0] + cone_slope * (nodes[0] - p)
-    right = values[-1] + cone_slope * (p - nodes[-1])
-    return np.where(p < nodes[0], left, np.where(p > nodes[-1], right, inner))
-
-
 _BASES = {
     "abs": lambda p: np.abs(p),
     "quadratic": lambda p: np.asarray(p, dtype=np.float64) ** 2,
@@ -134,74 +126,90 @@ _BASES = {
 }
 
 
-# the params each named periodic profile and checkerboard template reads,
-# and the keys each env/1 kind uses: ``EnvironmentSpec.from_dict`` rejects
-# any other
-PROFILE_PARAMS = {
+def _sin(q, period):
+    a, w = q["amplitude"], 2.0 * math.pi / period
+    return lambda x: a * np.sin(w * x)
+
+
+def _pwl_wells_plus_dip(q, period):
+    nodes, values, slope = q["nodes"], q["values"], q["cone_slope"]
+    a, w = q["amplitude"], 2.0 * math.pi / period
+
+    def p_part(p):   # wells through (nodes, values), continued by cones
+        p = np.asarray(p, dtype=np.float64)
+        left = values[0] + slope * (nodes[0] - p)
+        right = values[-1] + slope * (p - nodes[-1])
+        return np.where(p < nodes[0], left, np.where(
+            p > nodes[-1], right, np.interp(p, nodes, values)))
+    return p_part, lambda x: a * (np.sin(w * x) - 1.0)
+
+
+# kind -> profile -> (its params' defaults, None where required; a builder
+# (checked params, period) -> (p_part, x_part)): H = p_part(p) + x_part(x),
+# plus v on a checkerboard, with no x term where x_part is None
+PROFILES = {
     "periodic": {
-        "abs_plus_sin": ("amplitude",),
-        "quartic_plus_sin": ("amplitude",),
-        "base_plus_sin": ("amplitude", "base"),
-        "xfree": ("base",),
-        "pwl_wells_plus_dip": ("nodes", "values", "cone_slope", "amplitude"),
+        "abs_plus_sin": ({"amplitude": 1.0},
+                         lambda q, T: (np.abs, _sin(q, T))),
+        "quartic_plus_sin": ({"amplitude": 1.0},
+                             lambda q, T: (_BASES["double_well"], _sin(q, T))),
+        "base_plus_sin": ({"amplitude": 1.0, "base": "double_well"},
+                          lambda q, T: (_BASES[q["base"]], _sin(q, T))),
+        "xfree": ({"base": "quadratic"},
+                  lambda q, T: (_BASES[q["base"]], lambda x: 0.0 * x)),
+        "pwl_wells_plus_dip": ({"nodes": None, "values": None,
+                                "cone_slope": 2.0, "amplitude": 0.1},
+                               _pwl_wells_plus_dip),
     },
     "checkerboard": {
-        "abs_plus_v": (),
-        "quartic_plus_v": (),
-        "base_plus_v": ("base",),
-        "base_plus_sin_plus_v": ("amplitude", "inner_period", "base"),
+        "abs_plus_v": ({}, lambda q, T: (np.abs, None)),
+        "quartic_plus_v": ({}, lambda q, T: (_BASES["double_well"], None)),
+        "base_plus_v": ({"base": "abs"},
+                        lambda q, T: (_BASES[q["base"]], None)),
+        "base_plus_sin_plus_v": (
+            {"amplitude": 0.5, "inner_period": 1.0, "base": "double_well"},
+            lambda q, T: (_BASES[q["base"]], _sin(q, q["inner_period"]))),
     },
 }
+# the keys of each env/1 kind: ``EnvironmentSpec.from_dict`` rejects others
 ENV_KEYS = {"periodic": ("schema", "kind", "profile", "params", "period"),
             "checkerboard": ("schema", "kind", "profile", "params",
                              "cell_length", "value_range")}
 
 
-def _build_periodic_profile(name, params, period):
-    """(p_part, x_part) of a named periodic profile:
-    H(p, x) = p_part(p) + x_part(x)."""
-    two_pi = 2.0 * math.pi / period
-    if name == "abs_plus_sin":
-        a = params.get("amplitude", 1.0)
-        return np.abs, lambda x: a * np.sin(two_pi * x)
-    if name == "quartic_plus_sin":
-        a = params.get("amplitude", 1.0)
-        return _BASES["double_well"], lambda x: a * np.sin(two_pi * x)
-    if name == "base_plus_sin":
-        a = params.get("amplitude", 1.0)
-        return (_BASES[params.get("base", "double_well")],
-                lambda x: a * np.sin(two_pi * x))
-    if name == "xfree":
-        return _BASES[params.get("base", "quadratic")], lambda x: 0.0 * x
-    if name == "pwl_wells_plus_dip":
-        nodes = np.asarray(params["nodes"], dtype=np.float64)
-        values = np.asarray(params["values"], dtype=np.float64)
-        slope = params.get("cone_slope", 2.0)
-        if not slope > 0:
-            # a flat or falling cone leaves H bounded in p: not coercive
-            raise ProfileError("cone_slope must be positive")
-        a = params.get("amplitude", 0.1)
-        return (lambda p: _pwl(p, nodes, values, slope),
-                lambda x: a * (np.sin(two_pi * x) - 1.0))
-    raise ProfileError(f"unknown periodic profile {name!r}")
+def _check_param(label, name, x):
+    """The profile param ``name`` checked against its bound; a flat or
+    falling cone (``cone_slope`` <= 0) leaves H bounded in p."""
+    if name == "base":
+        if isinstance(x, str) and x in _BASES:
+            return x
+        raise ProfileError(f"{label} must be one of {sorted(_BASES)}, "
+                           f"not {x!r}")
+    if name in ("nodes", "values"):
+        xs = np.array([_number(label, v) for v in x]
+                      if isinstance(x, (list, tuple)) else [])
+        if not xs.size or (name == "nodes" and np.any(np.diff(xs) <= 0)):
+            raise ProfileError(f"{label} must be a non-empty list of finite "
+                               f"numbers{', increasing' * (name == 'nodes')}"
+                               f", not {x!r}")
+        return xs
+    return _number(label, x, positive=name in ("cone_slope", "inner_period"))
 
 
-def _build_template(name, params):
-    """(p_part, x_part) of a named checkerboard template:
-    H(p, x, v) = p_part(p) + x_part(x) + v, with no x_part term where
-    x_part is None."""
-    if name == "abs_plus_v":
-        return np.abs, None
-    if name == "quartic_plus_v":
-        return _BASES["double_well"], None
-    if name == "base_plus_v":
-        return _BASES[params.get("base", "abs")], None
-    if name == "base_plus_sin_plus_v":
-        a = params.get("amplitude", 0.5)
-        w = 2.0 * math.pi / params.get("inner_period", 1.0)
-        return (_BASES[params.get("base", "double_well")],
-                lambda x: a * np.sin(w * x))
-    raise ProfileError(f"unknown checkerboard template {name!r}")
+def _profile_parts(spec):
+    """(p_part, x_part) of the spec's ``PROFILES`` row, built on its params
+    and the row's defaults, each checked; an unknown one is a ProfileError."""
+    kind, name, params = spec.kind, spec.profile, spec.params
+    if not isinstance(name, str) or name not in PROFILES[kind]:
+        raise ProfileError(f"unknown {kind} profile {name!r}")
+    defaults, build = PROFILES[kind][name]
+    _only_keys(f"the params of {name!r}", params, defaults)
+    q = {key: _check_param(f"param {key!r} of {name!r}", key, x)
+         for key, x in dict(defaults, **params).items()}
+    if len(q.get("nodes", ())) != len(q.get("values", ())):
+        raise ProfileError(f"param 'values' of {name!r} must hold one value "
+                           f"per node, not {params['values']!r}")
+    return build(q, spec.period)
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +239,9 @@ class EnvironmentSpec:
         x-only terms once and returns p -> H(p, x) as float64 values.
         Named profiles add their terms in a fixed order, p part first."""
         fn = self.profile
-        if self.kind == "periodic":
-            if callable(fn):
-                return lambda x: lambda p: np.asarray(
-                    fn(np.asarray(p, dtype=np.float64), x), dtype=np.float64)
-            p_part, x_part = _build_periodic_profile(fn, self.params,
-                                                     self.period)
-
-            def at(x):
-                xt = x_part(x)
-                return lambda p: p_part(np.asarray(p, dtype=np.float64)) + xt
-            return at
+        if callable(fn) and self.kind == "periodic":
+            return lambda x: lambda p: np.asarray(
+                fn(np.asarray(p, dtype=np.float64), x), dtype=np.float64)
         if callable(fn):
             def at_raw(x, v):
                 def h(p):
@@ -251,7 +251,12 @@ class EnvironmentSpec:
                         dtype=np.float64)
                 return h
             return at_raw
-        p_part, x_part = _build_template(fn, self.params)
+        p_part, x_part = _profile_parts(self)
+        if self.kind == "periodic":
+            def at(x):
+                xt = x_part(x)
+                return lambda p: p_part(np.asarray(p, dtype=np.float64)) + xt
+            return at
 
         def at_template(x, v):
             # templates see p broadcast against x, as in the per-call
@@ -272,13 +277,9 @@ class EnvironmentSpec:
         if callable(self.profile):
             raise ProfileError("raw-callable profiles cannot be serialized; "
                                "register a named profile instead")
-        d = {"schema": ENV_SCHEMA, "kind": self.kind, "profile": self.profile,
-             "params": dict(self.params)}
-        if self.period is not None:
-            d["period"] = self.period
-        if self.cell_length is not None:
-            d["cell_length"] = self.cell_length
-        if self.value_range is not None:
+        d = {key: getattr(self, key, None) for key in ENV_KEYS[self.kind]}
+        d.update(schema=ENV_SCHEMA, params=dict(self.params))
+        if "value_range" in d:
             d["value_range"] = list(self.value_range)
         return d
 
@@ -286,22 +287,23 @@ class EnvironmentSpec:
     def from_dict(d):
         """The spec of an env/1 dict, through the checks of
         ``make_periodic`` or ``make_checkerboard``.  A key the kind does
-        not use (``ENV_KEYS``) or a param the named profile does not read
-        (``PROFILE_PARAMS``) is a ProfileError."""
+        not use (``ENV_KEYS``), or a profile or param that ``PROFILES``
+        does not declare, is a ProfileError."""
+        if not isinstance(d, dict):
+            raise ProfileError(f"the env must be a JSON object, not {d!r}")
         if d.get("schema") != ENV_SCHEMA:
             raise ProfileError(f"unsupported environment schema {d.get('schema')!r}")
         kind = d.get("kind")
         if kind not in ENV_KEYS:
             raise ProfileError(f"unknown environment kind {kind!r}")
         _only_keys(f"the {kind} env", d, ENV_KEYS[kind])
+        params = d.get("params")
+        if params is not None and not isinstance(params, dict):
+            raise ProfileError(f"params must be a JSON object, not {params!r}")
         if kind == "periodic":
-            spec = make_periodic(d["profile"], d["period"], d.get("params"))
-        else:
-            spec = make_checkerboard(d["value_range"], d["cell_length"],
-                                     d["profile"], d.get("params"))
-        _only_keys(f"the params of {spec.profile!r}", spec.params,
-                   PROFILE_PARAMS[kind][spec.profile])
-        return spec
+            return make_periodic(d["profile"], d["period"], params)
+        return make_checkerboard(d["value_range"], d["cell_length"],
+                                 d["profile"], params)
 
 
 def _only_keys(name, d, keys):
@@ -315,11 +317,9 @@ def _probe_profile(spec, period_or_cell):
     ps = np.linspace(-3.0, 3.0, 41)
     xs = np.linspace(0.0, 2.0 * period_or_cell, 37)
     at = spec.profile_at()
+    v = (0.0,) if spec.kind == "checkerboard" else ()
     with np.errstate(all="ignore"):
-        if spec.kind == "checkerboard":
-            vals = at(xs[None, :], 0.0)(ps[:, None])
-        else:
-            vals = at(xs[None, :])(ps[:, None])
+        vals = at(xs[None, :], *v)(ps[:, None])
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(np.asarray(vals)))[0]
         raise ProfileError(

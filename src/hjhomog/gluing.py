@@ -369,6 +369,9 @@ class LeafOptions:
 
 
 def evaluate_leaf(leaf, p_grid, opts):
+    """The curve of one leaf on ``p_grid``.  A quasi-convex leaf whose
+    oracle does not apply falls back to the solver and is recorded as a
+    direct leaf, so the tree names every leaf the solver evaluated."""
     field, structure = leaf.field, leaf.structure
     kind = leaf.leaf_kind
     if kind == "xfree":
@@ -383,7 +386,7 @@ def evaluate_leaf(leaf, p_grid, opts):
             warnings.warn(f"convex oracle on p in [{p_lo:.4g}, {p_hi:.4g}] "
                           f"did not apply ({exc}): direct-solver leaf",
                           OracleFellBack, stacklevel=2)
-            kind = "direct"
+            kind = leaf.leaf_kind = "direct"
     if kind == "large_osc":
         from .large_osc import assemble_effective_curve
         return assemble_effective_curve(

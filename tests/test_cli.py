@@ -24,6 +24,7 @@ PWL_ENV = {"schema": "env/1", "kind": "periodic",
 BOARD_ENV = {"schema": "env/1", "kind": "checkerboard",
              "profile": "base_plus_v", "params": {"base": "abs"},
              "cell_length": 1.0, "value_range": [-1.0, 0.0]}
+SIN_V_ENV = dict(BOARD_ENV, profile="base_plus_sin_plus_v")
 
 
 def _cfg(task="effective", **over):
@@ -86,6 +87,10 @@ def test_malformed_config_exit_2(tmp_path):
     cfg_path = _write(tmp_path, "cfg2.json", {"schema": "run/1",
                                               "task": "bogus"})
     assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    # valid JSON, but not an object
+    cfg_path = _write(tmp_path, "cfg3.json", [1, 2])
+    assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("over", [
@@ -183,11 +188,41 @@ def test_malformed_config_exit_2(tmp_path):
     {"env": dict(BOARD_ENV, value_range=[-1.0, 0.0, 5.0])},
     {"env": dict(BOARD_ENV, value_range=[-1.0, float("inf")])},
     {"env": dict(BOARD_ENV, value_range=[False, 0.0])},
+    # the env and its params must be JSON objects
+    {"env": 5},
+    {"env": [1]},
+    {"env": dict(BASE_ENV, params=[1])},
+    # each profile param within its bound
+    {"env": dict(SIN_V_ENV, params={"inner_period": 0})},
+    {"env": dict(SIN_V_ENV, params={"inner_period": -1})},
+    {"env": dict(BASE_ENV, params={"amplitude": True})},
+    {"env": dict(PWL_ENV, params=dict(PWL_ENV["params"], cone_slope=True))},
+    {"env": dict(PWL_ENV, params=dict(PWL_ENV["params"], nodes=[2, 0, 1]))},
+    {"env": dict(PWL_ENV, params=dict(PWL_ENV["params"], values=[0, 1]))},
+    {"env": dict(SIN_V_ENV, params={"base": "cubic"})},
+    {"env": dict(SIN_V_ENV, params={"base": 3})},
+    {"env": dict(PWL_ENV, params={"values": [0, 1, 0]})},
 ])
 def test_out_of_range_config_exit_2(tmp_path, over):
     out = tmp_path / "out"
     assert cli.run(_cfg(**over), str(out)) == 2
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("env_d, named", [
+    (dict(SIN_V_ENV, params={"inner_period": 0}), "'inner_period'"),
+    (dict(SIN_V_ENV, params={"base": "cubic"}), "'base'"),
+    (dict(PWL_ENV, params=dict(PWL_ENV["params"], nodes=[2, 0, 1])),
+     "'nodes'"),
+    (dict(PWL_ENV, params=dict(PWL_ENV["params"], values=[0, 1])),
+     "'values'"),
+    (dict(PWL_ENV, params={"values": [0, 1, 0]}), "'nodes'"),
+], ids=["inner_period", "base", "nodes", "values", "missing"])
+def test_param_error_names_profile_and_param(tmp_path, capsys, env_d,
+                                             named):
+    assert cli.run(_cfg(env=env_d), str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"'{env_d['profile']}'" in err and named in err
 
 
 def test_xfree_effective_exact(tmp_path):
@@ -303,6 +338,9 @@ def test_validate_task(tmp_path):
     checks = report["checks"]
     assert sorted(checks) == ["glue", "largeosc", "oracle"]
     assert checks["oracle"]["passed"] and checks["glue"]["passed"]
+    # glue passes because its quasi-convex leaf fell back to the solver:
+    # the check says so, and so does its leaf
+    assert checks["glue"]["solver_leaves"] >= 1
     assert checks["largeosc"]["skipped"]
     assert "no positive maxima" in checks["largeosc"]["reason"]
     assert "failed_routes" not in report
@@ -535,6 +573,7 @@ def test_validate_sweeps_once_and_glue_misreads_a_narrow_grid(monkeypatch,
     assert checks["oracle"]["skipped"] and checks["largeosc"]["skipped"]
     assert not checks["glue"]["passed"]
     assert checks["glue"]["worst_p"] == 2.0
+    assert checks["glue"]["solver_leaves"] >= 1
     assert any(w.startswith("OracleFellBack") for w in report["warnings"])
 
 
@@ -635,7 +674,7 @@ def test_grid_too_large_is_a_typed_failure(tmp_path, over, grid):
     assert "cell_solver.MAX_NODES" in report["error"]
 
 
-# a value for every param a registry profile reads
+# a value for every param a registry profile declares
 SWEEP_PARAMS = {"amplitude": 0.5, "base": "quadratic", "nodes": [0, 1, 2],
                 "values": [0.0, 1.0, 0.0], "cone_slope": 2.0,
                 "inner_period": 0.5}
@@ -643,16 +682,14 @@ SWEEP_PARAMS = {"amplitude": 0.5, "base": "quadratic", "nodes": [0, 1, 2],
 
 def _sweep_env(kind, name):
     d = {"schema": "env/1", "kind": kind, "profile": name,
-         "params": {k: SWEEP_PARAMS[k]
-                    for k in env.PROFILE_PARAMS[kind][name]}}
+         "params": {k: SWEEP_PARAMS[k] for k in env.PROFILES[kind][name][0]}}
     if kind == "periodic":
         return dict(d, period=1.0)
     return dict(d, cell_length=1.0, value_range=[-1.0, 0.0])
 
 
 @pytest.mark.parametrize("kind,name", [
-    (kind, name) for kind, names in env.PROFILE_PARAMS.items()
-    for name in names])
+    (kind, name) for kind, rows in env.PROFILES.items() for name in rows])
 def test_every_profile_through_every_task_without_traceback(tmp_path, kind,
                                                             name):
     # a run either succeeds or fails with a typed, reported reason: a

@@ -210,59 +210,59 @@ def test_spec_roundtrip_json():
     assert d["schema"] == "env/1"
 
 
-# a value for every param a registry profile reads
+# a value for every param a registry profile declares, and another valid one
 PARAM_VALUES = {"amplitude": 0.5, "base": "quadratic", "nodes": [0, 1, 2],
                 "values": [0.0, 1.0, 0.0], "cone_slope": 2.0,
                 "inner_period": 0.5}
+OTHER_VALUES = {"amplitude": 0.25, "base": "abs", "nodes": [0, 1, 3],
+                "values": [0.0, 2.0, 0.0], "cone_slope": 3.0,
+                "inner_period": 0.25}
+PROFILE_ROWS = [(kind, name, list(defaults))
+                for kind, rows in env.PROFILES.items()
+                for name, (defaults, _) in rows.items()]
 
 
-def _registry_dicts():
-    for kind, profiles in env.PROFILE_PARAMS.items():
-        for name, keys in profiles.items():
-            params = {k: PARAM_VALUES[k] for k in keys}
-            if kind == "periodic":
-                spec = env.make_periodic(name, 1.0, params)
-            else:
-                spec = env.make_checkerboard((-1.0, 0.0), 1.0, name, params)
-            yield kind, name, spec.to_dict()
+def _spec(kind, name, params):
+    if kind == "periodic":
+        return env.make_periodic(name, 1.0, params)
+    return env.make_checkerboard((-1.0, 0.0), 1.0, name, params)
 
 
-@pytest.mark.parametrize("kind,name,d", list(_registry_dicts()))
+@pytest.mark.parametrize("kind,name,d", [
+    (kind, name, {k: PARAM_VALUES[k] for k in keys})
+    for kind, name, keys in PROFILE_ROWS])
 def test_registry_profile_roundtrip(kind, name, d):
-    # every dict to_dict writes loads back: manifests rerun
-    back = env.EnvironmentSpec.from_dict(d)
-    assert back.to_dict() == d
+    # each row builds on the params it declares, ``d`` (a builder that
+    # reads another fails here), and every dict to_dict writes loads back:
+    # manifests rerun
+    env_d = _spec(kind, name, d).to_dict()
+    back = env.EnvironmentSpec.from_dict(env_d)
+    assert back.to_dict() == env_d
     assert env.EnvironmentSpec.from_dict(
         json.loads(json.dumps(back.to_dict()))) == back
     with pytest.raises(ProfileError):
-        env.EnvironmentSpec.from_dict(dict(d, params=dict(d["params"],
-                                                          amplitud=0.3)))
+        env.EnvironmentSpec.from_dict(dict(env_d,
+                                           params=dict(d, amplitud=0.3)))
     with pytest.raises(ProfileError):
-        env.EnvironmentSpec.from_dict(dict(d, periods=2))
+        env.EnvironmentSpec.from_dict(dict(env_d, periods=2))
 
 
-class _ReadRecorder(dict):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = set()
+@pytest.mark.parametrize("kind,name,keys", PROFILE_ROWS)
+def test_every_declared_param_changes_h(kind, name, keys):
+    # a param the row declares but its builder does not read leaves H as it
+    # is; a builder that reads an undeclared one fails to build in
+    # test_registry_profile_roundtrip
+    ps, xs = np.linspace(-4.0, 4.0, 33), np.linspace(0.0, 2.0, 17)
 
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
+    def probe(params):
+        field = env.sample(_spec(kind, name, params), 0)
+        return field.at(xs[None, :])(ps[:, None])
 
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-
-@pytest.mark.parametrize("kind,name,d", list(_registry_dicts()))
-def test_profile_params_table_is_what_builders_read(kind, name, d):
-    params = _ReadRecorder(d["params"])
-    if kind == "periodic":
-        env._build_periodic_profile(name, params, 1.0)
-    else:
-        env._build_template(name, params)
-    assert params.read == set(env.PROFILE_PARAMS[kind][name])
+    params = {k: PARAM_VALUES[k] for k in keys}
+    h = probe(params)
+    for key in keys:
+        moved = probe(dict(params, **{key: OTHER_VALUES[key]}))
+        assert not np.array_equal(moved, h), key
 
 
 def test_callable_profile_not_serializable():
