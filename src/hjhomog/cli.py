@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -27,26 +26,14 @@ import numpy as np
 from . import __version__, cell_solver as cs, gluing as gl, homog_pde as hp
 from . import large_osc as lo
 from .curve import EffectiveCurve
-from .env import EnvironmentSpec, sample, split_seed
+from .env import (EnvironmentSpec, check_keys, check_number, sample,
+                  split_seed)
 from .errors import ConfigError, HJHomogError, NotApplicable, ProfileError
 from .structure import detect_branches, normalize
 
 CONFIG_SCHEMA = "run/1"
 MANIFEST_SCHEMA = "manifest/1"
-
-# the keys of each run/1 section, with their defaults
-SECTIONS = {
-    "solver": {"dx": None, "R": 2.0, "periodize_cells": None},
-    "ivp": {"T": 1.0, "X_core": 1.0, "datum_height": 5.0},
-    "tolerances": {"dual_route": 0.1},
-}
-# the bound of each number in a section ("" for any finite number)
-BOUNDS = {"solver.dx": "> 0", "solver.R": "> 0", "ivp.T": "> 0",
-          "ivp.X_core": ">= 0", "ivp.datum_height": "",
-          "tolerances.dual_route": ">= 0"}
 CURVE_HEADER = ["p", "Hbar", "error_budget", "route"]  # every curves.csv
-TOP_KEYS = ("schema", "task", "env", "p_grid", "mu_points", "lambda_schedule",
-            "epsilons", "seeds", "window_cells", *SECTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -67,124 +54,106 @@ def write_csv(path, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_grid(spec, default):
-    """The p grid as floats: a list of numbers or {start, stop, n}."""
-    if spec is None:
-        return [float(p) for p in default]
-    if isinstance(spec, dict):
-        _known_keys("p_grid", spec, ("start", "stop", "n"))
-        return [float(p) for p in np.linspace(
-            _number("p_grid.start", spec["start"], ""),
-            _number("p_grid.stop", spec["stop"], ""),
-            _integer("p_grid.n", spec["n"]))]
-    return [_number("p_grid", p, "") for p in spec]
+def _real(bound=""):
+    """Check: a finite JSON number within ``bound``, stored as a float."""
+    return lambda name, x: check_number(name, x, bound, ConfigError)
 
 
-def _known_keys(name, section, keys):
-    """The dict ``section``; ConfigError when it holds a key not in keys."""
-    unknown = sorted(set(section) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {name}; "
-                          f"expected some of {sorted(keys)}")
-    return section
+def _int(least, most=float("inf")):
+    """Check: a JSON integer in [``least``, ``most``]."""
+    def check(name, x):
+        if type(x) is not int or not least <= x <= most:
+            raise ConfigError(f"{name} must be an integer in [{least}, "
+                              f"{most}], not {x!r}")
+        return x
+    return check
 
 
-def _number(name, value, bound):
-    """``value`` as a float; ConfigError unless it is a finite JSON number
-    within ``bound`` ("> 0", ">= 0" or "" for none)."""
-    finite = type(value) in (int, float) and math.isfinite(value)
-    if not finite or (bound and value < 0) or (bound == "> 0" and value == 0):
-        raise ConfigError(f"{name} must be a finite number {bound}, "
-                          f"not {value!r}")
-    return float(value)
+def _or_null(check):
+    """Check: null, or a value that ``check`` accepts."""
+    return lambda name, x: None if x is None else check(name, x)
 
 
-def _integer(name, value):
-    """``value``; ConfigError unless it is a JSON integer."""
-    if type(value) is not int:
-        raise ConfigError(f"{name} must be an integer, not {value!r}")
-    return value
+def _one_of(choices):
+    """Check: one of the strings ``choices``."""
+    def check(name, x):
+        if not (isinstance(x, str) and x in choices):
+            raise ConfigError(f"{name} must be one of {sorted(choices)}, "
+                              f"not {x!r}")
+        return x
+    return check
+
+
+def _list(item, least=1, decreasing=False):
+    """Check: a list of at least ``least`` values that ``item`` accepts,
+    each named by its index, strictly decreasing when ``decreasing``."""
+    def check(name, x):
+        if not isinstance(x, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, not {x!r}")
+        xs = [item(f"{name}[{i}]", v) for i, v in enumerate(x)]
+        if len(xs) < least or (decreasing and any(
+                b >= a for a, b in zip(xs, xs[1:]))):
+            raise ConfigError(f"{name} must be {least}+ values"
+                              f"{', strictly decreasing' * decreasing}, "
+                              f"not {x!r}")
+        return xs
+    return check
+
+
+_seed = _int(-2 ** 63, 2 ** 63 - 1)   # what split_seed and the fields take
+_count = _int(1, cs.MAX_NODES)        # a p grid's points, a master's seeds
+
+
+def _grid(name, x):
+    """p_grid: a list of points, or {start, stop, n} for n points evenly
+    spaced from start to stop; null is 9 points on [-2, 2]."""
+    x = {"start": -2.0, "stop": 2.0, "n": 9} if x is None else x
+    if isinstance(x, dict):
+        g = _read(name, x, GRID_KEYS)
+        x = np.linspace(g["start"], g["stop"], g["n"]).tolist()
+    return _list(_real())(name, x)
+
+
+def _seeds(name, x):
+    """seeds: a list of distinct seeds, or {master, count} for the first
+    count child seeds of master (``split_seed``)."""
+    if isinstance(x, dict):
+        s = _read(name, x, SEED_KEYS)
+        return [split_seed(s["master"], k) for k in range(s["count"])]
+    seeds = _list(_seed)(name, x)
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"{name} must be distinct, not {x!r}")
+    return seeds
+
+
+def _read(name, value, check):
+    """``value`` read through ``check``: a function (name, value) -> the
+    value as stored, or rows (key -> (default, check), as ``RUN_KEYS``)
+    for a JSON object, in which a key not in rows is a ConfigError and a
+    key left out takes its default.  A row's check gets ``name.key``."""
+    if not isinstance(check, dict):
+        return check(name, value)
+    check_keys(name or "the config", value, check, ConfigError)
+    return {key: _read(f"{name}.{key}".lstrip("."), value.get(key, default),
+                       row) for key, (default, row) in check.items()}
 
 
 def resolve_config(raw, seed_override):
-    """Validate and fill defaults; every tolerance is echoed explicitly.
-
-    Numbers must be JSON numbers (counts and seeds JSON integers) and are
-    stored converted; a key this function does not read, at the top level
-    or in a section, is a ConfigError."""
+    """The run/1 config ``raw`` (or a manifest's) read through ``RUN_KEYS``,
+    every default filled in for the manifest to echo; a bad value is a
+    ConfigError (a ProfileError from ``env``) naming its key.
+    ``seed_override`` replaces the seeds by as many children of it."""
     if isinstance(raw, dict) and raw.get("schema") == MANIFEST_SCHEMA:
-        raw = raw["config"]
-    if not isinstance(raw, dict):
-        raise ConfigError(f"the config must be a JSON object, not {raw!r}")
-    if raw.get("schema") != CONFIG_SCHEMA:
-        raise ConfigError(f"unsupported config schema {raw.get('schema')!r}")
-    _known_keys("the config", raw, TOP_KEYS)
-    task = raw.get("task")
-    if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}")
-    if "env" not in raw:
-        raise ConfigError("config needs an 'env' section")
-    env_spec = EnvironmentSpec.from_dict(raw["env"])
-    seeds_cfg = raw.get("seeds", [0])
-    if isinstance(seeds_cfg, dict):
-        _known_keys("seeds", seeds_cfg, ("master", "count"))
-        master = _integer("seeds.master", seeds_cfg.get("master", 0))
-        if seed_override is not None:
-            master = seed_override
-        count = _integer("seeds.count", seeds_cfg.get("count", 1))
-        seeds = [split_seed(master, k) for k in range(count)]
-    else:
-        seeds = [_integer("seeds", s) for s in seeds_cfg]
-        if len(set(seeds)) < len(seeds):
-            raise ConfigError(f"seeds must be distinct, not {seeds_cfg!r}")
-        if seed_override is not None:
-            seeds = [split_seed(seed_override, k) for k in range(len(seeds))]
-    sections = {name: dict(keys, **_known_keys(name, raw.get(name, {}), keys))
-                for name, keys in SECTIONS.items()}
-    resolved = {
-        "schema": CONFIG_SCHEMA,
-        "task": task,
-        "env": env_spec.to_dict(),
-        "p_grid": _parse_grid(raw.get("p_grid"), np.linspace(-2, 2, 9)),
-        "mu_points": _integer("mu_points", raw.get("mu_points", 15)),
-        "lambda_schedule": [_number("lambda_schedule", x, "> 0") for x in
-                            raw.get("lambda_schedule", cs.LAMBDA_SCHEDULE)],
-        "epsilons": [_number("epsilons", e, "> 0")
-                     for e in raw.get("epsilons", (0.4, 0.2, 0.1))],
-        "seeds": seeds,
-        "window_cells": _integer("window_cells", raw.get("window_cells", 100)),
-        **sections,
-    }
-    lams = resolved["lambda_schedule"]
-    if len(lams) < 3 or any(b >= a for a, b in zip(lams, lams[1:])):
-        raise ConfigError("lambda_schedule must be strictly decreasing with "
-                          "at least 3 entries")
-    if resolved["window_cells"] <= 2 * lo.BUFFER_CELLS:
-        raise ConfigError(f"window_cells must exceed {2 * lo.BUFFER_CELLS}, "
-                          "the two edge buffers of the level-set window")
-    if resolved["mu_points"] < 1:
-        raise ConfigError("mu_points must be at least 1")
-    eps = resolved["epsilons"]
-    if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ConfigError("epsilons must be a non-empty and strictly "
-                          "decreasing list")
-    if not resolved["p_grid"]:
-        raise ConfigError("p_grid must be non-empty")
-    if not seeds:
-        raise ConfigError("seeds must name at least one seed")
-    for name, bound in BOUNDS.items():
-        section, key = name.split(".")
-        value = sections[section][key]
-        if value is not None or key != "dx":  # a null dx: the default grid
-            sections[section][key] = _number(name, value, bound)
-    cells = sections["solver"]["periodize_cells"]
-    if cells is not None and (type(cells) is not int or cells < 1):
-        raise ConfigError("solver.periodize_cells must be null or an "
-                          f"integer >= 1, not {cells!r}")
-    if cells is not None and env_spec.kind == "periodic":
+        raw = raw.get("config")
+    cfg = _read("", raw, RUN_KEYS)
+    if seed_override is not None:
+        master, n = _seed("--seed", seed_override), len(cfg["seeds"])
+        cfg["seeds"] = [split_seed(master, k) for k in range(n)]
+    if (cfg["solver"]["periodize_cells"] is not None
+            and cfg["env"]["kind"] == "periodic"):
         raise ConfigError("solver.periodize_cells applies to checkerboard "
                           "envs; a periodic env is already periodic")
-    return resolved
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +320,32 @@ TASKS = {"effective": task_effective, "glue": task_glue,
          "largeosc": task_largeosc, "converge": task_converge,
          "validate": task_validate}
 
+# run/1: key -> (default, check), read by ``_read``.  A required key
+# defaults to None, which its check rejects; p_grid and seeds given as
+# objects read GRID_KEYS and SEED_KEYS the same way.
+RUN_KEYS = {
+    "schema": (None, _one_of((CONFIG_SCHEMA,))),
+    "task": (None, _one_of(TASKS)),
+    "env": (None, lambda name, x: EnvironmentSpec.from_dict(x).to_dict()),
+    "p_grid": (None, _grid),
+    "mu_points": (15, _int(1)),        # levels of the level-set assembly
+    "lambda_schedule": (cs.LAMBDA_SCHEDULE,
+                        _list(_real("> 0"), 3, decreasing=True)),
+    "epsilons": ([0.4, 0.2, 0.1], _list(_real("> 0"), decreasing=True)),
+    "seeds": ([0], _seeds),
+    # the level-set window in cells, wider than its two edge buffers
+    "window_cells": (100, _int(2 * lo.BUFFER_CELLS + 1)),
+    "solver": ({}, {"dx": (None, _or_null(_real("> 0"))),
+                    "R": (2.0, _real("> 0")),     # the window is R / lam
+                    "periodize_cells": (None, _or_null(_int(1)))}),
+    "ivp": ({}, {"T": (1.0, _real("> 0")), "X_core": (1.0, _real(">= 0")),
+                 "datum_height": (5.0, _real())}),
+    "tolerances": ({}, {"dual_route": (0.1, _real(">= 0"))}),
+}
+GRID_KEYS = {"start": (None, _real()), "stop": (None, _real()),
+             "n": (None, _count)}
+SEED_KEYS = {"master": (0, _seed), "count": (1, _count)}
+
 
 # ---------------------------------------------------------------------------
 # entry points
@@ -360,8 +355,7 @@ def run(config, out_dir, strict=False, seed_override=None):
     """Execute one configured task; returns the process exit code."""
     try:
         cfg = resolve_config(config, seed_override=seed_override)
-    except (ConfigError, ProfileError, KeyError, TypeError, ValueError,
-            OverflowError) as exc:
+    except (ConfigError, ProfileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(out_dir, exist_ok=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,14 +187,15 @@ def _check_param(label, name, x):
         raise ProfileError(f"{label} must be one of {sorted(_BASES)}, "
                            f"not {x!r}")
     if name in ("nodes", "values"):
-        xs = np.array([_number(label, v) for v in x]
+        xs = np.array([check_number(label, v) for v in x]
                       if isinstance(x, (list, tuple)) else [])
         if not xs.size or (name == "nodes" and np.any(np.diff(xs) <= 0)):
             raise ProfileError(f"{label} must be a non-empty list of finite "
                                f"numbers{', increasing' * (name == 'nodes')}"
                                f", not {x!r}")
         return xs
-    return _number(label, x, positive=name in ("cone_slope", "inner_period"))
+    positive = name in ("cone_slope", "inner_period")
+    return check_number(label, x, "> 0" if positive else "")
 
 
 def _profile_parts(spec):
@@ -203,7 +205,7 @@ def _profile_parts(spec):
     if not isinstance(name, str) or name not in PROFILES[kind]:
         raise ProfileError(f"unknown {kind} profile {name!r}")
     defaults, build = PROFILES[kind][name]
-    _only_keys(f"the params of {name!r}", params, defaults)
+    check_keys(f"the params of {name!r}", params, defaults)
     q = {key: _check_param(f"param {key!r} of {name!r}", key, x)
          for key, x in dict(defaults, **params).items()}
     if len(q.get("nodes", ())) != len(q.get("values", ())):
@@ -294,23 +296,16 @@ class EnvironmentSpec:
         if d.get("schema") != ENV_SCHEMA:
             raise ProfileError(f"unsupported environment schema {d.get('schema')!r}")
         kind = d.get("kind")
-        if kind not in ENV_KEYS:
+        if not isinstance(kind, str) or kind not in ENV_KEYS:
             raise ProfileError(f"unknown environment kind {kind!r}")
-        _only_keys(f"the {kind} env", d, ENV_KEYS[kind])
+        check_keys(f"the {kind} env", d, ENV_KEYS[kind])
         params = d.get("params")
         if params is not None and not isinstance(params, dict):
             raise ProfileError(f"params must be a JSON object, not {params!r}")
         if kind == "periodic":
-            return make_periodic(d["profile"], d["period"], params)
-        return make_checkerboard(d["value_range"], d["cell_length"],
-                                 d["profile"], params)
-
-
-def _only_keys(name, d, keys):
-    unknown = sorted(set(d) - set(keys))
-    if unknown:
-        raise ProfileError(f"unknown key(s) {unknown} in {name}; "
-                           f"expected some of {sorted(keys)}")
+            return make_periodic(d.get("profile"), d.get("period"), params)
+        return make_checkerboard(d.get("value_range"), d.get("cell_length"),
+                                 d.get("profile"), params)
 
 
 def _probe_profile(spec, period_or_cell):
@@ -327,19 +322,30 @@ def _probe_profile(spec, period_or_cell):
             f"x={xs[bad[1]]:.3g}")
 
 
-def _number(name, x, positive=False):
-    """``x`` as a float; ProfileError unless it is a finite real number (a
-    bool is not one), and positive when ``positive``."""
+def check_number(name, x, bound="", error=ProfileError):
+    """``x`` as a float; ``error`` unless it is a finite real number (not a
+    bool) within ``bound``: "> 0", ">= 0" or "" for none."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real) \
-            or not math.isfinite(x) or (positive and x <= 0):
-        raise ProfileError(f"{name} must be a finite "
-                           f"{'positive ' * positive}number, not {x!r}")
+            or not abs(x) <= sys.float_info.max or (bound and x < 0) \
+            or (bound == "> 0" and x == 0):
+        raise error(f"{name} must be a finite number {bound}".rstrip()
+                    + f", not {x!r}")
     return float(x)
+
+
+def check_keys(name, d, keys, error=ProfileError):
+    """``d``; ``error`` unless it is a dict whose keys are all in ``keys``."""
+    if not isinstance(d, dict):
+        raise error(f"{name} must be a JSON object, not {d!r}")
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise error(f"unknown key(s) {unknown} in {name}; "
+                    f"expected some of {sorted(keys)}")
 
 
 def make_periodic(profile, period, params=None):
     """Spec for a deterministic periodic medium; realizations ignore the seed."""
-    period = _number("period", period, positive=True)
+    period = check_number("period", period, "> 0")
     spec = EnvironmentSpec(kind="periodic", profile=profile,
                            params=dict(params or {}), period=period)
     _probe_profile(spec, period)
@@ -351,10 +357,10 @@ def make_checkerboard(value_range, cell_length, profile_template, params):
     if not (isinstance(value_range, (list, tuple)) and len(value_range) == 2):
         raise ProfileError(f"value_range must be two finite numbers, "
                            f"not {value_range!r}")
-    lo, hi = (_number("value_range", v) for v in value_range)
+    lo, hi = (check_number("value_range", v) for v in value_range)
     if hi < lo:
         raise ProfileError("empty value_range")
-    cell_length = _number("cell_length", cell_length, positive=True)
+    cell_length = check_number("cell_length", cell_length, "> 0")
     spec = EnvironmentSpec(kind="checkerboard", profile=profile_template,
                            params=dict(params or {}), cell_length=cell_length,
                            value_range=(lo, hi))

@@ -202,6 +202,10 @@ def test_malformed_config_exit_2(tmp_path):
     {"env": dict(SIN_V_ENV, params={"base": "cubic"})},
     {"env": dict(SIN_V_ENV, params={"base": 3})},
     {"env": dict(PWL_ENV, params={"values": [0, 1, 0]})},
+    # counts above cell_solver.MAX_NODES, rejected before any array or
+    # seed list of that length is built
+    {"p_grid": {"start": 0, "stop": 1, "n": 10 ** 12}},
+    {"seeds": {"master": 1, "count": 10 ** 8}},
 ])
 def test_out_of_range_config_exit_2(tmp_path, over):
     out = tmp_path / "out"
@@ -223,6 +227,99 @@ def test_param_error_names_profile_and_param(tmp_path, capsys, env_d,
     assert cli.run(_cfg(env=env_d), str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert f"'{env_d['profile']}'" in err and named in err
+
+
+NO_PERIOD_ENV = {k: v for k, v in BASE_ENV.items() if k != "period"}
+
+
+@pytest.mark.parametrize("over, key", [
+    ({"solver": 5}, "solver"),
+    ({"p_grid": 5}, "p_grid"),
+    ({"seeds": 5}, "seeds"),
+    ({"lambda_schedule": 5}, "lambda_schedule"),
+    ({"epsilons": 5}, "epsilons"),
+    ({"task": [1]}, "task"),
+    ({"env": dict(BASE_ENV, kind=[1])}, "kind"),
+    ({"env": NO_PERIOD_ENV}, "period"),
+    ({"p_grid": {"start": -1.0, "n": 3}}, "p_grid.stop"),
+    ({"p_grid": {"start": -1.0, "stop": 1.0, "n": -1}}, "p_grid.n"),
+    ({"task": "converge", "ivp": {"T": 10 ** 400}}, "ivp.T"),
+    ({"p_grid": {"start": 0, "stop": 1, "n": 10 ** 12}}, "p_grid.n"),
+    ({"seeds": {"master": 1, "count": 10 ** 8}}, "seeds.count"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, over, key):
+    out = tmp_path / "out"
+    assert cli.run(_cfg(**over), str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def _rows(rows, path=()):
+    """(path, default) of each row of ``rows``, a section's rows included."""
+    for key, (default, check) in rows.items():
+        if isinstance(check, dict):
+            yield from _rows(check, path + (key,))
+        else:
+            yield path + (key,), default
+
+
+RUN_ROWS = [*_rows(cli.RUN_KEYS), *_rows(cli.GRID_KEYS, ("p_grid",)),
+            *_rows(cli.SEED_KEYS, ("seeds",))]
+GUARD_CFG = {"schema": "run/1", "task": "effective", "env": BOARD_ENV}
+# p_grid and seeds as objects, for the rows of GRID_KEYS and SEED_KEYS
+GUARD_OBJECTS = {"p_grid": {"start": -1.0, "stop": 1.0, "n": 3},
+                 "seeds": {}}
+# a valid value other than the default (or the guard config's value) of
+# each row; run/1 is the one schema
+OTHER_RUN_VALUES = {
+    ("task",): "glue", ("env",): BASE_ENV, ("p_grid",): [0.5],
+    ("mu_points",): 7, ("lambda_schedule",): [0.5, 0.25, 0.125],
+    ("epsilons",): [0.3], ("seeds",): [4], ("window_cells",): 11,
+    ("solver", "dx"): 0.5, ("solver", "R"): 3.0,
+    ("solver", "periodize_cells"): 4, ("ivp", "T"): 2.0,
+    ("ivp", "X_core"): 0.0, ("ivp", "datum_height"): -1.0,
+    ("tolerances", "dual_route"): 0.0, ("p_grid", "start"): 0.0,
+    ("p_grid", "stop"): 2.0, ("p_grid", "n"): 5, ("seeds", "master"): 9,
+    ("seeds", "count"): 3}
+
+
+@pytest.mark.parametrize("path, default", RUN_ROWS,
+                         ids=[".".join(path) for path, _ in RUN_ROWS])
+def test_every_run_key_row_is_read(path, default):
+    # a row whose key, default or value the reader drops leaves the
+    # resolved config (what the manifest stores) as it is
+    base = json.loads(json.dumps(GUARD_CFG))
+    if len(path) == 2 and path[0] in GUARD_OBJECTS:
+        base[path[0]] = dict(GUARD_OBJECTS[path[0]])
+    parent = base
+    for key in path[:-1]:
+        parent = parent.setdefault(key, {})
+    given = [parent.pop(path[-1])] if path[-1] in parent else []
+
+    def resolved(*value):
+        cfg = json.loads(json.dumps(base))
+        section = cfg
+        for key in path[:-1]:
+            section = section[key]
+        section.update({path[-1]: v for v in value})
+        return json.loads(json.dumps(cli.resolve_config(cfg, None)))
+
+    if given:   # a required key: leaving it out names it
+        with pytest.raises((cli.ConfigError, cli.ProfileError),
+                           match=path[-1]):
+            resolved()
+    else:
+        assert resolved() == resolved(default)
+        if path[0] not in GUARD_OBJECTS or len(path) == 1:
+            echo = resolved()
+            for key in path:
+                echo = echo[key]
+            assert echo == (json.loads(json.dumps(default))
+                            if path != ("p_grid",) else
+                            [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
+    if path != ("schema",):
+        assert resolved(OTHER_RUN_VALUES[path]) != resolved(*given)
 
 
 def test_xfree_effective_exact(tmp_path):
